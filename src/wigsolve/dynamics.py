@@ -3,10 +3,14 @@
 The transport substep is solved along characteristics: every wavenumber
 slice is shifted by v = hbar*k/m times the stage length and re-read through
 per-element barycentric interpolation (semi-Lagrangian, no CFL bound, signed
-stage lengths allowed).  The pseudo-differential substep is diagonal in the
-wavenumber modes: alpha_nu picks up exp(tau * c_nu(x)).  Strang composition
-gives order two; the triple-jump composition of three Strang steps with one
-negative middle stage gives order four.
+stage lengths allowed).  A sweep plan fixes, per (slice, stage length), one
+interpolation matrix and the one source row each target node reads, so a
+sweep is one batched matmul and one precomputed gather.  The
+pseudo-differential substep is diagonal in the wavenumber modes: alpha_nu
+picks up exp(tau * c_nu(x)).  Strang composition gives order two; the
+triple-jump composition of three Strang steps with one negative middle
+stage gives order four.  evolve and evolve_4d build the sweep plans and
+multiplier tables of each distinct stage length once per run.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .kernels import (
     kernel_coefficients,
     poisson_kernel_coefficients,
 )
+from .observables import FermiDiracSpec
 
 __all__ = [
     "SplitScheme",
@@ -85,105 +90,95 @@ class _SweepPlan:
 
     Work layout is (Nk, M, Q, R): slice, node-in-element, element, slab.
     Equal-width elements make the interpolation matrices depend only on the
-    fractional part of the shift, so each slice needs two M x M matrices:
-    one for target nodes whose departure falls in the source element n away,
-    one for the element n+1 away.
+    fractional part of the shift.  A slice shifted by n elements plus a
+    fraction serves each target node from a single source element: n away
+    for nodes at or beyond the fraction, n+1 away for the others.  The two
+    interpolation matrices of a slice thus have disjoint nonzero rows, and
+    the plan stores their sum, one M x M matrix per slice.
+
+    apply() multiplies every source element by its slice's matrix in one
+    batched matmul, then reads each target (k, m, q) from exactly one row
+    of that product: node m of element q - n - (0 or 1).  The flat index of
+    that row is fixed per (slice, tau) and precomputed here (`rows`).  The
+    product is preceded by one boundary row per slice, holding the inflow
+    (or zero); departures outside the domain read it.
 
     On a symmetric wavenumber domain the node at k_min has no +k_max partner
     (it represents both ends of the periodic window), so transporting it with
     the one-sided velocity breaks the parity and quarter-turn equivariance of
     the discrete evolution.  That slice gets the symmetrized transport
-    (f(x - v tau) + f(x + v tau))/2 instead; see edge_slice below.
+    (f(x - v tau) + f(x + v tau))/2 instead: its mirrored-velocity copy is
+    appended after the Nk slices and swept on its own.
     """
 
     def __init__(self, mesh: SpatialMesh, velocities: np.ndarray, tau: float,
                  edge_slice: int | None = None):
-        M = mesh.points_per_element
+        M, Q = mesh.points_per_element, mesh.num_elements
         width = mesh.element_width
         velocities = np.asarray(velocities, float)
-        self.edge = None
+        self.edge = edge_slice
+        self.num_slices = len(velocities)
         if edge_slice is not None:
-            # append a mirrored-velocity row; apply() averages it with the
-            # one-sided row for the edge slice
             velocities = np.concatenate([velocities, [-velocities[edge_slice]]])
-            self.edge = edge_slice
-        shift = np.asarray(velocities, float) * tau
+        shift = velocities * tau
         n = np.floor(shift / width)
         frac = shift / width - n
-        self.offset = n.astype(np.int64)
-        self.num_elements = mesh.num_elements
 
         xi = (mesh.points_by_element[0] - mesh.element_boundaries[0]) / width  # in [0, 1]
-        hi = xi[None, :] >= frac[:, None]  # (Nk, M) rows served by element e - n
-        local_hi = xi[None, :] - frac[:, None]
-        local_lo = local_hi + 1.0
-        ref = 2.0 * xi - 1.0
-        wbary = mesh.barycentric_weights
+        hi = xi[None, :] >= frac[:, None]  # (slices, M) rows served by element q - n
+        local = xi[None, :] - frac[:, None]
+        # departure point on the serving element's reference interval [-1, 1]
+        r = 2.0 * np.where(hi, local, local + 1.0) - 1.0
+        diff = r[:, :, None] - (2.0 * xi - 1.0)[None, None, :]
+        exact = diff == 0.0
+        ratios = mesh.barycentric_weights / np.where(exact, 1.0, diff)
+        self.matrices = ratios / ratios.sum(axis=2, keepdims=True)
+        hit = exact.any(axis=2)
+        self.matrices[hit] = exact[hit]
 
-        def rows(local: np.ndarray) -> np.ndarray:
-            # rows for the complementary split side fall outside [-1, 1] and
-            # are masked away afterwards; their values may be non-finite
-            r = 2.0 * local - 1.0
-            diff = r[:, :, None] - ref[None, None, :]
-            exact = diff == 0.0
-            safe = np.where(exact, 1.0, diff)
-            ratios = wbary[None, None, :] / safe
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = ratios / ratios.sum(axis=2, keepdims=True)
-            out[~np.isfinite(out)] = 0.0
-            hit = exact.any(axis=2)
-            out[hit] = exact[hit]
-            return out
-
-        self.mat_hi = rows(local_hi) * hi[:, :, None]
-        self.mat_lo = rows(local_lo) * (~hi)[:, :, None]
-        self.hi_rows = hi
+        # product row read by target (k, m, q): boundary row k when the source
+        # element lies outside the domain, else node m of element src
+        src = np.arange(Q) - n.astype(np.intp)[:, None, None] - (~hi)[:, :, None]
+        k = np.arange(len(velocities))[:, None, None]
+        base = self.num_slices + (k * M + np.arange(M)[:, None]) * Q
+        if edge_slice is not None:
+            # the mirrored slice is swept alone: one boundary row, then its nodes
+            k[-1], base[-1] = 0, 1 + np.arange(M)[:, None] * Q
+        self.rows = np.where((src >= 0) & (src < Q), base + src, k)
 
     def apply(self, work: np.ndarray, inflow: np.ndarray | None = None) -> np.ndarray:
-        """work: (Nk, M, Q, R) -> shifted field.
+        """Shift the field work, (Nk, M, Q, R), in place and return it.
 
         inflow, if given, holds the (Nk, R) values read by departure points
-        outside the domain; otherwise those points read 0.
+        outside the domain; otherwise those points read 0.  Callers pass a
+        private copy: sweeping in place spares an allocation per sweep.
         """
-        Nk = work.shape[0]
-        out = _gather_apply(
-            work, self.offset[:Nk], self.mat_hi[:Nk], self.mat_lo[:Nk],
-            self.hi_rows[:Nk], inflow,
-        )
+        Nk = self.num_slices
+        if work.shape[0] != Nk:
+            raise ParameterError(f"sweep plan holds {Nk} slices, field has {work.shape[0]}")
+        mirrored = None
         if self.edge is not None:
             e = self.edge
-            mirrored = _gather_apply(
-                work[e : e + 1], self.offset[-1:], self.mat_hi[-1:],
-                self.mat_lo[-1:], self.hi_rows[-1:],
+            mirrored = _sweep(
+                work[e : e + 1], self.matrices[Nk:], self.rows[Nk:],
                 None if inflow is None else inflow[e : e + 1],
             )
+        out = _sweep(work, self.matrices[:Nk], self.rows[:Nk], inflow, out=work)
+        if mirrored is not None:
             out[e] += mirrored[0]
             out[e] *= 0.5
         return out
 
 
-def _gather_apply(work, offset, mat_hi, mat_lo, hi_rows, inflow):
+def _sweep(work, matrices, rows, inflow, out=None):
+    # product rows: one boundary row per slice, then (slice, node, element)
     Nk, M, Q, R = work.shape
-    q = np.arange(Q)
-    src_hi = q[None, :] - offset[:, None]
-    src_lo = src_hi - 1
-    ok_hi = (src_hi >= 0) & (src_hi < Q)
-    ok_lo = (src_lo >= 0) & (src_lo < Q)
-    # out-of-domain sources read the padded zero column
-    padded = np.concatenate([np.zeros((Nk, M, 1, R)), work], axis=2)
-    gh = np.take_along_axis(padded, np.where(ok_hi, src_hi + 1, 0)[:, None, :, None], axis=2)
-    gl = np.take_along_axis(padded, np.where(ok_lo, src_lo + 1, 0)[:, None, :, None], axis=2)
-    out = np.matmul(mat_hi, gh.reshape(Nk, M, Q * R)) + np.matmul(
-        mat_lo, gl.reshape(Nk, M, Q * R)
-    )
-    out = out.reshape(Nk, M, Q, R)
-    if inflow is not None:
-        missing = hi_rows[:, :, None] & ~ok_hi[:, None, :] | (
-            ~hi_rows[:, :, None] & ~ok_lo[:, None, :]
-        )
-        out += inflow[:, None, None, :] * missing[:, :, :, None]
-    return out
-
+    product = np.empty((Nk + Nk * M * Q, R))
+    product[:Nk] = 0.0 if inflow is None else inflow
+    np.matmul(matrices, work.reshape(Nk, M, Q * R), out=product[Nk:].reshape(Nk, M, Q * R))
+    # every row index is in range; mode="clip" skips the bounds check and
+    # lets take write straight into out, which may be work itself
+    return np.take(product, rows, axis=0, out=out, mode="clip")
 
 
 def _edge_slice(km: WavenumberMesh) -> int | None:
@@ -192,14 +187,24 @@ def _edge_slice(km: WavenumberMesh) -> int | None:
 
 
 def _to_work_2d(values: np.ndarray, mesh: SpatialMesh) -> np.ndarray:
-    # (nx, Nk) -> (Nk, M, Q)
+    # (nx, Nk) -> (Nk, M, Q), always a private copy
     Q, M = mesh.num_elements, mesh.points_per_element
-    return np.ascontiguousarray(values.T.reshape(-1, Q, M).transpose(0, 2, 1))
+    return values.T.reshape(-1, Q, M).transpose(0, 2, 1).copy()
 
 
 def _from_work_2d(work: np.ndarray) -> np.ndarray:
     Nk, M, Q = work.shape
     return np.ascontiguousarray(work.transpose(0, 2, 1).reshape(Nk, Q * M).T)
+
+
+def _sweep_plans(grid: PhaseSpaceGrid, consts: PhysicalConstants, tau: float,
+                 symmetrized_edge: bool = False) -> tuple[_SweepPlan, ...]:
+    """One sweep plan per spatial dimension for the stage length tau."""
+    plans = []
+    for mesh, km in zip(grid.spatial, grid.wavenumber):
+        v = consts.hbar * km.collocation_k / consts.mass
+        plans.append(_SweepPlan(mesh, v, tau, _edge_slice(km) if symmetrized_edge else None))
+    return tuple(plans)
 
 
 def advect(
@@ -208,6 +213,8 @@ def advect(
     tau: float,
     inflow: np.ndarray | None = None,
     symmetrized_edge: bool = False,
+    *,
+    _plans: tuple[_SweepPlan, ...] | None = None,
 ) -> WignerState:
     """Exact transport sub-flow over a signed stage length tau.
 
@@ -217,52 +224,45 @@ def advect(
     the two periodic-endpoint readings of the unpaired k_min slice, which
     makes the discrete evolution exactly parity- and quarter-turn
     equivariant at the cost of a first-order perturbation of that slice.
+    _plans, if given, are the _sweep_plans of this grid, consts, tau and
+    edge choice, built once by a caller that repeats the stage.
     """
     if abs(tau) > MAX_STAGE_FS:
         raise ParameterError(f"stage length {tau} fs exceeds the configured bound")
-    edge = _edge_slice(state.grid.wavenumber[0]) if symmetrized_edge else None
+    if _plans is None:
+        _plans = _sweep_plans(state.grid, consts, tau, symmetrized_edge)
     if state.grid.ndim_space == 1:
-        mesh, km = state.grid.x, state.grid.k
-        v = consts.hbar * km.collocation_k / consts.mass
-        plan = _SweepPlan(mesh, v, tau, edge)
+        mesh = state.grid.x
         work = _to_work_2d(state.values, mesh)[:, :, :, None]
         prof = None if inflow is None else np.asarray(inflow, float)[:, None]
-        out = plan.apply(work, prof)[:, :, :, 0]
+        out = _plans[0].apply(work, prof)[:, :, :, 0]
         return WignerState(state.grid, _from_work_2d(out), state.time)
-    values = state.values
-    for dim in (0, 1):
-        values = _advect_dim_4d(values, state.grid, consts, tau, dim, inflow, symmetrized_edge)
-    return WignerState(state.grid, values, state.time)
+    return WignerState(state.grid, _advect_4d(state.values, state.grid, _plans, inflow), state.time)
 
 
-def _advect_dim_4d(values, grid, consts, tau, dim, inflow, symmetrized_edge=False):
-    mesh = grid.spatial[dim]
-    km = grid.wavenumber[dim]
-    v = consts.hbar * km.collocation_k / consts.mass
-    plan = _SweepPlan(mesh, v, tau, _edge_slice(km) if symmetrized_edge else None)
-    Q, M = mesh.num_elements, mesh.points_per_element
-    if dim == 0:
-        # (x1, x2, k1, k2) -> (k1, m1, q1, x2*k2)
-        nx2, Nk2 = values.shape[1], values.shape[3]
-        work = values.transpose(2, 0, 1, 3).reshape(-1, Q, M, nx2 * Nk2)
-        work = np.ascontiguousarray(work.transpose(0, 2, 1, 3))
-        prof = None
-        if inflow is not None:
-            prof = np.broadcast_to(inflow[:, None, :], (km.num_points, nx2, Nk2))
-            prof = prof.reshape(km.num_points, nx2 * Nk2)
-        out = plan.apply(work, prof)
-        out = out.transpose(0, 2, 1, 3).reshape(-1, Q * M, nx2, Nk2).transpose(1, 2, 0, 3)
-        return np.ascontiguousarray(out)
-    nx1, Nk1 = values.shape[0], values.shape[2]
-    work = values.transpose(3, 1, 0, 2).reshape(-1, Q, M, nx1 * Nk1)
-    work = np.ascontiguousarray(work.transpose(0, 2, 1, 3))
-    prof = None
+def _advect_4d(values, grid, plans, inflow):
+    """Sweep x1, then x2, through three layout copies of the field.
+
+    With x_d = (q_d, m_d) the field axes are (q1, m1, q2, m2, k1, k2).  The
+    x1 sweep works on (k1, m1, q1, x2*k2), the x2 sweep on (k2, m2, q2,
+    x1*k1); each sweep runs in place on its work copy.
+    """
+    x1, x2 = grid.spatial
+    Q1, M1, Q2, M2 = x1.num_elements, x1.points_per_element, x2.num_elements, x2.points_per_element
+    nx1, nx2, Nk1, Nk2 = values.shape
+    prof1 = prof2 = None
     if inflow is not None:
-        prof = np.broadcast_to(inflow.T[:, None, :], (km.num_points, nx1, Nk1))
-        prof = prof.reshape(km.num_points, nx1 * Nk1)
-    out = plan.apply(work, prof)
-    out = out.transpose(0, 2, 1, 3).reshape(-1, Q * M, nx1, Nk1).transpose(2, 1, 3, 0)
-    return np.ascontiguousarray(out)
+        prof1 = np.broadcast_to(inflow[:, None, :], (Nk1, nx2, Nk2)).reshape(Nk1, nx2 * Nk2)
+        prof2 = np.broadcast_to(inflow.T[:, None, :], (Nk2, nx1, Nk1)).reshape(Nk2, nx1 * Nk1)
+    work = values.reshape(Q1, M1, Q2, M2, Nk1, Nk2).transpose(4, 1, 0, 2, 3, 5).copy()
+    work = work.reshape(Nk1, M1, Q1, nx2 * Nk2)
+    plans[0].apply(work, prof1)
+    # (k1, m1, q1, q2, m2, k2) -> (k2, m2, q2, q1, m1, k1)
+    work = work.reshape(Nk1, M1, Q1, Q2, M2, Nk2).transpose(5, 4, 3, 2, 1, 0).copy()
+    work = work.reshape(Nk2, M2, Q2, nx1 * Nk1)
+    plans[1].apply(work, prof2)
+    work = work.reshape(Nk2, M2, Q2, Q1, M1, Nk1).transpose(3, 4, 2, 1, 5, 0)
+    return work.reshape(nx1, nx2, Nk1, Nk2)
 
 
 # ----------------------------------------------------------------------
@@ -294,19 +294,26 @@ def _multipliers_half_4d(table: KernelTable, tau: float) -> np.ndarray:
     return np.exp(1j * phases)
 
 
-def apply_kernel(state: WignerState, table: KernelTable, tau: float) -> WignerState:
-    """Exact flow of the truncated pseudo-differential sub-equation."""
+def apply_kernel(state: WignerState, table: KernelTable, tau: float, *,
+                 _mult: np.ndarray | None = None) -> WignerState:
+    """Exact flow of the truncated pseudo-differential sub-equation.
+
+    _mult, if given, is the half-spectrum multiplier table of this table and
+    tau (_multipliers_half_4d in 4-D), built once by a caller that repeats
+    the stage.
+    """
     if table.grid.cache_key() != state.grid.cache_key():
         raise ParameterError("kernel table was built on a different grid")
     if state.grid.ndim_space == 1:
-        mult = _multipliers_half_2d(table, tau)
+        mult = _multipliers_half_2d(table, tau) if _mult is None else _mult
         spec = scipy.fft.rfft(state.values, axis=1)
         out = scipy.fft.irfft(spec * mult, n=state.grid.k.num_points, axis=1)
         return WignerState(state.grid, out, state.time)
-    mult = _multipliers_half_4d(table, tau)
+    mult = _multipliers_half_4d(table, tau) if _mult is None else _mult
     spec = scipy.fft.rfft2(state.values, axes=(2, 3))
+    spec *= mult
     out = scipy.fft.irfft2(
-        spec * mult, s=(state.grid.wavenumber[0].num_points, state.grid.wavenumber[1].num_points),
+        spec, s=(state.grid.wavenumber[0].num_points, state.grid.wavenumber[1].num_points),
         axes=(2, 3),
     )
     return WignerState(state.grid, out, state.time)
@@ -330,6 +337,11 @@ def _stage_sequence(scheme: SplitScheme, dt: float) -> list[tuple[str, float]]:
     return fused
 
 
+def _lengths(stages: list[tuple[str, float]], kind: str) -> dict[float, None]:
+    """Distinct stage lengths of one kind ("A" or "B"), in order of first use."""
+    return dict.fromkeys(tau for k, tau in stages if k == kind)
+
+
 def step(
     state: WignerState,
     table: KernelTable,
@@ -338,14 +350,23 @@ def step(
     scheme: SplitScheme,
     inflow: np.ndarray | None = None,
     symmetrized_edge: bool = False,
+    *,
+    _plans: dict[float, tuple[_SweepPlan, ...]] | None = None,
+    _mults: dict[float, np.ndarray] | None = None,
 ) -> WignerState:
-    """One composed time step; advances state.time by dt."""
+    """One composed time step; advances state.time by dt.
+
+    _plans and _mults, if given, map each transport and kernel stage length
+    of the scheme to its sweep plans and multiplier table (see advect and
+    apply_kernel); None builds them on the spot.
+    """
     out = state
     for kind, tau in _stage_sequence(scheme, dt):
         if kind == "A":
-            out = advect(out, consts, tau, inflow, symmetrized_edge)
+            plans = None if _plans is None else _plans[tau]
+            out = advect(out, consts, tau, inflow, symmetrized_edge, _plans=plans)
         else:
-            out = apply_kernel(out, table, tau)
+            out = apply_kernel(out, table, tau, _mult=None if _mults is None else _mults[tau])
     return WignerState(out.grid, out.values, state.time + dt)
 
 
@@ -397,6 +418,20 @@ class SimulationConfig:
             raise ParameterError(f"unknown edge transport {self.edge_transport!r}")
         if self.spatial_dims not in (1, 2):
             raise ParameterError("spatial_dims must be 1 or 2")
+        planar = isinstance(self.potential, MultiDeltaPotential2D)
+        if planar != (self.spatial_dims == 2):
+            raise ParameterError(
+                f"potential {type(self.potential).__name__} does not live in"
+                f" {self.spatial_dims} spatial dimension(s)"
+            )
+        if isinstance(self.initial, FermiDiracSpec):
+            if self.spatial_dims != 2:
+                raise ParameterError("Fermi-Dirac initial data needs spatial_dims = 2")
+            if not math.isclose(self.consts.mass, self.initial.mass, rel_tol=1e-9):
+                raise ParameterError(
+                    f"consts.mass = {self.consts.mass!r} differs from the Fermi-Dirac"
+                    f" effective mass {self.initial.mass!r}"
+                )
 
     def build_grid(self) -> PhaseSpaceGrid:
         xm = build_spatial_mesh(self.x_lo, self.x_hi, self.num_elements, self.points_per_element)
@@ -424,25 +459,21 @@ class _Stepper2D:
         self.mesh, self.km = mesh, km
         v = consts.hbar * km.collocation_k / consts.mass
         self.stages = _stage_sequence(scheme, dt)
-        self.plans = {}
-        self.mults = {}
         pos = _half_spectrum_positions(km)
         Q, M = mesh.num_elements, mesh.points_per_element
         phases = table.multipliers.imag[:, pos].T.reshape(-1, Q, M).transpose(0, 2, 1)
         phases = np.ascontiguousarray(phases)
         phases[-1] = 0.0  # Nyquist
         edge = _edge_slice(km) if symmetrized_edge else None
-        for kind, tau in self.stages:
-            if kind == "A" and tau not in self.plans:
-                self.plans[tau] = _SweepPlan(mesh, v, tau, edge)
-            elif kind == "B" and tau not in self.mults:
-                self.mults[tau] = np.exp(1j * tau * phases)
-        self.inflow = inflow_profile
+        self.plans = {tau: _SweepPlan(mesh, v, tau, edge) for tau in _lengths(self.stages, "A")}
+        self.mults = {tau: np.exp(1j * tau * phases) for tau in _lengths(self.stages, "B")}
+        self.inflow = None if inflow_profile is None else inflow_profile[:, None]
 
     def advance(self, work: np.ndarray) -> np.ndarray:
+        """One step of the field work, which is overwritten."""
         for kind, tau in self.stages:
             if kind == "A":
-                work = self.plans[tau].apply(work[:, :, :, None], self.inflow)[:, :, :, 0]
+                self.plans[tau].apply(work[:, :, :, None], self.inflow)
             else:
                 spec = scipy.fft.rfft(work, axis=0)
                 spec *= self.mults[tau]
@@ -469,7 +500,7 @@ def evolve(config: SimulationConfig):
     grid = config.build_grid()
     table = config.build_table(grid)
     consts = config.consts
-    state0 = _initial_state(grid, config.initial)
+    state0 = _initial_state(grid, config.initial, config.consts.hbar)
     inflow_profile = state0.values.mean(axis=0) if config.inflow == "background" else None
 
     quad = UniformMeshQuadrature(grid, config.n_uniform)
@@ -515,6 +546,26 @@ def _cc_layout(mesh: SpatialMesh) -> np.ndarray:
     return np.repeat(w[:, None], mesh.num_elements, axis=1)
 
 
+def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
+    """Estimated peak bytes of evolve_4d.
+
+    The complex kernel table; a step's input field and its running stage
+    result; one cached half-spectrum multiplier table per distinct kernel
+    stage length; and the largest stage temporaries, the spectrum and
+    output of a kernel substep (a sweep's work copy and product are about
+    as large).  A quarter more covers the small arrays beside them.
+    """
+    points = float(np.prod(grid.shape))
+    Nk2 = grid.wavenumber[1].num_points
+    half = points * (Nk2 // 2 + 1) / Nk2  # points of a half spectrum
+    kernel_lengths = len(_lengths(_stage_sequence(config.scheme, config.dt), "B"))
+    table = 16 * points
+    fields = 2 * 8 * points
+    multipliers = kernel_lengths * 16 * half
+    temporaries = 16 * half + 8 * points
+    return 1.25 * (table + fields + multipliers + temporaries)
+
+
 def evolve_4d(config: SimulationConfig):
     """Run a 4-D phase-space simulation; snapshots hold the spatial marginal."""
     from .observables import ObservableSeries, _initial_state, spatial_marginal_2d, total_mass
@@ -524,14 +575,14 @@ def evolve_4d(config: SimulationConfig):
     if not isinstance(config.potential, MultiDeltaPotential2D):
         raise ParameterError("the 4-D driver supports the multi-delta potential family")
     grid = config.build_grid()
-    need = 8 * float(np.prod(grid.shape)) * 6.0  # field + spectra + table
+    need = _working_set_4d(config, grid)
     if need > config.memory_budget_bytes:
         raise CapacityError(
             f"estimated working set {need/1e9:.2f} GB exceeds the configured budget"
         )
     table = config.build_table(grid)
     consts = config.consts
-    state = _initial_state(grid, config.initial)
+    state = _initial_state(grid, config.initial, consts.hbar)
     # reservoir inflow: the position-independent wavenumber profile of the
     # initial data feeds the inflow boundaries
     inflow = state.values[0, 0].copy() if config.inflow == "background" else None
@@ -549,8 +600,14 @@ def evolve_4d(config: SimulationConfig):
     if 0 in snap_at:
         snapshots.append((0.0, spatial_marginal_2d(state)))
     sym = config.edge_transport == "symmetrized"
+    # every stage length recurs at every step: build its plans or multiplier
+    # table once per run
+    stages = _stage_sequence(config.scheme, config.dt) if n_steps else []
+    plans = {tau: _sweep_plans(grid, consts, tau, sym) for tau in _lengths(stages, "A")}
+    mults = {tau: _multipliers_half_4d(table, tau) for tau in _lengths(stages, "B")}
     for i in range(1, n_steps + 1):
-        state = step(state, table, consts, config.dt, config.scheme, inflow, sym)
+        state = step(state, table, consts, config.dt, config.scheme, inflow, sym,
+                     _plans=plans, _mults=mults)
         if not np.isfinite(state.values).all():
             raise DivergenceError(f"non-finite field after step {i}")
         record(state.time, state)

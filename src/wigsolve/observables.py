@@ -164,9 +164,10 @@ def init_fermi_dirac_4d(
     return WignerState(grid, values, 0.0)
 
 
-def _initial_state(grid: PhaseSpaceGrid, spec) -> WignerState:
+def _initial_state(grid: PhaseSpaceGrid, spec, hbar: float) -> WignerState:
+    """Initial field of a run; hbar is the run's, so data and transport agree."""
     if isinstance(spec, FermiDiracSpec):
-        return init_fermi_dirac_4d(grid, spec)
+        return init_fermi_dirac_4d(grid, spec, hbar)
     return init_gaussian(grid, spec)
 
 

@@ -8,6 +8,8 @@ import pytest
 from wigsolve.dynamics import (
     SimulationConfig,
     SplitScheme,
+    _SweepPlan,
+    _working_set_4d,
     advect,
     apply_kernel,
     evolve,
@@ -27,6 +29,7 @@ from wigsolve.kernels import (
     MultiDeltaPotential2D,
     PhysicalConstants,
     annulus_points,
+    clear_table_cache,
     kernel_coefficients,
 )
 from wigsolve.observables import (
@@ -126,6 +129,124 @@ def test_advect_stage_bound():
     state = init_gaussian(grid, PACKET)
     with pytest.raises(ParameterError):
         advect(state, CONSTS, 11.0)
+
+
+# ----------------------------------------------------------------------
+# sweep plan against the two-matrix reference
+# ----------------------------------------------------------------------
+
+def _reference_sweep(mesh, velocities, tau, work, inflow=None, edge_slice=None):
+    """Two interpolation matrices per slice and two take_along_axis gathers.
+
+    This is the formula the sweep plan replaced, kept verbatim as an oracle.
+    """
+    M = mesh.points_per_element
+    width = mesh.element_width
+    velocities = np.asarray(velocities, float)
+    if edge_slice is not None:
+        velocities = np.concatenate([velocities, [-velocities[edge_slice]]])
+    shift = np.asarray(velocities, float) * tau
+    n = np.floor(shift / width)
+    frac = shift / width - n
+    offset = n.astype(np.int64)
+
+    xi = (mesh.points_by_element[0] - mesh.element_boundaries[0]) / width
+    hi = xi[None, :] >= frac[:, None]
+    local_hi = xi[None, :] - frac[:, None]
+    local_lo = local_hi + 1.0
+    ref = 2.0 * xi - 1.0
+    wbary = mesh.barycentric_weights
+
+    def rows(local):
+        r = 2.0 * local - 1.0
+        diff = r[:, :, None] - ref[None, None, :]
+        exact = diff == 0.0
+        safe = np.where(exact, 1.0, diff)
+        ratios = wbary[None, None, :] / safe
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = ratios / ratios.sum(axis=2, keepdims=True)
+        out[~np.isfinite(out)] = 0.0
+        hit = exact.any(axis=2)
+        out[hit] = exact[hit]
+        return out
+
+    mat_hi = rows(local_hi) * hi[:, :, None]
+    mat_lo = rows(local_lo) * (~hi)[:, :, None]
+
+    def gather_apply(work, offset, mat_hi, mat_lo, hi_rows, inflow):
+        Nk, M, Q, R = work.shape
+        q = np.arange(Q)
+        src_hi = q[None, :] - offset[:, None]
+        src_lo = src_hi - 1
+        ok_hi = (src_hi >= 0) & (src_hi < Q)
+        ok_lo = (src_lo >= 0) & (src_lo < Q)
+        padded = np.concatenate([np.zeros((Nk, M, 1, R)), work], axis=2)
+        gh = np.take_along_axis(padded, np.where(ok_hi, src_hi + 1, 0)[:, None, :, None], axis=2)
+        gl = np.take_along_axis(padded, np.where(ok_lo, src_lo + 1, 0)[:, None, :, None], axis=2)
+        out = np.matmul(mat_hi, gh.reshape(Nk, M, Q * R)) + np.matmul(
+            mat_lo, gl.reshape(Nk, M, Q * R)
+        )
+        out = out.reshape(Nk, M, Q, R)
+        if inflow is not None:
+            missing = hi_rows[:, :, None] & ~ok_hi[:, None, :] | (
+                ~hi_rows[:, :, None] & ~ok_lo[:, None, :]
+            )
+            out += inflow[:, None, None, :] * missing[:, :, :, None]
+        return out
+
+    Nk = work.shape[0]
+    out = gather_apply(work, offset[:Nk], mat_hi[:Nk], mat_lo[:Nk], hi[:Nk], inflow)
+    if edge_slice is not None:
+        e = edge_slice
+        mirrored = gather_apply(
+            work[e : e + 1], offset[-1:], mat_hi[-1:], mat_lo[-1:], hi[-1:],
+            None if inflow is None else inflow[e : e + 1],
+        )
+        out[e] += mirrored[0]
+        out[e] *= 0.5
+    return out
+
+
+SWEEP_CASES = [
+    (tau_seed, R, with_inflow, edge)
+    for tau_seed in range(4)
+    for R in (1, 3)
+    for with_inflow in (False, True)
+    for edge in (None, 0)
+]
+
+
+@pytest.mark.parametrize("tau_seed, R, with_inflow, edge", SWEEP_CASES)
+def test_sweep_plan_matches_two_matrix_reference(tau_seed, R, with_inflow, edge):
+    rng = np.random.default_rng(100 + tau_seed)
+    mesh = build_spatial_mesh(-3.0, 5.0, 6, 7)  # element width 4/3
+    velocities = np.linspace(-4.0, 3.5, 16)
+    # signed stage lengths: shifts from a fraction of an element up to
+    # departures past both ends of the domain (|v tau| up to 12)
+    tau = rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
+    work = rng.standard_normal((16, 7, 6, R))
+    inflow = rng.uniform(1.0, 2.0, (16, R)) if with_inflow else None
+    plan = _SweepPlan(mesh, velocities, tau, edge)
+    want = _reference_sweep(mesh, velocities, tau, work, inflow, edge)
+    got = plan.apply(work, inflow)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    # targets whose departure point lies outside the domain read the inflow
+    x = mesh.points_by_element  # (Q, M)
+    depart = x.T[None, :, :] - velocities[:, None, None] * tau  # (Nk, M, Q)
+    outside = (depart < -3.0 - 1e-9) | (depart > 5.0 + 1e-9)
+    if edge is not None:
+        outside[edge] = False  # averaged with the mirrored reading
+    assert outside.any()
+    expect = np.broadcast_to((inflow if with_inflow else np.zeros((16, R)))[:, None, None, :],
+                             got.shape)
+    np.testing.assert_array_equal(got[outside], expect[outside])
+
+
+def test_sweep_plan_rejects_slice_count_mismatch():
+    plan = _SweepPlan(build_spatial_mesh(-1.0, 1.0, 2, 5), np.ones(4), 0.1)
+    with pytest.raises(ParameterError):
+        plan.apply(np.zeros((3, 5, 2, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +404,18 @@ def test_evolve_snapshot_off_lattice_rejected():
         evolve(delta_config(snapshot_times=(0.0150001,)))
 
 
+def test_evolve_background_inflow_matches_composed_steps():
+    cfg = delta_config(t_final=0.02, inflow="background", snapshot_times=(0.02,))
+    snaps, _ = evolve(cfg)
+    grid = cfg.build_grid()
+    table = kernel_coefficients(cfg.potential, grid, CONSTS)
+    state = init_gaussian(grid, PACKET)
+    profile = state.values.mean(axis=0)
+    for _ in range(2):
+        state = step(state, table, CONSTS, cfg.dt, cfg.scheme, inflow=profile)
+    np.testing.assert_allclose(snaps[-1].values, state.values, rtol=0, atol=1e-13)
+
+
 # ----------------------------------------------------------------------
 # evolve_4d
 # ----------------------------------------------------------------------
@@ -327,3 +460,55 @@ def test_evolve_4d_memory_guard():
 
     with pytest.raises(CapacityError):
         evolve_4d(fd_config(memory_budget_bytes=1.0))
+
+
+def test_evolve_4d_stage_caches_match_per_stage_builds():
+    cfg = fd_config(t_final=0.03)
+    snaps, series = evolve_4d(cfg)
+    grid = cfg.build_grid()
+    table = kernel_coefficients(cfg.potential, grid, cfg.consts)
+    state = init_fermi_dirac_4d(grid, cfg.initial, cfg.consts.hbar)
+    inflow = state.values[0, 0].copy()
+    for _ in range(3):
+        state = step(state, table, cfg.consts, cfg.dt, cfg.scheme, inflow, True)
+    np.testing.assert_array_equal(snaps[-1][1], spatial_marginal_2d(state))
+    assert series.total_mass[-1] == total_mass(state)
+
+
+@pytest.mark.parametrize("Q, M, N", [(3, 5, 8), (5, 9, 16)])
+def test_evolve_4d_working_set_estimate_bounds_measured_peak(Q, M, N):
+    import tracemalloc
+
+    cfg = fd_config(num_elements=Q, points_per_element=M, num_modes=N, t_final=0.02)
+    estimate = _working_set_4d(cfg, cfg.build_grid())
+    clear_table_cache()  # a cold table build is part of the peak
+    tracemalloc.start()
+    try:
+        evolve_4d(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate <= 2.0 * peak, (estimate, peak)
+
+
+def test_config_rejects_scalar_potential_in_two_dimensions():
+    # multi-delta in one dimension is rejected through the parser (test_cli)
+    with pytest.raises(ParameterError, match="spatial dimension"):
+        fd_config(potential=DeltaPotential(H=1.0))
+
+
+def test_config_rejects_fermi_dirac_data_in_one_dimension():
+    with pytest.raises(ParameterError, match="Fermi-Dirac"):
+        delta_config(initial=FermiDiracSpec())
+
+
+def test_evolve_4d_fermi_dirac_data_uses_run_hbar():
+    spec = FermiDiracSpec()
+    consts = PhysicalConstants(hbar=1.0, mass=spec.mass)
+    cfg = fd_config(consts=consts, t_final=0.0)
+    _, series = evolve_4d(cfg)
+    grid = cfg.build_grid()
+    own = total_mass(init_fermi_dirac_4d(grid, spec, hbar=1.0))
+    default = total_mass(init_fermi_dirac_4d(grid, spec))
+    assert series.total_mass[0] == own
+    assert abs(own - default) > 0.1 * own
