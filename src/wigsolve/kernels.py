@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import ByteLRU
 from .errors import DomainError, ParameterError
 from .grid import PhaseSpaceGrid
 from .specfun import cos_power_integral, cosine_integral, gamma_fn, _gl
@@ -281,7 +282,8 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
     elif isinstance(spec, InversePowerPotential):
         pref = _inverse_power_prefactor(spec, hbar)
         beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
-        diff = cos_power_integral(wp, beta, L) - cos_power_integral(wm, beta, L)
+        cp, cm = cos_power_integral(np.stack([wp, wm]), beta, L)
+        diff = cp - cm
     else:
         raise ParameterError(f"unsupported 2-D potential {spec!r}")
     return 1j * pref * diff
@@ -321,7 +323,10 @@ def _coeff_table_multidelta(
     return 1j * 4.0 * spec.H / (math.pi * consts.hbar) * total
 
 
-_TABLE_CACHE: dict[tuple, KernelTable] = {}
+# A table costs 16 B per phase-space point: the bound holds about thirty
+# 45^2 x 16^2 multi-delta tables, or three hundred 2-D tables at 420 x 128.
+_TABLE_CACHE_BYTES = 256 * 2**20
+_TABLE_CACHE = ByteLRU(_TABLE_CACHE_BYTES)
 
 
 def clear_table_cache():
@@ -350,7 +355,7 @@ def kernel_coefficients(
         if grid.ndim_space != 1:
             raise ParameterError("scalar potential families need a 2-D phase-space grid")
         table = KernelTable(_coeff_table_1d(spec, grid, consts), grid, spec)
-    _TABLE_CACHE[key] = table
+    _TABLE_CACHE.put(key, table)
     return table
 
 
@@ -414,5 +419,5 @@ def poisson_kernel_coefficients(
     # nu = 0 must stay exactly zero: the substep may not touch the marginal
     c[:, km.mode_position(0)] = 0.0
     table = KernelTable(c, grid, spec)
-    _TABLE_CACHE[key] = table
+    _TABLE_CACHE.put(key, table)
     return table

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cache import ByteLRU
 from .errors import DomainError, ParameterError
 from .grid import (
     PhaseSpaceGrid,
@@ -325,14 +326,18 @@ class UniformMeshQuadrature:
         return self._wvecs
 
 
-_QUAD_CACHE: dict[tuple, UniformMeshQuadrature] = {}
+# A quadrature's interpolation matrices take 8 B x N_um x (nodes + modes).
+_QUAD_CACHE_BYTES = 64 * 2**20
+_QUAD_CACHE = ByteLRU(_QUAD_CACHE_BYTES)
 
 
 def _quadrature(grid: PhaseSpaceGrid, n_uniform: int) -> UniformMeshQuadrature:
     key = (grid.cache_key(), n_uniform)
-    if key not in _QUAD_CACHE:
-        _QUAD_CACHE[key] = UniformMeshQuadrature(grid, n_uniform)
-    return _QUAD_CACHE[key]
+    quad = _QUAD_CACHE.get(key)
+    if quad is None:
+        quad = UniformMeshQuadrature(grid, n_uniform)
+        _QUAD_CACHE.put(key, quad)
+    return quad
 
 
 def partial_mass(state: WignerState, n_uniform: int) -> float:

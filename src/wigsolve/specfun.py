@@ -1,45 +1,46 @@
-"""Scalar special functions and quadrature used by the kernel coefficients.
+"""Scalar special functions used by the kernel coefficients.
 
-The cosine integral is evaluated in three branches: a convergent power
-series for small arguments, an asymptotic auxiliary-function pair for large
-ones, and a Gauss-Legendre correction integral bridging the window where
-neither alone reaches 1e-12 in double precision.  The singular-oscillatory
-integral int_0^L cos(w k) k^(-a) dk switches between an alternating power
-series and a split into the analytic half-line value minus an accelerated
-oscillatory tail.
+The cosine integral is scipy's `sici`, behind a domain check.
+
+The singular-oscillatory integral C(w) = int_0^L cos(w k) k^(-a) dk is an
+alternating power series for |w| L <= 12.  Above that it is the analytic
+half-line value Gamma(1-a) sin(pi a/2) |w|^(a-1) minus the tail
+int_L^inf, and the tail is a 24-node Gauss-Legendre head piece on [L, z0]
+plus half-period lobes from z0 = (m0 + 1/2) pi / w, m0 = ceil(w L/pi - 1/2),
+summed by Cohen-Villegas-Zagier acceleration.  Each lobe takes a 16-node
+Gauss-Legendre rule (nodes xi_i, weights g_i).  On lobe j the nodes are
+t = (pi/w)(m + 1/2 + (xi + 1)/2) with m = m0 + j, so
+w t = (m + 1/2) pi + (xi + 1) pi/2, cos(w t) = -(-1)^m sin((xi + 1) pi/2) and
+
+    v_j = -(-1)^m (pi/w)^(1-a) U[m],
+    U[m] = 1/2 sum_i g_i sin((xi_i + 1) pi/2) (m + 1/2 + (xi_i + 1)/2)^(-a) > 0.
+
+U depends on the integer m alone, so one table of it serves every point of
+a call, and a point costs only its head piece.  C is even in w, so a call
+evaluates each distinct |w| once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappush, heappop
 
 import numpy as np
-from scipy.special import fresnel as _scipy_fresnel
+from scipy.special import sici
 
 from .errors import AccuracyError, DomainError, ParameterError
 
 __all__ = [
     "QuadSpec",
     "cosine_integral",
-    "fresnel_c",
     "gamma_fn",
     "cos_power_integral",
-    "oscillatory_quad",
 ]
-
-_EULER_GAMMA = float(np.euler_gamma)
-
-# series is safe below this x; pure asymptotics above the upper edge
-_CI_SERIES_MAX = 12.0
-_CI_ASYMPTOTIC_MIN = 45.0
-_CI_SERIES_TERMS = 44
-_CI_ASYM_TERMS = 20
 
 _CPI_SERIES_MAX = 12.0  # in |omega|*L
 _CPI_SERIES_TERMS = 48
 _CPI_CVZ_TERMS = 24
+_CPI_CHECK_TERMS = _CPI_CVZ_TERMS - 6
 
 
 @dataclass(frozen=True)
@@ -75,67 +76,13 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
 # cosine integral
 # ----------------------------------------------------------------------
 
-def _ci_series(x: np.ndarray) -> np.ndarray:
-    y = -(x * x)
-    acc = np.zeros_like(y)
-    for n in range(_CI_SERIES_TERMS, 0, -1):
-        acc = (acc + 1.0 / (2 * n * math.factorial(2 * n))) * y
-    return _EULER_GAMMA + np.log(x) + acc
-
-def _ci_asymptotic(x: np.ndarray) -> np.ndarray:
-    # Ci(x) = f(x) sin(x) - g(x) cos(x) with the standard auxiliary series
-    inv2 = 1.0 / (x * x)
-    f = np.ones_like(x)
-    g = np.ones_like(x)
-    tf = np.ones_like(x)
-    tg = np.ones_like(x)
-    for n in range(1, _CI_ASYM_TERMS + 1):
-        tf = -tf * (2 * n - 1) * (2 * n) * inv2
-        tg = -tg * (2 * n) * (2 * n + 1) * inv2
-        f += tf
-        g += tg
-    f /= x
-    g *= inv2
-    return f * np.sin(x) - g * np.cos(x)
-
-def _ci_bridge(x: np.ndarray) -> np.ndarray:
-    # Ci(x) = Ci(X0) - int_x^X0 cos(t)/t dt, X0 in the asymptotic range
-    X0 = _CI_ASYMPTOTIC_MIN
-    ci_x0 = float(_ci_asymptotic(np.asarray([X0]))[0])
-    panels = 12
-    nodes, weights = _gl(24)
-    edges = x[:, None] + (X0 - x[:, None]) * np.arange(panels + 1)[None, :] / panels
-    a = edges[:, :-1, None]
-    b = edges[:, 1:, None]
-    t = 0.5 * (b - a) * nodes[None, None, :] + 0.5 * (a + b)
-    w = 0.5 * (b - a) * weights[None, None, :]
-    integral = np.sum(w * np.cos(t) / t, axis=(1, 2))
-    return ci_x0 - integral
-
-
 def cosine_integral(x):
     """Ci(x) = -int_x^inf cos(t)/t dt for x > 0, to 1e-12 absolute."""
     arr = np.asarray(x, float)
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise DomainError("cosine_integral requires finite x > 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    lo = arr <= _CI_SERIES_MAX
-    hi = arr >= _CI_ASYMPTOTIC_MIN
-    mid = ~lo & ~hi
-    if lo.any():
-        out[lo] = _ci_series(arr[lo])
-    if hi.any():
-        out[hi] = _ci_asymptotic(arr[hi])
-    if mid.any():
-        out[mid] = _ci_bridge(arr[mid])
-    return float(out[0]) if scalar else out
-
-
-def fresnel_c(x):
-    """Fresnel cosine integral C(x) = int_0^x cos(pi t^2/2) dt; odd in x."""
-    return _scipy_fresnel(x)[1]
+    out = sici(arr)[1]
+    return float(out) if arr.ndim == 0 else out
 
 
 def gamma_fn(alpha: float) -> float:
@@ -173,36 +120,38 @@ def _cpi_series(u: np.ndarray, alpha: float, L: float) -> np.ndarray:
     return L ** (1.0 - alpha) * (acc + 1.0 / (1.0 - alpha))
 
 
-def _cpi_tail(omega: np.ndarray, alpha: float, L: float, n_cvz: int) -> np.ndarray:
-    """int_L^inf cos(omega k) k^(-alpha) dk for omega > 0 (vectorized)."""
-    # first cosine zero at or beyond L, then signed half-period lobes
+def _lobe_table(m: np.ndarray, alpha: float) -> np.ndarray:
+    """U[m] for the integers m; a sum along the node axis, so each value is
+    the same whatever else is in m."""
+    nodes, weights = _gl(16)
+    s = 0.5 * (nodes + 1.0)
+    terms = (0.5 * weights * np.sin(math.pi * s)) * (m[:, None] + 0.5 + s) ** (-alpha)
+    return terms.sum(axis=1)
+
+
+def _cpi_tail(omega: np.ndarray, alpha: float, L: float):
+    """int_L^inf cos(omega k) k^(-alpha) dk for omega > 0 (vectorized), summed
+    over 24 lobes, and the same sum over 18 lobes as its check."""
     m0 = np.ceil(omega * L / np.pi - 0.5)
     z0 = (m0 + 0.5) * np.pi / omega
-    nodes16, weights16 = _gl(16)
-    nodes24, weights24 = _gl(24)
     # head piece [L, z0], under half a period long
-    a = L
-    b = z0
-    t = 0.5 * (b - a)[:, None] * nodes24[None, :] + 0.5 * (a + b)[:, None]
+    nodes24, weights24 = _gl(24)
+    t = 0.5 * (z0 - L)[:, None] * nodes24[None, :] + 0.5 * (L + z0)[:, None]
     head = np.sum(
-        0.5 * (b - a)[:, None] * weights24[None, :] * np.cos(omega[:, None] * t) * t ** (-alpha),
+        0.5 * (z0 - L)[:, None] * weights24[None, :] * np.cos(omega[:, None] * t) * t ** (-alpha),
         axis=1,
     )
-    # half-period lobes starting at z0; |v_j| decreases, signs alternate
-    half = np.pi / omega
-    j = np.arange(n_cvz)
-    lo = z0[:, None] + j[None, :] * half[:, None]
-    t = lo[:, :, None] + 0.5 * half[:, None, None] * (nodes16[None, None, :] + 1.0)
-    v = np.sum(
-        0.5 * half[:, None, None]
-        * weights16[None, None, :]
-        * np.cos(omega[:, None, None] * t)
-        * t ** (-alpha),
-        axis=2,
-    )
-    magnitudes = np.abs(v)
-    sign0 = np.sign(v[:, 0])
-    return head + sign0 * _cvz_alternating(magnitudes)
+    # lobe magnitudes |v_j| = (pi/w)^(1-a) U[m0 + j] from one table; the
+    # integers m0..m0+23 are all in m, so they sit at consecutive positions
+    lobes = np.arange(_CPI_CVZ_TERMS)
+    m = np.unique(m0[:, None] + lobes)
+    U = _lobe_table(m, alpha)
+    scale = (np.pi / omega) ** (1.0 - alpha)
+    magnitudes = scale[:, None] * U[np.searchsorted(m, m0)[:, None] + lobes]
+    sign0 = np.where(m0 % 2 == 0, -1.0, 1.0)  # sign of v_0, -(-1)^m0
+    tail = head + sign0 * _cvz_alternating(magnitudes)
+    check = head + sign0 * _cvz_alternating(magnitudes[:, :_CPI_CHECK_TERMS])
+    return tail, check
 
 
 def cos_power_integral(omega, alpha: float, L: float, spec: QuadSpec | None = None):
@@ -213,154 +162,23 @@ def cos_power_integral(omega, alpha: float, L: float, spec: QuadSpec | None = No
         raise ParameterError(f"L must be positive, got {L}")
     spec = spec or QuadSpec()
     arr = np.abs(np.asarray(omega, float))
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    out = np.empty_like(arr)
-    u = arr * L
-    small = u <= _CPI_SERIES_MAX
+    # one evaluation per distinct |omega|, scattered back by the inverse index
+    w, inverse = np.unique(arr.ravel(), return_inverse=True)
+    vals = np.empty_like(w)
+    small = w * L <= _CPI_SERIES_MAX
     if small.any():
-        out[small] = _cpi_series(u[small], alpha, L)
+        vals[small] = _cpi_series(w[small] * L, alpha, L)
     if (~small).any():
-        w = arr[~small]
-        res = np.empty_like(w)
-        chunk = 16384  # keeps the (n, lobes, nodes) work arrays modest
-        for s in range(0, w.size, chunk):
-            ww = w[s : s + chunk]
-            half_line = (
-                gamma_fn(1.0 - alpha) * math.sin(0.5 * math.pi * alpha) * ww ** (alpha - 1.0)
-            )
-            tail = _cpi_tail(ww, alpha, L, _CPI_CVZ_TERMS)
-            check = _cpi_tail(ww, alpha, L, _CPI_CVZ_TERMS - 6)
-            err = float(np.max(np.abs(tail - check))) if tail.size else 0.0
-            if err > max(spec.abs_tol, 1e-11):
-                raise AccuracyError(
-                    f"oscillatory tail stalled at error {err:.3e}",
-                    estimate=half_line - tail,
-                    error_estimate=err,
-                )
-            res[s : s + chunk] = half_line - tail
-        out[~small] = res
-    return float(out[0]) if scalar else out
-
-
-# ----------------------------------------------------------------------
-# adaptive oscillatory quadrature (test oracle)
-# ----------------------------------------------------------------------
-
-def _panel_estimates(f, a: float, b: float, nodes, weights) -> float:
-    t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(weights @ np.asarray(f(t), float))
-
-
-def oscillatory_quad(
-    f,
-    a: float,
-    b: float,
-    spec: QuadSpec | None = None,
-    singular_lo: bool = False,
-    singular_hi: bool = False,
-    tail_period: float | None = None,
-):
-    """Adaptive panel quadrature of f over (a, b) with an embedded estimate.
-
-    Endpoint singularities (integrable) are handled by geometric panel
-    grading toward the declared endpoint.  With b = inf a `tail_period`
-    must be given; the half-line piece beyond the adaptive window is then
-    summed by accelerated alternating half-period lobes.
-    """
-    spec = spec or QuadSpec()
-    order = spec.panel_rule_order
-    nodes, weights = _gl(order)
-
-    tail = 0.0
-    if np.isinf(b):
-        if tail_period is None or tail_period <= 0:
-            raise ParameterError("infinite upper limit needs a positive tail_period")
-        half = 0.5 * tail_period
-        start = a + max(4.0 * tail_period, 0.1 * abs(a))
-        j = np.arange(512)
-        lo = start + j * half
-        t = lo[:, None] + 0.5 * half * (nodes[None, :] + 1.0)
-        v = 0.5 * half * (np.asarray(f(t.ravel()), float).reshape(t.shape) @ weights)
-        # drop a possibly irregular leading lobe, then accelerate
-        sign_flips = np.sign(v[1:]) != np.sign(v[:-1])
-        k0 = 1 if not sign_flips[0] else 0
-        mags = np.abs(v[k0 : k0 + _CPI_CVZ_TERMS])
-        tail = float(np.sum(v[:k0])) + float(np.sign(v[k0]) * _cvz_alternating(mags))
-        b = float(lo[0])
-
-    if (singular_lo or singular_hi) and not (bool(singular_lo) and bool(singular_hi)):
-        # exponential substitution: the distance to the singular endpoint is
-        # (b-a) e^{-t}, turning any integrable algebraic or log singularity
-        # into an exponentially decaying smooth integrand on [0, T].  A
-        # callable declaration supplies f as a function of that distance,
-        # which keeps the last ulp-wide sliver at the endpoint (it carries
-        # O(ulp^(1-beta)) of the integral) free of cancellation.
-        width = b - a
-        T = 320.0
-        flag = singular_lo if singular_lo else singular_hi
-        if callable(flag):
-            fd = flag
-        elif singular_lo:
-            fd = lambda d: f(a + d)
-        else:
-            fd = lambda d: f(b - d)
-
-        def g(t):
-            d = width * np.exp(-t)
-            with np.errstate(all="ignore"):
-                vals = np.asarray(fd(d), float) * d
-            return np.where(np.isfinite(vals), vals, 0.0)
-
-        return oscillatory_quad(g, 0.0, T, spec) + tail
-    if singular_lo and singular_hi:
-        mid = 0.5 * (a + b)
-        half = QuadSpec(0.5 * spec.abs_tol, spec.rel_tol, spec.max_subdivisions,
-                        spec.panel_rule_order)
-        return (
-            oscillatory_quad(f, a, mid, half, singular_lo=singular_lo)
-            + oscillatory_quad(f, mid, b, half, singular_hi=singular_hi)
-            + tail
-        )
-
-    seeds = [(a, b)]
-
-    heap = []
-    total = 0.0
-    err_total = 0.0
-    count = 0
-    for lo_, hi_ in seeds:
-        whole = _panel_estimates(f, lo_, hi_, nodes, weights)
-        mid = 0.5 * (lo_ + hi_)
-        refined = _panel_estimates(f, lo_, mid, nodes, weights) + _panel_estimates(
-            f, mid, hi_, nodes, weights
-        )
-        err = abs(whole - refined)
-        total += refined
-        err_total += err
-        heappush(heap, (-err, lo_, hi_, refined))
-        count += 1
-
-    while err_total > max(spec.abs_tol, spec.rel_tol * abs(total + tail)):
-        if count >= spec.max_subdivisions or not heap:
+        wt = w[~small]
+        half_line = gamma_fn(1.0 - alpha) * math.sin(0.5 * math.pi * alpha) * wt ** (alpha - 1.0)
+        tail, check = _cpi_tail(wt, alpha, L)
+        err = float(np.max(np.abs(tail - check))) if tail.size else 0.0
+        if err > max(spec.abs_tol, 1e-11):
             raise AccuracyError(
-                f"adaptive quadrature stalled at error {err_total:.3e}",
-                estimate=total + tail,
-                error_estimate=err_total,
+                f"oscillatory tail stalled at error {err:.3e}",
+                estimate=half_line - tail,
+                error_estimate=err,
             )
-        neg_err, lo_, hi_, old = heappop(heap)
-        err_total -= -neg_err
-        total -= old
-        mid = 0.5 * (lo_ + hi_)
-        for (aa, bb) in ((lo_, mid), (mid, hi_)):
-            whole = _panel_estimates(f, aa, bb, nodes, weights)
-            m2 = 0.5 * (aa + bb)
-            refined = _panel_estimates(f, aa, m2, nodes, weights) + _panel_estimates(
-                f, m2, bb, nodes, weights
-            )
-            err = abs(whole - refined)
-            total += refined
-            err_total += err
-            heappush(heap, (-err, aa, bb, refined))
-            count += 1
-    return total + tail
+        vals[~small] = half_line - tail
+    out = vals[inverse].reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cos_power_integral_lobes, oscillatory_quad
+from wigsolve import kernels
 from wigsolve.errors import ParameterError
 from wigsolve.grid import PhaseSpaceGrid, build_spatial_mesh, build_wavenumber_mesh
 from wigsolve.kernels import (
@@ -17,12 +19,14 @@ from wigsolve.kernels import (
     LogPotential,
     MultiDeltaPotential2D,
     PhysicalConstants,
+    _inverse_power_prefactor,
     annulus_points,
+    clear_table_cache,
     kernel_coefficients,
     poisson_kernel_coefficients,
     wigner_kernel_value,
 )
-from wigsolve.specfun import QuadSpec, oscillatory_quad
+from wigsolve.specfun import QuadSpec
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=1.0)
 ORACLE = QuadSpec(abs_tol=1e-11, rel_tol=1e-11)
@@ -441,3 +445,38 @@ def test_multidelta_point_outside_domain_rejected():
     grid = PhaseSpaceGrid.tensor4d(x1, x1, k1, k1)
     with pytest.raises(ParameterError):
         kernel_coefficients(MultiDeltaPotential2D(H=1.0, points=((2.0, 0.0),)), grid, CONSTS)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_inverse_power_table_matches_direct_lobe_formula(alpha):
+    grid = plane_grid(X=30.0, Q=10, M=9, N=64)
+    spec = InversePowerPotential(H=1.1, alpha=alpha)
+    x = grid.x.collocation_points
+    freqs = grid.k.mode_frequencies
+    L = grid.k.length
+    wp = 2.0 * x[:, None] + freqs[None, :]
+    wm = 2.0 * x[:, None] - freqs[None, :]
+    beta = 1.0 - alpha
+    ref = 1j * _inverse_power_prefactor(spec, CONSTS.hbar) * (
+        cos_power_integral_lobes(wp, beta, L) - cos_power_integral_lobes(wm, beta, L)
+    )
+    got = kernel_coefficients(spec, grid, CONSTS).multipliers
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_table_cache_evicts_least_recently_used(monkeypatch):
+    grid = plane_grid()
+    clear_table_cache()
+    table_bytes = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS).multipliers.nbytes
+    monkeypatch.setattr(kernels._TABLE_CACHE, "max_bytes", 2 * table_bytes)
+    first = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
+    second = kernel_coefficients(DeltaPotential(H=2.0), grid, CONSTS)
+    assert len(kernels._TABLE_CACHE) == 2
+    # the hit makes H=1 the most recent, so the third table evicts H=2
+    assert kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS) is first
+    kernel_coefficients(DeltaPotential(H=3.0), grid, CONSTS)
+    assert len(kernels._TABLE_CACHE) == 2
+    assert kernels._TABLE_CACHE.nbytes <= 2 * table_bytes
+    assert kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS) is first
+    assert kernel_coefficients(DeltaPotential(H=2.0), grid, CONSTS) is not second
+    clear_table_cache()

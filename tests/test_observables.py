@@ -93,6 +93,18 @@ def test_partial_mass_symmetry_identity():
     )
 
 
+def test_quadrature_cache_is_bounded_by_bytes(monkeypatch):
+    from wigsolve import observables
+
+    monkeypatch.setattr(observables._QUAD_CACHE, "max_bytes", 1)
+    grid = small_grid()
+    state = WignerState(grid, np.random.default_rng(3).standard_normal(grid.shape))
+    for n_uniform in (32, 48, 32):
+        partial_mass(state, n_uniform)
+    # every entry is over the bound, so only the newest is kept
+    assert len(observables._QUAD_CACHE) == 1
+
+
 def total_mass_via_uniform(state):
     from wigsolve.observables import UniformMeshQuadrature
 

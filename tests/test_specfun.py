@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
+from oracles import cos_power_integral_lobes, fresnel_c, oscillatory_quad
 from wigsolve.errors import DomainError, ParameterError
-from wigsolve.specfun import (
-    QuadSpec,
-    cos_power_integral,
-    cosine_integral,
-    fresnel_c,
-    gamma_fn,
-    oscillatory_quad,
-)
+from wigsolve.specfun import QuadSpec, cos_power_integral, cosine_integral, gamma_fn
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-13)
 
@@ -244,3 +238,25 @@ def test_cpi_vectorized():
     got = cos_power_integral(om, 0.5, 2 * np.pi)
     ref = np.array([cos_power_integral(float(w), 0.5, 2 * np.pi) for w in om])
     np.testing.assert_allclose(got, ref, rtol=0, atol=0)
+
+
+def test_cpi_repeated_and_negated_match_scalar_calls():
+    # |omega| is evaluated once per distinct value and scattered back
+    om = np.array([[3.0, -3.0, 57.5, 0.2], [-57.5, 3.0, -0.2, 57.5]])
+    got = cos_power_integral(om, 0.4, np.pi)
+    ref = np.array([[cos_power_integral(float(w), 0.4, np.pi) for w in row] for row in om])
+    assert got.shape == om.shape
+    np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("L", [np.pi, 2 * np.pi])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_cpi_tail_matches_direct_lobe_sum(alpha, L):
+    # the lobe table reproduces the lobe-by-lobe quadrature to round-off
+    rng = np.random.default_rng(17)
+    omega = np.concatenate([np.linspace(2.0, 400.0, 2001), rng.uniform(2.0, 400.0, 500)])
+    omega = omega[omega * L > 12.0]
+    np.testing.assert_allclose(
+        cos_power_integral(omega, alpha, L), cos_power_integral_lobes(omega, alpha, L),
+        rtol=0, atol=1e-14,
+    )
