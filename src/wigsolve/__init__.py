@@ -9,7 +9,6 @@ from .grid import (
     WignerState,
     build_spatial_mesh,
     build_wavenumber_mesh,
-    resample_uniform,
 )
 from .kernels import (
     DeltaPotential,
@@ -35,6 +34,7 @@ from .observables import (
     init_fermi_dirac_4d,
     init_gaussian,
     partial_mass,
+    resample_uniform,
     spatial_marginal,
     spatial_marginal_2d,
     total_mass,

@@ -2,9 +2,11 @@
 
     wigsolve run <config>
 
-parses a ``key = value`` config file, runs it with evolve (2-D phase space)
-or evolve_4d (4-D) and prints the resolved config (config_echo), which is
-itself a valid config file, followed by the final total mass as a comment.
+parses a ``key = value`` config file, runs it with evolve (2-D or 4-D phase
+space) and prints the resolved config (config_echo), which is itself a valid
+config file, followed by the final total mass as a comment.  A config that
+does not parse or does not validate prints one ``wigsolve: ...`` line on
+stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import sys
 
 from .config import build_simulation_config, config_echo, load_config
-from .dynamics import evolve, evolve_4d
+from .dynamics import evolve
 from .errors import ParameterError
 
 
@@ -31,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     for key, value in config_echo(cfg).items():
         print(f"{key} = {value}")
-    _, series = evolve(cfg) if cfg.spatial_dims == 1 else evolve_4d(cfg)
+    _, series = evolve(cfg)
     if len(series):
         print(f"# total_mass at t = {series.t[-1]!r}: {series.total_mass[-1]!r}")
     else:

@@ -59,12 +59,7 @@ class _Reader:
 
     def number(self, key: str, default=None, required: bool = False) -> float | None:
         val = self.get(key, None, required)
-        if val is None:
-            return default
-        try:
-            return float(val)
-        except ValueError:
-            raise ParameterError(f"config key {key!r}: not a number: {val!r}") from None
+        return default if val is None else _finite(key, val)
 
     def integer(self, key: str, default=None, required: bool = False) -> int | None:
         val = self.number(key, None, required)
@@ -78,6 +73,16 @@ class _Reader:
         return sorted(set(self.raw) - self.used)
 
 
+def _finite(key: str, text: str) -> float:
+    try:
+        out = float(text)
+    except ValueError:
+        raise ParameterError(f"config key {key!r}: not a number: {text!r}") from None
+    if not math.isfinite(out):
+        raise ParameterError(f"config key {key!r}: not a finite number: {text!r}")
+    return out
+
+
 def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
     pts = []
     for chunk in text.split(";"):
@@ -87,7 +92,7 @@ def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
         parts = chunk.replace(",", " ").split()
         if len(parts) != 2:
             raise ParameterError(f"potential.points: expected 'x1 x2' pairs, got {chunk!r}")
-        pts.append((float(parts[0]), float(parts[1])))
+        pts.append((_finite("potential.points", parts[0]), _finite("potential.points", parts[1])))
     if not pts:
         raise ParameterError("potential.points: no points given")
     return tuple(pts)
@@ -148,7 +153,7 @@ def build_simulation_config(raw: dict[str, str], **overrides) -> SimulationConfi
     dims = r.integer("grid.dims", 1)
     t_final = r.number("time.t_final", required=True)
     snaps_text = r.get("time.snapshots", "")
-    snapshots = tuple(float(tok) for tok in snaps_text.replace(",", " ").split()) if snaps_text else ()
+    snapshots = tuple(_finite("time.snapshots", t) for t in snaps_text.replace(",", " ").split())
     cfg = dict(
         x_lo=r.number("grid.X_L", required=True),
         x_hi=r.number("grid.X_R", required=True),
@@ -174,7 +179,6 @@ def build_simulation_config(raw: dict[str, str], **overrides) -> SimulationConfi
         inflow=r.get("advect.inflow", "zero"),
         edge_transport=r.get("advect.edge", "one_sided"),
         record_observables=r.integer("observables.record", 1) != 0,
-        threads=r.integer("threads", 0),
     )
     cfg.update(overrides)
     leftover = r.unused()
@@ -205,7 +209,6 @@ def config_echo(cfg: SimulationConfig) -> dict[str, str]:
         "potential.route": cfg.kernel_route,
         "advect.inflow": cfg.inflow,
         "advect.edge": cfg.edge_transport,
-        "threads": str(cfg.threads),
     }
     if cfg.snapshot_times:
         out["time.snapshots"] = " ".join(repr(t) for t in cfg.snapshot_times)

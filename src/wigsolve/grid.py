@@ -28,7 +28,6 @@ __all__ = [
     "uniform_mesh",
     "spatial_interp_matrix",
     "wavenumber_interp_matrix",
-    "resample_uniform",
     "clenshaw_curtis_weights",
 ]
 
@@ -311,16 +310,6 @@ def uniform_mesh(lo: float, hi: float, n: int) -> np.ndarray:
     if n < 1:
         raise ParameterError(f"mesh size must be positive, got {n}")
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
-
-
-def resample_uniform(state: WignerState, N_um: int) -> np.ndarray:
-    """Evaluate a 2-D phase-space state on the N_um x N_um cell-centered mesh."""
-    if state.grid.ndim_space != 1:
-        raise ParameterError("resample_uniform expects a 2-D phase-space state")
-    xm, km = state.grid.x, state.grid.k
-    Rx = spatial_interp_matrix(xm, uniform_mesh(xm.domain_lo, xm.domain_hi, N_um))
-    Rk = wavenumber_interp_matrix(km, uniform_mesh(km.k_min, km.k_max, N_um))
-    return Rx @ state.values @ Rk.T
 
 
 def clenshaw_curtis_weights(M: int) -> np.ndarray:

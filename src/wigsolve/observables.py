@@ -34,6 +34,7 @@ __all__ = [
     "ObservableSeries",
     "UncertaintyResult",
     "UniformMeshQuadrature",
+    "resample_uniform",
     "init_gaussian",
     "init_fermi_dirac_4d",
     "total_mass",
@@ -253,14 +254,9 @@ class UniformMeshQuadrature:
         self.v_k = self.Rk.T @ self.k_pts
         self.v_k2 = self.Rk.T @ self.k_pts**2
         self._kstack = np.column_stack([self.u_k, self.v_k, self.v_k2])
-        M, Q = xm.points_per_element, xm.num_elements
-        self._layout = lambda vec: np.ascontiguousarray(vec.reshape(Q, M).T)
 
     def resample(self, state: WignerState) -> np.ndarray:
         return self.Rx @ state.values @ self.Rk.T
-
-    def _reduced(self, values: np.ndarray) -> np.ndarray:
-        return values @ self._kstack  # (nx, 3)
 
     def mass(self, state: WignerState) -> float:
         return float(self.u_x @ state.values @ self.u_k)
@@ -269,7 +265,7 @@ class UniformMeshQuadrature:
         return float(self.u_x_right @ state.values @ self.u_k)
 
     def moments(self, state: WignerState, consts: PhysicalConstants) -> UncertaintyResult:
-        return self._moments_from_reduced(self._reduced(state.values), consts)
+        return self._moments_from_reduced(state.values @ self._kstack, consts)
 
     def _moments_from_reduced(self, red: np.ndarray, consts: PhysicalConstants):
         hbar = consts.hbar
@@ -288,42 +284,21 @@ class UniformMeshQuadrature:
             mean_x, mean_p, var_x, var_p, math.sqrt(var_x) * math.sqrt(var_p)
         )
 
-    # --- fast path used by the evolve loop (work layout (Nk, M, Q)) ---
-
-    def work_vectors(self):
-        return (
-            self._layout(self.u_x),
-            self._layout(self.u_x_right),
-            self._layout(self.v_x),
-            self._layout(self.v_x2),
-        )
-
     def append_row_from_work(self, series, t, mass_spectral, work, consts):
+        """Record one row from a field in the stepper's (Nk, M, Q) work layout."""
         red = np.tensordot(self._kstack.T, work, axes=1)  # (3, M, Q)
-        ux, uxr, vx, vx2 = self._work_cache()
-        hbar = consts.hbar
-        mean_x = float((vx * red[0]).sum())
-        mean_x2 = float((vx2 * red[0]).sum())
-        mean_p = hbar * float((ux * red[1]).sum())
-        mean_p2 = hbar**2 * float((ux * red[2]).sum())
-        pr = float((uxr * red[0]).sum())
-        var_x = max(mean_x2 - mean_x**2, 0.0)
-        var_p = max(mean_p2 - mean_p**2, 0.0)
+        red = red.transpose(2, 1, 0).reshape(-1, 3)  # (nx, 3), x = (q, m)
+        m = self._moments_from_reduced(red, consts)
         series.append(
             t=t,
             total_mass=mass_spectral,
-            partial_mass=pr,
-            mean_x=mean_x,
-            mean_p=mean_p,
-            var_x=var_x,
-            var_p=var_p,
-            uncertainty=math.sqrt(var_x) * math.sqrt(var_p),
+            partial_mass=float(self.u_x_right @ red[:, 0]),
+            mean_x=m.mean_x,
+            mean_p=m.mean_p,
+            var_x=m.var_x,
+            var_p=m.var_p,
+            uncertainty=m.product,
         )
-
-    def _work_cache(self):
-        if not hasattr(self, "_wvecs"):
-            self._wvecs = self.work_vectors()
-        return self._wvecs
 
 
 # A quadrature's interpolation matrices take 8 B x N_um x (nodes + modes).
@@ -338,6 +313,11 @@ def _quadrature(grid: PhaseSpaceGrid, n_uniform: int) -> UniformMeshQuadrature:
         quad = UniformMeshQuadrature(grid, n_uniform)
         _QUAD_CACHE.put(key, quad)
     return quad
+
+
+def resample_uniform(state: WignerState, N_um: int) -> np.ndarray:
+    """Evaluate a 2-D phase-space state on the N_um x N_um cell-centered mesh."""
+    return _quadrature(state.grid, N_um).resample(state)
 
 
 def partial_mass(state: WignerState, n_uniform: int) -> float:

@@ -88,6 +88,38 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("grid.Q = 4\n", "", "missing required config key 'grid.Q'"),
+    ("", "grid.bogus = 1\n", "unknown config keys: grid.bogus"),
+    ("", "threads = 0\n", "unknown config keys: threads"),  # a removed key
+    ("grid.N_k = 16", "grid.N_k = sixteen", "'grid.N_k': not a number"),
+    ("grid.Q = 4", "grid.Q = inf", "'grid.Q': not a finite number"),
+    ("grid.Q = 4", "grid.Q = nan", "'grid.Q': not a finite number"),
+    ("", "time.snapshots = 0.05 soon\n", "'time.snapshots': not a number"),
+    ("time.dt = 0.05", "time.dt = nan", "'time.dt': not a finite number"),
+    ("time.t_final = 0.1", "time.t_final = inf", "'time.t_final': not a finite number"),
+], ids=["missing", "unknown", "threads", "non-number", "inf", "nan", "snapshot", "dt-nan",
+        "t_final-inf"])
+def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):
+    from wigsolve.cli import main
+
+    text = TINY_2D.replace(old, new) if old else TINY_2D + new
+    assert text != TINY_2D
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("wigsolve: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_config_rejects_a_malformed_point():
+    text = TINY_4D.replace("potential.points = 0 0", "potential.points = 0 0; 1 x")
+    with pytest.raises(ParameterError, match="'potential.points': not a number: 'x'"):
+        build_simulation_config(parse_config_text(text))
+
+
 def test_config_rejects_multi_delta_in_one_dimension():
     text = TINY_2D.replace("potential.kind = delta", "potential.kind = multi_delta_2d")
     text += "potential.points = 0 0\n"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigsolve.dynamics import (
     SimulationConfig,
@@ -26,6 +27,7 @@ from wigsolve.grid import (
 )
 from wigsolve.kernels import (
     DeltaPotential,
+    KernelTable,
     MultiDeltaPotential2D,
     PhysicalConstants,
     annulus_points,
@@ -301,6 +303,28 @@ def test_kernel_grid_mismatch():
         apply_kernel(state, table, 0.1)
 
 
+def _random_real_table(grid, seed):
+    # c_nu(x) real and random, with c_0 = 0 at ascending position Nk/2 - 1
+    c = np.random.default_rng(seed).standard_normal(grid.shape)
+    zero = tuple(km.num_points // 2 - 1 for km in grid.wavenumber)
+    c[(Ellipsis, *zero)] = 0.0
+    return KernelTable(1j * c, grid, None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tau=st.floats(-5.0, 5.0), planar=st.booleans())
+def test_kernel_with_any_real_table_and_zero_c0_keeps_the_marginal(seed, tau, planar):
+    if planar:
+        x = build_spatial_mesh(-5.0, 5.0, 2, 5)
+        k = build_wavenumber_mesh(-np.pi, np.pi, 8)
+        grid, marginal = PhaseSpaceGrid.tensor4d(x, x, k, k), spatial_marginal_2d
+    else:
+        grid, marginal = grid_2d(N=16, M=7, Q=3), spatial_marginal
+    state = WignerState(grid, np.random.default_rng(seed + 1).standard_normal(grid.shape))
+    out = apply_kernel(state, _random_real_table(grid, seed), tau)
+    np.testing.assert_allclose(marginal(out), marginal(state), rtol=0, atol=1e-13)
+
+
 # ----------------------------------------------------------------------
 # composed step
 # ----------------------------------------------------------------------
@@ -414,6 +438,26 @@ def test_evolve_background_inflow_matches_composed_steps():
     for _ in range(2):
         state = step(state, table, CONSTS, cfg.dt, cfg.scheme, inflow=profile)
     np.testing.assert_allclose(snaps[-1].values, state.values, rtol=0, atol=1e-13)
+
+
+def test_evolve_stage_caches_match_per_stage_builds():
+    cfg = delta_config(t_final=0.03, inflow="background", edge_transport="symmetrized")
+    snaps, series = evolve(cfg)
+    grid = cfg.build_grid()
+    table = kernel_coefficients(cfg.potential, grid, CONSTS)
+    state = init_gaussian(grid, PACKET)
+    inflow = state.values.mean(axis=0)
+    for _ in range(3):
+        state = step(state, table, CONSTS, cfg.dt, cfg.scheme, inflow, True)
+    np.testing.assert_array_equal(snaps[-1].values, state.values)
+    assert series.total_mass[-1] == pytest.approx(total_mass(state), rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [dict(dt=math.nan), dict(dt=math.inf),
+                                 dict(t_final=math.nan), dict(t_final=math.inf)])
+def test_config_rejects_non_finite_time_parameters(bad):
+    with pytest.raises(ParameterError, match="finite"):
+        delta_config(**bad)
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,11 @@ from wigsolve.grid import (
     clenshaw_curtis_weights,
     k_forward,
     k_inverse,
-    resample_uniform,
     spatial_interp_matrix,
     uniform_mesh,
     wavenumber_interp_matrix,
 )
+from wigsolve.observables import resample_uniform
 
 
 def test_three_point_element_nodes():

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from wigsolve.errors import ParameterError
+from wigsolve.errors import DomainError, ParameterError
 from wigsolve.grid import PhaseSpaceGrid, WignerState, build_spatial_mesh, build_wavenumber_mesh
 from wigsolve.kernels import PhysicalConstants
 from wigsolve.observables import (
     FermiDiracSpec,
     GaussianPacketSpec,
     ObservableSeries,
+    UniformMeshQuadrature,
     error_norms,
     init_fermi_dirac_4d,
     init_gaussian,
@@ -109,6 +110,38 @@ def total_mass_via_uniform(state):
     from wigsolve.observables import UniformMeshQuadrature
 
     return UniformMeshQuadrature(state.grid, 64).mass(state)
+
+
+def _work_layout(state):
+    # (nx, Nk) -> (Nk, M, Q), the layout evolve records from
+    mesh = state.grid.x
+    work = state.values.T.reshape(-1, mesh.num_elements, mesh.points_per_element)
+    return work.transpose(0, 2, 1)
+
+
+def test_row_from_work_matches_the_state_functionals():
+    grid = small_grid()
+    state = init_gaussian(grid, GaussianPacketSpec(x0=0.4, k0=0.5, sigma=0.8))
+    series = ObservableSeries()
+    quad = UniformMeshQuadrature(grid, 50)
+    quad.append_row_from_work(series, 0.0, 1.0, _work_layout(state), CONSTS)
+    u = uncertainty(state, 50, CONSTS)
+    for name, want in (("partial_mass", partial_mass(state, 50)), ("mean_x", u.mean_x),
+                       ("mean_p", u.mean_p), ("var_x", u.var_x), ("var_p", u.var_p),
+                       ("uncertainty", u.product)):
+        assert series.column(name)[0] == pytest.approx(want, rel=1e-13, abs=1e-15), name
+
+
+def test_row_from_work_rejects_a_negative_variance():
+    # unnormalized moments of a packet of mass 100 centred off the origin:
+    # <x^2> - <x>^2 is about 100 (1 + sigma^2) - 100^2, far below round-off
+    grid = small_grid()
+    state = init_gaussian(grid, GaussianPacketSpec(x0=0.5, k0=0.0, sigma=0.7))
+    work = 100.0 * _work_layout(state)
+    with pytest.raises(DomainError, match="var_x"):
+        UniformMeshQuadrature(grid, 50).append_row_from_work(
+            ObservableSeries(), 0.0, 100.0, work, CONSTS
+        )
 
 
 def test_constant_field_mass():
