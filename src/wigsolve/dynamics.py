@@ -7,9 +7,9 @@ stage lengths allowed).  A sweep plan fixes, per (slice, stage length), one
 interpolation matrix and the one source row each target node reads, so a
 sweep is one batched matmul and one precomputed gather.  The
 pseudo-differential substep is diagonal in the wavenumber modes: alpha_nu
-picks up exp(tau * c_nu(x)).  Strang composition gives order two; the
-triple-jump composition of three Strang steps with one negative middle
-stage gives order four.
+picks up exp(tau * c_nu(x)) = exp(i tau s_nu(x)), with s the real kernel
+table.  Strang composition gives order two; the triple-jump composition of
+three Strang steps with one negative middle stage gives order four.
 
 One stepper (_Stepper) runs the stages in 2-D and 4-D phase space; it builds
 the sweep plans and multiplier tables of each distinct stage length once.
@@ -243,8 +243,8 @@ def _half_spectrum_positions(km: WavenumberMesh) -> np.ndarray:
 
 
 def _multipliers_half_2d(table: KernelTable, tau: float) -> np.ndarray:
-    """exp(i tau c_nu) for the rfft bins nu = 0..Nk/2, in work layout (nu, M, Q)."""
-    phases = table.multipliers.imag[:, _half_spectrum_positions(table.grid.k)] * tau
+    """exp(i tau s_nu) for the rfft bins nu = 0..Nk/2, in work layout (nu, M, Q)."""
+    phases = table.multipliers[:, _half_spectrum_positions(table.grid.k)] * tau
     phases[:, -1] = 0.0  # Nyquist mode has no conjugate partner
     return np.exp(1j * _to_work_2d(phases, table.grid.x))
 
@@ -254,7 +254,7 @@ def _multipliers_half_4d(table: KernelTable, tau: float) -> np.ndarray:
     N1 = k1.num_points
     order1 = np.mod(np.fft.fftfreq(N1, 1.0 / N1).astype(int) + N1 // 2 - 1, N1)
     pos2 = _half_spectrum_positions(k2)
-    phases = table.multipliers.imag[:, :, order1][:, :, :, pos2] * tau
+    phases = table.multipliers[:, :, order1[:, None], pos2] * tau
     phases[:, :, N1 // 2, :] = 0.0  # both Nyquist planes stay inert
     phases[:, :, :, -1] = 0.0
     return np.exp(1j * phases)
@@ -459,6 +459,7 @@ class SimulationConfig:
                     f"consts.mass = {self.consts.mass!r} differs from the Fermi-Dirac"
                     f" effective mass {self.initial.mass!r}"
                 )
+        self.build_grid()  # a grid that cannot be built fails here, not mid-run
 
     def build_grid(self) -> PhaseSpaceGrid:
         xm = build_spatial_mesh(self.x_lo, self.x_hi, self.num_elements, self.points_per_element)
@@ -492,17 +493,17 @@ def _snapshot_steps(config: SimulationConfig, n_steps: int) -> dict[int, float]:
 def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
     """Estimated peak bytes of a 4-D run.
 
-    The complex kernel table; a step's input field and its running stage
-    result; one cached half-spectrum multiplier table per distinct kernel
-    stage length; and the largest stage temporaries, the spectrum and
-    output of a kernel substep (a sweep's work copy and product are about
-    as large).  A quarter more covers the small arrays beside them.
+    The real kernel table (8 B a point); a step's input field and its
+    running stage result; one cached complex half-spectrum multiplier table
+    per distinct kernel stage length; and the largest stage temporaries, the
+    spectrum and output of a kernel substep (a sweep's work copy and product
+    are about as large).  A quarter more covers the small arrays beside them.
     """
     points = float(np.prod(grid.shape))
     Nk2 = grid.wavenumber[1].num_points
     half = points * (Nk2 // 2 + 1) / Nk2  # points of a half spectrum
     kernel_lengths = len(_lengths(_stage_sequence(config.scheme, config.dt), "B"))
-    table = 16 * points
+    table = 8 * points
     fields = 2 * 8 * points
     multipliers = kernel_lengths * 16 * half
     temporaries = 16 * half + 8 * points

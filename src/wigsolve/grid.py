@@ -22,9 +22,6 @@ __all__ = [
     "WignerState",
     "build_spatial_mesh",
     "build_wavenumber_mesh",
-    "barycentric_eval",
-    "k_forward",
-    "k_inverse",
     "uniform_mesh",
     "spatial_interp_matrix",
     "wavenumber_interp_matrix",
@@ -148,27 +145,6 @@ def build_wavenumber_mesh(k_min: float, k_max: float, N_k: int) -> WavenumberMes
     return WavenumberMesh(float(k_min), float(k_max), N_k, k, modes)
 
 
-def barycentric_eval(mesh: SpatialMesh, element_values, element: int, x_star: float) -> float:
-    """Value at x_star of the polynomial through one element's nodes.
-
-    Second barycentric form; exact at the nodes themselves.
-    """
-    values = np.asarray(element_values, float)
-    if values.shape != (mesh.points_per_element,):
-        raise ParameterError("element_values must hold one value per node")
-    if not 0 <= element < mesh.num_elements:
-        raise ParameterError(f"element index {element} out of range")
-    nodes = mesh.points_by_element[element]
-    if not (nodes[0] <= x_star <= nodes[-1]):
-        raise DomainError(f"x_star={x_star} outside element [{nodes[0]}, {nodes[-1]}]")
-    diff = x_star - nodes
-    hit = np.flatnonzero(diff == 0.0)
-    if hit.size:
-        return float(values[hit[0]])
-    ratios = mesh.barycentric_weights / diff
-    return float(ratios @ values / ratios.sum())
-
-
 def _interp_rows(mesh: SpatialMesh, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-target element index and barycentric row over that element's nodes."""
     targets = np.asarray(targets, float)
@@ -213,34 +189,6 @@ def wavenumber_interp_matrix(mesh: WavenumberMesh, targets) -> np.ndarray:
         kernel = np.sin(N * half) / (N * np.tan(half))
     kernel[np.abs(s) < 1e-15] = 1.0
     return kernel
-
-
-def k_forward(values, mesh: WavenumberMesh, axis: int = -1) -> np.ndarray:
-    """Mode coefficients alpha_nu (ascending nu) of nodal wavenumber data."""
-    values = np.asarray(values)
-    if values.shape[axis] != mesh.num_points:
-        raise ParameterError(
-            f"axis length {values.shape[axis]} does not match N_k={mesh.num_points}"
-        )
-    spec = np.fft.fft(values, axis=axis) / mesh.num_points
-    order = np.mod(mesh.mode_indices, mesh.num_points)
-    return np.take(spec, order, axis=axis)
-
-
-def k_inverse(coeffs, mesh: WavenumberMesh, axis: int = -1) -> np.ndarray:
-    """Nodal values from mode coefficients; inverse of k_forward."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[axis] != mesh.num_points:
-        raise ParameterError(
-            f"axis length {coeffs.shape[axis]} does not match N_k={mesh.num_points}"
-        )
-    N = mesh.num_points
-    order = np.mod(mesh.mode_indices, N)
-    spec = np.empty_like(coeffs)
-    idx = [slice(None)] * coeffs.ndim
-    idx[axis] = order
-    spec[tuple(idx)] = coeffs
-    return np.fft.ifft(spec * N, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -300,9 +248,6 @@ class WignerState:
             raise ParameterError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-
-    def copy(self) -> "WignerState":
-        return WignerState(self.grid, self.values.copy(), self.time)
 
 
 def uniform_mesh(lo: float, hi: float, n: int) -> np.ndarray:

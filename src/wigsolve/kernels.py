@@ -2,17 +2,18 @@
 
 Every family in scope has a kernel odd in k of the form pref * sin(2 x k) *
 phi(|k|) (tensor combinations of such factors in the 2-D multi-delta case),
-so each coefficient reduces to one-dimensional cosine transforms:
+so each coefficient c_nu = i s_nu reduces to one-dimensional cosine
+transforms:
 
-    c_nu(x) = i * pref * [ C(w+) - C(w-) ],     w+- = 2x +- 2 pi nu / L_k,
+    s_nu(x) = pref * [ C(w+) - C(w-) ],     w+- = 2x +- 2 pi nu / L_k,
     C(w)    = int_0^{L_k} cos(w k) phi(k) dk.
 
 C has a closed form for the delta, inverse-square and multi-delta families,
 a cosine-integral split for the logarithmic family, the singular-oscillatory
 quadrature for the inverse-power family, and Gauss-Legendre panels for the
-finite-size Gaussian barrier.  All tables are purely imaginary with
-c_0 = 0 and c_{-nu} = -c_nu, which is what keeps the kernel substep real
-and marginal-preserving.
+finite-size Gaussian barrier.  Every table holds the real s with
+c = i s; s_0 = 0 and s_{-nu} = -s_nu, which is what keeps the kernel substep
+real and marginal-preserving.
 """
 
 from __future__ import annotations
@@ -197,11 +198,24 @@ def wigner_kernel_value(spec: PotentialSpec, consts: PhysicalConstants, *args):
 
 @dataclass
 class KernelTable:
-    """Mode multipliers c_nu(x) (ascending nu) for the kernel substep."""
+    """Real mode coefficients s_nu(x) (ascending nu), c_nu = i s_nu.
 
-    multipliers: np.ndarray  # complex; (nx, Nk) or (nx1, nx2, Nk1, Nk2)
+    The kernel substep multiplies mode nu by exp(i tau s_nu) over a stage
+    of length tau.
+    """
+
+    multipliers: np.ndarray  # float64; (nx, Nk) or (nx1, nx2, Nk1, Nk2)
     grid: PhaseSpaceGrid
     potential: PotentialSpec
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.multipliers):
+            raise ParameterError("kernel table must hold the real s_nu (c_nu = i s_nu)")
+        self.multipliers = np.asarray(self.multipliers, float)
+        if self.multipliers.shape != self.grid.shape:
+            raise ParameterError(
+                f"table shape {self.multipliers.shape} does not match grid {self.grid.shape}"
+            )
 
 
 def _sinc_L(w: np.ndarray, L: float) -> np.ndarray:
@@ -238,7 +252,7 @@ def _log_cos_transform_pair(wp, wm, L: float):
 
 def _gauss_cos_transform(spec: GaussianBarrier, xpts, freqs, L: float) -> np.ndarray:
     """2 int_0^L sin(2xk) sin(nu~ k) e^{-2 a^2 k^2} dk by half-period GL panels,
-    separable in (x, nu) so the whole table is two small matrix products."""
+    separable in (x, nu) so the whole table is one matrix product."""
     max_freq = 2.0 * np.max(np.abs(xpts)) + np.max(np.abs(freqs))
     panels = int(np.ceil(max_freq * L / np.pi)) + int(np.ceil(2.0 * spec.a * L)) + 4
     nodes, weights = _gl(16)
@@ -247,9 +261,13 @@ def _gauss_cos_transform(spec: GaussianBarrier, xpts, freqs, L: float) -> np.nda
           + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
     wq = (0.5 * (edges[1:] - edges[:-1])[:, None] * weights[None, :]).ravel()
     damped = wq * np.exp(-2.0 * spec.a**2 * kq * kq)
-    Sx = np.sin(2.0 * np.outer(xpts, kq))
     Sn = np.sin(np.outer(freqs, kq))
-    return 2.0 * (Sx * damped[None, :]) @ Sn.T
+    # the large (x, k-node) factor is built and weighted in place, so one
+    # matrix of that size exists at a time
+    Sx = np.outer(xpts, 2.0 * kq)
+    np.sin(Sx, out=Sx)
+    Sx *= 2.0 * damped
+    return Sx @ Sn.T
 
 
 def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np.ndarray:
@@ -278,7 +296,7 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
         eps = LOG_SPLIT_EPS
         taylor = nt * xc * eps**2 - (nt * xc**3 / 3.0 + nt**3 * xc / 12.0) * eps**4
         diff = taylor + _log_cos_transform_pair(wp, wm, L)
-        return 1j * pref * diff
+        return pref * diff
     elif isinstance(spec, InversePowerPotential):
         pref = _inverse_power_prefactor(spec, hbar)
         beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
@@ -286,7 +304,7 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
         diff = cp - cm
     else:
         raise ParameterError(f"unsupported 2-D potential {spec!r}")
-    return 1j * pref * diff
+    return pref * diff
 
 
 def _coeff_table_multidelta(
@@ -320,11 +338,11 @@ def _coeff_table_multidelta(
         B2 = cos_transform(2.0 * (x2 - d2), f2)
         total += A1[:, None, :, None] * B2[None, :, None, :]
         total += B1[:, None, :, None] * A2[None, :, None, :]
-    return 1j * 4.0 * spec.H / (math.pi * consts.hbar) * total
+    return 4.0 * spec.H / (math.pi * consts.hbar) * total
 
 
-# A table costs 16 B per phase-space point: the bound holds about thirty
-# 45^2 x 16^2 multi-delta tables, or three hundred 2-D tables at 420 x 128.
+# A table costs 8 B per phase-space point: the bound holds about sixty
+# 45^2 x 16^2 multi-delta tables, or six hundred 2-D tables at 420 x 128.
 _TABLE_CACHE_BYTES = 256 * 2**20
 _TABLE_CACHE = ByteLRU(_TABLE_CACHE_BYTES)
 
@@ -336,7 +354,7 @@ def clear_table_cache():
 def kernel_coefficients(
     spec: PotentialSpec, grid: PhaseSpaceGrid, consts: PhysicalConstants
 ) -> KernelTable:
-    """Exact-route coefficient table c_nu(x) over K' = [-L_k, L_k]."""
+    """Exact-route coefficient table s_nu(x) over K' = [-L_k, L_k]."""
     key = ("exact", spec, grid.cache_key(), consts)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
@@ -415,9 +433,10 @@ def poisson_kernel_coefficients(
     dV = _poisson_samples(spec, x, y)
     # int_{-L}^{L} e^{-ik(y_zeta + nu~)} dk = 2 sinc_L(y_zeta + nu~)
     G = 2.0 * _sinc_L(y[:, None] + km.mode_frequencies[None, :], L)
-    c = (delta_y / (2.0 * math.pi * consts.hbar)) * (dV @ G) * (-1j)
+    # c = -i (...), so s is minus the real sum
+    s = -((delta_y / (2.0 * math.pi * consts.hbar)) * (dV @ G))
     # nu = 0 must stay exactly zero: the substep may not touch the marginal
-    c[:, km.mode_position(0)] = 0.0
-    table = KernelTable(c, grid, spec)
+    s[:, km.mode_position(0)] = 0.0
+    table = KernelTable(s, grid, spec)
     _TABLE_CACHE.put(key, table)
     return table

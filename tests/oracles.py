@@ -1,22 +1,43 @@
 """Reference implementations the tests compare the package against.
 
 `oscillatory_quad` is an adaptive panel quadrature with an embedded error
-estimate; `fresnel_c` is scipy's Fresnel cosine integral; `_cpi_tail`
-is the direct lobe-by-lobe evaluation of int_L^inf cos(w k) k^(-a) dk that
-`wigsolve.specfun` used before its lobe table, kept verbatim, and
-`cos_power_integral_lobes` is the whole integral built on it.
+estimate, tuned by `QuadSpec`; `fresnel_c` is scipy's Fresnel cosine
+integral; `_cpi_tail` is the direct lobe-by-lobe evaluation of
+int_L^inf cos(w k) k^(-a) dk that `wigsolve.specfun` used before its lobe
+table, kept verbatim, and `cos_power_integral_lobes` is the whole integral
+built on it.  `barycentric_eval` evaluates one element's interpolant at a
+point, and `k_forward`/`k_inverse` map nodal wavenumber data to ascending
+Fourier mode coefficients and back.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 from scipy.special import fresnel as _scipy_fresnel
 
-from wigsolve.errors import AccuracyError, ParameterError
-from wigsolve.specfun import _CPI_CVZ_TERMS, QuadSpec, _cpi_series, _cvz_alternating, _gl
+from wigsolve.errors import AccuracyError, DomainError, ParameterError
+from wigsolve.grid import SpatialMesh, WavenumberMesh
+from wigsolve.specfun import _CPI_CVZ_TERMS, _cpi_series, _cvz_alternating, _gl
+
+
+@dataclass(frozen=True)
+class QuadSpec:
+    """Tolerances and budget for adaptive quadrature."""
+
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    max_subdivisions: int = 10**6
+    panel_rule_order: int = 16
+
+    def __post_init__(self):
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
+            raise ParameterError("tolerances must be positive")
+        if self.panel_rule_order < 2:
+            raise ParameterError("panel rule order must be >= 2")
 
 
 def fresnel_c(x):
@@ -186,3 +207,52 @@ def oscillatory_quad(
             heappush(heap, (-err, aa, bb, refined))
             count += 1
     return total + tail
+
+
+def barycentric_eval(mesh: SpatialMesh, element_values, element: int, x_star: float) -> float:
+    """Value at x_star of the polynomial through one element's nodes.
+
+    Second barycentric form; exact at the nodes themselves.
+    """
+    values = np.asarray(element_values, float)
+    if values.shape != (mesh.points_per_element,):
+        raise ParameterError("element_values must hold one value per node")
+    if not 0 <= element < mesh.num_elements:
+        raise ParameterError(f"element index {element} out of range")
+    nodes = mesh.points_by_element[element]
+    if not (nodes[0] <= x_star <= nodes[-1]):
+        raise DomainError(f"x_star={x_star} outside element [{nodes[0]}, {nodes[-1]}]")
+    diff = x_star - nodes
+    hit = np.flatnonzero(diff == 0.0)
+    if hit.size:
+        return float(values[hit[0]])
+    ratios = mesh.barycentric_weights / diff
+    return float(ratios @ values / ratios.sum())
+
+
+def k_forward(values, mesh: WavenumberMesh, axis: int = -1) -> np.ndarray:
+    """Mode coefficients alpha_nu (ascending nu) of nodal wavenumber data."""
+    values = np.asarray(values)
+    if values.shape[axis] != mesh.num_points:
+        raise ParameterError(
+            f"axis length {values.shape[axis]} does not match N_k={mesh.num_points}"
+        )
+    spec = np.fft.fft(values, axis=axis) / mesh.num_points
+    order = np.mod(mesh.mode_indices, mesh.num_points)
+    return np.take(spec, order, axis=axis)
+
+
+def k_inverse(coeffs, mesh: WavenumberMesh, axis: int = -1) -> np.ndarray:
+    """Nodal values from mode coefficients; inverse of k_forward."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape[axis] != mesh.num_points:
+        raise ParameterError(
+            f"axis length {coeffs.shape[axis]} does not match N_k={mesh.num_points}"
+        )
+    N = mesh.num_points
+    order = np.mod(mesh.mode_indices, N)
+    spec = np.empty_like(coeffs)
+    idx = [slice(None)] * coeffs.ndim
+    idx[axis] = order
+    spec[tuple(idx)] = coeffs
+    return np.fft.ifft(spec * N, axis=axis)

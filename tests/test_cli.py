@@ -98,8 +98,10 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("", "time.snapshots = 0.05 soon\n", "'time.snapshots': not a number"),
     ("time.dt = 0.05", "time.dt = nan", "'time.dt': not a finite number"),
     ("time.t_final = 0.1", "time.t_final = inf", "'time.t_final': not a finite number"),
+    ("grid.M = 7", "grid.M = 1", "need Q >= 1 and M >= 3"),  # grids fail before the echo
+    ("grid.N_k = 16", "grid.N_k = 15", "N_k must be even"),
 ], ids=["missing", "unknown", "threads", "non-number", "inf", "nan", "snapshot", "dt-nan",
-        "t_final-inf"])
+        "t_final-inf", "M-1", "N_k-odd"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):
     from wigsolve.cli import main
 

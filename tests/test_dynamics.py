@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import k_forward
 from wigsolve.dynamics import (
     SimulationConfig,
     SplitScheme,
@@ -23,7 +24,6 @@ from wigsolve.grid import (
     WignerState,
     build_spatial_mesh,
     build_wavenumber_mesh,
-    k_forward,
 )
 from wigsolve.kernels import (
     DeltaPotential,
@@ -286,7 +286,7 @@ def test_kernel_small_tau_matches_operator_application():
     out = apply_kernel(state, table, tau)
     # direct mode-space application of the generator
     alpha = k_forward(state.values, km, axis=1)
-    mult = table.multipliers.copy()
+    mult = 1j * table.multipliers
     mult[:, km.mode_position(km.num_points // 2)] = 0.0
     basis = np.exp(2j * np.pi * np.outer(km.mode_indices, np.arange(km.num_points)) / km.num_points)
     theta = ((mult * alpha) @ basis).real
@@ -304,11 +304,11 @@ def test_kernel_grid_mismatch():
 
 
 def _random_real_table(grid, seed):
-    # c_nu(x) real and random, with c_0 = 0 at ascending position Nk/2 - 1
-    c = np.random.default_rng(seed).standard_normal(grid.shape)
+    # s_nu(x) real and random, with s_0 = 0 at ascending position Nk/2 - 1
+    s = np.random.default_rng(seed).standard_normal(grid.shape)
     zero = tuple(km.num_points // 2 - 1 for km in grid.wavenumber)
-    c[(Ellipsis, *zero)] = 0.0
-    return KernelTable(1j * c, grid, None)
+    s[(Ellipsis, *zero)] = 0.0
+    return KernelTable(s, grid, None)
 
 
 @settings(max_examples=25, deadline=None)

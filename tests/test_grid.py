@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import barycentric_eval, k_forward, k_inverse
 from wigsolve.errors import DomainError, ParameterError
 from wigsolve.grid import (
     PhaseSpaceGrid,
     WignerState,
-    barycentric_eval,
     build_spatial_mesh,
     build_wavenumber_mesh,
     clenshaw_curtis_weights,
-    k_forward,
-    k_inverse,
     spatial_interp_matrix,
     uniform_mesh,
     wavenumber_interp_matrix,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cos_power_integral_lobes, oscillatory_quad
+from oracles import QuadSpec, cos_power_integral_lobes, oscillatory_quad
 from wigsolve import kernels
 from wigsolve.errors import ParameterError
 from wigsolve.grid import PhaseSpaceGrid, build_spatial_mesh, build_wavenumber_mesh
@@ -26,7 +26,6 @@ from wigsolve.kernels import (
     poisson_kernel_coefficients,
     wigner_kernel_value,
 )
-from wigsolve.specfun import QuadSpec
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=1.0)
 ORACLE = QuadSpec(abs_tol=1e-11, rel_tol=1e-11)
@@ -69,7 +68,7 @@ def coefficient_oracle(spec, consts, x, nu, km) -> complex:
 
 
 def table_entry(table: KernelTable, xm, km, p: int, nu: int) -> complex:
-    return table.multipliers[p, km.mode_position(nu)]
+    return 1j * table.multipliers[p, km.mode_position(nu)]
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +221,8 @@ def test_delta_table_structure():
 
 def _structure_checks(table, km):
     c = table.multipliers
-    # purely imaginary
-    assert (np.abs(c.real) / (np.abs(c) + 1e-30)).max() < 1e-12
+    # the real s of c = i s
+    assert c.dtype == np.float64
     # zero mode column empty
     assert np.abs(c[..., km.mode_position(0)]).max() < 1e-12 * (np.abs(c).max() + 1e-30)
     # odd in nu
@@ -301,7 +300,7 @@ def test_delta_small_omega_limit_column():
     grid = PhaseSpaceGrid.plane(xm, km)
     table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
     p = int(np.argmin(np.abs(xm.collocation_points - x_special)))
-    got = table.multipliers[p, km.mode_position(nu0)]
+    got = 1j * table.multipliers[p, km.mode_position(nu0)]
     wp = 2 * x_special + 2 * np.pi * nu0 / km.length
     expect = 1j * (2.0 / np.pi) * (np.sin(wp * km.length) / wp - km.length)
     assert got == pytest.approx(expect, rel=1e-12)
@@ -338,8 +337,8 @@ def test_multidelta_origin_matches_tensor_of_delta_transforms():
         A1[:, None, :, None] * B1[None, :, None, :]
         + B1[:, None, :, None] * A1[None, :, None, :]
     ) * (4.0 * 0.9 / np.pi)
-    np.testing.assert_allclose(table.multipliers.imag, expect, atol=1e-10)
-    np.testing.assert_allclose(table.multipliers.real, 0.0, atol=1e-12)
+    assert table.multipliers.dtype == np.float64
+    np.testing.assert_allclose(table.multipliers, expect, atol=1e-10)
 
 
 def _sinc(w, L):
@@ -370,7 +369,7 @@ def test_multidelta_against_tensor_quadrature_oracle():
         Vw = wigner_kernel_value(spec, CONSTS, xa, xb, K1, K2)
         phase = np.exp(-1j * 2 * np.pi * (n1 * K1 + n2 * K2) / L)
         ref = np.einsum("i,j,ij->", wq, wq, Vw * phase)
-        got = table.multipliers[p1, p2, k1.mode_position(int(n1)), k1.mode_position(int(n2))]
+        got = 1j * table.multipliers[p1, p2, k1.mode_position(int(n1)), k1.mode_position(int(n2))]
         assert got == pytest.approx(ref, abs=1e-8)
 
 
@@ -380,7 +379,7 @@ def test_multidelta_invariants():
     grid = PhaseSpaceGrid.tensor4d(x1, x1, k1, k1)
     spec = MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 4))
     c = kernel_coefficients(spec, grid, CONSTS).multipliers
-    assert np.abs(c.real).max() < 1e-12
+    assert c.dtype == np.float64
     # jointly odd under (nu1, nu2) -> (-nu1, -nu2)
     for n1 in range(-3, 5):
         for n2 in range(-3, 5):
@@ -431,6 +430,17 @@ def test_poisson_table_invariants():
     _structure_checks(table, grid.k)
 
 
+def test_kernel_table_rejects_a_complex_or_misshaped_array():
+    grid = plane_grid()
+    s = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS).multipliers
+    with pytest.raises(ParameterError, match="real"):
+        KernelTable(1j * s, grid, DeltaPotential(H=1.0))
+    with pytest.raises(ParameterError, match="shape"):
+        KernelTable(s[:, :-1], grid, DeltaPotential(H=1.0))
+    with pytest.raises(ParameterError, match="shape"):
+        KernelTable(s.T, grid, DeltaPotential(H=1.0))
+
+
 def test_annulus_points_layout():
     pts = annulus_points(2.0, 8)
     assert pts[0] == (2.0, 0.0)
@@ -460,7 +470,7 @@ def test_inverse_power_table_matches_direct_lobe_formula(alpha):
     ref = 1j * _inverse_power_prefactor(spec, CONSTS.hbar) * (
         cos_power_integral_lobes(wp, beta, L) - cos_power_integral_lobes(wm, beta, L)
     )
-    got = kernel_coefficients(spec, grid, CONSTS).multipliers
+    got = 1j * kernel_coefficients(spec, grid, CONSTS).multipliers
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from oracles import cos_power_integral_lobes, fresnel_c, oscillatory_quad
+from oracles import QuadSpec, cos_power_integral_lobes, fresnel_c, oscillatory_quad
 from wigsolve.errors import DomainError, ParameterError
-from wigsolve.specfun import QuadSpec, cos_power_integral, cosine_integral, gamma_fn
+from wigsolve.specfun import cos_power_integral, cosine_integral, gamma_fn
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-13)
 
