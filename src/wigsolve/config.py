@@ -1,15 +1,24 @@
 """Flat key = value run configuration files.
 
 Lines hold dotted keys ("grid.N_k = 512"), '#' starts a comment, blank lines
-are skipped.  Parsing into a SimulationConfig names the offending key on any
-error so batch scripts fail loudly.
+are skipped.  Each key is declared once, in _KEYS, as a SimulationConfig field
+and a value type; build_simulation_config and config_echo both walk that one
+table.  The potential, the initial data and the physical constants are spec
+dataclasses, read and written field by field under their prefix
+("potential.H", "init.sigma", "consts.hbar"); "<prefix>kind" picks the class.
+Defaults live on the dataclasses only: a key that is absent takes its field's
+default, and a field without a default makes its key required.  The potential
+fixes the number of spatial dimensions; grid.dims may be given and is then
+checked against it.  Errors fail loudly, naming the key where the parser
+finds them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields
 
-from .dynamics import SimulationConfig, SplitScheme
+from .dynamics import SimulationConfig, SplitScheme, _spatial_dims
 from .errors import ParameterError
 from .kernels import (
     DeltaPotential,
@@ -24,6 +33,48 @@ from .kernels import (
 from .observables import FermiDiracSpec, GaussianPacketSpec
 
 __all__ = ["parse_config_text", "load_config", "build_simulation_config", "config_echo"]
+
+# "<prefix>kind" -> spec class; the None entry is the class used when the
+# kind key is left out (a prefix without it requires the key)
+_POTENTIALS = {
+    "delta": DeltaPotential,
+    "log": LogPotential,
+    "inverse_power": InversePowerPotential,
+    "inverse_square": InverseSquarePotential,
+    "gaussian": GaussianBarrier,
+    "multi_delta_2d": MultiDeltaPotential2D,
+}
+_INITIAL = {"gaussian": GaussianPacketSpec, "fermi_dirac": FermiDiracSpec, None: GaussianPacketSpec}
+
+# config key -> (SimulationConfig field, value type).  A key ending in "." is
+# the prefix of a spec dataclass with its kind map: each spec field is a
+# float key of its own, named after the field.
+_KEYS = {
+    "grid.X_L": ("x_lo", float),
+    "grid.X_R": ("x_hi", float),
+    "grid.Q": ("num_elements", int),
+    "grid.M": ("points_per_element", int),
+    "grid.k_min": ("k_min", float),
+    "grid.k_max": ("k_max", float),
+    "grid.N_k": ("num_modes", int),
+    "consts.": ("consts", {None: PhysicalConstants}),
+    "time.dt": ("dt", float),
+    "time.t_final": ("t_final", float),
+    "time.snapshots": ("snapshot_times", tuple),
+    "time.scheme": ("scheme", SplitScheme),
+    "potential.": ("potential", _POTENTIALS),
+    "potential.route": ("kernel_route", str),
+    "potential.poisson_dy": ("poisson_delta_y", float),
+    "potential.poisson_offset": ("poisson_offset", float),
+    "init.": ("initial", _INITIAL),
+    "advect.inflow": ("inflow", str),
+    "advect.edge": ("edge_transport", str),
+    "observables.N_um": ("n_uniform", int),
+    "observables.record": ("record_observables", bool),
+}
+
+# spec keys whose name differs from their field's
+_RENAMED = {"init.effective_mass_ratio": "init.mass_ratio"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -44,35 +95,6 @@ def load_config(path: str) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
-class _Reader:
-    def __init__(self, raw: dict[str, str]):
-        self.raw = dict(raw)
-        self.used: set[str] = set()
-
-    def get(self, key: str, default=None, required: bool = False) -> str | None:
-        if key in self.raw:
-            self.used.add(key)
-            return self.raw[key]
-        if required:
-            raise ParameterError(f"missing required config key {key!r}")
-        return default
-
-    def number(self, key: str, default=None, required: bool = False) -> float | None:
-        val = self.get(key, None, required)
-        return default if val is None else _finite(key, val)
-
-    def integer(self, key: str, default=None, required: bool = False) -> int | None:
-        val = self.number(key, None, required)
-        if val is None:
-            return default
-        if val != int(val):
-            raise ParameterError(f"config key {key!r}: expected an integer, got {val}")
-        return int(val)
-
-    def unused(self) -> list[str]:
-        return sorted(set(self.raw) - self.used)
-
-
 def _finite(key: str, text: str) -> float:
     try:
         out = float(text)
@@ -83,173 +105,143 @@ def _finite(key: str, text: str) -> float:
     return out
 
 
+def _parse(key: str, text: str, kind):
+    if kind is str:
+        return text
+    if kind is SplitScheme:
+        return SplitScheme.named(text)
+    if kind is tuple:
+        return tuple(_finite(key, t) for t in text.replace(",", " ").split())
+    num = _finite(key, text)
+    if kind is float:
+        return num
+    if num != int(num):
+        raise ParameterError(f"config key {key!r}: expected an integer, got {num}")
+    return int(num) if kind is int else num != 0
+
+
+def _show(value, kind) -> str:
+    if kind is SplitScheme:
+        if SplitScheme.named(value.name) != value:  # an unknown name raises here
+            raise ParameterError(f"no config file expresses the scheme {value}")
+        return value.name
+    if kind is tuple:
+        return " ".join(repr(t) for t in value)
+    if kind is bool:
+        return "1" if value else "0"
+    return repr(value) if kind is float else str(value)
+
+
+def _required(f) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+class _Reader:
+    def __init__(self, raw: dict[str, str]):
+        self.raw = raw
+        self.used: set[str] = set()
+
+    def get(self, key: str, kind, required: bool = False):
+        """The parsed value of key, or None when it is absent and optional."""
+        if key not in self.raw:
+            if required:
+                raise ParameterError(f"missing required config key {key!r}")
+            return None
+        self.used.add(key)
+        return _parse(key, self.raw[key], kind)
+
+    def spec(self, prefix: str, kinds: dict):
+        kind = self.get(prefix + "kind", str, None not in kinds)
+        if kind not in kinds:
+            raise ParameterError(f"config key {prefix + 'kind'!r}: unknown kind {kind!r}")
+        cls = kinds[kind]
+        values = {}
+        for f in fields(cls):
+            key = _RENAMED.get(prefix + f.name, prefix + f.name)
+            value = self.points() if key == "potential.points" else self.get(key, float, _required(f))
+            if value is not None:
+                values[f.name] = value
+        return cls(**values)
+
+    def points(self) -> tuple[tuple[float, float], ...]:
+        text = self.get("potential.points", str)
+        if text is not None:
+            return _parse_points(text)
+        radius = self.get("potential.circle_radius", float)
+        count = self.get("potential.circle_count", int)
+        if radius is None or count is None:
+            raise ParameterError(
+                "multi_delta_2d needs potential.points or potential.circle_radius"
+                " plus potential.circle_count"
+            )
+        return annulus_points(radius, count)
+
+
 def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
     pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
         parts = chunk.replace(",", " ").split()
         if len(parts) != 2:
             raise ParameterError(f"potential.points: expected 'x1 x2' pairs, got {chunk!r}")
-        pts.append((_finite("potential.points", parts[0]), _finite("potential.points", parts[1])))
+        pts.append(tuple(_finite("potential.points", p) for p in parts))
     if not pts:
         raise ParameterError("potential.points: no points given")
     return tuple(pts)
 
 
-def _potential(r: _Reader):
-    kind = r.get("potential.kind", required=True)
-    H = r.number("potential.H", required=True)
-    if kind == "delta":
-        return DeltaPotential(H=H)
-    if kind == "log":
-        return LogPotential(H=H)
-    if kind == "inverse_power":
-        return InversePowerPotential(H=H, alpha=r.number("potential.alpha", required=True))
-    if kind == "inverse_square":
-        return InverseSquarePotential(H=H)
-    if kind == "gaussian":
-        return GaussianBarrier(H=H, a=r.number("potential.a", required=True))
-    if kind == "multi_delta_2d":
-        pts_text = r.get("potential.points")
-        if pts_text is not None:
-            pts = _parse_points(pts_text)
-        else:
-            radius = r.number("potential.circle_radius")
-            count = r.integer("potential.circle_count")
-            if radius is None or count is None:
-                raise ParameterError(
-                    "multi_delta_2d needs potential.points or potential.circle_radius"
-                    " plus potential.circle_count"
-                )
-            pts = annulus_points(radius, count)
-        return MultiDeltaPotential2D(H=H, points=pts)
-    raise ParameterError(f"config key 'potential.kind': unknown family {kind!r}")
-
-
-def _initial(r: _Reader, dims: int):
-    kind = r.get("init.kind", "gaussian")
-    if kind == "gaussian":
-        spec = GaussianPacketSpec(
-            x0=r.number("init.x0", required=True),
-            k0=r.number("init.k0", required=True),
-            sigma=r.number("init.sigma", required=True),
-        )
-        return spec if dims == 1 else (spec, spec)
-    if kind == "fermi_dirac":
-        return FermiDiracSpec(
-            effective_mass_ratio=r.number("init.mass_ratio", 0.067),
-            m_e=r.number("init.m_e", 5.68562966),
-            k_B=r.number("init.k_B", 8.61734279e-5),
-            T=r.number("init.T", 300.0),
-            E_F=r.number("init.E_F", 0.1),
-        )
-    raise ParameterError(f"config key 'init.kind': unknown initial data {kind!r}")
-
-
-def build_simulation_config(raw: dict[str, str], **overrides) -> SimulationConfig:
+def build_simulation_config(raw: dict[str, str]) -> SimulationConfig:
+    """The SimulationConfig of a parsed config file (see the module docstring)."""
     r = _Reader(raw)
-    dims = r.integer("grid.dims", 1)
-    t_final = r.number("time.t_final", required=True)
-    snaps_text = r.get("time.snapshots", "")
-    snapshots = tuple(_finite("time.snapshots", t) for t in snaps_text.replace(",", " ").split())
-    cfg = dict(
-        x_lo=r.number("grid.X_L", required=True),
-        x_hi=r.number("grid.X_R", required=True),
-        num_elements=r.integer("grid.Q", required=True),
-        points_per_element=r.integer("grid.M", required=True),
-        k_min=r.number("grid.k_min", -math.pi),
-        k_max=r.number("grid.k_max", math.pi),
-        num_modes=r.integer("grid.N_k", required=True),
-        spatial_dims=dims,
-        consts=PhysicalConstants(
-            hbar=r.number("consts.hbar", 1.0), mass=r.number("consts.mass", 1.0)
-        ),
-        potential=_potential(r),
-        initial=_initial(r, dims),
-        dt=r.number("time.dt", required=True),
-        t_final=t_final,
-        snapshot_times=snapshots,
-        n_uniform=r.integer("observables.N_um", 600),
-        scheme=SplitScheme.named(r.get("time.scheme", "yoshida4")),
-        kernel_route=r.get("potential.route", "exact"),
-        poisson_delta_y=r.number("potential.poisson_dy", None),
-        poisson_offset=r.number("potential.poisson_offset", 0.0),
-        inflow=r.get("advect.inflow", "zero"),
-        edge_transport=r.get("advect.edge", "one_sided"),
-        record_observables=r.integer("observables.record", 1) != 0,
-    )
-    cfg.update(overrides)
-    leftover = r.unused()
+    values = {}
+    for key, (name, kind) in _KEYS.items():
+        if isinstance(kind, dict):
+            values[name] = r.spec(key, kind)
+            continue
+        value = r.get(key, kind, _required(SimulationConfig.__dataclass_fields__[name]))
+        if value is not None:
+            values[name] = value
+    dims = _spatial_dims(values["potential"])
+    given = r.get("grid.dims", int)
+    if given is not None and given != dims:
+        raise ParameterError(
+            f"config key 'grid.dims' = {given}: potential.kind = {raw['potential.kind']!r}"
+            f" lives in {dims} spatial dimension(s)"
+        )
+    if dims == 2 and isinstance(values["initial"], GaussianPacketSpec):
+        values["initial"] = (values["initial"],) * 2  # one packet per dimension
+    leftover = sorted(set(raw) - r.used)
     if leftover:
         raise ParameterError(f"unknown config keys: {', '.join(leftover)}")
-    return SimulationConfig(**cfg)
+    return SimulationConfig(**values)
+
+
+def _spec_echo(prefix: str, kinds: dict, spec) -> dict[str, str]:
+    if isinstance(spec, tuple):  # 4-D packets, one per dimension
+        if len(set(spec)) != 1:
+            raise ParameterError(f"a config file holds one packet for both dimensions, got {spec}")
+        spec = spec[0]
+    names = [kind for kind, cls in kinds.items() if cls is type(spec)]
+    if not names:
+        raise ParameterError(f"no config file expresses {type(spec).__name__}")
+    out = {} if names[0] is None else {prefix + "kind": names[0]}
+    for f in fields(spec):
+        key, value = _RENAMED.get(prefix + f.name, prefix + f.name), getattr(spec, f.name)
+        out[key] = "; ".join(f"{p} {q}" for p, q in value) if key == "potential.points" else repr(value)
+    return out
 
 
 def config_echo(cfg: SimulationConfig) -> dict[str, str]:
-    """Fully resolved key = value view sufficient to re-run."""
-    pot = cfg.potential
-    out = {
-        "grid.dims": str(cfg.spatial_dims),
-        "grid.X_L": repr(cfg.x_lo),
-        "grid.X_R": repr(cfg.x_hi),
-        "grid.Q": str(cfg.num_elements),
-        "grid.M": str(cfg.points_per_element),
-        "grid.k_min": repr(cfg.k_min),
-        "grid.k_max": repr(cfg.k_max),
-        "grid.N_k": str(cfg.num_modes),
-        "consts.hbar": repr(cfg.consts.hbar),
-        "consts.mass": repr(cfg.consts.mass),
-        "time.dt": repr(cfg.dt),
-        "time.t_final": repr(cfg.t_final),
-        "time.scheme": cfg.scheme.name,
-        "observables.N_um": str(cfg.n_uniform),
-        "observables.record": "1" if cfg.record_observables else "0",
-        "potential.route": cfg.kernel_route,
-        "advect.inflow": cfg.inflow,
-        "advect.edge": cfg.edge_transport,
-    }
-    if cfg.snapshot_times:
-        out["time.snapshots"] = " ".join(repr(t) for t in cfg.snapshot_times)
-    if cfg.poisson_delta_y is not None:
-        out["potential.poisson_dy"] = repr(cfg.poisson_delta_y)
-    if cfg.poisson_offset:
-        out["potential.poisson_offset"] = repr(cfg.poisson_offset)
-    if isinstance(pot, DeltaPotential):
-        out.update({"potential.kind": "delta", "potential.H": repr(pot.H)})
-    elif isinstance(pot, LogPotential):
-        out.update({"potential.kind": "log", "potential.H": repr(pot.H)})
-    elif isinstance(pot, InversePowerPotential):
-        out.update({"potential.kind": "inverse_power", "potential.H": repr(pot.H),
-                    "potential.alpha": repr(pot.alpha)})
-    elif isinstance(pot, InverseSquarePotential):
-        out.update({"potential.kind": "inverse_square", "potential.H": repr(pot.H)})
-    elif isinstance(pot, GaussianBarrier):
-        out.update({"potential.kind": "gaussian", "potential.H": repr(pot.H),
-                    "potential.a": repr(pot.a)})
-    elif isinstance(pot, MultiDeltaPotential2D):
-        out.update({
-            "potential.kind": "multi_delta_2d",
-            "potential.H": repr(pot.H),
-            "potential.points": "; ".join(f"{p} {q}" for p, q in pot.points),
-        })
-    init = cfg.initial
-    if isinstance(init, FermiDiracSpec):
-        out.update({
-            "init.kind": "fermi_dirac",
-            "init.mass_ratio": repr(init.effective_mass_ratio),
-            "init.m_e": repr(init.m_e),
-            "init.k_B": repr(init.k_B),
-            "init.T": repr(init.T),
-            "init.E_F": repr(init.E_F),
-        })
-    else:
-        g = init if isinstance(init, GaussianPacketSpec) else init[0]
-        out.update({
-            "init.kind": "gaussian",
-            "init.x0": repr(g.x0),
-            "init.k0": repr(g.k0),
-            "init.sigma": repr(g.sigma),
-        })
+    """Every key of cfg, resolved, as a config file that re-parses to cfg.
+
+    Keys whose field holds None or an empty tuple are left out.  A config
+    that no file can express (two different 4-D packets, a scheme without a
+    name) raises ParameterError.
+    """
+    out = {"grid.dims": str(cfg.spatial_dims)}
+    for key, (name, kind) in _KEYS.items():
+        value = getattr(cfg, name)
+        if isinstance(kind, dict):
+            out.update(_spec_echo(key, kind, value))
+        elif value is not None and value != ():
+            out[key] = _show(value, kind)
     return out

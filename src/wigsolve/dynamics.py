@@ -32,6 +32,7 @@ from .grid import (
     SpatialMesh,
     WavenumberMesh,
     WignerState,
+    _barycentric_rows,
     build_spatial_mesh,
     build_wavenumber_mesh,
 )
@@ -135,11 +136,7 @@ class _SweepPlan:
         # departure point on the serving element's reference interval [-1, 1]
         r = 2.0 * np.where(hi, local, local + 1.0) - 1.0
         diff = r[:, :, None] - (2.0 * xi - 1.0)[None, None, :]
-        exact = diff == 0.0
-        ratios = mesh.barycentric_weights / np.where(exact, 1.0, diff)
-        self.matrices = ratios / ratios.sum(axis=2, keepdims=True)
-        hit = exact.any(axis=2)
-        self.matrices[hit] = exact[hit]
+        self.matrices = _barycentric_rows(diff, mesh.barycentric_weights)
 
         # product row read by target (k, m, q): boundary row k when the source
         # element lies outside the domain, else node m of element src
@@ -399,23 +396,31 @@ def step(
     return stepper.apply(state, dt)
 
 
-@dataclass(frozen=True)
+def _spatial_dims(potential) -> int:
+    return 2 if isinstance(potential, MultiDeltaPotential2D) else 1
+
+
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    """Everything needed for one reproducible run."""
+    """Everything needed for one reproducible run, passed by keyword.
+
+    The defaults here are the only ones: a config file that leaves a key out
+    gets its field's default.  The potential fixes spatial_dims, which is a
+    property, not a field.
+    """
 
     x_lo: float
     x_hi: float
     num_elements: int
     points_per_element: int
-    k_min: float
-    k_max: float
+    k_min: float = -math.pi
+    k_max: float = math.pi
     num_modes: int
     potential: object
     initial: object
     dt: float
     t_final: float
     consts: PhysicalConstants = PhysicalConstants()
-    spatial_dims: int = 1
     snapshot_times: tuple[float, ...] = ()
     n_uniform: int = 600
     scheme: SplitScheme = field(default_factory=SplitScheme.yoshida4)
@@ -443,14 +448,6 @@ class SimulationConfig:
             raise ParameterError(f"unknown inflow prescription {self.inflow!r}")
         if self.edge_transport not in ("one_sided", "symmetrized"):
             raise ParameterError(f"unknown edge transport {self.edge_transport!r}")
-        if self.spatial_dims not in (1, 2):
-            raise ParameterError("spatial_dims must be 1 or 2")
-        planar = isinstance(self.potential, MultiDeltaPotential2D)
-        if planar != (self.spatial_dims == 2):
-            raise ParameterError(
-                f"potential {type(self.potential).__name__} does not live in"
-                f" {self.spatial_dims} spatial dimension(s)"
-            )
         if isinstance(self.initial, observables.FermiDiracSpec):
             if self.spatial_dims != 2:
                 raise ParameterError("Fermi-Dirac initial data needs spatial_dims = 2")
@@ -460,6 +457,11 @@ class SimulationConfig:
                     f" effective mass {self.initial.mass!r}"
                 )
         self.build_grid()  # a grid that cannot be built fails here, not mid-run
+
+    @property
+    def spatial_dims(self) -> int:
+        """2 for the planar multi-delta potential, else 1."""
+        return _spatial_dims(self.potential)
 
     def build_grid(self) -> PhaseSpaceGrid:
         xm = build_spatial_mesh(self.x_lo, self.x_hi, self.num_elements, self.points_per_element)

@@ -145,20 +145,26 @@ def build_wavenumber_mesh(k_min: float, k_max: float, N_k: int) -> WavenumberMes
     return WavenumberMesh(float(k_min), float(k_max), N_k, k, modes)
 
 
+def _barycentric_rows(diff: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Second-form barycentric rows from target-minus-node differences (..., M).
+
+    weights are the (M,) barycentric weights of the nodes; a target that hits
+    a node exactly gets that node's unit row.
+    """
+    exact = diff == 0.0
+    ratios = weights / np.where(exact, 1.0, diff)
+    rows = ratios / ratios.sum(axis=-1, keepdims=True)
+    hit = exact.any(axis=-1)
+    rows[hit] = exact[hit]
+    return rows
+
+
 def _interp_rows(mesh: SpatialMesh, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-target element index and barycentric row over that element's nodes."""
     targets = np.asarray(targets, float)
     elems = mesh.element_of(targets)
-    nodes = mesh.points_by_element[elems]  # (n, M)
-    diff = targets[:, None] - nodes
-    rows = np.zeros_like(diff)
-    exact = diff == 0.0
-    any_exact = exact.any(axis=1)
-    safe = np.where(exact, 1.0, diff)
-    ratios = mesh.barycentric_weights[None, :] / safe
-    rows[~any_exact] = ratios[~any_exact] / ratios[~any_exact].sum(axis=1, keepdims=True)
-    rows[any_exact] = exact[any_exact]
-    return elems, rows
+    diff = targets[:, None] - mesh.points_by_element[elems]  # (n, M)
+    return elems, _barycentric_rows(diff, mesh.barycentric_weights)
 
 
 def spatial_interp_matrix(mesh: SpatialMesh, targets) -> np.ndarray:

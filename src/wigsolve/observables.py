@@ -367,17 +367,6 @@ class ObservableSeries:
     var_p: list = field(default_factory=list)
     uncertainty: list = field(default_factory=list)
 
-    _COLUMNS = (
-        "t",
-        "total_mass",
-        "partial_mass",
-        "mean_x",
-        "mean_p",
-        "var_x",
-        "var_p",
-        "uncertainty",
-    )
-
     def append(self, *, t, total_mass, partial_mass=math.nan, mean_x=math.nan,
                mean_p=math.nan, var_x=math.nan, var_p=math.nan, uncertainty=math.nan):
         if self.t and t <= self.t[-1]:

@@ -1,12 +1,15 @@
 """Config files through the parser and the wigsolve command line."""
 
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from wigsolve.config import build_simulation_config, config_echo, parse_config_text
+from wigsolve.dynamics import SplitScheme
 from wigsolve.errors import ParameterError
+from wigsolve.observables import GaussianPacketSpec
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -100,8 +103,9 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("time.t_final = 0.1", "time.t_final = inf", "'time.t_final': not a finite number"),
     ("grid.M = 7", "grid.M = 1", "need Q >= 1 and M >= 3"),  # grids fail before the echo
     ("grid.N_k = 16", "grid.N_k = 15", "N_k must be even"),
+    ("kind = delta", "kind = cubic", "'potential.kind': unknown kind 'cubic'"),
 ], ids=["missing", "unknown", "threads", "non-number", "inf", "nan", "snapshot", "dt-nan",
-        "t_final-inf", "M-1", "N_k-odd"])
+        "t_final-inf", "M-1", "N_k-odd", "kind"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):
     from wigsolve.cli import main
 
@@ -129,8 +133,98 @@ def test_config_rejects_multi_delta_in_one_dimension():
         build_simulation_config(parse_config_text(text))
 
 
+def test_config_rejects_scalar_potential_in_two_dimensions():
+    text = TINY_4D.replace("potential.kind = multi_delta_2d", "potential.kind = delta")
+    text = text.replace("potential.points = 0 0\n", "")
+    with pytest.raises(ParameterError, match="'grid.dims' = 2: potential.kind = 'delta'"):
+        build_simulation_config(parse_config_text(text))
+
+
+def test_four_d_file_without_grid_dims_builds_a_four_d_config():
+    cfg = build_simulation_config(parse_config_text(TINY_4D.replace("grid.dims = 2\n", "")))
+    assert cfg.spatial_dims == 2
+    assert cfg == build_simulation_config(parse_config_text(TINY_4D))
+
+
 def test_config_rejects_fermi_dirac_without_matching_constants():
     # without consts.* the transport would run with hbar = m = 1
     text = "\n".join(line for line in TINY_4D.splitlines() if not line.startswith("consts."))
     with pytest.raises(ParameterError, match="effective mass"):
         build_simulation_config(parse_config_text(text))
+
+
+_FAMILY_LINES = {
+    "delta": "potential.kind = delta\npotential.H = 1.0\n",
+    "log": "potential.kind = log\npotential.H = -0.5\n",
+    "inverse_power": "potential.kind = inverse_power\npotential.H = 0.3\npotential.alpha = 0.5\n",
+    "inverse_square": "potential.kind = inverse_square\npotential.H = 0.2\n",
+    "gaussian": "potential.kind = gaussian\npotential.H = 1.0\npotential.a = 0.5\n",
+}
+_PLANE = TINY_2D.replace(_FAMILY_LINES["delta"], "")
+# every optional key of a 2-D file, none at its default
+_OPTIONAL = """\
+grid.k_min = -3.0
+grid.k_max = 3.5
+consts.hbar = 0.5
+consts.mass = 2.0
+time.snapshots = 0.05, 0.1
+time.scheme = strang
+potential.poisson_dy = 0.01
+potential.poisson_offset = 0.25
+advect.inflow = background
+advect.edge = symmetrized
+observables.record = 0
+"""
+_FERMI_KEYS = """\
+init.mass_ratio = 0.05
+init.m_e = 5.0
+init.k_B = 1e-4
+init.T = 77.0
+init.E_F = 0.2
+"""
+
+
+def _round_trip_texts() -> dict[str, str]:
+    texts = {}
+    for route in ("exact", "poisson"):
+        for family, lines in _FAMILY_LINES.items():
+            texts[f"{family}-{route}"] = _PLANE + lines + f"potential.route = {route}\n"
+        texts[f"multi_delta_2d-{route}"] = TINY_4D + f"potential.route = {route}\n"
+    texts["circle"] = TINY_4D.replace(
+        "potential.points = 0 0", "potential.circle_radius = 2.0\npotential.circle_count = 8"
+    )
+    texts["gaussian-4d"] = TINY_4D.replace(
+        "init.kind = fermi_dirac", "init.kind = gaussian\ninit.x0 = 1.0\ninit.k0 = -0.5\ninit.sigma = 1.5"
+    )
+    texts["fermi-keys"] = (
+        TINY_4D.replace("consts.mass = 0.38093718722", f"consts.mass = {0.05 * 5.0!r}") + _FERMI_KEYS
+    )
+    texts["optional"] = TINY_2D.replace("observables.N_um = 50", "observables.N_um = 80") + _OPTIONAL
+    return texts
+
+
+_ROUND_TRIP = _round_trip_texts()
+
+
+@pytest.mark.parametrize("text", _ROUND_TRIP.values(), ids=_ROUND_TRIP.keys())
+def test_echo_reparses_to_an_equal_config_and_echo(text):
+    cfg = build_simulation_config(parse_config_text(text))
+    echo = config_echo(cfg)
+    again = build_simulation_config(echo)
+    assert again == cfg
+    assert config_echo(again) == echo
+
+
+def test_echo_refuses_two_different_packets():
+    cfg = build_simulation_config(parse_config_text(_ROUND_TRIP["gaussian-4d"]))
+    two = (GaussianPacketSpec(-1.0, 1.0, 1.0), GaussianPacketSpec(2.0, -1.0, 0.5))
+    with pytest.raises(ParameterError, match="one packet for both dimensions"):
+        config_echo(replace(cfg, initial=two))
+
+
+@pytest.mark.parametrize("scheme", [SplitScheme("custom", (0.5, 0.5)), SplitScheme("strang", (0.5, 0.5))],
+                         ids=["unnamed", "misnamed"])
+def test_echo_refuses_a_scheme_without_a_name(scheme):
+    cfg = build_simulation_config(parse_config_text(TINY_2D))
+    with pytest.raises(ParameterError, match="scheme"):
+        config_echo(replace(cfg, scheme=scheme))

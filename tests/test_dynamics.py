@@ -467,7 +467,7 @@ def test_config_rejects_non_finite_time_parameters(bad):
 def fd_config(**kw):
     base = dict(
         x_lo=-10.0, x_hi=10.0, num_elements=5, points_per_element=9,
-        k_min=-np.pi, k_max=np.pi, num_modes=16, spatial_dims=2,
+        k_min=-np.pi, k_max=np.pi, num_modes=16,
         potential=MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 8)),
         initial=FermiDiracSpec(),
         consts=FermiDiracSpec().constants(),
@@ -533,12 +533,6 @@ def test_evolve_4d_working_set_estimate_bounds_measured_peak(Q, M, N):
     finally:
         tracemalloc.stop()
     assert peak <= estimate <= 2.0 * peak, (estimate, peak)
-
-
-def test_config_rejects_scalar_potential_in_two_dimensions():
-    # multi-delta in one dimension is rejected through the parser (test_cli)
-    with pytest.raises(ParameterError, match="spatial dimension"):
-        fd_config(potential=DeltaPotential(H=1.0))
 
 
 def test_config_rejects_fermi_dirac_data_in_one_dimension():
