@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, fields
 
-from .dynamics import SimulationConfig, SplitScheme, _spatial_dims
+from .dynamics import NAMED_SETTINGS, SCHEMES, SimulationConfig, SplitScheme, _check_named, _spatial_dims
 from .errors import ParameterError
 from .kernels import (
     DeltaPotential,
@@ -48,7 +48,8 @@ _INITIAL = {"gaussian": GaussianPacketSpec, "fermi_dirac": FermiDiracSpec, None:
 
 # config key -> (SimulationConfig field, value type).  A key ending in "." is
 # the prefix of a spec dataclass with its kind map: each spec field is a
-# float key of its own, named after the field.
+# float key of its own, named after the field.  A tuple of names is the value
+# type of a setting that takes one of them.
 _KEYS = {
     "grid.X_L": ("x_lo", float),
     "grid.X_R": ("x_hi", float),
@@ -63,12 +64,12 @@ _KEYS = {
     "time.snapshots": ("snapshot_times", tuple),
     "time.scheme": ("scheme", SplitScheme),
     "potential.": ("potential", _POTENTIALS),
-    "potential.route": ("kernel_route", str),
+    "potential.route": ("kernel_route", NAMED_SETTINGS["kernel_route"]),
     "potential.poisson_dy": ("poisson_delta_y", float),
     "potential.poisson_offset": ("poisson_offset", float),
     "init.": ("initial", _INITIAL),
-    "advect.inflow": ("inflow", str),
-    "advect.edge": ("edge_transport", str),
+    "advect.inflow": ("inflow", NAMED_SETTINGS["inflow"]),
+    "advect.edge": ("edge_transport", NAMED_SETTINGS["edge_transport"]),
     "observables.N_um": ("n_uniform", int),
     "observables.record": ("record_observables", bool),
 }
@@ -106,10 +107,13 @@ def _finite(key: str, text: str) -> float:
 
 
 def _parse(key: str, text: str, kind):
-    if kind is str:
+    if isinstance(kind, tuple):
+        _check_named(f"config key {key!r}", text, kind)
         return text
     if kind is SplitScheme:
-        return SplitScheme.named(text)
+        return SplitScheme.named(_parse(key, text, tuple(SCHEMES)))
+    if kind is str:
+        return text
     if kind is tuple:
         return tuple(_finite(key, t) for t in text.replace(",", " ").split())
     num = _finite(key, text)

@@ -40,6 +40,7 @@ from .kernels import (
     KernelTable,
     MultiDeltaPotential2D,
     PhysicalConstants,
+    check_poisson_route,
     kernel_coefficients,
     poisson_kernel_coefficients,
 )
@@ -73,18 +74,30 @@ class SplitScheme:
 
     @classmethod
     def strang(cls) -> "SplitScheme":
-        return cls("strang", (1.0,))
+        return cls.named("strang")
 
     @classmethod
     def yoshida4(cls) -> "SplitScheme":
-        return cls("yoshida4", (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1))
+        return cls.named("yoshida4")
 
     @classmethod
     def named(cls, name: str) -> "SplitScheme":
-        try:
-            return {"strang": cls.strang, "yoshida4": cls.yoshida4}[name]()
-        except KeyError:
-            raise ParameterError(f"unknown scheme {name!r}") from None
+        _check_named("scheme", name, SCHEMES)
+        return cls(name, SCHEMES[name])
+
+
+# the named schemes' coefficients; the values each string setting takes
+SCHEMES = {"strang": (1.0,), "yoshida4": (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)}
+NAMED_SETTINGS = {
+    "kernel_route": ("exact", "poisson"),
+    "inflow": ("zero", "background"),
+    "edge_transport": ("one_sided", "symmetrized"),
+}
+
+
+def _check_named(what: str, value: str, names) -> None:
+    if value not in names:
+        raise ParameterError(f"{what}: unknown value {value!r}; expected one of {', '.join(names)}")
 
 
 # ----------------------------------------------------------------------
@@ -424,11 +437,11 @@ class SimulationConfig:
     snapshot_times: tuple[float, ...] = ()
     n_uniform: int = 600
     scheme: SplitScheme = field(default_factory=SplitScheme.yoshida4)
-    kernel_route: str = "exact"  # or "poisson"
+    kernel_route: str = "exact"  # each string setting takes one of NAMED_SETTINGS
     poisson_delta_y: float | None = None
     poisson_offset: float = 0.0
-    inflow: str = "zero"  # or "background"
-    edge_transport: str = "one_sided"  # or "symmetrized"
+    inflow: str = "zero"
+    edge_transport: str = "one_sided"
     record_observables: bool = True
     memory_budget_bytes: float = 8e9
 
@@ -442,12 +455,10 @@ class SimulationConfig:
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_final:
                 raise ParameterError(f"snapshot time {t} outside [0, t_final]")
-        if self.kernel_route not in ("exact", "poisson"):
-            raise ParameterError(f"unknown kernel route {self.kernel_route!r}")
-        if self.inflow not in ("zero", "background"):
-            raise ParameterError(f"unknown inflow prescription {self.inflow!r}")
-        if self.edge_transport not in ("one_sided", "symmetrized"):
-            raise ParameterError(f"unknown edge transport {self.edge_transport!r}")
+        for name, names in NAMED_SETTINGS.items():
+            _check_named(name, getattr(self, name), names)
+        if self.kernel_route == "poisson":
+            check_poisson_route(self.potential, self.poisson_delta_y)
         if isinstance(self.initial, observables.FermiDiracSpec):
             if self.spatial_dims != 2:
                 raise ParameterError("Fermi-Dirac initial data needs spatial_dims = 2")

@@ -8,12 +8,14 @@ transforms:
     s_nu(x) = pref * [ C(w+) - C(w-) ],     w+- = 2x +- 2 pi nu / L_k,
     C(w)    = int_0^{L_k} cos(w k) phi(k) dk.
 
-C has a closed form for the delta, inverse-square and multi-delta families,
-a cosine-integral split for the logarithmic family, the singular-oscillatory
-quadrature for the inverse-power family, and Gauss-Legendre panels for the
-finite-size Gaussian barrier.  Every table holds the real s with
-c = i s; s_0 = 0 and s_{-nu} = -s_nu, which is what keeps the kernel substep
-real and marginal-preserving.
+C has a closed form for the delta and inverse-square families, for the
+finite-size Gaussian barrier (through the Faddeeva function, DLMF 7.2) and
+for each factor of the multi-delta family, whose table is then one
+contraction over its delta points; the logarithmic family uses a
+cosine-integral split and the inverse-power family the singular-oscillatory
+quadrature.  Every table holds the real s with c = i s; s_0 = 0 and
+s_{-nu} = -s_nu, which is what keeps the kernel substep real and
+marginal-preserving.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf, wofz
 
 from .cache import ByteLRU
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .grid import PhaseSpaceGrid
-from .specfun import cos_power_integral, cosine_integral, gamma_fn, _gl
+from .specfun import cos_power_integral, cosine_integral, gamma_fn
 
 __all__ = [
     "PhysicalConstants",
@@ -41,11 +44,16 @@ __all__ = [
     "wigner_kernel_value",
     "kernel_coefficients",
     "poisson_kernel_coefficients",
+    "check_poisson_route",
     "clear_table_cache",
 ]
 
 # sin(w L)/w and int_0^L k cos(w k) dk switch to Taylor values below this
 _SMALL_OMEGA = 1e-8
+
+# from here on e^{-b^2} < 3e-16, so the two terms of the Faddeeva form of the
+# Gaussian transform can no longer cancel (see _gauss_cos_transform)
+_GAUSS_ERF_B = 6.0
 
 # prescribed split point of the logarithmic coefficient integral
 LOG_SPLIT_EPS = 1e-5
@@ -138,14 +146,8 @@ def annulus_points(radius: float, count: int) -> tuple[tuple[float, float], ...]
     return tuple((float(radius * np.cos(a)), float(radius * np.sin(a))) for a in ang)
 
 
-PotentialSpec = (
-    DeltaPotential
-    | LogPotential
-    | InversePowerPotential
-    | InverseSquarePotential
-    | GaussianBarrier
-    | MultiDeltaPotential2D
-)
+PotentialSpec = (DeltaPotential | LogPotential | InversePowerPotential | InverseSquarePotential
+                 | GaussianBarrier | MultiDeltaPotential2D)
 
 
 def _inverse_power_prefactor(spec: InversePowerPotential, hbar: float) -> float:
@@ -250,32 +252,28 @@ def _log_cos_transform_pair(wp, wm, L: float):
     return 0.5 * (g(wp) - g(wm))
 
 
-def _gauss_cos_transform(spec: GaussianBarrier, xpts, freqs, L: float) -> np.ndarray:
-    """2 int_0^L sin(2xk) sin(nu~ k) e^{-2 a^2 k^2} dk by half-period GL panels,
-    separable in (x, nu) so the whole table is one matrix product."""
-    max_freq = 2.0 * np.max(np.abs(xpts)) + np.max(np.abs(freqs))
-    panels = int(np.ceil(max_freq * L / np.pi)) + int(np.ceil(2.0 * spec.a * L)) + 4
-    nodes, weights = _gl(16)
-    edges = L * np.arange(panels + 1) / panels
-    kq = (0.5 * (edges[1:] - edges[:-1])[:, None] * nodes[None, :]
-          + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
-    wq = (0.5 * (edges[1:] - edges[:-1])[:, None] * weights[None, :]).ravel()
-    damped = wq * np.exp(-2.0 * spec.a**2 * kq * kq)
-    Sn = np.sin(np.outer(freqs, kq))
-    # the large (x, k-node) factor is built and weighted in place, so one
-    # matrix of that size exists at a time
-    Sx = np.outer(xpts, 2.0 * kq)
-    np.sin(Sx, out=Sx)
-    Sx *= 2.0 * damped
-    return Sx @ Sn.T
+def _gauss_cos_transform(w: np.ndarray, a: float, L: float) -> np.ndarray:
+    """int_0^L cos(w k) e^{-2 a^2 k^2} dk in closed form (DLMF 7.2).  With
+    r = sqrt(2) a and b = |w|/(2r) it is sqrt(pi)/(2r) e^{-b^2} Re erf(rL - ib)
+    = sqrt(pi)/(2r) [e^{-b^2} - e^{-(rL)^2} Re(e^{i|w|L} w(b + i rL))], w the
+    Faddeeva function; Im(b + i rL) > 0 keeps both terms bounded for every a
+    and w.  Below b = _GAUSS_ERF_B those terms cancel for small rL (a narrow
+    barrier), so the erf form, far from overflow there, is used instead."""
+    r = math.sqrt(2.0) * a
+    rL = r * L
+    b = np.abs(w) / (2.0 * r)
+    out = np.empty_like(b)
+    near = b < _GAUSS_ERF_B
+    bn, bf = b[near], b[~near]
+    out[near] = (np.exp(-bn * bn) * erf(rL - 1j * bn)).real
+    tail = np.exp(1j * np.abs(w[~near]) * L) * wofz(bf + 1j * rL)
+    out[~near] = np.exp(-bf * bf) - math.exp(-rL * rL) * tail.real
+    return math.sqrt(math.pi) / (2.0 * r) * out
 
 
 def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np.ndarray:
-    xm, km = grid.x, grid.k
-    L = km.length
+    x, freqs, L = grid.x.collocation_points, grid.k.mode_frequencies, grid.k.length
     hbar = consts.hbar
-    x = xm.collocation_points
-    freqs = km.mode_frequencies
     wp = 2.0 * x[:, None] + freqs[None, :]
     wm = 2.0 * x[:, None] - freqs[None, :]
 
@@ -287,16 +285,12 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
         diff = _k_cos_moment(wp, L) - _k_cos_moment(wm, L)
     elif isinstance(spec, GaussianBarrier):
         pref = 2.0 * spec.H / (math.pi * hbar)
-        # separable quadrature already returns C(w+) - C(w-) = -2 int sin sin
-        diff = -_gauss_cos_transform(spec, x, freqs, L)
+        diff = _gauss_cos_transform(wp, spec.a, L) - _gauss_cos_transform(wm, spec.a, L)
     elif isinstance(spec, LogPotential):
         pref = 2.0 * spec.H / hbar
-        nt = freqs[None, :]
-        xc = x[:, None]
-        eps = LOG_SPLIT_EPS
+        nt, xc, eps = freqs[None, :], x[:, None], LOG_SPLIT_EPS
         taylor = nt * xc * eps**2 - (nt * xc**3 / 3.0 + nt**3 * xc / 12.0) * eps**4
         diff = taylor + _log_cos_transform_pair(wp, wm, L)
-        return pref * diff
     elif isinstance(spec, InversePowerPotential):
         pref = _inverse_power_prefactor(spec, hbar)
         beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
@@ -314,37 +308,26 @@ def _coeff_table_multidelta(
     if k1m.length != k2m.length:
         raise ParameterError("multi-delta table expects matching wavenumber domains")
     L = k1m.length
-    x1 = x1m.collocation_points
-    x2 = x2m.collocation_points
-    f1 = k1m.mode_frequencies
-    f2 = k2m.mode_frequencies
+    pts = np.asarray(spec.points)
 
-    def sin_transform_im(xs, freqs):
-        # Im int_{-L}^{L} sin(a k) e^{-i mu k} dk, a = 2(x-d)
-        a = xs[:, None]
-        mu = freqs[None, :]
-        return _sinc_L(a + mu, L) - _sinc_L(a - mu, L)
+    def factors(xs, d, mu):
+        # (P, x, nu) transforms of every delta, a = 2(x - d): the sine one
+        # A = Im int_{-L}^{L} sin(a k) e^{-i mu k} dk and its cosine twin B
+        a = 2.0 * (xs[None, :, None] - d[:, None, None])
+        up, dn = _sinc_L(a + mu, L), _sinc_L(a - mu, L)
+        return up - dn, up + dn
 
-    def cos_transform(xs, freqs):
-        a = xs[:, None]
-        mu = freqs[None, :]
-        return _sinc_L(a - mu, L) + _sinc_L(a + mu, L)
-
-    total = np.zeros((x1.size, x2.size, f1.size, f2.size))
-    for d1, d2 in spec.points:
-        A1 = sin_transform_im(2.0 * (x1 - d1), f1)
-        B1 = cos_transform(2.0 * (x1 - d1), f1)
-        A2 = sin_transform_im(2.0 * (x2 - d2), f2)
-        B2 = cos_transform(2.0 * (x2 - d2), f2)
-        total += A1[:, None, :, None] * B2[None, :, None, :]
-        total += B1[:, None, :, None] * A2[None, :, None, :]
-    return 4.0 * spec.H / (math.pi * consts.hbar) * total
+    A1, B1 = factors(x1m.collocation_points, pts[:, 0], k1m.mode_frequencies)
+    A2, B2 = factors(x2m.collocation_points, pts[:, 1], k2m.mode_frequencies)
+    # sum_p A1_p (x) B2_p + B1_p (x) A2_p as one contraction over the 2P axis
+    pref = 4.0 * spec.H / (math.pi * consts.hbar)
+    s = np.tensordot(pref * np.concatenate([A1, B1]), np.concatenate([B2, A2]), axes=(0, 0))
+    return s.transpose(0, 2, 1, 3)  # (x1, nu1, x2, nu2) -> (x1, x2, nu1, nu2)
 
 
 # A table costs 8 B per phase-space point: the bound holds about sixty
 # 45^2 x 16^2 multi-delta tables, or six hundred 2-D tables at 420 x 128.
-_TABLE_CACHE_BYTES = 256 * 2**20
-_TABLE_CACHE = ByteLRU(_TABLE_CACHE_BYTES)
+_TABLE_CACHE = ByteLRU(256 * 2**20)
 
 
 def clear_table_cache():
@@ -362,12 +345,9 @@ def kernel_coefficients(
     if isinstance(spec, MultiDeltaPotential2D):
         if grid.ndim_space != 2:
             raise ParameterError("multi-delta potential needs a 4-D grid")
-        for d1, d2 in spec.points:
-            if not (
-                grid.spatial[0].domain_lo <= d1 <= grid.spatial[0].domain_hi
-                and grid.spatial[1].domain_lo <= d2 <= grid.spatial[1].domain_hi
-            ):
-                raise ParameterError(f"delta point ({d1}, {d2}) outside the spatial domain")
+        for d in spec.points:
+            if not all(m.domain_lo <= c <= m.domain_hi for m, c in zip(grid.spatial, d)):
+                raise ParameterError(f"delta point {d} outside the spatial domain")
         table = KernelTable(_coeff_table_multidelta(spec, grid, consts), grid, spec)
     else:
         if grid.ndim_space != 1:
@@ -377,6 +357,17 @@ def kernel_coefficients(
     return table
 
 
+def check_poisson_route(spec: PotentialSpec, delta_y: float | None) -> None:
+    """Raise ParameterError unless the discrete-sum route can tabulate spec
+    with lattice spacing delta_y (None: the default pi/L_k)."""
+    # the route samples V pointwise: families smooth away from the origin
+    if not isinstance(spec, (LogPotential, GaussianBarrier)):
+        raise ParameterError("the discrete-sum route supports smooth-away-from-origin potentials"
+                             f" only (logarithmic or Gaussian), got {spec!r}")
+    if delta_y is not None and not delta_y > 0:
+        raise ParameterError(f"delta_y must be positive, got {delta_y}")
+
+
 def _poisson_samples(spec, x, y):
     """V(x + y/2) - V(x - y/2) on the sampling lattice, with the logarithmic
     singularity rule: lattice terms that land exactly on x = 0 are dropped."""
@@ -384,16 +375,11 @@ def _poisson_samples(spec, x, y):
     dn = x[:, None] - 0.5 * y[None, :]
     if isinstance(spec, GaussianBarrier):
         return spec.value(up) - spec.value(dn)
-    if isinstance(spec, LogPotential):
-        dead = (up == 0.0) | (dn == 0.0)
-        safe_up = np.where(dead, 1.0, np.abs(up))
-        safe_dn = np.where(dead, 1.0, np.abs(dn))
-        dV = spec.H * (np.log(safe_up) - np.log(safe_dn))
-        return np.where(dead, 0.0, dV)
-    raise ParameterError(
-        "the discrete-sum route supports smooth-away-from-origin potentials only "
-        f"(logarithmic or Gaussian), got {spec!r}"
-    )
+    dead = (up == 0.0) | (dn == 0.0)
+    safe_up = np.where(dead, 1.0, np.abs(up))
+    safe_dn = np.where(dead, 1.0, np.abs(dn))
+    dV = spec.H * (np.log(safe_up) - np.log(safe_dn))
+    return np.where(dead, 0.0, dV)
 
 
 def poisson_kernel_coefficients(
@@ -415,14 +401,13 @@ def poisson_kernel_coefficients(
     lattice_offset = 0.5 shifts the samples half a cell so the potential is
     never evaluated at its center.
     """
+    check_poisson_route(spec, delta_y)
     if grid.ndim_space != 1:
         raise ParameterError("the discrete-sum route is implemented for 2-D phase space")
     km = grid.k
     L = km.length
     if delta_y is None:
         delta_y = math.pi / L
-    if delta_y <= 0:
-        raise ParameterError(f"delta_y must be positive, got {delta_y}")
     key = ("poisson", spec, grid.cache_key(), consts, float(delta_y), float(lattice_offset))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:

@@ -5,7 +5,10 @@ estimate, tuned by `QuadSpec`; `fresnel_c` is scipy's Fresnel cosine
 integral; `_cpi_tail` is the direct lobe-by-lobe evaluation of
 int_L^inf cos(w k) k^(-a) dk that `wigsolve.specfun` used before its lobe
 table, kept verbatim, and `cos_power_integral_lobes` is the whole integral
-built on it.  `barycentric_eval` evaluates one element's interpolant at a
+built on it.  `_gauss_cos_transform` (Gauss-Legendre panels) and
+`_coeff_table_multidelta` (a loop over the delta points) are the Gaussian
+and multi-delta table builders `wigsolve.kernels` used before its closed
+forms, kept verbatim.  `barycentric_eval` evaluates one element's interpolant at a
 point, and `k_forward`/`k_inverse` map nodal wavenumber data to ascending
 Fourier mode coefficients and back.
 """
@@ -20,7 +23,8 @@ import numpy as np
 from scipy.special import fresnel as _scipy_fresnel
 
 from wigsolve.errors import AccuracyError, DomainError, ParameterError
-from wigsolve.grid import SpatialMesh, WavenumberMesh
+from wigsolve.grid import PhaseSpaceGrid, SpatialMesh, WavenumberMesh
+from wigsolve.kernels import GaussianBarrier, MultiDeltaPotential2D, PhysicalConstants, _sinc_L
 from wigsolve.specfun import _CPI_CVZ_TERMS, _cpi_series, _cvz_alternating, _gl
 
 
@@ -256,3 +260,57 @@ def k_inverse(coeffs, mesh: WavenumberMesh, axis: int = -1) -> np.ndarray:
     idx[axis] = order
     spec[tuple(idx)] = coeffs
     return np.fft.ifft(spec * N, axis=axis)
+
+
+def _gauss_cos_transform(spec: GaussianBarrier, xpts, freqs, L: float) -> np.ndarray:
+    """2 int_0^L sin(2xk) sin(nu~ k) e^{-2 a^2 k^2} dk by half-period GL panels,
+    separable in (x, nu) so the whole table is one matrix product."""
+    max_freq = 2.0 * np.max(np.abs(xpts)) + np.max(np.abs(freqs))
+    panels = int(np.ceil(max_freq * L / np.pi)) + int(np.ceil(2.0 * spec.a * L)) + 4
+    nodes, weights = _gl(16)
+    edges = L * np.arange(panels + 1) / panels
+    kq = (0.5 * (edges[1:] - edges[:-1])[:, None] * nodes[None, :]
+          + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
+    wq = (0.5 * (edges[1:] - edges[:-1])[:, None] * weights[None, :]).ravel()
+    damped = wq * np.exp(-2.0 * spec.a**2 * kq * kq)
+    Sn = np.sin(np.outer(freqs, kq))
+    # the large (x, k-node) factor is built and weighted in place, so one
+    # matrix of that size exists at a time
+    Sx = np.outer(xpts, 2.0 * kq)
+    np.sin(Sx, out=Sx)
+    Sx *= 2.0 * damped
+    return Sx @ Sn.T
+
+
+def _coeff_table_multidelta(
+    spec: MultiDeltaPotential2D, grid: PhaseSpaceGrid, consts: PhysicalConstants
+) -> np.ndarray:
+    (x1m, x2m), (k1m, k2m) = grid.spatial, grid.wavenumber
+    if k1m.length != k2m.length:
+        raise ParameterError("multi-delta table expects matching wavenumber domains")
+    L = k1m.length
+    x1 = x1m.collocation_points
+    x2 = x2m.collocation_points
+    f1 = k1m.mode_frequencies
+    f2 = k2m.mode_frequencies
+
+    def sin_transform_im(xs, freqs):
+        # Im int_{-L}^{L} sin(a k) e^{-i mu k} dk, a = 2(x-d)
+        a = xs[:, None]
+        mu = freqs[None, :]
+        return _sinc_L(a + mu, L) - _sinc_L(a - mu, L)
+
+    def cos_transform(xs, freqs):
+        a = xs[:, None]
+        mu = freqs[None, :]
+        return _sinc_L(a - mu, L) + _sinc_L(a + mu, L)
+
+    total = np.zeros((x1.size, x2.size, f1.size, f2.size))
+    for d1, d2 in spec.points:
+        A1 = sin_transform_im(2.0 * (x1 - d1), f1)
+        B1 = cos_transform(2.0 * (x1 - d1), f1)
+        A2 = sin_transform_im(2.0 * (x2 - d2), f2)
+        B2 = cos_transform(2.0 * (x2 - d2), f2)
+        total += A1[:, None, :, None] * B2[None, :, None, :]
+        total += B1[:, None, :, None] * A2[None, :, None, :]
+    return 4.0 * spec.H / (math.pi * consts.hbar) * total

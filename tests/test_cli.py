@@ -104,8 +104,17 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("grid.M = 7", "grid.M = 1", "need Q >= 1 and M >= 3"),  # grids fail before the echo
     ("grid.N_k = 16", "grid.N_k = 15", "N_k must be even"),
     ("kind = delta", "kind = cubic", "'potential.kind': unknown kind 'cubic'"),
+    ("", "time.scheme = rk4\n", "config key 'time.scheme': unknown value 'rk4'"),
+    ("", "potential.route = discrete\n", "config key 'potential.route': unknown value 'discrete'"),
+    ("", "advect.inflow = wall\n", "config key 'advect.inflow': unknown value 'wall'"),
+    ("", "advect.edge = x\n", "config key 'advect.edge': unknown value 'x'"),
+    # configs the discrete-sum route cannot tabulate fail before the echo
+    ("", "potential.route = poisson\n", "discrete-sum route supports"),
+    ("kind = delta\npotential.H = 1.0", "kind = gaussian\npotential.H = 1.0\npotential.a = 0.5"
+     "\npotential.route = poisson\npotential.poisson_dy = 0", "delta_y must be positive"),
 ], ids=["missing", "unknown", "threads", "non-number", "inf", "nan", "snapshot", "dt-nan",
-        "t_final-inf", "M-1", "N_k-odd", "kind"])
+        "t_final-inf", "M-1", "N_k-odd", "kind", "scheme", "route", "inflow", "edge",
+        "poisson-delta", "poisson-dy-0"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):
     from wigsolve.cli import main
 
@@ -186,10 +195,11 @@ init.E_F = 0.2
 
 def _round_trip_texts() -> dict[str, str]:
     texts = {}
-    for route in ("exact", "poisson"):
-        for family, lines in _FAMILY_LINES.items():
-            texts[f"{family}-{route}"] = _PLANE + lines + f"potential.route = {route}\n"
-        texts[f"multi_delta_2d-{route}"] = TINY_4D + f"potential.route = {route}\n"
+    for family, lines in _FAMILY_LINES.items():
+        texts[f"{family}-exact"] = _PLANE + lines + "potential.route = exact\n"
+    texts["multi_delta_2d-exact"] = TINY_4D + "potential.route = exact\n"
+    for family in ("log", "gaussian"):  # the families the discrete-sum route samples
+        texts[f"{family}-poisson"] = _PLANE + _FAMILY_LINES[family] + "potential.route = poisson\n"
     texts["circle"] = TINY_4D.replace(
         "potential.points = 0 0", "potential.circle_radius = 2.0\npotential.circle_count = 8"
     )

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import QuadSpec, cos_power_integral_lobes, oscillatory_quad
+from oracles import (
+    QuadSpec,
+    _coeff_table_multidelta,
+    _gauss_cos_transform,
+    cos_power_integral_lobes,
+    oscillatory_quad,
+)
 from wigsolve import kernels
 from wigsolve.errors import ParameterError
 from wigsolve.grid import PhaseSpaceGrid, build_spatial_mesh, build_wavenumber_mesh
@@ -388,6 +394,87 @@ def test_multidelta_invariants():
             a = c[:, :, k1.mode_position(n1), k1.mode_position(n2)]
             b = c[:, :, k1.mode_position(-n1), k1.mode_position(-n2)]
             np.testing.assert_allclose(a, -b, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# closed-form tables against the quadrature and loop they replaced
+# ----------------------------------------------------------------------
+
+def _assert_exactly_odd(s, meshes):
+    """s_0 = 0 and s_{-nu} = -s_nu bit for bit over the trailing mode axes."""
+    pos = [[km.mode_position(n) for n in range(1 - km.num_points // 2, km.num_points // 2)]
+           for km in meshes]
+    zero = tuple(km.mode_position(0) for km in meshes)
+    assert np.all(s[(Ellipsis, *zero)] == 0.0)
+    lead = (slice(None),) * (s.ndim - len(meshes))
+    ascending = s[lead + np.ix_(*pos)]
+    descending = s[lead + np.ix_(*(p[::-1] for p in pos))]
+    assert np.array_equal(ascending, -descending)
+
+
+GAUSS_GRIDS = {"20x21x128": (30.0, 20, 21, 128), "10x9x32": (4.0, 10, 9, 32)}
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 2.0, 5.0])
+@pytest.mark.parametrize("dims", GAUSS_GRIDS.values(), ids=GAUSS_GRIDS.keys())
+def test_gaussian_table_matches_panel_quadrature(a, dims):
+    X, Q, M, N = dims
+    grid = plane_grid(X=X, Q=Q, M=M, N=N)
+    spec = GaussianBarrier(H=1.0, a=a)
+    s = kernel_coefficients(spec, grid, CONSTS).multipliers
+    ref = -2.0 / math.pi * _gauss_cos_transform(
+        spec, grid.x.collocation_points, grid.k.mode_frequencies, grid.k.length
+    )
+    assert np.abs(s - ref).max() <= 1e-14 * np.abs(s).max()
+    _assert_exactly_odd(s, [grid.k])
+
+
+def _k2_cos_moment(w, L):
+    """int_0^L k^2 cos(w k) dk, Taylor below |w| L = 1e-2."""
+    small = np.abs(w) * L < 1e-2
+    u = np.where(small, 1.0, w)
+    exact = L * L * np.sin(u * L) / u + 2.0 * L * np.cos(u * L) / u**2 - 2.0 * np.sin(u * L) / u**3
+    return np.where(small, L**3 / 3.0 - w * w * L**5 / 10.0, exact)
+
+
+@pytest.mark.parametrize("dims", GAUSS_GRIDS.values(), ids=GAUSS_GRIDS.keys())
+def test_narrow_gaussian_table_matches_small_a_expansion(dims):
+    # e^{-2a^2k^2} = 1 - 2a^2k^2 + O(a^4): the remainder is below 1e-21 here.
+    # Both grids hold points with w = 2x -+ nu~ = 0, where the Faddeeva form
+    # alone would lose ten digits.
+    X, Q, M, N = dims
+    grid = plane_grid(X=X, Q=Q, M=M, N=N)
+    a = 1e-6
+    s = kernel_coefficients(GaussianBarrier(H=1.0, a=a), grid, CONSTS).multipliers
+    L = grid.k.length
+    x = grid.x.collocation_points[:, None]
+    nt = grid.k.mode_frequencies[None, :]
+
+    def C(w):
+        return kernels._sinc_L(w, L) - 2.0 * a * a * _k2_cos_moment(w, L)
+
+    ref = 2.0 / math.pi * (C(2.0 * x + nt) - C(2.0 * x - nt))
+    assert np.abs(s - ref).max() <= 1e-14 * np.abs(s).max()
+
+
+MULTIDELTA_POINTS = {
+    "origin": ((0.0, 0.0),),
+    "annulus": annulus_points(2.0, 8),
+    "off-centre": ((1.0, -2.0), (-3.0, 0.5), (2.5, 2.5)),
+}
+
+
+@pytest.mark.parametrize("points", MULTIDELTA_POINTS.values(), ids=MULTIDELTA_POINTS.keys())
+@pytest.mark.parametrize("M, N", [(5, 8), (15, 16)])
+def test_multidelta_table_matches_point_loop(points, M, N):
+    xm = build_spatial_mesh(-10.0, 10.0, 3, M)
+    km = build_wavenumber_mesh(-np.pi, np.pi, N)
+    grid = PhaseSpaceGrid.tensor4d(xm, xm, km, km)
+    spec = MultiDeltaPotential2D(H=1.0, points=points)
+    s = kernel_coefficients(spec, grid, CONSTS).multipliers
+    ref = _coeff_table_multidelta(spec, grid, CONSTS)
+    assert np.abs(s - ref).max() <= 1e-15 * np.abs(s).max()
+    _assert_exactly_odd(s, [km, km])
 
 
 # ----------------------------------------------------------------------
