@@ -24,7 +24,7 @@ from .kernels import (
     poisson_kernel_coefficients,
     wigner_kernel_value,
 )
-from .dynamics import SimulationConfig, SplitScheme, advect, apply_kernel, evolve, evolve_4d, step
+from .dynamics import SimulationConfig, advect, apply_kernel, evolve, evolve_4d, step
 from .observables import (
     FermiDiracSpec,
     GaussianPacketSpec,

@@ -34,10 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     for key, value in config_echo(cfg).items():
         print(f"{key} = {value}")
     _, series = evolve(cfg)
-    if len(series):
-        print(f"# total_mass at t = {series.t[-1]!r}: {series.total_mass[-1]!r}")
-    else:
-        print("# total_mass not recorded (observables.record = 0)")
+    print(f"# total_mass at t = {series.t[-1]!r}: {series.total_mass[-1]!r}")
     return 0
 
 

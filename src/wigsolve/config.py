@@ -9,8 +9,10 @@ dataclasses, read and written field by field under their prefix
 Defaults live on the dataclasses only: a key that is absent takes its field's
 default, and a field without a default makes its key required.  The potential
 fixes the number of spatial dimensions; grid.dims may be given and is then
-checked against it.  Errors fail loudly, naming the key where the parser
-finds them.
+checked against it.  A value is a name or a number: each named setting
+takes one of its dynamics.NAMED_SETTINGS values.  Errors fail loudly,
+naming the key where the parser finds them; SimulationConfig refuses every
+config that evolve would refuse, so a bad file fails before the echo.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, fields
 
-from .dynamics import NAMED_SETTINGS, SCHEMES, SimulationConfig, SplitScheme, _check_named, _spatial_dims
+from .dynamics import NAMED_SETTINGS, SimulationConfig, _check_named, _spatial_dims
 from .errors import ParameterError
 from .kernels import (
     DeltaPotential,
@@ -62,7 +64,7 @@ _KEYS = {
     "time.dt": ("dt", float),
     "time.t_final": ("t_final", float),
     "time.snapshots": ("snapshot_times", tuple),
-    "time.scheme": ("scheme", SplitScheme),
+    "time.scheme": ("scheme", NAMED_SETTINGS["scheme"]),
     "potential.": ("potential", _POTENTIALS),
     "potential.route": ("kernel_route", NAMED_SETTINGS["kernel_route"]),
     "potential.poisson_dy": ("poisson_delta_y", float),
@@ -71,7 +73,6 @@ _KEYS = {
     "advect.inflow": ("inflow", NAMED_SETTINGS["inflow"]),
     "advect.edge": ("edge_transport", NAMED_SETTINGS["edge_transport"]),
     "observables.N_um": ("n_uniform", int),
-    "observables.record": ("record_observables", bool),
 }
 
 # spec keys whose name differs from their field's
@@ -110,8 +111,6 @@ def _parse(key: str, text: str, kind):
     if isinstance(kind, tuple):
         _check_named(f"config key {key!r}", text, kind)
         return text
-    if kind is SplitScheme:
-        return SplitScheme.named(_parse(key, text, tuple(SCHEMES)))
     if kind is str:
         return text
     if kind is tuple:
@@ -121,18 +120,12 @@ def _parse(key: str, text: str, kind):
         return num
     if num != int(num):
         raise ParameterError(f"config key {key!r}: expected an integer, got {num}")
-    return int(num) if kind is int else num != 0
+    return int(num)
 
 
 def _show(value, kind) -> str:
-    if kind is SplitScheme:
-        if SplitScheme.named(value.name) != value:  # an unknown name raises here
-            raise ParameterError(f"no config file expresses the scheme {value}")
-        return value.name
     if kind is tuple:
         return " ".join(repr(t) for t in value)
-    if kind is bool:
-        return "1" if value else "0"
     return repr(value) if kind is float else str(value)
 
 
@@ -238,8 +231,8 @@ def config_echo(cfg: SimulationConfig) -> dict[str, str]:
     """Every key of cfg, resolved, as a config file that re-parses to cfg.
 
     Keys whose field holds None or an empty tuple are left out.  A config
-    that no file can express (two different 4-D packets, a scheme without a
-    name) raises ParameterError.
+    that no file can express (two different 4-D packets) raises
+    ParameterError.
     """
     out = {"grid.dims": str(cfg.spatial_dims)}
     for key, (name, kind) in _KEYS.items():

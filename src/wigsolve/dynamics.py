@@ -20,7 +20,7 @@ apply_kernel and step build a stepper for a single call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -40,6 +40,7 @@ from .kernels import (
     KernelTable,
     MultiDeltaPotential2D,
     PhysicalConstants,
+    check_exact_route,
     check_poisson_route,
     kernel_coefficients,
     poisson_kernel_coefficients,
@@ -47,7 +48,6 @@ from .kernels import (
 from . import observables
 
 __all__ = [
-    "SplitScheme",
     "SimulationConfig",
     "advect",
     "apply_kernel",
@@ -57,38 +57,15 @@ __all__ = [
 ]
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 
 # advection stage lengths beyond this are treated as misconfiguration
 MAX_STAGE_FS = 10.0
 
 
-@dataclass(frozen=True)
-class SplitScheme:
-    name: str
-    stage_coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if abs(sum(self.stage_coefficients) - 1.0) > 1e-15:
-            raise ParameterError("stage coefficients must sum to 1")
-
-    @classmethod
-    def strang(cls) -> "SplitScheme":
-        return cls.named("strang")
-
-    @classmethod
-    def yoshida4(cls) -> "SplitScheme":
-        return cls.named("yoshida4")
-
-    @classmethod
-    def named(cls, name: str) -> "SplitScheme":
-        _check_named("scheme", name, SCHEMES)
-        return cls(name, SCHEMES[name])
-
-
 # the named schemes' coefficients; the values each string setting takes
-SCHEMES = {"strang": (1.0,), "yoshida4": (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)}
+SCHEMES = {"strang": (1.0,), "yoshida4": (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)}
 NAMED_SETTINGS = {
+    "scheme": tuple(SCHEMES),
     "kernel_route": ("exact", "poisson"),
     "inflow": ("zero", "background"),
     "edge_transport": ("one_sided", "symmetrized"),
@@ -274,10 +251,11 @@ def _multipliers_half_4d(table: KernelTable, tau: float) -> np.ndarray:
 # composed step
 # ----------------------------------------------------------------------
 
-def _stage_sequence(scheme: SplitScheme, dt: float) -> list[tuple[str, float]]:
+def _stage_sequence(scheme: str, dt: float) -> list[tuple[str, float]]:
     """Fused A(t/2) B(t) A(t/2) chains; adjacent transports merge."""
+    _check_named("scheme", scheme, SCHEMES)
     seq: list[tuple[str, float]] = []
-    for w in scheme.stage_coefficients:
+    for w in SCHEMES[scheme]:
         seq += [("A", 0.5 * w * dt), ("B", w * dt), ("A", 0.5 * w * dt)]
     fused: list[tuple[str, float]] = []
     for kind, tau in seq:
@@ -291,6 +269,12 @@ def _stage_sequence(scheme: SplitScheme, dt: float) -> list[tuple[str, float]]:
 def _lengths(stages: list[tuple[str, float]], kind: str) -> dict[float, None]:
     """Distinct stage lengths of one kind ("A" or "B"), in order of first use."""
     return dict.fromkeys(tau for k, tau in stages if k == kind)
+
+
+def _check_stage_lengths(stages: list[tuple[str, float]]) -> None:
+    for tau in _lengths(stages, "A"):
+        if abs(tau) > MAX_STAGE_FS:
+            raise ParameterError(f"stage length {tau} fs exceeds the configured bound")
 
 
 class _Stepper:
@@ -307,9 +291,7 @@ class _Stepper:
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
                  consts: PhysicalConstants | None, stages: list[tuple[str, float]],
                  inflow: np.ndarray | None = None, symmetrized_edge: bool = False):
-        for tau in _lengths(stages, "A"):
-            if abs(tau) > MAX_STAGE_FS:
-                raise ParameterError(f"stage length {tau} fs exceeds the configured bound")
+        _check_stage_lengths(stages)
         if table is not None and table.grid.cache_key() != grid.cache_key():
             raise ParameterError("kernel table was built on a different grid")
         self.grid = grid
@@ -399,11 +381,11 @@ def step(
     table: KernelTable,
     consts: PhysicalConstants,
     dt: float,
-    scheme: SplitScheme,
+    scheme: str,
     inflow: np.ndarray | None = None,
     symmetrized_edge: bool = False,
 ) -> WignerState:
-    """One composed time step; advances state.time by dt."""
+    """One composed time step of a named scheme; advances state.time by dt."""
     stepper = _Stepper(state.grid, table, consts, _stage_sequence(scheme, dt), inflow,
                        symmetrized_edge)
     return stepper.apply(state, dt)
@@ -418,8 +400,10 @@ class SimulationConfig:
     """Everything needed for one reproducible run, passed by keyword.
 
     The defaults here are the only ones: a config file that leaves a key out
-    gets its field's default.  The potential fixes spatial_dims, which is a
-    property, not a field.
+    gets its field's default.  Each string field takes one of its
+    NAMED_SETTINGS values.  The potential fixes spatial_dims, which is a
+    property, not a field.  Construction runs every check of evolve but the
+    machine-dependent 4-D memory budget.
     """
 
     x_lo: float
@@ -436,13 +420,12 @@ class SimulationConfig:
     consts: PhysicalConstants = PhysicalConstants()
     snapshot_times: tuple[float, ...] = ()
     n_uniform: int = 600
-    scheme: SplitScheme = field(default_factory=SplitScheme.yoshida4)
-    kernel_route: str = "exact"  # each string setting takes one of NAMED_SETTINGS
+    scheme: str = "yoshida4"
+    kernel_route: str = "exact"
     poisson_delta_y: float | None = None
     poisson_offset: float = 0.0
     inflow: str = "zero"
     edge_transport: str = "one_sided"
-    record_observables: bool = True
     memory_budget_bytes: float = 8e9
 
     def __post_init__(self):
@@ -452,11 +435,10 @@ class SimulationConfig:
             raise ParameterError(f"t_final must be nonnegative and finite, got {self.t_final!r}")
         if self.t_final > 0 and self.t_final < self.dt:
             raise ParameterError("t_final must be at least one step")
-        for t in self.snapshot_times:
-            if not 0.0 <= t <= self.t_final:
-                raise ParameterError(f"snapshot time {t} outside [0, t_final]")
         for name, names in NAMED_SETTINGS.items():
             _check_named(name, getattr(self, name), names)
+        _snapshot_steps(self)
+        _check_stage_lengths(_stage_sequence(self.scheme, self.dt))
         if self.kernel_route == "poisson":
             check_poisson_route(self.potential, self.poisson_delta_y)
         if isinstance(self.initial, observables.FermiDiracSpec):
@@ -467,7 +449,9 @@ class SimulationConfig:
                     f"consts.mass = {self.consts.mass!r} differs from the Fermi-Dirac"
                     f" effective mass {self.initial.mass!r}"
                 )
-        self.build_grid()  # a grid that cannot be built fails here, not mid-run
+        grid = self.build_grid()  # a grid that cannot be built fails here, not mid-run
+        if self.kernel_route == "exact":
+            check_exact_route(self.potential, grid)
 
     @property
     def spatial_dims(self) -> int:
@@ -493,13 +477,16 @@ class SimulationConfig:
 # full evolution
 # ----------------------------------------------------------------------
 
-def _snapshot_steps(config: SimulationConfig, n_steps: int) -> dict[int, float]:
+def _snapshot_steps(config: SimulationConfig) -> dict[int, float]:
+    """Step index of each snapshot time, which must lie on the step lattice in [0, t_final]."""
     out: dict[int, float] = {}
     for t in config.snapshot_times:
+        if not 0.0 <= t <= config.t_final:
+            raise ParameterError(f"snapshot time {t} outside [0, t_final]")
         s = round(t / config.dt)
-        if abs(s * config.dt - t) > 1e-9 + 1e-12 * abs(t) or s > n_steps:
+        if abs(s * config.dt - t) > 1e-9 + 1e-12 * abs(t):
             raise ParameterError(f"snapshot time {t} is not on the step lattice")
-        out[int(s)] = t
+        out[s] = t
     return out
 
 
@@ -542,8 +529,8 @@ def evolve(config: SimulationConfig):
     values = observables._initial_state(grid, config.initial, consts.hbar).values
     series = observables.ObservableSeries()
     snapshots: list = []
-    n_steps = 0 if config.t_final == 0 else int(round(config.t_final / config.dt))
-    snap_at = _snapshot_steps(config, n_steps)
+    n_steps = round(config.t_final / config.dt)
+    snap_at = _snapshot_steps(config)
 
     # reservoir inflow: the wavenumber profile of the initial data feeds the
     # inflow boundaries (averaged over x in 2-D; 4-D data are uniform in x)
@@ -581,8 +568,7 @@ def evolve(config: SimulationConfig):
             work = stepper.advance(work)
             if not np.isfinite(work).all():
                 raise DivergenceError(f"non-finite field after step {i}")
-        if config.record_observables:
-            record(i * config.dt, work)
+        record(i * config.dt, work)
         if i in snap_at:
             snapshots.append(snapshot(i * config.dt, work))
     if not snapshots:

@@ -44,6 +44,7 @@ __all__ = [
     "wigner_kernel_value",
     "kernel_coefficients",
     "poisson_kernel_coefficients",
+    "check_exact_route",
     "check_poisson_route",
     "clear_table_cache",
 ]
@@ -342,19 +343,23 @@ def kernel_coefficients(
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
+    check_exact_route(spec, grid)
+    build = _coeff_table_multidelta if isinstance(spec, MultiDeltaPotential2D) else _coeff_table_1d
+    table = KernelTable(build(spec, grid, consts), grid, spec)
+    _TABLE_CACHE.put(key, table)
+    return table
+
+
+def check_exact_route(spec: PotentialSpec, grid: PhaseSpaceGrid) -> None:
+    """Raise ParameterError unless the exact route can tabulate spec on grid."""
     if isinstance(spec, MultiDeltaPotential2D):
         if grid.ndim_space != 2:
             raise ParameterError("multi-delta potential needs a 4-D grid")
         for d in spec.points:
             if not all(m.domain_lo <= c <= m.domain_hi for m, c in zip(grid.spatial, d)):
                 raise ParameterError(f"delta point {d} outside the spatial domain")
-        table = KernelTable(_coeff_table_multidelta(spec, grid, consts), grid, spec)
-    else:
-        if grid.ndim_space != 1:
-            raise ParameterError("scalar potential families need a 2-D phase-space grid")
-        table = KernelTable(_coeff_table_1d(spec, grid, consts), grid, spec)
-    _TABLE_CACHE.put(key, table)
-    return table
+    elif grid.ndim_space != 1:
+        raise ParameterError("scalar potential families need a 2-D phase-space grid")
 
 
 def check_poisson_route(spec: PotentialSpec, delta_y: float | None) -> None:

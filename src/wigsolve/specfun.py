@@ -22,6 +22,7 @@ evaluates each distinct |w| once.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,17 +43,9 @@ _CPI_CHECK_TERMS = _CPI_CVZ_TERMS - 6
 _CPI_TAIL_TOL = 1e-11  # largest accepted 24- vs 18-lobe tail difference
 
 
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = _gl_rule(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 # ----------------------------------------------------------------------

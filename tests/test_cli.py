@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from wigsolve.config import build_simulation_config, config_echo, parse_config_text
-from wigsolve.dynamics import SplitScheme
 from wigsolve.errors import ParameterError
 from wigsolve.observables import GaussianPacketSpec
 
@@ -94,7 +93,8 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("old, new, message", [
     ("grid.Q = 4\n", "", "missing required config key 'grid.Q'"),
     ("", "grid.bogus = 1\n", "unknown config keys: grid.bogus"),
-    ("", "threads = 0\n", "unknown config keys: threads"),  # a removed key
+    ("", "threads = 0\n", "unknown config keys: threads"),  # removed keys
+    ("", "observables.record = 0\n", "unknown config keys: observables.record"),
     ("grid.N_k = 16", "grid.N_k = sixteen", "'grid.N_k': not a number"),
     ("grid.Q = 4", "grid.Q = inf", "'grid.Q': not a finite number"),
     ("grid.Q = 4", "grid.Q = nan", "'grid.Q': not a finite number"),
@@ -112,14 +112,20 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("", "potential.route = poisson\n", "discrete-sum route supports"),
     ("kind = delta\npotential.H = 1.0", "kind = gaussian\npotential.H = 1.0\npotential.a = 0.5"
      "\npotential.route = poisson\npotential.poisson_dy = 0", "delta_y must be positive"),
-], ids=["missing", "unknown", "threads", "non-number", "inf", "nan", "snapshot", "dt-nan",
-        "t_final-inf", "M-1", "N_k-odd", "kind", "scheme", "route", "inflow", "edge",
-        "poisson-delta", "poisson-dy-0"])
+    # runs that evolve would refuse fail before the echo too
+    ("", "time.snapshots = 0.015\n", "snapshot time 0.015 is not on the step lattice"),
+    ("time.dt = 0.05\ntime.t_final = 0.1", "time.dt = 20.0\ntime.t_final = 20.0",
+     "exceeds the configured bound"),
+    ("potential.points = 0 0", "potential.points = 20 0", "delta point (20.0, 0.0) outside"),
+], ids=["missing", "unknown", "threads", "record", "non-number", "inf", "nan", "snapshot",
+        "dt-nan", "t_final-inf", "M-1", "N_k-odd", "kind", "scheme", "route", "inflow", "edge",
+        "poisson-delta", "poisson-dy-0", "snapshot-lattice", "stage-length", "point-outside"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):
     from wigsolve.cli import main
 
-    text = TINY_2D.replace(old, new) if old else TINY_2D + new
-    assert text != TINY_2D
+    base = TINY_2D if old in TINY_2D else TINY_4D  # an edit only the 4-D file holds
+    text = base.replace(old, new) if old else base + new
+    assert text != base
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     assert main(["run", str(path)]) == 2
@@ -182,7 +188,6 @@ potential.poisson_dy = 0.01
 potential.poisson_offset = 0.25
 advect.inflow = background
 advect.edge = symmetrized
-observables.record = 0
 """
 _FERMI_KEYS = """\
 init.mass_ratio = 0.05
@@ -230,11 +235,3 @@ def test_echo_refuses_two_different_packets():
     two = (GaussianPacketSpec(-1.0, 1.0, 1.0), GaussianPacketSpec(2.0, -1.0, 0.5))
     with pytest.raises(ParameterError, match="one packet for both dimensions"):
         config_echo(replace(cfg, initial=two))
-
-
-@pytest.mark.parametrize("scheme", [SplitScheme("custom", (0.5, 0.5)), SplitScheme("strang", (0.5, 0.5))],
-                         ids=["unnamed", "misnamed"])
-def test_echo_refuses_a_scheme_without_a_name(scheme):
-    cfg = build_simulation_config(parse_config_text(TINY_2D))
-    with pytest.raises(ParameterError, match="scheme"):
-        config_echo(replace(cfg, scheme=scheme))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import k_forward
 from wigsolve.dynamics import (
+    SCHEMES,
     SimulationConfig,
-    SplitScheme,
     _SweepPlan,
     _working_set_4d,
     advect,
@@ -333,7 +333,7 @@ def test_step_zero_potential_equals_pure_advection():
     grid = grid_2d()
     table = kernel_coefficients(DeltaPotential(H=0.0), grid, CONSTS)
     state = init_gaussian(grid, PACKET)
-    for scheme in (SplitScheme.strang(), SplitScheme.yoshida4()):
+    for scheme in ("strang", "yoshida4"):
         got = step(state, table, CONSTS, 0.02, scheme)
         want = advect(state, CONSTS, 0.02)
         np.testing.assert_allclose(got.values, want.values, atol=1e-11)
@@ -346,7 +346,7 @@ def test_step_conserves_interior_mass():
     table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
     state = init_gaussian(grid, PACKET)
     m0 = total_mass(state)
-    out = step(state, table, CONSTS, 0.01, SplitScheme.yoshida4())
+    out = step(state, table, CONSTS, 0.01, "yoshida4")
     assert total_mass(out) == pytest.approx(m0, rel=1e-10)
 
 
@@ -356,7 +356,7 @@ def test_realness_and_mass_over_many_steps():
     state = init_gaussian(grid, GaussianPacketSpec(x0=-10.0, k0=1.0, sigma=2.0))
     m0 = total_mass(state)
     for _ in range(100):
-        state = step(state, table, CONSTS, 0.01, SplitScheme.strang())
+        state = step(state, table, CONSTS, 0.01, "strang")
     assert np.isrealobj(state.values)
     assert np.isfinite(state.values).all()
     # coarse 32-mode run: interpolation noise dominates the drift budget
@@ -364,11 +364,15 @@ def test_realness_and_mass_over_many_steps():
 
 
 def test_scheme_validation():
-    with pytest.raises(ParameterError):
-        SplitScheme("broken", (0.4, 0.4))
-    s = SplitScheme.yoshida4()
-    assert s.stage_coefficients[1] < 0  # negative middle stage
-    assert sum(s.stage_coefficients) == pytest.approx(1.0, abs=1e-15)
+    for coefficients in SCHEMES.values():
+        assert sum(coefficients) == pytest.approx(1.0, abs=1e-15)
+    assert SCHEMES["yoshida4"][1] < 0  # negative middle stage
+    grid = grid_2d()
+    table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
+    with pytest.raises(ParameterError, match="scheme: unknown value 'rk4'"):
+        step(init_gaussian(grid, PACKET), table, CONSTS, 0.01, "rk4")
+    with pytest.raises(ParameterError, match="scheme: unknown value 'rk4'"):
+        delta_config(scheme="rk4")
 
 
 @pytest.mark.slow
@@ -379,10 +383,10 @@ def test_splitting_self_convergence_orders():
     conf = dict(points_per_element=55, num_modes=128, n_uniform=300)
     for name, lo in (("strang", 1.8), ("yoshida4", 3.4)):
         errs = []
-        ref = evolve(delta_config(scheme=SplitScheme.named(name), dt=0.0025, **conf))[1]
+        ref = evolve(delta_config(scheme=name, dt=0.0025, **conf))[1]
         ref_u = ref.at_time(1.0, "uncertainty")
         for dt in (0.05, 0.025):
-            series = evolve(delta_config(scheme=SplitScheme.named(name), dt=dt, **conf))[1]
+            series = evolve(delta_config(scheme=name, dt=dt, **conf))[1]
             errs.append(abs(series.at_time(1.0, "uncertainty") - ref_u))
         slope = math.log2(errs[0] / errs[1])
         results[name] = slope
