@@ -159,9 +159,15 @@ def _barycentric_rows(diff: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _interp_rows(mesh: SpatialMesh, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-target element index and barycentric row over that element's nodes."""
+def _interp_rows(mesh: SpatialMesh, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-target element index and barycentric row over that element's nodes.
+
+    Every target must lie in the spatial domain: interpolation does not
+    extrapolate.
+    """
     targets = np.asarray(targets, float)
+    if targets.min() < mesh.domain_lo or targets.max() > mesh.domain_hi:
+        raise DomainError("interpolation targets outside the spatial domain")
     elems = mesh.element_of(targets)
     diff = targets[:, None] - mesh.points_by_element[elems]  # (n, M)
     return elems, _barycentric_rows(diff, mesh.barycentric_weights)
@@ -169,15 +175,28 @@ def _interp_rows(mesh: SpatialMesh, targets: np.ndarray) -> tuple[np.ndarray, np
 
 def spatial_interp_matrix(mesh: SpatialMesh, targets) -> np.ndarray:
     """Dense (n_targets, Q*M) barycentric evaluation matrix."""
-    targets = np.asarray(targets, float)
-    if targets.min() < mesh.domain_lo or targets.max() > mesh.domain_hi:
-        raise DomainError("interpolation targets outside the spatial domain")
     elems, rows = _interp_rows(mesh, targets)
     M = mesh.points_per_element
-    out = np.zeros((targets.size, mesh.num_points))
+    out = np.zeros((elems.size, mesh.num_points))
     cols = elems[:, None] * M + np.arange(M)[None, :]
     np.put_along_axis(out, cols, rows, axis=1)
     return out
+
+
+def _spatial_interp_adjoint(mesh: SpatialMesh, targets, columns) -> np.ndarray:
+    """R.T @ columns for R = spatial_interp_matrix(mesh, targets), without R.
+
+    columns is (n_targets, c); the result is (c, Q*M).  Each target's
+    barycentric row scatters onto the M nodes of its element, one bincount
+    per column, so the work is O(n_targets * M * c).
+    """
+    elems, rows = _interp_rows(mesh, targets)
+    M = mesh.points_per_element
+    cols = (elems[:, None] * M + np.arange(M)).ravel()
+    return np.stack([
+        np.bincount(cols, (rows * w[:, None]).ravel(), minlength=mesh.num_points)
+        for w in np.asarray(columns, float).T
+    ])
 
 
 def wavenumber_interp_matrix(mesh: WavenumberMesh, targets) -> np.ndarray:
@@ -195,6 +214,32 @@ def wavenumber_interp_matrix(mesh: WavenumberMesh, targets) -> np.ndarray:
         kernel = np.sin(N * half) / (N * np.tan(half))
     kernel[np.abs(s) < 1e-15] = 1.0
     return kernel
+
+
+def _uniform_wavenumber_interp_adjoint(mesh: WavenumberMesh, columns) -> np.ndarray:
+    """R.T @ columns for R = wavenumber_interp_matrix on the cell-centred mesh.
+
+    columns is (n, c), sampled at t_i = k_min + (i + 1/2) L/n (`uniform_mesh`);
+    the result is (c, N).  The kernel is (1/N) sum_{nu=-N/2}^{N/2} c_nu
+    exp(i nu theta) with c_{+-N/2} = 1/2 and every other c_nu = 1, so
+
+        (R.T w)_j = (1/N) Re sum_nu c_nu W_nu exp(-2 pi i nu j / N),
+        W_nu = sum_i w_i exp(2 pi i nu (i + 1/2) / n)
+             = n exp(i pi nu / n) ifft(w)[nu mod n],
+
+    one inverse FFT of length n and one FFT of length N for all columns.  It
+    is exact for every n, n < N/2 included: aliasing enters through nu mod n.
+    """
+    N = mesh.num_points
+    w = np.asarray(columns, float).T  # (c, n)
+    n = w.shape[1]
+    nu = np.arange(-N // 2, N // 2 + 1)
+    W = n * np.exp(1j * np.pi * nu / n) * np.fft.ifft(w)[:, nu % n]
+    W[:, [0, -1]] *= 0.5
+    spec = np.zeros((w.shape[0], N), complex)
+    spec[:, nu[1:] % N] = W[:, 1:]
+    spec[:, N // 2] += W[:, 0]  # nu = -N/2 and +N/2 share the Nyquist bin
+    return np.fft.fft(spec).real / N
 
 
 @dataclass(frozen=True)

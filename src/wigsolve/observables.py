@@ -4,7 +4,10 @@ Wavenumber integrals are exact in mode space (the marginal is L_k times the
 zero mode); position integrals of marginals use per-element Clenshaw-Curtis
 weights.  The moment observables and error norms follow the reference
 pipeline instead: evaluate the field on the cell-centered uniform mesh and
-apply the midpoint rule there.
+apply the midpoint rule there.  Those functionals are bilinear forms in the
+nodal values; their reduced vectors are built matrix-free (a scatter of
+barycentric rows in x, two short FFTs in k), and only `resample_uniform` and
+`error_norms` build the dense interpolation matrices, once per call.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .errors import DomainError, ParameterError
 from .grid import (
     PhaseSpaceGrid,
     WignerState,
+    _spatial_interp_adjoint,
+    _uniform_wavenumber_interp_adjoint,
     clenshaw_curtis_weights,
     spatial_interp_matrix,
     uniform_mesh,
@@ -225,9 +230,15 @@ class UncertaintyResult:
 class UniformMeshQuadrature:
     """Midpoint-rule functionals on the cell-centered N_um x N_um mesh.
 
-    The resampling operators are linear, so every recorded observable is a
-    bilinear form u^T F v in the nodal values; the reduced vectors below
-    make the per-step cost one thin matrix product.
+    The resampling operators Rx (barycentric, N_um x Q*M) and Rk (periodic
+    sinc, N_um x N_k) are linear, so every recorded observable is a bilinear
+    form u^T F v in the nodal values, and the per-step cost is one thin
+    matrix product.  The seven reduced vectors Rx.T w and Rk.T w are built
+    without Rx or Rk: the x ones scatter each target's barycentric row onto
+    its element's nodes, the k ones come from two short FFTs
+    (`grid._spatial_interp_adjoint`, `grid._uniform_wavenumber_interp_adjoint`).
+    Only `resample` needs the dense matrices; it builds them on every call and
+    keeps neither.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, n_uniform: int):
@@ -238,25 +249,23 @@ class UniformMeshQuadrature:
         self.grid = grid
         self.n_uniform = n_uniform
         xm, km = grid.x, grid.k
-        self.x_pts = uniform_mesh(xm.domain_lo, xm.domain_hi, n_uniform)
-        self.k_pts = uniform_mesh(km.k_min, km.k_max, n_uniform)
+        self.x_pts = x = uniform_mesh(xm.domain_lo, xm.domain_hi, n_uniform)
+        self.k_pts = k = uniform_mesh(km.k_min, km.k_max, n_uniform)
         self.dx = (xm.domain_hi - xm.domain_lo) / n_uniform
         self.dk = km.length / n_uniform
-        self.Rx = spatial_interp_matrix(xm, self.x_pts)
-        self.Rk = wavenumber_interp_matrix(km, self.k_pts)
-        cell = self.dx * self.dk
         ones = np.ones(n_uniform)
-        self.u_x = cell * (self.Rx.T @ ones)
-        self.u_x_right = cell * (self.Rx.T @ (self.x_pts >= 0.0))
-        self.v_x = cell * (self.Rx.T @ self.x_pts)
-        self.v_x2 = cell * (self.Rx.T @ self.x_pts**2)
-        self.u_k = self.Rk.T @ ones
-        self.v_k = self.Rk.T @ self.k_pts
-        self.v_k2 = self.Rk.T @ self.k_pts**2
-        self._kstack = np.column_stack([self.u_k, self.v_k, self.v_k2])
+        self.u_x, self.u_x_right, self.v_x, self.v_x2 = (self.dx * self.dk) * (
+            _spatial_interp_adjoint(xm, x, np.column_stack([ones, x >= 0.0, x, x**2]))
+        )
+        kvec = _uniform_wavenumber_interp_adjoint(km, np.column_stack([ones, k, k**2]))
+        self.u_k, self.v_k, self.v_k2 = kvec
+        self._kstack = kvec.T.copy()
 
     def resample(self, state: WignerState) -> np.ndarray:
-        return self.Rx @ state.values @ self.Rk.T
+        """The field on the uniform mesh, through both dense interpolation matrices."""
+        Rx = spatial_interp_matrix(self.grid.x, self.x_pts)
+        Rk = wavenumber_interp_matrix(self.grid.k, self.k_pts)
+        return Rx @ state.values @ Rk.T
 
     def mass(self, state: WignerState) -> float:
         return float(self.u_x @ state.values @ self.u_k)
@@ -301,7 +310,8 @@ class UniformMeshQuadrature:
         )
 
 
-# A quadrature's interpolation matrices take 8 B x N_um x (nodes + modes).
+# A quadrature holds its mesh points and reduced vectors, 8 B x (2 N_um +
+# 4 nodes + 6 modes); the bound caps how many grids are remembered.
 _QUAD_CACHE_BYTES = 64 * 2**20
 _QUAD_CACHE = ByteLRU(_QUAD_CACHE_BYTES)
 

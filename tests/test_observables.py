@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from wigsolve.errors import DomainError, ParameterError
-from wigsolve.grid import PhaseSpaceGrid, WignerState, build_spatial_mesh, build_wavenumber_mesh
+from wigsolve.grid import (
+    PhaseSpaceGrid,
+    WignerState,
+    build_spatial_mesh,
+    build_wavenumber_mesh,
+    spatial_interp_matrix,
+    wavenumber_interp_matrix,
+)
 from wigsolve.kernels import PhysicalConstants
 from wigsolve.observables import (
     FermiDiracSpec,
@@ -17,6 +24,7 @@ from wigsolve.observables import (
     init_fermi_dirac_4d,
     init_gaussian,
     partial_mass,
+    resample_uniform,
     spatial_marginal,
     spatial_marginal_2d,
     total_mass,
@@ -144,6 +152,87 @@ def test_row_from_work_rejects_a_negative_variance():
         )
 
 
+# (Q, M, N_k, N_um): production size, N_um < N_k/2, odd N_um, N_um = 1, N_k = 512
+QUADRATURE_LADDER = [
+    (20, 21, 128, 600),
+    (10, 9, 32, 100),
+    (3, 5, 8, 7),
+    (4, 6, 16, 5),
+    (3, 5, 16, 1),
+    (20, 21, 512, 600),
+]
+
+
+@pytest.mark.parametrize("Q,M,N,n_uniform", QUADRATURE_LADDER)
+def test_reduced_vectors_match_the_dense_reductions(Q, M, N, n_uniform):
+    grid = PhaseSpaceGrid.plane(
+        build_spatial_mesh(-7.0, 5.0, Q, M), build_wavenumber_mesh(-2.0, 3.0, N)
+    )
+    q = UniformMeshQuadrature(grid, n_uniform)
+    x, k, cell = q.x_pts, q.k_pts, q.dx * q.dk
+    Rx = spatial_interp_matrix(grid.x, x)
+    Rk = wavenumber_interp_matrix(grid.k, k)
+    want = {
+        "u_x": cell * (Rx.T @ np.ones(n_uniform)),
+        "u_x_right": cell * (Rx.T @ (x >= 0.0)),
+        "v_x": cell * (Rx.T @ x),
+        "v_x2": cell * (Rx.T @ x**2),
+        "u_k": Rk.T @ np.ones(n_uniform),
+        "v_k": Rk.T @ k,
+        "v_k2": Rk.T @ k**2,
+    }
+    for name, w in want.items():
+        got = getattr(q, name)
+        assert got.shape == w.shape, name
+        assert np.linalg.norm(got - w) <= 1e-13 * np.linalg.norm(w), name
+
+
+def test_evolve_builds_no_dense_interpolation_matrix(monkeypatch):
+    from wigsolve import observables
+    from wigsolve.dynamics import SimulationConfig, evolve
+    from wigsolve.kernels import DeltaPotential
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense interpolation matrix built")
+
+    monkeypatch.setattr(observables, "spatial_interp_matrix", refuse)
+    monkeypatch.setattr(observables, "wavenumber_interp_matrix", refuse)
+    cfg = SimulationConfig(
+        x_lo=-6.0, x_hi=6.0, num_elements=4, points_per_element=9,
+        k_min=-np.pi, k_max=np.pi, num_modes=16,
+        potential=DeltaPotential(H=1.0), initial=GaussianPacketSpec(-1.0, 1.0, 1.0),
+        dt=0.05, t_final=0.2, consts=CONSTS, n_uniform=50,
+    )
+    _, series = evolve(cfg)
+    assert len(series) == 5
+    assert np.isfinite(series.column("uncertainty")).all()
+
+
+def test_quadrature_cache_counts_the_bytes_it_holds(monkeypatch):
+    from wigsolve import observables
+    from wigsolve.cache import ByteLRU
+
+    monkeypatch.setattr(observables, "_QUAD_CACHE", ByteLRU(2**20))
+    grid, coarse = small_grid(), PhaseSpaceGrid.plane(
+        build_spatial_mesh(-3.0, 3.0, 2, 5), build_wavenumber_mesh(-np.pi, np.pi, 8)
+    )
+    rng = np.random.default_rng(8)
+    a = WignerState(grid, rng.standard_normal(grid.shape))
+    b = WignerState(coarse, rng.standard_normal(coarse.shape))
+    assert resample_uniform(a, 40).shape == (40, 40)
+    error_norms(a, b, 24)
+    cache = observables._QUAD_CACHE
+    assert len(cache) == 3
+    owners = {}
+    for quad, _ in cache._entries.values():
+        for v in vars(quad).values():
+            if isinstance(v, np.ndarray):
+                assert v.ndim == 1 or v.shape == (quad.grid.k.num_points, 3)
+                owner = v if v.base is None else v.base
+                owners[id(owner)] = owner.nbytes
+    assert cache.nbytes == sum(owners.values())
+
+
 def test_constant_field_mass():
     grid = small_grid()
     state = WignerState(grid, np.full(grid.shape, 0.7))
@@ -266,7 +355,7 @@ def test_fermi_dirac_marginal_constant():
 
 
 def test_fermi_dirac_quadrature_converged_in_y():
-    # doubling the y panel density must not move the profile at 1e-12
+    # the 64-node Gauss-Legendre panels agree with adaptive quadrature at 1e-12
     from wigsolve.observables import _fermi_dirac_profile
 
     spec = FermiDiracSpec()
@@ -278,14 +367,20 @@ def test_fermi_dirac_quadrature_converged_in_y():
 
 
 def _fd_profile_dense(spec, hbar, ksq):
+    # adaptive quadrature on unit panels of [0, 14]: each panel reaches its
+    # relative 1e-13 without a round-off warning, which one interval at
+    # 1e-14 cannot
     from scipy.integrate import quad
 
     kBT = spec.k_B * spec.T
     out = []
     for K in ksq:
         sh = (hbar**2 * K / (2 * spec.mass) - spec.E_F) / kBT
-        val = quad(lambda y: 1.0 / (1.0 + np.exp(y * y + sh)), 0, 14, limit=400,
-                   epsabs=1e-14, epsrel=1e-14)[0]
+        val = sum(
+            quad(lambda y: 1.0 / (1.0 + np.exp(y * y + sh)), a, a + 1.0,
+                 epsabs=1e-16, epsrel=1e-13)[0]
+            for a in range(14)
+        )
         out.append(math.sqrt(2 * spec.mass * kBT) / (math.pi * hbar) * val)
     return np.asarray(out)
 
