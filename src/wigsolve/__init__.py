@@ -22,7 +22,6 @@ from .kernels import (
     annulus_points,
     kernel_coefficients,
     poisson_kernel_coefficients,
-    wigner_kernel_value,
 )
 from .dynamics import SimulationConfig, advect, apply_kernel, evolve, evolve_4d, step
 from .observables import (

@@ -61,6 +61,10 @@ _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 # advection stage lengths beyond this are treated as misconfiguration
 MAX_STAGE_FS = 10.0
 
+# a 4-D run whose estimated working set (_working_set_4d) exceeds this many
+# bytes is refused before its table is built
+MEMORY_BUDGET_BYTES = 8e9
+
 
 # the named schemes' coefficients; the values each string setting takes
 SCHEMES = {"strang": (1.0,), "yoshida4": (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)}
@@ -426,7 +430,6 @@ class SimulationConfig:
     poisson_offset: float = 0.0
     inflow: str = "zero"
     edge_transport: str = "one_sided"
-    memory_budget_bytes: float = 8e9
 
     def __post_init__(self):
         if not self.dt > 0 or not math.isfinite(self.dt):
@@ -520,9 +523,9 @@ def evolve(config: SimulationConfig):
     grid = config.build_grid()
     if config.spatial_dims == 2:
         need = _working_set_4d(config, grid)
-        if need > config.memory_budget_bytes:
+        if need > MEMORY_BUDGET_BYTES:
             raise CapacityError(
-                f"estimated working set {need/1e9:.2f} GB exceeds the configured budget"
+                f"estimated working set {need/1e9:.2f} GB exceeds the memory budget"
             )
     table = config.build_table(grid)
     consts = config.consts

@@ -23,8 +23,6 @@ __all__ = [
     "build_spatial_mesh",
     "build_wavenumber_mesh",
     "uniform_mesh",
-    "spatial_interp_matrix",
-    "wavenumber_interp_matrix",
     "clenshaw_curtis_weights",
 ]
 
@@ -173,22 +171,25 @@ def _interp_rows(mesh: SpatialMesh, targets) -> tuple[np.ndarray, np.ndarray]:
     return elems, _barycentric_rows(diff, mesh.barycentric_weights)
 
 
-def spatial_interp_matrix(mesh: SpatialMesh, targets) -> np.ndarray:
-    """Dense (n_targets, Q*M) barycentric evaluation matrix."""
+def _spatial_interp(mesh: SpatialMesh, targets, values) -> np.ndarray:
+    """The interpolant of nodal values (Q*M, c) at the targets, (n_targets, c).
+
+    One gather per element node, weighted by that node's barycentric
+    entries, so no temporary is larger than the result.
+    """
     elems, rows = _interp_rows(mesh, targets)
-    M = mesh.points_per_element
-    out = np.zeros((elems.size, mesh.num_points))
-    cols = elems[:, None] * M + np.arange(M)[None, :]
-    np.put_along_axis(out, cols, rows, axis=1)
+    first = elems * mesh.points_per_element
+    out = rows[:, :1] * values[first]
+    for m in range(1, mesh.points_per_element):
+        out += rows[:, m:m + 1] * values[first + m]
     return out
 
 
 def _spatial_interp_adjoint(mesh: SpatialMesh, targets, columns) -> np.ndarray:
-    """R.T @ columns for R = spatial_interp_matrix(mesh, targets), without R.
+    """The transpose of `_spatial_interp`: columns (n_targets, c) -> (c, Q*M).
 
-    columns is (n_targets, c); the result is (c, Q*M).  Each target's
-    barycentric row scatters onto the M nodes of its element, one bincount
-    per column, so the work is O(n_targets * M * c).
+    Each target's barycentric row scatters onto the M nodes of its element,
+    one bincount per column, so the work is O(n_targets * M * c).
     """
     elems, rows = _interp_rows(mesh, targets)
     M = mesh.points_per_element
@@ -199,47 +200,63 @@ def _spatial_interp_adjoint(mesh: SpatialMesh, targets, columns) -> np.ndarray:
     ])
 
 
-def wavenumber_interp_matrix(mesh: WavenumberMesh, targets) -> np.ndarray:
-    """Dense (n_targets, N_k) trigonometric interpolation matrix.
+def _cell_centred_modes(N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes nu = -N/2 .. N/2 of the periodic-sinc interpolant of N nodes and
+    their factors c_nu exp(i pi nu / n) on the cell-centred n-point mesh.
 
-    Periodic-sinc (Dirichlet) kernel for even N with the cosine treatment of
-    the Nyquist mode, so real nodal data interpolates to real values.
+    The interpolant is (1/N) sum_nu c_nu exp(i nu theta), theta = 2 pi (t -
+    k_j) / L, with c_{+-N/2} = 1/2 and every other c_nu = 1 (the cosine
+    treatment of the Nyquist mode keeps real data real).  At the targets
+    t_i = k_min + (i + 1/2) L/n of `uniform_mesh`, exp(i nu theta) carries
+    the phase exp(2 pi i nu i / n) exp(i pi nu / n) exp(-2 pi i nu j / N).
     """
-    targets = np.asarray(targets, float)
+    nu = np.arange(-N // 2, N // 2 + 1)
+    factor = np.exp(1j * np.pi * nu / n)
+    factor[[0, -1]] *= 0.5
+    return nu, factor
+
+
+def _fold(terms: np.ndarray, nu: np.ndarray, n: int) -> np.ndarray:
+    """Sum terms (..., len(nu)) into n bins by nu mod n."""
+    out = np.zeros(terms.shape[:-1] + (n,), complex)
+    for lo in range(0, nu.size, n):  # n consecutive modes fill distinct bins
+        out[..., nu[lo:lo + n] % n] += terms[..., lo:lo + n]
+    return out
+
+
+def _uniform_wavenumber_interp(mesh: WavenumberMesh, values, n: int) -> np.ndarray:
+    """The periodic-sinc interpolant of nodal values (c, N) on the
+    cell-centred n-point mesh, (c, n).
+
+    With alpha_nu = fft(values)[nu mod N] / N,
+
+        f(t_i) = sum_nu c_nu alpha_nu exp(i pi nu / n) exp(2 pi i nu i / n)
+               = n ifft(fold_n(c_nu alpha_nu exp(i pi nu / n)))_i,
+
+    one FFT of length N and one inverse FFT of length n for all rows.  It is
+    exact for every n, n < N/2 included: aliasing enters through the fold.
+    """
     N = mesh.num_points
-    theta = 2.0 * np.pi * (targets[:, None] - mesh.collocation_k[None, :]) / mesh.length
-    half = 0.5 * theta
-    s = np.sin(half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.sin(N * half) / (N * np.tan(half))
-    kernel[np.abs(s) < 1e-15] = 1.0
-    return kernel
+    nu, factor = _cell_centred_modes(N, n)
+    terms = factor * np.fft.fft(values)[:, nu % N]
+    return np.fft.ifft(_fold(terms, nu, n)).real * (n / N)
 
 
 def _uniform_wavenumber_interp_adjoint(mesh: WavenumberMesh, columns) -> np.ndarray:
-    """R.T @ columns for R = wavenumber_interp_matrix on the cell-centred mesh.
-
-    columns is (n, c), sampled at t_i = k_min + (i + 1/2) L/n (`uniform_mesh`);
-    the result is (c, N).  The kernel is (1/N) sum_{nu=-N/2}^{N/2} c_nu
-    exp(i nu theta) with c_{+-N/2} = 1/2 and every other c_nu = 1, so
+    """The transpose of `_uniform_wavenumber_interp`: columns (n, c) -> (c, N).
 
         (R.T w)_j = (1/N) Re sum_nu c_nu W_nu exp(-2 pi i nu j / N),
         W_nu = sum_i w_i exp(2 pi i nu (i + 1/2) / n)
              = n exp(i pi nu / n) ifft(w)[nu mod n],
 
-    one inverse FFT of length n and one FFT of length N for all columns.  It
-    is exact for every n, n < N/2 included: aliasing enters through nu mod n.
+    one inverse FFT of length n and one FFT of length N for all columns.
     """
     N = mesh.num_points
     w = np.asarray(columns, float).T  # (c, n)
     n = w.shape[1]
-    nu = np.arange(-N // 2, N // 2 + 1)
-    W = n * np.exp(1j * np.pi * nu / n) * np.fft.ifft(w)[:, nu % n]
-    W[:, [0, -1]] *= 0.5
-    spec = np.zeros((w.shape[0], N), complex)
-    spec[:, nu[1:] % N] = W[:, 1:]
-    spec[:, N // 2] += W[:, 0]  # nu = -N/2 and +N/2 share the Nyquist bin
-    return np.fft.fft(spec).real / N
+    nu, factor = _cell_centred_modes(N, n)
+    W = n * factor * np.fft.ifft(w)[:, nu % n]
+    return np.fft.fft(_fold(W, nu, N)).real / N
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "MultiDeltaPotential2D",
     "annulus_points",
     "KernelTable",
-    "wigner_kernel_value",
     "kernel_coefficients",
     "poisson_kernel_coefficients",
     "check_exact_route",
@@ -158,45 +157,6 @@ def _inverse_power_prefactor(spec: InversePowerPotential, hbar: float) -> float:
     return 2.0 ** (1.0 + a) * spec.H * gamma_fn(1.0 - a) * math.sin(0.5 * math.pi * a) / (
         math.pi * hbar
     )
-
-
-def wigner_kernel_value(spec: PotentialSpec, consts: PhysicalConstants, *args):
-    """Pointwise Wigner kernel V_w; (x, k) arguments, or (x1, x2, k1, k2)
-    for the 2-D multi-delta family.  Vectorized over numpy inputs."""
-    hbar = consts.hbar
-    if isinstance(spec, MultiDeltaPotential2D):
-        if len(args) != 4:
-            raise ParameterError("multi-delta kernel takes (x1, x2, k1, k2)")
-        x1, x2, k1, k2 = (np.asarray(a, float) for a in args)
-        out = 0.0
-        for d1, d2 in spec.points:
-            out = out + np.sin(2.0 * (x1 - d1) * k1 + 2.0 * (x2 - d2) * k2)
-        return 4.0 * spec.H / (math.pi * hbar) * out
-    if len(args) != 2:
-        raise ParameterError("kernel takes (x, k)")
-    x, k = (np.asarray(a, float) for a in args)
-    if isinstance(spec, DeltaPotential):
-        return 2.0 * spec.H / (math.pi * hbar) * np.sin(2.0 * x * k)
-    if isinstance(spec, GaussianBarrier):
-        return (
-            2.0 * spec.H / (math.pi * hbar)
-            * np.sin(2.0 * x * k)
-            * np.exp(-2.0 * spec.a**2 * k * k)
-        )
-    if isinstance(spec, LogPotential):
-        # sin(2xk)/|k| jumps through k = 0; return the k -> 0+ limit there
-        absk = np.abs(k)
-        ratio = np.where(absk > 0, np.sin(2.0 * x * k) / np.where(absk > 0, absk, 1.0), 2.0 * x)
-        return -spec.H / hbar * ratio
-    if isinstance(spec, InverseSquarePotential):
-        return -4.0 * spec.H / hbar * np.abs(k) * np.sin(2.0 * x * k)
-    if isinstance(spec, InversePowerPotential):
-        pref = _inverse_power_prefactor(spec, hbar)
-        absk = np.abs(k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = pref * np.sin(2.0 * x * k) * absk ** (spec.alpha - 1.0)
-        return np.where(absk > 0, val, 0.0)
-    raise ParameterError(f"unsupported potential {spec!r}")
 
 
 @dataclass

@@ -4,10 +4,11 @@ Wavenumber integrals are exact in mode space (the marginal is L_k times the
 zero mode); position integrals of marginals use per-element Clenshaw-Curtis
 weights.  The moment observables and error norms follow the reference
 pipeline instead: evaluate the field on the cell-centered uniform mesh and
-apply the midpoint rule there.  Those functionals are bilinear forms in the
-nodal values; their reduced vectors are built matrix-free (a scatter of
-barycentric rows in x, two short FFTs in k), and only `resample_uniform` and
-`error_norms` build the dense interpolation matrices, once per call.
+apply the midpoint rule there.  Evaluation is barycentric in x and
+periodic-sinc in k, and no interpolation matrix is ever formed: the field is
+resampled by gathers over the element nodes and two FFTs, and the moment
+functionals, bilinear forms in the nodal values, reduce to vectors built by
+the transposes of the same two maps.
 """
 
 from __future__ import annotations
@@ -18,17 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import ByteLRU
 from .errors import DomainError, ParameterError
 from .grid import (
     PhaseSpaceGrid,
     WignerState,
+    _spatial_interp,
     _spatial_interp_adjoint,
+    _uniform_wavenumber_interp,
     _uniform_wavenumber_interp_adjoint,
     clenshaw_curtis_weights,
-    spatial_interp_matrix,
     uniform_mesh,
-    wavenumber_interp_matrix,
 )
 from .kernels import PhysicalConstants
 from .specfun import _gl
@@ -230,15 +230,15 @@ class UncertaintyResult:
 class UniformMeshQuadrature:
     """Midpoint-rule functionals on the cell-centered N_um x N_um mesh.
 
-    The resampling operators Rx (barycentric, N_um x Q*M) and Rk (periodic
-    sinc, N_um x N_k) are linear, so every recorded observable is a bilinear
-    form u^T F v in the nodal values, and the per-step cost is one thin
-    matrix product.  The seven reduced vectors Rx.T w and Rk.T w are built
-    without Rx or Rk: the x ones scatter each target's barycentric row onto
-    its element's nodes, the k ones come from two short FFTs
-    (`grid._spatial_interp_adjoint`, `grid._uniform_wavenumber_interp_adjoint`).
-    Only `resample` needs the dense matrices; it builds them on every call and
-    keeps neither.
+    Resampling is linear: F = Rx f Rk.T with Rx barycentric (N_um x Q*M) and
+    Rk periodic sinc (N_um x N_k), both applied matrix-free
+    (`grid._spatial_interp`, `grid._uniform_wavenumber_interp`).  Every
+    recorded observable is then a bilinear form u^T f v in the nodal values,
+    and the per-step cost is one thin matrix product.  The seven reduced
+    vectors Rx.T w and Rk.T w come from the transposed maps: the x ones
+    scatter each target's barycentric row onto its element's nodes, the k
+    ones come from two short FFTs (`grid._spatial_interp_adjoint`,
+    `grid._uniform_wavenumber_interp_adjoint`).
     """
 
     def __init__(self, grid: PhaseSpaceGrid, n_uniform: int):
@@ -262,13 +262,9 @@ class UniformMeshQuadrature:
         self._kstack = kvec.T.copy()
 
     def resample(self, state: WignerState) -> np.ndarray:
-        """The field on the uniform mesh, through both dense interpolation matrices."""
-        Rx = spatial_interp_matrix(self.grid.x, self.x_pts)
-        Rk = wavenumber_interp_matrix(self.grid.k, self.k_pts)
-        return Rx @ state.values @ Rk.T
-
-    def mass(self, state: WignerState) -> float:
-        return float(self.u_x @ state.values @ self.u_k)
+        """The field on the uniform mesh, (N_um, N_um): x first, then k."""
+        fx = _spatial_interp(self.grid.x, self.x_pts, state.values)
+        return _uniform_wavenumber_interp(self.grid.k, fx, self.n_uniform)
 
     def partial_mass(self, state: WignerState) -> float:
         return float(self.u_x_right @ state.values @ self.u_k)
@@ -310,36 +306,21 @@ class UniformMeshQuadrature:
         )
 
 
-# A quadrature holds its mesh points and reduced vectors, 8 B x (2 N_um +
-# 4 nodes + 6 modes); the bound caps how many grids are remembered.
-_QUAD_CACHE_BYTES = 64 * 2**20
-_QUAD_CACHE = ByteLRU(_QUAD_CACHE_BYTES)
-
-
-def _quadrature(grid: PhaseSpaceGrid, n_uniform: int) -> UniformMeshQuadrature:
-    key = (grid.cache_key(), n_uniform)
-    quad = _QUAD_CACHE.get(key)
-    if quad is None:
-        quad = UniformMeshQuadrature(grid, n_uniform)
-        _QUAD_CACHE.put(key, quad)
-    return quad
-
-
 def resample_uniform(state: WignerState, N_um: int) -> np.ndarray:
     """Evaluate a 2-D phase-space state on the N_um x N_um cell-centered mesh."""
-    return _quadrature(state.grid, N_um).resample(state)
+    return UniformMeshQuadrature(state.grid, N_um).resample(state)
 
 
 def partial_mass(state: WignerState, n_uniform: int) -> float:
     """Mass in the half-space x >= 0 (midpoint rule on the uniform mesh)."""
-    return _quadrature(state.grid, n_uniform).partial_mass(state)
+    return UniformMeshQuadrature(state.grid, n_uniform).partial_mass(state)
 
 
 def uncertainty(
     state: WignerState, n_uniform: int, consts: PhysicalConstants = PhysicalConstants()
 ) -> UncertaintyResult:
     """Unnormalized moments of x and p = hbar k and their spread product."""
-    return _quadrature(state.grid, n_uniform).moments(state, consts)
+    return UniformMeshQuadrature(state.grid, n_uniform).moments(state, consts)
 
 
 def error_norms(candidate: WignerState, reference: WignerState, n_uniform: int):
@@ -352,8 +333,8 @@ def error_norms(candidate: WignerState, reference: WignerState, n_uniform: int):
         or gc.k.k_max != gr.k.k_max
     ):
         raise ParameterError("states live on different physical domains")
-    qc = _quadrature(gc, n_uniform)
-    qr = _quadrature(gr, n_uniform)
+    qc = UniformMeshQuadrature(gc, n_uniform)
+    qr = UniformMeshQuadrature(gr, n_uniform)
     diff = qc.resample(candidate) - qr.resample(reference)
     eps2 = math.sqrt(float((diff**2).sum()) * qc.dx * qc.dk)
     eps_inf = float(np.abs(diff).max())

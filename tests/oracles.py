@@ -8,9 +8,14 @@ table, kept verbatim, and `cos_power_integral_lobes` is the whole integral
 built on it.  `_gauss_cos_transform` (Gauss-Legendre panels) and
 `_coeff_table_multidelta` (a loop over the delta points) are the Gaussian
 and multi-delta table builders `wigsolve.kernels` used before its closed
-forms, kept verbatim.  `barycentric_eval` evaluates one element's interpolant at a
-point, and `k_forward`/`k_inverse` map nodal wavenumber data to ascending
-Fourier mode coefficients and back.
+forms, kept verbatim.  `wigner_kernel_value` is the pointwise Wigner kernel
+V_w(x, k) of every family, the integrand the tables transform.
+`barycentric_eval` evaluates one element's interpolant at a point, and
+`k_forward`/`k_inverse` map nodal wavenumber data to ascending Fourier mode
+coefficients and back.  `spatial_interp_matrix` (barycentric) and
+`wavenumber_interp_matrix` (periodic sinc, closed-form Dirichlet kernel) are
+the dense interpolation matrices at arbitrary targets that the package's
+matrix-free uniform-mesh maps must agree with.
 """
 
 from __future__ import annotations
@@ -23,8 +28,18 @@ import numpy as np
 from scipy.special import fresnel as _scipy_fresnel
 
 from wigsolve.errors import AccuracyError, DomainError, ParameterError
-from wigsolve.grid import PhaseSpaceGrid, SpatialMesh, WavenumberMesh
-from wigsolve.kernels import GaussianBarrier, MultiDeltaPotential2D, PhysicalConstants, _sinc_L
+from wigsolve.grid import PhaseSpaceGrid, SpatialMesh, WavenumberMesh, _interp_rows
+from wigsolve.kernels import (
+    DeltaPotential,
+    GaussianBarrier,
+    InversePowerPotential,
+    InverseSquarePotential,
+    LogPotential,
+    MultiDeltaPotential2D,
+    PhysicalConstants,
+    _inverse_power_prefactor,
+    _sinc_L,
+)
 from wigsolve.specfun import _CPI_CVZ_TERMS, _cpi_series, _cvz_alternating, _gl
 
 
@@ -314,3 +329,71 @@ def _coeff_table_multidelta(
         total += A1[:, None, :, None] * B2[None, :, None, :]
         total += B1[:, None, :, None] * A2[None, :, None, :]
     return 4.0 * spec.H / (math.pi * consts.hbar) * total
+
+
+def wigner_kernel_value(spec, consts: PhysicalConstants, *args):
+    """Pointwise Wigner kernel V_w; (x, k) arguments, or (x1, x2, k1, k2)
+    for the 2-D multi-delta family.  Vectorized over numpy inputs."""
+    hbar = consts.hbar
+    if isinstance(spec, MultiDeltaPotential2D):
+        if len(args) != 4:
+            raise ParameterError("multi-delta kernel takes (x1, x2, k1, k2)")
+        x1, x2, k1, k2 = (np.asarray(a, float) for a in args)
+        out = 0.0
+        for d1, d2 in spec.points:
+            out = out + np.sin(2.0 * (x1 - d1) * k1 + 2.0 * (x2 - d2) * k2)
+        return 4.0 * spec.H / (math.pi * hbar) * out
+    if len(args) != 2:
+        raise ParameterError("kernel takes (x, k)")
+    x, k = (np.asarray(a, float) for a in args)
+    if isinstance(spec, DeltaPotential):
+        return 2.0 * spec.H / (math.pi * hbar) * np.sin(2.0 * x * k)
+    if isinstance(spec, GaussianBarrier):
+        return (
+            2.0 * spec.H / (math.pi * hbar)
+            * np.sin(2.0 * x * k)
+            * np.exp(-2.0 * spec.a**2 * k * k)
+        )
+    if isinstance(spec, LogPotential):
+        # sin(2xk)/|k| jumps through k = 0; return the k -> 0+ limit there
+        absk = np.abs(k)
+        ratio = np.where(absk > 0, np.sin(2.0 * x * k) / np.where(absk > 0, absk, 1.0), 2.0 * x)
+        return -spec.H / hbar * ratio
+    if isinstance(spec, InverseSquarePotential):
+        return -4.0 * spec.H / hbar * np.abs(k) * np.sin(2.0 * x * k)
+    if isinstance(spec, InversePowerPotential):
+        pref = _inverse_power_prefactor(spec, hbar)
+        absk = np.abs(k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = pref * np.sin(2.0 * x * k) * absk ** (spec.alpha - 1.0)
+        return np.where(absk > 0, val, 0.0)
+    raise ParameterError(f"unsupported potential {spec!r}")
+
+
+def spatial_interp_matrix(mesh: SpatialMesh, targets) -> np.ndarray:
+    """Dense (n_targets, Q*M) barycentric evaluation matrix."""
+    elems, rows = _interp_rows(mesh, targets)
+    M = mesh.points_per_element
+    out = np.zeros((elems.size, mesh.num_points))
+    cols = elems[:, None] * M + np.arange(M)[None, :]
+    np.put_along_axis(out, cols, rows, axis=1)
+    return out
+
+
+def wavenumber_interp_matrix(mesh: WavenumberMesh, targets) -> np.ndarray:
+    """Dense (n_targets, N_k) trigonometric interpolation matrix.
+
+    Periodic-sinc (Dirichlet) kernel for even N with the cosine treatment of
+    the Nyquist mode, so real nodal data interpolates to real values.
+    sin(N theta/2) takes arguments up to N pi and loses about N ulps
+    (2.7e-14 norm-wise at N = 512), so comparisons with it hold to 1e-13.
+    """
+    targets = np.asarray(targets, float)
+    N = mesh.num_points
+    theta = 2.0 * np.pi * (targets[:, None] - mesh.collocation_k[None, :]) / mesh.length
+    half = 0.5 * theta
+    s = np.sin(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.sin(N * half) / (N * np.tan(half))
+    kernel[np.abs(s) < 1e-15] = 1.0
+    return kernel

@@ -8,6 +8,12 @@ that it settles on the right answer.  The decay is algebraic, not spectral,
 so each family pins a floor under its observed mean order, set a little
 below the order measured when the test was written (delta 1.36, log 2.02,
 inverse power 1.42, inverse square 1.10).
+
+The Q = 20 x grid (M = 21) is under-resolved in x: at N_k = 128 the x error
+against the same run at Q = 160 is 1.3e-1 for delta and 2.1e-2 for log
+(L2, yoshida4, dt = 0.01), larger than most of the N_k errors pinned here.
+The ladder measures the wavenumber discretisation on a fixed x grid, not
+the distance to the converged Wigner function.
 """
 
 import math

@@ -535,11 +535,13 @@ def test_evolve_4d_single_origin_delta_symmetry():
     np.testing.assert_allclose(fsm, fsm[::-1, ::-1], atol=1e-10)
 
 
-def test_evolve_4d_memory_guard():
+def test_evolve_4d_memory_guard(monkeypatch):
+    from wigsolve import dynamics
     from wigsolve.errors import CapacityError
 
+    monkeypatch.setattr(dynamics, "MEMORY_BUDGET_BYTES", 1.0)
     with pytest.raises(CapacityError):
-        evolve_4d(fd_config(memory_budget_bytes=1.0))
+        evolve_4d(fd_config())
 
 
 def test_evolve_4d_stage_caches_match_per_stage_builds():

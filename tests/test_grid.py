@@ -11,10 +11,9 @@ from wigsolve.grid import (
     WignerState,
     build_spatial_mesh,
     build_wavenumber_mesh,
+    _interp_rows,
     clenshaw_curtis_weights,
-    spatial_interp_matrix,
     uniform_mesh,
-    wavenumber_interp_matrix,
 )
 from wigsolve.observables import resample_uniform
 
@@ -187,16 +186,25 @@ def test_resample_no_blowup_on_random_fields():
         assert np.abs(out).max() <= 5.0 * np.abs(state.values).max()
 
 
-def test_wavenumber_interp_matrix_nodes_identity():
-    km = build_wavenumber_mesh(-1.0, 4.0, 16)
-    T = wavenumber_interp_matrix(km, km.collocation_k)
-    np.testing.assert_allclose(T, np.eye(16), atol=1e-12)
+def test_resample_reproduces_the_wavenumber_nodes():
+    # at N_um = N_k / 2 the cell-centred k targets are the odd nodes, and a
+    # field of degree below M in x is reproduced exactly between the nodes
+    grid = PhaseSpaceGrid.plane(
+        build_spatial_mesh(-3.0, 3.0, 4, 9), build_wavenumber_mesh(-1.0, 4.0, 16)
+    )
+    x = grid.x.collocation_points
+    data = np.random.default_rng(12).standard_normal(16)
+    state = WignerState(grid, np.outer(0.3 * x**2 - x + 0.5, data))
+    xs = uniform_mesh(-3.0, 3.0, 8)
+    out = resample_uniform(state, 8)
+    np.testing.assert_allclose(out, np.outer(0.3 * xs**2 - xs + 0.5, data[1::2]), atol=1e-12)
 
 
-def test_spatial_interp_matrix_rejects_outside_targets():
+def test_interp_rows_reject_outside_targets():
     mesh = build_spatial_mesh(-1.0, 1.0, 2, 5)
-    with pytest.raises(DomainError):
-        spatial_interp_matrix(mesh, np.array([1.5]))
+    for outside in (1.5, -1.0 - 1e-12):
+        with pytest.raises(DomainError):
+            _interp_rows(mesh, np.array([0.0, outside]))
 
 
 @pytest.mark.parametrize("M", [3, 5, 8, 21, 55])

@@ -12,6 +12,7 @@ from oracles import (
     _gauss_cos_transform,
     cos_power_integral_lobes,
     oscillatory_quad,
+    wigner_kernel_value,
 )
 from wigsolve import kernels
 from wigsolve.errors import ParameterError
@@ -30,7 +31,6 @@ from wigsolve.kernels import (
     clear_table_cache,
     kernel_coefficients,
     poisson_kernel_coefficients,
-    wigner_kernel_value,
 )
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=1.0)

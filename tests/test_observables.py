@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import spatial_interp_matrix, wavenumber_interp_matrix
 from wigsolve.errors import DomainError, ParameterError
 from wigsolve.grid import (
     PhaseSpaceGrid,
     WignerState,
     build_spatial_mesh,
     build_wavenumber_mesh,
-    spatial_interp_matrix,
-    wavenumber_interp_matrix,
 )
 from wigsolve.kernels import PhysicalConstants
 from wigsolve.observables import (
@@ -96,28 +95,17 @@ def test_partial_mass_symmetry_identity():
     rng = np.random.default_rng(2)
     state = WignerState(grid, rng.standard_normal(grid.shape))
     mirrored = WignerState(grid, state.values[::-1, :].copy())
-    total = total_mass_via_uniform(state)
+    total = uniform_mesh_mass(state, 64)
     assert partial_mass(state, 64) + partial_mass(mirrored, 64) == pytest.approx(
         total, abs=1e-8
     )
 
 
-def test_quadrature_cache_is_bounded_by_bytes(monkeypatch):
-    from wigsolve import observables
-
-    monkeypatch.setattr(observables._QUAD_CACHE, "max_bytes", 1)
-    grid = small_grid()
-    state = WignerState(grid, np.random.default_rng(3).standard_normal(grid.shape))
-    for n_uniform in (32, 48, 32):
-        partial_mass(state, n_uniform)
-    # every entry is over the bound, so only the newest is kept
-    assert len(observables._QUAD_CACHE) == 1
-
-
-def total_mass_via_uniform(state):
-    from wigsolve.observables import UniformMeshQuadrature
-
-    return UniformMeshQuadrature(state.grid, 64).mass(state)
+def uniform_mesh_mass(state, n_uniform):
+    """Midpoint-rule mass of the field resampled on the uniform mesh."""
+    x, k = state.grid.x, state.grid.k
+    cell = (x.domain_hi - x.domain_lo) * k.length / n_uniform**2
+    return float(resample_uniform(state, n_uniform).sum()) * cell
 
 
 def _work_layout(state):
@@ -165,9 +153,7 @@ QUADRATURE_LADDER = [
 
 @pytest.mark.parametrize("Q,M,N,n_uniform", QUADRATURE_LADDER)
 def test_reduced_vectors_match_the_dense_reductions(Q, M, N, n_uniform):
-    grid = PhaseSpaceGrid.plane(
-        build_spatial_mesh(-7.0, 5.0, Q, M), build_wavenumber_mesh(-2.0, 3.0, N)
-    )
+    grid = _ladder_grid(Q, M, N)
     q = UniformMeshQuadrature(grid, n_uniform)
     x, k, cell = q.x_pts, q.k_pts, q.dx * q.dk
     Rx = spatial_interp_matrix(grid.x, x)
@@ -187,16 +173,70 @@ def test_reduced_vectors_match_the_dense_reductions(Q, M, N, n_uniform):
         assert np.linalg.norm(got - w) <= 1e-13 * np.linalg.norm(w), name
 
 
-def test_evolve_builds_no_dense_interpolation_matrix(monkeypatch):
+def _ladder_grid(Q, M, N):
+    return PhaseSpaceGrid.plane(
+        build_spatial_mesh(-7.0, 5.0, Q, M), build_wavenumber_mesh(-2.0, 3.0, N)
+    )
+
+
+def _dense_resample(state, n_uniform):
+    q = UniformMeshQuadrature(state.grid, n_uniform)
+    Rx = spatial_interp_matrix(state.grid.x, q.x_pts)
+    Rk = wavenumber_interp_matrix(state.grid.k, q.k_pts)
+    return Rx @ state.values @ Rk.T
+
+
+@pytest.mark.parametrize("Q,M,N,n_uniform", QUADRATURE_LADDER)
+def test_resample_and_error_norms_match_the_dense_oracle(Q, M, N, n_uniform):
+    rng = np.random.default_rng(Q * N + n_uniform)
+    grid = _ladder_grid(Q, M, N)
+    other = _ladder_grid(Q + 1, M, N + 2)
+    a = WignerState(grid, rng.standard_normal(grid.shape))
+    b = WignerState(other, rng.standard_normal(other.shape))
+    got, want = resample_uniform(a, n_uniform), _dense_resample(a, n_uniform)
+    assert got.shape == want.shape == (n_uniform, n_uniform)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    diff = want - _dense_resample(b, n_uniform)
+    cell = 12.0 * 5.0 / n_uniform**2  # the area of _ladder_grid over N_um^2
+    eps2, eps_inf = error_norms(a, b, n_uniform)
+    assert eps2 == pytest.approx(math.sqrt(float((diff**2).sum()) * cell), rel=1e-13)
+    assert eps_inf == pytest.approx(float(np.abs(diff).max()), rel=1e-13)
+
+
+def test_resample_matches_the_exact_sinc_interpolant_at_512_modes():
+    # the reference sums the periodic-sinc kernel in long double at exactly
+    # cell-centred targets, theta = 2 pi ((i + 1/2)/n - j/N); the x half
+    # takes the same barycentric rows in long double
+    ld = np.longdouble
+    if np.finfo(ld).eps > 1e-18:
+        pytest.skip("long double is no wider than double on this platform")
+    N, n = 512, 600
+    grid = _ladder_grid(3, 5, N)
+    state = WignerState(grid, np.random.default_rng(13).standard_normal(grid.shape))
+    q = UniformMeshQuadrature(grid, n)
+    fx = spatial_interp_matrix(grid.x, q.x_pts).astype(ld) @ state.values.astype(ld)
+    pi = 4 * np.arctan(ld(1))
+    half = pi * ((np.arange(n, dtype=ld)[:, None] + ld(0.5)) / n - np.arange(N, dtype=ld) / N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(half == 0, ld(1), np.sin(N * half) / (N * np.tan(half)))
+    want = fx @ kernel.T
+    err = np.linalg.norm((resample_uniform(state, n) - want).astype(float))
+    assert err <= 2e-15 * np.linalg.norm(want.astype(float))
+
+
+def test_evolve_records_without_resampling(monkeypatch):
+    # the per-step observables come from the reduced vectors: a run never
+    # evaluates the field on the uniform mesh
     from wigsolve import observables
     from wigsolve.dynamics import SimulationConfig, evolve
     from wigsolve.kernels import DeltaPotential
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense interpolation matrix built")
+        raise AssertionError("field resampled on the uniform mesh")
 
-    monkeypatch.setattr(observables, "spatial_interp_matrix", refuse)
-    monkeypatch.setattr(observables, "wavenumber_interp_matrix", refuse)
+    monkeypatch.setattr(observables.UniformMeshQuadrature, "resample", refuse)
+    monkeypatch.setattr(observables, "_spatial_interp", refuse)
+    monkeypatch.setattr(observables, "_uniform_wavenumber_interp", refuse)
     cfg = SimulationConfig(
         x_lo=-6.0, x_hi=6.0, num_elements=4, points_per_element=9,
         k_min=-np.pi, k_max=np.pi, num_modes=16,
@@ -206,31 +246,6 @@ def test_evolve_builds_no_dense_interpolation_matrix(monkeypatch):
     _, series = evolve(cfg)
     assert len(series) == 5
     assert np.isfinite(series.column("uncertainty")).all()
-
-
-def test_quadrature_cache_counts_the_bytes_it_holds(monkeypatch):
-    from wigsolve import observables
-    from wigsolve.cache import ByteLRU
-
-    monkeypatch.setattr(observables, "_QUAD_CACHE", ByteLRU(2**20))
-    grid, coarse = small_grid(), PhaseSpaceGrid.plane(
-        build_spatial_mesh(-3.0, 3.0, 2, 5), build_wavenumber_mesh(-np.pi, np.pi, 8)
-    )
-    rng = np.random.default_rng(8)
-    a = WignerState(grid, rng.standard_normal(grid.shape))
-    b = WignerState(coarse, rng.standard_normal(coarse.shape))
-    assert resample_uniform(a, 40).shape == (40, 40)
-    error_norms(a, b, 24)
-    cache = observables._QUAD_CACHE
-    assert len(cache) == 3
-    owners = {}
-    for quad, _ in cache._entries.values():
-        for v in vars(quad).values():
-            if isinstance(v, np.ndarray):
-                assert v.ndim == 1 or v.shape == (quad.grid.k.num_points, 3)
-                owner = v if v.base is None else v.base
-                owners[id(owner)] = owner.nbytes
-    assert cache.nbytes == sum(owners.values())
 
 
 def test_constant_field_mass():
@@ -252,12 +267,14 @@ def test_single_nonzero_mode_has_zero_marginal():
 
 
 def test_mass_matches_dense_midpoint_oracle():
-    # smooth production-style field against a 2000^2 midpoint sum
+    # smooth production-style field against a 2000^2 midpoint sum, reduced
+    # through the dense interpolation matrices
     grid = reference_grid(64, 21)
     state = init_gaussian(grid, reference_packet())
-    from wigsolve.observables import UniformMeshQuadrature
-
-    dense = UniformMeshQuadrature(grid, 2000).mass(state)
+    q = UniformMeshQuadrature(grid, 2000)
+    ux = spatial_interp_matrix(grid.x, q.x_pts).sum(axis=0)
+    uk = wavenumber_interp_matrix(grid.k, q.k_pts).sum(axis=0)
+    dense = float(ux @ state.values @ uk) * q.dx * q.dk
     assert total_mass(state) == pytest.approx(dense, abs=1e-6)
 
 
@@ -265,12 +282,8 @@ def test_uncertainty_mirror_invariance():
     # moments are unnormalized, so invariance is asserted on a unit-mass field
     grid = small_grid()
     rng = np.random.default_rng(4)
-    from wigsolve.observables import UniformMeshQuadrature
-
-    q = UniformMeshQuadrature(grid, 64)
     raw = rng.random(grid.shape) + 0.05
-    state = WignerState(grid, raw)
-    state = WignerState(grid, raw / q.mass(state))
+    state = WignerState(grid, raw / uniform_mesh_mass(WignerState(grid, raw), 64))
     # (x, k) -> (-x, -k): reverse both axes; wavenumber nodes are left-closed
     # so drop the unpaired top row under the k flip
     flipped = state.values[::-1, :].copy()
