@@ -6,6 +6,10 @@ and a value type; build_simulation_config and config_echo both walk that one
 table.  The potential, the initial data and the physical constants are spec
 dataclasses, read and written field by field under their prefix
 ("potential.H", "init.sigma", "consts.hbar"); "<prefix>kind" picks the class.
+The mass and hbar are read once, under "consts.": the transport, the kernel
+and both kinds of initial data use them.  A Gaussian packet ("init.x0",
+"init.k0", "init.sigma") lies along every spatial dimension; Fermi-Dirac data
+take only "init.T" and "init.E_F".
 Defaults live on the dataclasses only: a key that is absent takes its field's
 default, and a field without a default makes its key required.  The potential
 fixes the number of spatial dimensions; grid.dims may be given and is then
@@ -67,16 +71,11 @@ _KEYS = {
     "time.scheme": ("scheme", NAMED_SETTINGS["scheme"]),
     "potential.": ("potential", _POTENTIALS),
     "potential.route": ("kernel_route", NAMED_SETTINGS["kernel_route"]),
-    "potential.poisson_dy": ("poisson_delta_y", float),
-    "potential.poisson_offset": ("poisson_offset", float),
     "init.": ("initial", _INITIAL),
     "advect.inflow": ("inflow", NAMED_SETTINGS["inflow"]),
     "advect.edge": ("edge_transport", NAMED_SETTINGS["edge_transport"]),
     "observables.N_um": ("n_uniform", int),
 }
-
-# spec keys whose name differs from their field's
-_RENAMED = {"init.effective_mass_ratio": "init.mass_ratio"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -154,7 +153,7 @@ class _Reader:
         cls = kinds[kind]
         values = {}
         for f in fields(cls):
-            key = _RENAMED.get(prefix + f.name, prefix + f.name)
+            key = prefix + f.name
             value = self.points() if key == "potential.points" else self.get(key, float, _required(f))
             if value is not None:
                 values[f.name] = value
@@ -204,8 +203,6 @@ def build_simulation_config(raw: dict[str, str]) -> SimulationConfig:
             f"config key 'grid.dims' = {given}: potential.kind = {raw['potential.kind']!r}"
             f" lives in {dims} spatial dimension(s)"
         )
-    if dims == 2 and isinstance(values["initial"], GaussianPacketSpec):
-        values["initial"] = (values["initial"],) * 2  # one packet per dimension
     leftover = sorted(set(raw) - r.used)
     if leftover:
         raise ParameterError(f"unknown config keys: {', '.join(leftover)}")
@@ -213,16 +210,12 @@ def build_simulation_config(raw: dict[str, str]) -> SimulationConfig:
 
 
 def _spec_echo(prefix: str, kinds: dict, spec) -> dict[str, str]:
-    if isinstance(spec, tuple):  # 4-D packets, one per dimension
-        if len(set(spec)) != 1:
-            raise ParameterError(f"a config file holds one packet for both dimensions, got {spec}")
-        spec = spec[0]
     names = [kind for kind, cls in kinds.items() if cls is type(spec)]
     if not names:
         raise ParameterError(f"no config file expresses {type(spec).__name__}")
     out = {} if names[0] is None else {prefix + "kind": names[0]}
     for f in fields(spec):
-        key, value = _RENAMED.get(prefix + f.name, prefix + f.name), getattr(spec, f.name)
+        key, value = prefix + f.name, getattr(spec, f.name)
         out[key] = "; ".join(f"{p} {q}" for p, q in value) if key == "potential.points" else repr(value)
     return out
 
@@ -230,15 +223,14 @@ def _spec_echo(prefix: str, kinds: dict, spec) -> dict[str, str]:
 def config_echo(cfg: SimulationConfig) -> dict[str, str]:
     """Every key of cfg, resolved, as a config file that re-parses to cfg.
 
-    Keys whose field holds None or an empty tuple are left out.  A config
-    that no file can express (two different 4-D packets) raises
-    ParameterError.
+    An empty snapshot tuple is left out.  A spec of a class that no config
+    file names raises ParameterError.
     """
     out = {"grid.dims": str(cfg.spatial_dims)}
     for key, (name, kind) in _KEYS.items():
         value = getattr(cfg, name)
         if isinstance(kind, dict):
             out.update(_spec_echo(key, kind, value))
-        elif value is not None and value != ():
+        elif value != ():
             out[key] = _show(value, kind)
     return out

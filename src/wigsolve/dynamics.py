@@ -177,9 +177,15 @@ def _sweep(work, matrices, rows, inflow, out=None):
     return np.take(product, rows, axis=0, out=out, mode="clip")
 
 
-def _edge_slice(km: WavenumberMesh) -> int | None:
-    """Index of the unpaired k_min node on a symmetric wavenumber domain."""
-    return 0 if km.k_min == -km.k_max else None
+def _edge_slice(km: WavenumberMesh) -> int:
+    """Index of the unpaired k_min node, which only a symmetric wavenumber
+    domain has; the symmetrized edge transport needs one."""
+    if km.k_min != -km.k_max:
+        raise ParameterError(
+            f"edge_transport = 'symmetrized' needs a symmetric wavenumber domain,"
+            f" got [{km.k_min!r}, {km.k_max!r}]"
+        )
+    return 0
 
 
 def _sweep_plans(grid: PhaseSpaceGrid, consts: PhysicalConstants, tau: float,
@@ -406,8 +412,11 @@ class SimulationConfig:
     The defaults here are the only ones: a config file that leaves a key out
     gets its field's default.  Each string field takes one of its
     NAMED_SETTINGS values.  The potential fixes spatial_dims, which is a
-    property, not a field.  Construction runs every check of evolve but the
-    machine-dependent 4-D memory budget.
+    property, not a field.  initial is one GaussianPacketSpec (the same
+    packet along every dimension) or, in 4-D, a FermiDiracSpec; both kinds
+    of data use consts, as the transport and the kernel do.  Construction
+    runs every check of evolve but the machine-dependent 4-D memory budget;
+    that includes a symmetric wavenumber domain for the symmetrized edge.
     """
 
     x_lo: float
@@ -426,8 +435,6 @@ class SimulationConfig:
     n_uniform: int = 600
     scheme: str = "yoshida4"
     kernel_route: str = "exact"
-    poisson_delta_y: float | None = None
-    poisson_offset: float = 0.0
     inflow: str = "zero"
     edge_transport: str = "one_sided"
 
@@ -443,18 +450,20 @@ class SimulationConfig:
         _snapshot_steps(self)
         _check_stage_lengths(_stage_sequence(self.scheme, self.dt))
         if self.kernel_route == "poisson":
-            check_poisson_route(self.potential, self.poisson_delta_y)
-        if isinstance(self.initial, observables.FermiDiracSpec):
-            if self.spatial_dims != 2:
-                raise ParameterError("Fermi-Dirac initial data needs spatial_dims = 2")
-            if not math.isclose(self.consts.mass, self.initial.mass, rel_tol=1e-9):
-                raise ParameterError(
-                    f"consts.mass = {self.consts.mass!r} differs from the Fermi-Dirac"
-                    f" effective mass {self.initial.mass!r}"
-                )
+            check_poisson_route(self.potential)
+        if not isinstance(self.initial, (observables.GaussianPacketSpec,
+                                         observables.FermiDiracSpec)):
+            raise ParameterError(
+                f"initial must be a GaussianPacketSpec or a FermiDiracSpec, got {self.initial!r}"
+            )
+        if isinstance(self.initial, observables.FermiDiracSpec) and self.spatial_dims != 2:
+            raise ParameterError("Fermi-Dirac initial data needs spatial_dims = 2")
         grid = self.build_grid()  # a grid that cannot be built fails here, not mid-run
         if self.kernel_route == "exact":
             check_exact_route(self.potential, grid)
+        if self.edge_transport == "symmetrized":
+            for km in grid.wavenumber:
+                _edge_slice(km)
 
     @property
     def spatial_dims(self) -> int:
@@ -470,9 +479,7 @@ class SimulationConfig:
 
     def build_table(self, grid: PhaseSpaceGrid) -> KernelTable:
         if self.kernel_route == "poisson":
-            return poisson_kernel_coefficients(
-                self.potential, grid, self.consts, self.poisson_delta_y, self.poisson_offset
-            )
+            return poisson_kernel_coefficients(self.potential, grid, self.consts)
         return kernel_coefficients(self.potential, grid, self.consts)
 
 
@@ -529,7 +536,7 @@ def evolve(config: SimulationConfig):
             )
     table = config.build_table(grid)
     consts = config.consts
-    values = observables._initial_state(grid, config.initial, consts.hbar).values
+    values = observables._initial_state(grid, config.initial, consts).values
     series = observables.ObservableSeries()
     snapshots: list = []
     n_steps = round(config.t_final / config.dt)

@@ -9,7 +9,7 @@ exp(2*pi*i*nu*(k - k_min)/L_k), nu = -N_k/2+1 .. N_k/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

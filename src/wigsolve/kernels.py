@@ -29,7 +29,7 @@ from scipy.special import erf, wofz
 from .cache import ByteLRU
 from .errors import ParameterError
 from .grid import PhaseSpaceGrid
-from .specfun import cos_power_integral, cosine_integral, gamma_fn
+from .specfun import cos_power_integral, cosine_integral
 
 __all__ = [
     "PhysicalConstants",
@@ -154,7 +154,7 @@ def _inverse_power_prefactor(spec: InversePowerPotential, hbar: float) -> float:
     # kernel of H |x|^-alpha from the defining transform:
     #   2^(1+alpha) H Gamma(1-alpha) sin(pi alpha/2) / (pi hbar) * sin(2xk) |k|^(alpha-1)
     a = spec.alpha
-    return 2.0 ** (1.0 + a) * spec.H * gamma_fn(1.0 - a) * math.sin(0.5 * math.pi * a) / (
+    return 2.0 ** (1.0 + a) * spec.H * math.gamma(1.0 - a) * math.sin(0.5 * math.pi * a) / (
         math.pi * hbar
     )
 
@@ -322,15 +322,12 @@ def check_exact_route(spec: PotentialSpec, grid: PhaseSpaceGrid) -> None:
         raise ParameterError("scalar potential families need a 2-D phase-space grid")
 
 
-def check_poisson_route(spec: PotentialSpec, delta_y: float | None) -> None:
-    """Raise ParameterError unless the discrete-sum route can tabulate spec
-    with lattice spacing delta_y (None: the default pi/L_k)."""
+def check_poisson_route(spec: PotentialSpec) -> None:
+    """Raise ParameterError unless the discrete-sum route can tabulate spec."""
     # the route samples V pointwise: families smooth away from the origin
     if not isinstance(spec, (LogPotential, GaussianBarrier)):
         raise ParameterError("the discrete-sum route supports smooth-away-from-origin potentials"
                              f" only (logarithmic or Gaussian), got {spec!r}")
-    if delta_y is not None and not delta_y > 0:
-        raise ParameterError(f"delta_y must be positive, got {delta_y}")
 
 
 def _poisson_samples(spec, x, y):
@@ -348,38 +345,31 @@ def _poisson_samples(spec, x, y):
 
 
 def poisson_kernel_coefficients(
-    spec: PotentialSpec,
-    grid: PhaseSpaceGrid,
-    consts: PhysicalConstants,
-    delta_y: float | None = None,
-    lattice_offset: float = 0.0,
+    spec: PotentialSpec, grid: PhaseSpaceGrid, consts: PhysicalConstants
 ) -> KernelTable:
     """Approximate-route table from the discrete-sum (Poisson summation)
-    kernel with y_zeta = (zeta + lattice_offset) * delta_y over the mode
-    index set.
+    kernel, sampled on the lattice y_zeta = zeta * pi/L_k.
 
-    delta_y defaults to pi/L_k, the sampling dual of the coefficient window
-    [-L_k, L_k]; at that spacing the route reproduces the exact table for
-    smooth, localized potentials.  The summation index runs over
-    |zeta| <= N_k (the smallest symmetric truncation of the infinite sum
-    containing the dual-lattice survivor of every tabulated mode).
-    lattice_offset = 0.5 shifts the samples half a cell so the potential is
-    never evaluated at its center.
+    pi/L_k is the sampling dual of the coefficient window [-L_k, L_k]; on
+    that lattice the route reproduces the exact table for smooth, localized
+    potentials.  The summation index runs over |zeta| <= N_k (the smallest
+    symmetric truncation of the infinite sum containing the dual-lattice
+    survivor of every tabulated mode).  Lattice terms whose samples x +- y/2
+    land on the logarithmic singularity at 0 are dropped (_poisson_samples).
     """
-    check_poisson_route(spec, delta_y)
+    check_poisson_route(spec)
     if grid.ndim_space != 1:
         raise ParameterError("the discrete-sum route is implemented for 2-D phase space")
     km = grid.k
     L = km.length
-    if delta_y is None:
-        delta_y = math.pi / L
-    key = ("poisson", spec, grid.cache_key(), consts, float(delta_y), float(lattice_offset))
+    delta_y = math.pi / L
+    key = ("poisson", spec, grid.cache_key(), consts)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
     x = grid.x.collocation_points
     zeta = np.arange(-km.num_points, km.num_points + 1)
-    y = (zeta + lattice_offset) * delta_y
+    y = zeta * delta_y
     dV = _poisson_samples(spec, x, y)
     # int_{-L}^{L} e^{-ik(y_zeta + nu~)} dk = 2 sinc_L(y_zeta + nu~)
     G = 2.0 * _sinc_L(y[:, None] + km.mode_frequencies[None, :], L)

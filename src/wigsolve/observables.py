@@ -36,6 +36,7 @@ from .specfun import _gl
 __all__ = [
     "GaussianPacketSpec",
     "FermiDiracSpec",
+    "K_B",
     "ObservableSeries",
     "UncertaintyResult",
     "UniformMeshQuadrature",
@@ -64,35 +65,24 @@ class GaussianPacketSpec:
             raise ParameterError("sigma must be positive")
 
 
+# Boltzmann constant, eV / K
+K_B = 8.61734279e-5
+
+
 @dataclass(frozen=True)
 class FermiDiracSpec:
-    """Constants of the position-independent 2-D Fermi-Dirac initial data."""
+    """Reservoir of the position-independent 2-D Fermi-Dirac initial data:
+    temperature T in K and Fermi energy E_F in eV.  The particle mass and
+    hbar are the run's (PhysicalConstants), the same ones the transport uses.
+    """
 
-    effective_mass_ratio: float = 0.067
-    m_e: float = 5.68562966  # eV fs^2 nm^-2
-    k_B: float = 8.61734279e-5  # eV / K
     T: float = 300.0
-    E_F: float = 0.1  # eV
+    E_F: float = 0.1
 
     def __post_init__(self):
-        for name in ("effective_mass_ratio", "m_e", "k_B", "T", "E_F"):
+        for name in ("T", "E_F"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
-
-    @property
-    def mass(self) -> float:
-        return self.effective_mass_ratio * self.m_e
-
-    def constants(self, hbar: float = 0.658211899) -> PhysicalConstants:
-        return PhysicalConstants(hbar=hbar, mass=self.mass)
-
-
-def _gaussian_plane(xm, km, spec: GaussianPacketSpec):
-    x = xm.collocation_points
-    k = km.collocation_k
-    gx = np.exp(-((x - spec.x0) ** 2) / (2.0 * spec.sigma**2))
-    gk = np.exp(-2.0 * spec.sigma**2 * (k - spec.k0) ** 2)
-    return gx, gk
 
 
 def _tail_mass_outside(xm, km, spec: GaussianPacketSpec) -> float:
@@ -109,36 +99,32 @@ def _tail_mass_outside(xm, km, spec: GaussianPacketSpec) -> float:
     return 1.0 - (1.0 - px) * (1.0 - pk)
 
 
-def init_gaussian(grid: PhaseSpaceGrid, spec) -> WignerState:
-    """Unit-mass Gaussian packet; per-dimension specs in 4-D phase space."""
-    if grid.ndim_space == 1:
-        if not isinstance(spec, GaussianPacketSpec):
-            raise ParameterError("2-D initial data takes one GaussianPacketSpec")
-        tail = _tail_mass_outside(grid.x, grid.k, spec)
+def init_gaussian(grid: PhaseSpaceGrid, spec: GaussianPacketSpec) -> WignerState:
+    """Unit-mass Gaussian packet.  In 4-D phase space the same packet lies
+    along both dimensions: f(x1, x2, k1, k2) = f1(x1, k1) f2(x2, k2), each
+    factor the 2-D packet on that dimension's (x, k) plane."""
+    if not isinstance(spec, GaussianPacketSpec):
+        raise ParameterError(f"Gaussian initial data takes one GaussianPacketSpec, got {spec!r}")
+    planes = []
+    for xm, km in zip(grid.spatial, grid.wavenumber):
+        tail = _tail_mass_outside(xm, km, spec)
         if tail > 1e-3:
             warnings.warn(
                 f"initial packet leaves {tail:.2e} of its mass outside the domain",
                 stacklevel=2,
             )
-        gx, gk = _gaussian_plane(grid.x, grid.k, spec)
-        return WignerState(grid, np.outer(gx, gk) / math.pi, 0.0)
-    specs = tuple(spec)
-    if len(specs) != 2 or not all(isinstance(s, GaussianPacketSpec) for s in specs):
-        raise ParameterError("4-D initial data takes a pair of GaussianPacketSpec")
-    g1x, g1k = _gaussian_plane(grid.spatial[0], grid.wavenumber[0], specs[0])
-    g2x, g2k = _gaussian_plane(grid.spatial[1], grid.wavenumber[1], specs[1])
-    values = (
-        g1x[:, None, None, None]
-        * g2x[None, :, None, None]
-        * g1k[None, None, :, None]
-        * g2k[None, None, None, :]
-    ) / math.pi**2
+        gx = np.exp(-((xm.collocation_points - spec.x0) ** 2) / (2.0 * spec.sigma**2))
+        gk = np.exp(-2.0 * spec.sigma**2 * (km.collocation_k - spec.k0) ** 2)
+        planes.append(np.outer(gx, gk) / math.pi)
+    values = planes[0] if grid.ndim_space == 1 else np.einsum("ia,jb->ijab", *planes)
     return WignerState(grid, values, 0.0)
 
 
-def _fermi_dirac_profile(spec: FermiDiracSpec, hbar: float, ksq: np.ndarray) -> np.ndarray:
-    kBT = spec.k_B * spec.T
-    shift = (hbar**2 * ksq / (2.0 * spec.mass) - spec.E_F) / kBT
+def _fermi_dirac_profile(spec: FermiDiracSpec, consts: PhysicalConstants,
+                         ksq: np.ndarray) -> np.ndarray:
+    hbar, mass = consts.hbar, consts.mass
+    kBT = K_B * spec.T
+    shift = (hbar**2 * ksq / (2.0 * mass) - spec.E_F) / kBT
     y_max = math.sqrt(35.0 + max(0.0, spec.E_F / kBT))
     panels = int(math.ceil(y_max))
     nodes, weights = _gl(64)
@@ -152,29 +138,30 @@ def _fermi_dirac_profile(spec: FermiDiracSpec, hbar: float, ksq: np.ndarray) -> 
             total += np.sum(
                 w[:, None] / (1.0 + np.exp(y[:, None] ** 2 + shift[None, :])), axis=0
             )
-    return math.sqrt(2.0 * spec.mass * kBT) / (math.pi * hbar) * total
+    return math.sqrt(2.0 * mass * kBT) / (math.pi * hbar) * total
 
 
 def init_fermi_dirac_4d(
-    grid: PhaseSpaceGrid, spec: FermiDiracSpec, hbar: float = 0.658211899
+    grid: PhaseSpaceGrid, spec: FermiDiracSpec, consts: PhysicalConstants
 ) -> WignerState:
-    """Position-independent 2-D Fermi-Dirac occupation on a 4-D grid."""
+    """Position-independent 2-D Fermi-Dirac occupation on a 4-D grid, for
+    particles of mass consts.mass in units with consts.hbar."""
     if grid.ndim_space != 2:
         raise ParameterError("Fermi-Dirac initial data needs a 4-D grid")
     k1 = grid.wavenumber[0].collocation_k
     k2 = grid.wavenumber[1].collocation_k
     ksq = (k1[:, None] ** 2 + k2[None, :] ** 2).ravel()
-    prof = _fermi_dirac_profile(spec, hbar, ksq).reshape(k1.size, k2.size)
+    prof = _fermi_dirac_profile(spec, consts, ksq).reshape(k1.size, k2.size)
     nx1 = grid.spatial[0].num_points
     nx2 = grid.spatial[1].num_points
     values = np.broadcast_to(prof[None, None, :, :], (nx1, nx2, k1.size, k2.size)).copy()
     return WignerState(grid, values, 0.0)
 
 
-def _initial_state(grid: PhaseSpaceGrid, spec, hbar: float) -> WignerState:
-    """Initial field of a run; hbar is the run's, so data and transport agree."""
+def _initial_state(grid: PhaseSpaceGrid, spec, consts: PhysicalConstants) -> WignerState:
+    """Initial field of a run; consts are the run's, so data and transport agree."""
     if isinstance(spec, FermiDiracSpec):
-        return init_fermi_dirac_4d(grid, spec, hbar)
+        return init_fermi_dirac_4d(grid, spec, consts)
     return init_gaussian(grid, spec)
 
 

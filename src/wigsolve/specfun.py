@@ -32,7 +32,6 @@ from .errors import AccuracyError, DomainError, ParameterError
 
 __all__ = [
     "cosine_integral",
-    "gamma_fn",
     "cos_power_integral",
 ]
 
@@ -59,13 +58,6 @@ def cosine_integral(x):
         raise DomainError("cosine_integral requires finite x > 0")
     out = sici(arr)[1]
     return float(out) if arr.ndim == 0 else out
-
-
-def gamma_fn(alpha: float) -> float:
-    """Gamma(alpha) for alpha in (0, 2)."""
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"gamma_fn domain is (0, 2), got {alpha}")
-    return math.gamma(alpha)
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +137,7 @@ def cos_power_integral(omega, alpha: float, L: float):
         vals[small] = _cpi_series(w[small] * L, alpha, L)
     if (~small).any():
         wt = w[~small]
-        half_line = gamma_fn(1.0 - alpha) * math.sin(0.5 * math.pi * alpha) * wt ** (alpha - 1.0)
+        half_line = math.gamma(1.0 - alpha) * math.sin(0.5 * math.pi * alpha) * wt ** (alpha - 1.0)
         tail, check = _cpi_tail(wt, alpha, L)
         err = float(np.max(np.abs(tail - check))) if tail.size else 0.0
         if err > _CPI_TAIL_TOL:

@@ -1,14 +1,12 @@
 """Config files through the parser and the wigsolve command line."""
 
 import importlib
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from wigsolve.config import build_simulation_config, config_echo, parse_config_text
 from wigsolve.errors import ParameterError
-from wigsolve.observables import GaussianPacketSpec
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -95,6 +93,14 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("", "grid.bogus = 1\n", "unknown config keys: grid.bogus"),
     ("", "threads = 0\n", "unknown config keys: threads"),  # removed keys
     ("", "observables.record = 0\n", "unknown config keys: observables.record"),
+    ("", "potential.poisson_dy = 0\n", "unknown config keys: potential.poisson_dy"),
+    ("", "potential.poisson_offset = 0.5\n", "unknown config keys: potential.poisson_offset"),
+    ("init.kind = fermi_dirac", "init.kind = fermi_dirac\ninit.mass_ratio = 0.067",
+     "unknown config keys: init.mass_ratio"),
+    ("init.kind = fermi_dirac", "init.kind = fermi_dirac\ninit.m_e = 5.68562966",
+     "unknown config keys: init.m_e"),
+    ("init.kind = fermi_dirac", "init.kind = fermi_dirac\ninit.k_B = 8.6e-5",
+     "unknown config keys: init.k_B"),
     ("grid.N_k = 16", "grid.N_k = sixteen", "'grid.N_k': not a number"),
     ("grid.Q = 4", "grid.Q = inf", "'grid.Q': not a finite number"),
     ("grid.Q = 4", "grid.Q = nan", "'grid.Q': not a finite number"),
@@ -110,16 +116,18 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("", "advect.edge = x\n", "config key 'advect.edge': unknown value 'x'"),
     # configs the discrete-sum route cannot tabulate fail before the echo
     ("", "potential.route = poisson\n", "discrete-sum route supports"),
-    ("kind = delta\npotential.H = 1.0", "kind = gaussian\npotential.H = 1.0\npotential.a = 0.5"
-     "\npotential.route = poisson\npotential.poisson_dy = 0", "delta_y must be positive"),
     # runs that evolve would refuse fail before the echo too
     ("", "time.snapshots = 0.015\n", "snapshot time 0.015 is not on the step lattice"),
     ("time.dt = 0.05\ntime.t_final = 0.1", "time.dt = 20.0\ntime.t_final = 20.0",
      "exceeds the configured bound"),
     ("potential.points = 0 0", "potential.points = 20 0", "delta point (20.0, 0.0) outside"),
-], ids=["missing", "unknown", "threads", "record", "non-number", "inf", "nan", "snapshot",
-        "dt-nan", "t_final-inf", "M-1", "N_k-odd", "kind", "scheme", "route", "inflow", "edge",
-        "poisson-delta", "poisson-dy-0", "snapshot-lattice", "stage-length", "point-outside"])
+    ("", "grid.k_min = -3.0\ngrid.k_max = 3.5\nadvect.edge = symmetrized\n",
+     "edge_transport = 'symmetrized' needs a symmetric wavenumber domain"),
+], ids=["missing", "unknown", "threads", "record", "poisson-dy-0", "poisson-offset",
+        "mass-ratio", "m_e", "k_B", "non-number", "inf", "nan", "snapshot", "dt-nan",
+        "t_final-inf", "M-1", "N_k-odd", "kind", "scheme", "route", "inflow", "edge",
+        "poisson-delta", "snapshot-lattice", "stage-length", "point-outside",
+        "symmetrized-asymmetric-k"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):
     from wigsolve.cli import main
 
@@ -161,13 +169,6 @@ def test_four_d_file_without_grid_dims_builds_a_four_d_config():
     assert cfg == build_simulation_config(parse_config_text(TINY_4D))
 
 
-def test_config_rejects_fermi_dirac_without_matching_constants():
-    # without consts.* the transport would run with hbar = m = 1
-    text = "\n".join(line for line in TINY_4D.splitlines() if not line.startswith("consts."))
-    with pytest.raises(ParameterError, match="effective mass"):
-        build_simulation_config(parse_config_text(text))
-
-
 _FAMILY_LINES = {
     "delta": "potential.kind = delta\npotential.H = 1.0\n",
     "log": "potential.kind = log\npotential.H = -0.5\n",
@@ -176,7 +177,8 @@ _FAMILY_LINES = {
     "gaussian": "potential.kind = gaussian\npotential.H = 1.0\npotential.a = 0.5\n",
 }
 _PLANE = TINY_2D.replace(_FAMILY_LINES["delta"], "")
-# every optional key of a 2-D file, none at its default
+# every optional key of a 2-D file, none at its default; the symmetrized
+# edge needs a symmetric wavenumber domain, so it has a case of its own
 _OPTIONAL = """\
 grid.k_min = -3.0
 grid.k_max = 3.5
@@ -184,15 +186,14 @@ consts.hbar = 0.5
 consts.mass = 2.0
 time.snapshots = 0.05, 0.1
 time.scheme = strang
-potential.poisson_dy = 0.01
-potential.poisson_offset = 0.25
 advect.inflow = background
+"""
+_SYMMETRIZED = """\
+grid.k_min = -3.5
+grid.k_max = 3.5
 advect.edge = symmetrized
 """
 _FERMI_KEYS = """\
-init.mass_ratio = 0.05
-init.m_e = 5.0
-init.k_B = 1e-4
 init.T = 77.0
 init.E_F = 0.2
 """
@@ -211,10 +212,9 @@ def _round_trip_texts() -> dict[str, str]:
     texts["gaussian-4d"] = TINY_4D.replace(
         "init.kind = fermi_dirac", "init.kind = gaussian\ninit.x0 = 1.0\ninit.k0 = -0.5\ninit.sigma = 1.5"
     )
-    texts["fermi-keys"] = (
-        TINY_4D.replace("consts.mass = 0.38093718722", f"consts.mass = {0.05 * 5.0!r}") + _FERMI_KEYS
-    )
+    texts["fermi-keys"] = TINY_4D.replace("consts.mass = 0.38093718722", "consts.mass = 0.25") + _FERMI_KEYS
     texts["optional"] = TINY_2D.replace("observables.N_um = 50", "observables.N_um = 80") + _OPTIONAL
+    texts["symmetrized"] = TINY_2D + _SYMMETRIZED
     return texts
 
 
@@ -228,10 +228,3 @@ def test_echo_reparses_to_an_equal_config_and_echo(text):
     again = build_simulation_config(echo)
     assert again == cfg
     assert config_echo(again) == echo
-
-
-def test_echo_refuses_two_different_packets():
-    cfg = build_simulation_config(parse_config_text(_ROUND_TRIP["gaussian-4d"]))
-    two = (GaussianPacketSpec(-1.0, 1.0, 1.0), GaussianPacketSpec(2.0, -1.0, 0.5))
-    with pytest.raises(ParameterError, match="one packet for both dimensions"):
-        config_echo(replace(cfg, initial=two))

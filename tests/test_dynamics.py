@@ -42,7 +42,6 @@ from wigsolve.observables import (
     spatial_marginal,
     spatial_marginal_2d,
     total_mass,
-    uncertainty,
 )
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=1.0)
@@ -131,6 +130,15 @@ def test_advect_stage_bound():
     state = init_gaussian(grid, PACKET)
     with pytest.raises(ParameterError):
         advect(state, CONSTS, 11.0)
+
+
+def test_advect_refuses_symmetrized_edge_on_asymmetric_window():
+    # an asymmetric window has no unpaired k_min node to symmetrize
+    grid = PhaseSpaceGrid.plane(build_spatial_mesh(-10.0, 10.0, 4, 7),
+                                build_wavenumber_mesh(-3.0, 3.5, 16))
+    state = WignerState(grid, np.zeros(grid.shape))
+    with pytest.raises(ParameterError, match="edge_transport"):
+        advect(state, CONSTS, 0.1, symmetrized_edge=True)
 
 
 # ----------------------------------------------------------------------
@@ -500,13 +508,17 @@ def test_config_rejects_non_finite_time_parameters(bad):
 # evolve_4d
 # ----------------------------------------------------------------------
 
+# hbar in eV fs and the GaAs effective mass 0.067 m_e in eV fs^2 nm^-2
+FD_CONSTS = PhysicalConstants(hbar=0.658211899, mass=0.067 * 5.68562966)
+
+
 def fd_config(**kw):
     base = dict(
         x_lo=-10.0, x_hi=10.0, num_elements=5, points_per_element=9,
         k_min=-np.pi, k_max=np.pi, num_modes=16,
         potential=MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 8)),
         initial=FermiDiracSpec(),
-        consts=FermiDiracSpec().constants(),
+        consts=FD_CONSTS,
         dt=0.01, t_final=0.1, inflow="background", n_uniform=100,
         edge_transport="symmetrized",
     )
@@ -520,7 +532,7 @@ def test_evolve_4d_free_marginal_constant_in_time():
     snaps, series = evolve_4d(cfg)
     t, fsm = snaps[-1]
     grid = cfg.build_grid()
-    f0 = spatial_marginal_2d(init_fermi_dirac_4d(grid, FermiDiracSpec()))
+    f0 = spatial_marginal_2d(init_fermi_dirac_4d(grid, FermiDiracSpec(), FD_CONSTS))
     assert t == pytest.approx(0.1)
     assert np.abs(fsm - f0).max() < 1e-10
     m = series.column("total_mass")
@@ -549,7 +561,7 @@ def test_evolve_4d_stage_caches_match_per_stage_builds():
     snaps, series = evolve_4d(cfg)
     grid = cfg.build_grid()
     table = kernel_coefficients(cfg.potential, grid, cfg.consts)
-    state = init_fermi_dirac_4d(grid, cfg.initial, cfg.consts.hbar)
+    state = init_fermi_dirac_4d(grid, cfg.initial, cfg.consts)
     inflow = state.values[0, 0].copy()
     for _ in range(3):
         state = step(state, table, cfg.consts, cfg.dt, cfg.scheme, inflow, True)
@@ -579,12 +591,19 @@ def test_config_rejects_fermi_dirac_data_in_one_dimension():
 
 
 def test_evolve_4d_fermi_dirac_data_uses_run_hbar():
+    # the data follow consts.hbar and consts.mass, the transport's constants
     spec = FermiDiracSpec()
-    consts = PhysicalConstants(hbar=1.0, mass=spec.mass)
-    cfg = fd_config(consts=consts, t_final=0.0)
-    _, series = evolve_4d(cfg)
-    grid = cfg.build_grid()
-    own = total_mass(init_fermi_dirac_4d(grid, spec, hbar=1.0))
-    default = total_mass(init_fermi_dirac_4d(grid, spec))
-    assert series.total_mass[0] == own
-    assert abs(own - default) > 0.1 * own
+    grid = fd_config().build_grid()
+    fd_mass = total_mass(init_fermi_dirac_4d(grid, spec, FD_CONSTS))
+    for consts in (PhysicalConstants(hbar=1.0, mass=FD_CONSTS.mass),
+                   PhysicalConstants(hbar=FD_CONSTS.hbar, mass=2.0 * FD_CONSTS.mass)):
+        _, series = evolve_4d(fd_config(consts=consts, t_final=0.0))
+        own = total_mass(init_fermi_dirac_4d(grid, spec, consts))
+        assert series.total_mass[0] == own
+        assert abs(own - fd_mass) > 0.1 * own
+
+
+@pytest.mark.parametrize("make", [delta_config, fd_config], ids=["2d", "4d"])
+def test_config_rejects_a_tuple_of_packets(make):
+    with pytest.raises(ParameterError, match="initial must be a GaussianPacketSpec"):
+        make(initial=(PACKET, PACKET))

@@ -15,6 +15,7 @@ from wigsolve.grid import (
 )
 from wigsolve.kernels import PhysicalConstants
 from wigsolve.observables import (
+    K_B,
     FermiDiracSpec,
     GaussianPacketSpec,
     ObservableSeries,
@@ -79,6 +80,18 @@ def test_gaussian_tail_warning():
     )
     with pytest.warns(UserWarning):
         init_gaussian(grid, GaussianPacketSpec(x0=-2.5, k0=0.0, sigma=2.0))
+
+
+def test_gaussian_4d_is_the_2d_packet_along_both_dimensions():
+    x = build_spatial_mesh(-10.0, 10.0, 3, 5)
+    k = build_wavenumber_mesh(-np.pi, np.pi, 8)
+    spec = GaussianPacketSpec(x0=1.0, k0=-0.5, sigma=1.5)
+    f2d = init_gaussian(PhaseSpaceGrid.plane(x, k), spec).values
+    grid = PhaseSpaceGrid.tensor4d(x, x, k, k)
+    f4d = init_gaussian(grid, spec).values
+    np.testing.assert_allclose(f4d, np.einsum("ia,jb->ijab", f2d, f2d), rtol=0, atol=1e-15)
+    with pytest.raises(ParameterError, match="one GaussianPacketSpec"):
+        init_gaussian(grid, (spec, spec))
 
 
 def test_partial_mass_of_initial_packet():
@@ -339,6 +352,10 @@ def test_error_norms_domain_mismatch():
 # Fermi-Dirac initial data
 # ----------------------------------------------------------------------
 
+# hbar in eV fs and the GaAs effective mass 0.067 m_e in eV fs^2 nm^-2
+FD_CONSTS = PhysicalConstants(hbar=0.658211899, mass=0.067 * 5.68562966)
+
+
 def fd_grid(Nk=24, Q=2, M=5):
     x = build_spatial_mesh(-10.0, 10.0, Q, M)
     k = build_wavenumber_mesh(-np.pi, np.pi, Nk)
@@ -348,7 +365,7 @@ def fd_grid(Nk=24, Q=2, M=5):
 def test_fermi_dirac_position_independent_and_monotone():
     grid = fd_grid(Nk=16)
     spec = FermiDiracSpec()
-    state = init_fermi_dirac_4d(grid, spec)
+    state = init_fermi_dirac_4d(grid, spec, FD_CONSTS)
     v = state.values
     assert np.array_equal(v[0, 0], v[3, 7])
     # strictly decreasing in |k|^2 along the k1 axis at k2 = 0
@@ -361,7 +378,7 @@ def test_fermi_dirac_position_independent_and_monotone():
 def test_fermi_dirac_marginal_constant():
     # the discrete free-space marginal at the production wavenumber count
     grid = fd_grid(Nk=24)
-    state = init_fermi_dirac_4d(grid, FermiDiracSpec())
+    state = init_fermi_dirac_4d(grid, FermiDiracSpec(), FD_CONSTS)
     fsm = spatial_marginal_2d(state)
     assert np.abs(fsm - fsm[0, 0]).max() < 1e-15
     assert fsm[0, 0] == pytest.approx(0.05384, abs=1e-4)
@@ -373,28 +390,29 @@ def test_fermi_dirac_quadrature_converged_in_y():
 
     spec = FermiDiracSpec()
     ks = np.linspace(0.0, 2.0 * np.pi**2, 40)
-    base = _fermi_dirac_profile(spec, 0.658211899, ks)
+    base = _fermi_dirac_profile(spec, FD_CONSTS, ks)
 
-    dense = _fd_profile_dense(spec, 0.658211899, ks)
+    dense = _fd_profile_dense(spec, FD_CONSTS, ks)
     np.testing.assert_allclose(base, dense, atol=1e-12)
 
 
-def _fd_profile_dense(spec, hbar, ksq):
+def _fd_profile_dense(spec, consts, ksq):
     # adaptive quadrature on unit panels of [0, 14]: each panel reaches its
     # relative 1e-13 without a round-off warning, which one interval at
     # 1e-14 cannot
     from scipy.integrate import quad
 
-    kBT = spec.k_B * spec.T
+    hbar, mass = consts.hbar, consts.mass
+    kBT = K_B * spec.T
     out = []
     for K in ksq:
-        sh = (hbar**2 * K / (2 * spec.mass) - spec.E_F) / kBT
+        sh = (hbar**2 * K / (2 * mass) - spec.E_F) / kBT
         val = sum(
             quad(lambda y: 1.0 / (1.0 + np.exp(y * y + sh)), a, a + 1.0,
                  epsabs=1e-16, epsrel=1e-13)[0]
             for a in range(14)
         )
-        out.append(math.sqrt(2 * spec.mass * kBT) / (math.pi * hbar) * val)
+        out.append(math.sqrt(2 * mass * kBT) / (math.pi * hbar) * val)
     return np.asarray(out)
 
 

@@ -8,7 +8,7 @@ from scipy.special import sici
 
 from oracles import QuadSpec, cos_power_integral_lobes, fresnel_c, oscillatory_quad
 from wigsolve.errors import DomainError, ParameterError
-from wigsolve.specfun import cos_power_integral, cosine_integral, gamma_fn
+from wigsolve.specfun import cos_power_integral, cosine_integral
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-13)
 
@@ -133,35 +133,6 @@ def test_fresnel_odd_and_asymptotic_envelope():
     for x in (0.3, 1.7, 4.0):
         assert fresnel_c(-x) == -fresnel_c(x)
     assert abs(fresnel_c(50.0) - 0.5) <= 1.0 / (50.0 * math.pi)
-
-
-# ----------------------------------------------------------------------
-# gamma
-# ----------------------------------------------------------------------
-
-def gamma_oracle(a: float) -> float:
-    # split integral representation; tail beyond t = 60 is below 1e-20
-    body = oscillatory_quad(lambda t: t ** (a - 1.0) * np.exp(-t), 0.0, 60.0,
-                            TIGHT, singular_lo=a < 1.0)
-    return body
-
-
-def test_gamma_classical_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(0.25) == pytest.approx(gamma_oracle(0.25), rel=1e-12)
-
-
-def test_gamma_recurrence():
-    rng = np.random.default_rng(9)
-    for a in rng.uniform(0.05, 0.95, 12):
-        assert gamma_fn(a + 1.0) == pytest.approx(a * gamma_fn(a), rel=1e-12)
-
-
-def test_gamma_domain():
-    for bad in (0.0, 2.0, -1.0, 2.5):
-        with pytest.raises(DomainError):
-            gamma_fn(bad)
 
 
 # ----------------------------------------------------------------------
