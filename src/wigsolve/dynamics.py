@@ -304,13 +304,17 @@ class _Stepper:
         _check_stage_lengths(stages)
         if table is not None and table.grid.cache_key() != grid.cache_key():
             raise ParameterError("kernel table was built on a different grid")
+        N = tuple(km.num_points for km in grid.wavenumber)
+        if inflow is not None:
+            inflow = np.asarray(inflow, float)
+            if inflow.shape != N:
+                raise ParameterError(f"inflow must have shape {N}, got {inflow.shape}")
         self.grid = grid
         self.stages = stages
-        self.inflow = None if inflow is None else np.asarray(inflow, float)
+        self.inflow = inflow
         self.plans = {
             tau: _sweep_plans(grid, consts, tau, symmetrized_edge) for tau in _lengths(stages, "A")
         }
-        N = tuple(km.num_points for km in grid.wavenumber)
         if grid.ndim_space == 1:
             half = _multipliers_half_2d
             # the 1-D transforms skip scipy.fft's n-D argument handling, which
@@ -443,8 +447,7 @@ class SimulationConfig:
             raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
         if not self.t_final >= 0 or not math.isfinite(self.t_final):
             raise ParameterError(f"t_final must be nonnegative and finite, got {self.t_final!r}")
-        if self.t_final > 0 and self.t_final < self.dt:
-            raise ParameterError("t_final must be at least one step")
+        _step_index(self.t_final, self.dt, "t_final")
         for name, names in NAMED_SETTINGS.items():
             _check_named(name, getattr(self, name), names)
         _snapshot_steps(self)
@@ -487,16 +490,21 @@ class SimulationConfig:
 # full evolution
 # ----------------------------------------------------------------------
 
+def _step_index(t: float, dt: float, what: str) -> int:
+    """Number of steps of length dt that end at time t, which must lie on the step lattice."""
+    s = round(t / dt)
+    if abs(s * dt - t) > 1e-9 + 1e-12 * abs(t):
+        raise ParameterError(f"{what} {t} is not on the step lattice of dt = {dt}")
+    return s
+
+
 def _snapshot_steps(config: SimulationConfig) -> dict[int, float]:
     """Step index of each snapshot time, which must lie on the step lattice in [0, t_final]."""
     out: dict[int, float] = {}
     for t in config.snapshot_times:
         if not 0.0 <= t <= config.t_final:
             raise ParameterError(f"snapshot time {t} outside [0, t_final]")
-        s = round(t / config.dt)
-        if abs(s * config.dt - t) > 1e-9 + 1e-12 * abs(t):
-            raise ParameterError(f"snapshot time {t} is not on the step lattice")
-        out[s] = t
+        out[_step_index(t, config.dt, "snapshot time")] = t
     return out
 
 
@@ -539,7 +547,7 @@ def evolve(config: SimulationConfig):
     values = observables._initial_state(grid, config.initial, consts).values
     series = observables.ObservableSeries()
     snapshots: list = []
-    n_steps = round(config.t_final / config.dt)
+    n_steps = _step_index(config.t_final, config.dt, "t_final")
     snap_at = _snapshot_steps(config)
 
     # reservoir inflow: the wavenumber profile of the initial data feeds the

@@ -133,7 +133,7 @@ def build_spatial_mesh(X_L: float, X_R: float, Q: int, M: int) -> SpatialMesh:
 
 
 def build_wavenumber_mesh(k_min: float, k_max: float, N_k: int) -> WavenumberMesh:
-    if k_min >= k_max:
+    if not (np.isfinite(k_min) and np.isfinite(k_max)) or k_min >= k_max:
         raise ParameterError(f"degenerate wavenumber domain [{k_min}, {k_max}]")
     if N_k < 4 or N_k % 2 != 0:
         raise ParameterError(f"N_k must be even and >= 4, got {N_k}")

@@ -8,14 +8,15 @@ transforms:
     s_nu(x) = pref * [ C(w+) - C(w-) ],     w+- = 2x +- 2 pi nu / L_k,
     C(w)    = int_0^{L_k} cos(w k) phi(k) dk.
 
-C has a closed form for the delta and inverse-square families, for the
-finite-size Gaussian barrier (through the Faddeeva function, DLMF 7.2) and
-for each factor of the multi-delta family, whose table is then one
-contraction over its delta points; the logarithmic family uses a
-cosine-integral split and the inverse-power family the singular-oscillatory
-quadrature.  Every table holds the real s with c = i s; s_0 = 0 and
-s_{-nu} = -s_nu, which is what keeps the kernel substep real and
-marginal-preserving.
+C is a sinc moment for the delta, inverse-square and multi-delta families
+and a Faddeeva form for the Gaussian barrier (DLMF 7.2); the inverse-power
+family uses the singular-oscillatory quadrature.  The log C diverges but
+its difference is s_nu = (H/hbar) [Cin(|w+| L_k) - Cin(|w-| L_k)], with
+Cin(u) = gamma + ln u - Ci(u) (DLMF 6.2.2).  The discrete-sum route's window
+transform vanishes on its lattice y = zeta pi/L_k but at one point per mode,
+so s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar.  Every table
+holds the real s with c = i s; s_0 = 0 and s_{-nu} = -s_nu, which is what
+keeps the kernel substep real and marginal-preserving.
 """
 
 from __future__ import annotations
@@ -48,15 +49,9 @@ __all__ = [
     "clear_table_cache",
 ]
 
-# sin(w L)/w and int_0^L k cos(w k) dk switch to Taylor values below this
-_SMALL_OMEGA = 1e-8
-
 # from here on e^{-b^2} < 3e-16, so the two terms of the Faddeeva form of the
 # Gaussian transform can no longer cancel (see _gauss_cos_transform)
 _GAUSS_ERF_B = 6.0
-
-# prescribed split point of the logarithmic coefficient integral
-LOG_SPLIT_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,10 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ParameterError("hbar and mass must be positive")
+        if not (0.0 < self.hbar < math.inf and 0.0 < self.mass < math.inf):
+            raise ParameterError(
+                f"hbar and mass must be positive and finite, got {self.hbar!r}, {self.mass!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,8 @@ class GaussianBarrier:
     a: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ParameterError(f"barrier size must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ParameterError(f"barrier size must be positive and finite, got {self.a!r}")
 
     def value(self, x):
         x = np.asarray(x, float)
@@ -182,35 +179,23 @@ class KernelTable:
 
 
 def _sinc_L(w: np.ndarray, L: float) -> np.ndarray:
+    """int_0^L cos(w k) dk = sin(w L)/w, L at w = 0; no cancellation anywhere."""
     w = np.asarray(w, float)
-    small = np.abs(w) < _SMALL_OMEGA
-    safe = np.where(small, 1.0, w)
-    return np.where(small, L - w * w * L**3 / 6.0, np.sin(safe * L) / safe)
+    zero = w == 0.0
+    safe = np.where(zero, 1.0, w)
+    return np.where(zero, L, np.sin(safe * L) / safe)
 
 
 def _k_cos_moment(w: np.ndarray, L: float) -> np.ndarray:
-    """int_0^L k cos(w k) dk without cancellation near w = 0."""
-    w = np.asarray(w, float)
-    small = np.abs(w) < _SMALL_OMEGA
-    safe = np.where(small, 1.0, w)
-    u = safe * L
-    exact = L * np.sin(u) / safe - 2.0 * np.sin(0.5 * u) ** 2 / safe**2
-    taylor = L * L * (0.5 - (w * L) ** 2 / 8.0)
-    return np.where(small, taylor, exact)
+    """int_0^L k cos(w k) dk = L sin(w L)/w - 2 sin^2(w L/2)/w^2, both terms sincs."""
+    return L * _sinc_L(w, L) - 0.5 * _sinc_L(0.5 * np.asarray(w, float), L) ** 2
 
 
-def _log_cos_transform_pair(wp, wm, L: float):
-    """C(w+) - C(w-) for phi = 1/k, regularized by the (0, eps) Taylor split."""
-    eps = LOG_SPLIT_EPS
-
-    def g(w):
-        absw = np.abs(w)
-        zero = absw == 0.0
-        safe = np.where(zero, 1.0, absw)
-        val = cosine_integral(safe * eps) - cosine_integral(safe * L)
-        return np.where(zero, -math.log(L / eps), val)
-
-    return 0.5 * (g(wp) - g(wm))
+def _cin(u: np.ndarray) -> np.ndarray:
+    """Cin(u) = gamma + ln u - Ci(u) for u >= 0, Cin(0) = 0 (DLMF 6.2.2)."""
+    zero = u == 0.0
+    safe = np.where(zero, 1.0, u)
+    return np.where(zero, 0.0, np.euler_gamma + np.log(safe) - cosine_integral(safe))
 
 
 def _gauss_cos_transform(w: np.ndarray, a: float, L: float) -> np.ndarray:
@@ -248,10 +233,8 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
         pref = 2.0 * spec.H / (math.pi * hbar)
         diff = _gauss_cos_transform(wp, spec.a, L) - _gauss_cos_transform(wm, spec.a, L)
     elif isinstance(spec, LogPotential):
-        pref = 2.0 * spec.H / hbar
-        nt, xc, eps = freqs[None, :], x[:, None], LOG_SPLIT_EPS
-        taylor = nt * xc * eps**2 - (nt * xc**3 / 3.0 + nt**3 * xc / 12.0) * eps**4
-        diff = taylor + _log_cos_transform_pair(wp, wm, L)
+        pref = spec.H / hbar
+        diff = _cin(np.abs(wp) * L) - _cin(np.abs(wm) * L)
     elif isinstance(spec, InversePowerPotential):
         pref = _inverse_power_prefactor(spec, hbar)
         beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
@@ -330,11 +313,11 @@ def check_poisson_route(spec: PotentialSpec) -> None:
                              f" only (logarithmic or Gaussian), got {spec!r}")
 
 
-def _poisson_samples(spec, x, y):
-    """V(x + y/2) - V(x - y/2) on the sampling lattice, with the logarithmic
-    singularity rule: lattice terms that land exactly on x = 0 are dropped."""
-    up = x[:, None] + 0.5 * y[None, :]
-    dn = x[:, None] - 0.5 * y[None, :]
+def _poisson_samples(spec, x, h):
+    """V(x + h) - V(x - h) for every x and offset h, with the logarithmic
+    singularity rule: a difference with a sample exactly at x = 0 is 0."""
+    up = x[:, None] + h[None, :]
+    dn = x[:, None] - h[None, :]
     if isinstance(spec, GaussianBarrier):
         return spec.value(up) - spec.value(dn)
     dead = (up == 0.0) | (dn == 0.0)
@@ -352,31 +335,25 @@ def poisson_kernel_coefficients(
 
     pi/L_k is the sampling dual of the coefficient window [-L_k, L_k]; on
     that lattice the route reproduces the exact table for smooth, localized
-    potentials.  The summation index runs over |zeta| <= N_k (the smallest
-    symmetric truncation of the infinite sum containing the dual-lattice
-    survivor of every tabulated mode).  Lattice terms whose samples x +- y/2
-    land on the logarithmic singularity at 0 are dropped (_poisson_samples).
+    potentials.  The window transform 2 sin((y_zeta + nu~) L_k)/(y_zeta + nu~)
+    of mode nu vanishes at every lattice point but y_zeta = -2 pi nu/L_k, so
+    the sum is that one term:
+
+        s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar,
+
+    which is exactly 0 at nu = 0.  A difference with a sample exactly on the
+    logarithmic singularity at x = 0 is dropped (_poisson_samples).
     """
     check_poisson_route(spec)
     if grid.ndim_space != 1:
         raise ParameterError("the discrete-sum route is implemented for 2-D phase space")
-    km = grid.k
-    L = km.length
-    delta_y = math.pi / L
     key = ("poisson", spec, grid.cache_key(), consts)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
-    x = grid.x.collocation_points
-    zeta = np.arange(-km.num_points, km.num_points + 1)
-    y = zeta * delta_y
-    dV = _poisson_samples(spec, x, y)
-    # int_{-L}^{L} e^{-ik(y_zeta + nu~)} dk = 2 sinc_L(y_zeta + nu~)
-    G = 2.0 * _sinc_L(y[:, None] + km.mode_frequencies[None, :], L)
-    # c = -i (...), so s is minus the real sum
-    s = -((delta_y / (2.0 * math.pi * consts.hbar)) * (dV @ G))
-    # nu = 0 must stay exactly zero: the substep may not touch the marginal
-    s[:, km.mode_position(0)] = 0.0
+    km = grid.k
+    h = km.mode_indices * (math.pi / km.length)
+    s = _poisson_samples(spec, grid.x.collocation_points, h) / consts.hbar
     table = KernelTable(s, grid, spec)
     _TABLE_CACHE.put(key, table)
     return table

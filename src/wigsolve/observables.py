@@ -61,8 +61,10 @@ class GaussianPacketSpec:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ParameterError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not (math.isfinite(self.x0) and math.isfinite(self.k0)):
+            raise ParameterError(f"packet centre must be finite, got ({self.x0!r}, {self.k0!r})")
 
 
 # Boltzmann constant, eV / K
@@ -81,8 +83,9 @@ class FermiDiracSpec:
 
     def __post_init__(self):
         for name in ("T", "E_F"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _tail_mass_outside(xm, km, spec: GaussianPacketSpec) -> float:

@@ -5,11 +5,14 @@ estimate, tuned by `QuadSpec`; `fresnel_c` is scipy's Fresnel cosine
 integral; `_cpi_tail` is the direct lobe-by-lobe evaluation of
 int_L^inf cos(w k) k^(-a) dk that `wigsolve.specfun` used before its lobe
 table, kept verbatim, and `cos_power_integral_lobes` is the whole integral
-built on it.  `_gauss_cos_transform` (Gauss-Legendre panels) and
-`_coeff_table_multidelta` (a loop over the delta points) are the Gaussian
-and multi-delta table builders `wigsolve.kernels` used before its closed
-forms, kept verbatim.  `wigner_kernel_value` is the pointwise Wigner kernel
-V_w(x, k) of every family, the integrand the tables transform.
+built on it.  `_gauss_cos_transform` (Gauss-Legendre panels),
+`_coeff_table_multidelta` (a loop over the delta points) and
+`poisson_lattice_sum` (the dense lattice sum of the discrete-sum route, with
+its sampler `_poisson_samples`) are the Gaussian, multi-delta and
+discrete-sum table builders `wigsolve.kernels` used before its closed and
+one-term forms, kept verbatim.  `cin_series` is the power series of
+Cin(u) = int_0^u (1 - cos t)/t dt.  `wigner_kernel_value` is the pointwise
+Wigner kernel V_w(x, k) of every family, the integrand the tables transform.
 `barycentric_eval` evaluates one element's interpolant at a point, and
 `k_forward`/`k_inverse` map nodal wavenumber data to ascending Fourier mode
 coefficients and back.  `spatial_interp_matrix` (barycentric) and
@@ -329,6 +332,51 @@ def _coeff_table_multidelta(
         total += A1[:, None, :, None] * B2[None, :, None, :]
         total += B1[:, None, :, None] * A2[None, :, None, :]
     return 4.0 * spec.H / (math.pi * consts.hbar) * total
+
+
+def _poisson_samples(spec, x, y):
+    """V(x + y/2) - V(x - y/2) on the sampling lattice, with the logarithmic
+    singularity rule: lattice terms that land exactly on x = 0 are dropped."""
+    up = x[:, None] + 0.5 * y[None, :]
+    dn = x[:, None] - 0.5 * y[None, :]
+    if isinstance(spec, GaussianBarrier):
+        return spec.value(up) - spec.value(dn)
+    dead = (up == 0.0) | (dn == 0.0)
+    safe_up = np.where(dead, 1.0, np.abs(up))
+    safe_dn = np.where(dead, 1.0, np.abs(dn))
+    dV = spec.H * (np.log(safe_up) - np.log(safe_dn))
+    return np.where(dead, 0.0, dV)
+
+
+def poisson_lattice_sum(
+    spec, grid: PhaseSpaceGrid, consts: PhysicalConstants
+) -> np.ndarray:
+    """Discrete-sum table s_nu(x) as the sum over the lattice y_zeta = zeta
+    pi/L_k, |zeta| <= N_k, of the sampled potential difference times the
+    window transform 2 sinc_L(y_zeta + nu~)."""
+    km = grid.k
+    L = km.length
+    delta_y = math.pi / L
+    x = grid.x.collocation_points
+    zeta = np.arange(-km.num_points, km.num_points + 1)
+    y = zeta * delta_y
+    dV = _poisson_samples(spec, x, y)
+    # int_{-L}^{L} e^{-ik(y_zeta + nu~)} dk = 2 sinc_L(y_zeta + nu~)
+    G = 2.0 * _sinc_L(y[:, None] + km.mode_frequencies[None, :], L)
+    # c = -i (...), so s is minus the real sum
+    s = -((delta_y / (2.0 * math.pi * consts.hbar)) * (dV @ G))
+    # nu = 0 must stay exactly zero: the substep may not touch the marginal
+    s[:, km.mode_position(0)] = 0.0
+    return s
+
+
+def cin_series(u, terms: int = 20) -> np.ndarray:
+    """Cin(u) = sum_{n>=1} (-1)^(n+1) u^(2n) / (2n (2n)!), for |u| <= 1."""
+    u = np.asarray(u, float)
+    out = np.zeros_like(u)
+    for n in range(terms, 0, -1):
+        out += (-1) ** (n + 1) * u ** (2 * n) / (2 * n * math.factorial(2 * n))
+    return out
 
 
 def wigner_kernel_value(spec, consts: PhysicalConstants, *args):

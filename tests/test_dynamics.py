@@ -99,6 +99,22 @@ def test_advect_background_inflow_keeps_constant_field():
     np.testing.assert_allclose(out.values, state.values, atol=1e-12)
 
 
+def test_advect_and_step_refuse_a_misshaped_inflow():
+    grid = grid_2d()
+    state = init_gaussian(grid, PACKET)
+    table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
+    for bad in (np.ones(1), np.ones((64, 1)), np.ones(65), np.ones((1, 64))):
+        with pytest.raises(ParameterError, match=r"inflow must have shape \(64,\)"):
+            advect(state, CONSTS, 0.1, inflow=bad)
+        with pytest.raises(ParameterError, match=r"inflow must have shape \(64,\)"):
+            step(state, table, CONSTS, 0.01, "strang", inflow=bad)
+    x, k = build_spatial_mesh(-10.0, 10.0, 3, 5), build_wavenumber_mesh(-np.pi, np.pi, 8)
+    state4 = WignerState(PhaseSpaceGrid.tensor4d(x, x, k, k), np.ones((15, 15, 8, 8)))
+    for bad in (np.ones(8), np.ones((8, 1)), np.ones((1, 8)), np.ones((8, 8, 1))):
+        with pytest.raises(ParameterError, match=r"inflow must have shape \(8, 8\)"):
+            advect(state4, CONSTS, 0.1, inflow=bad)
+
+
 def test_advect_free_streaming_translate():
     # spectral-resolution run: one exact characteristic jump of 10 fs
     grid = grid_2d(N=128, M=31)

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
 from oracles import (
     QuadSpec,
     _coeff_table_multidelta,
     _gauss_cos_transform,
+    cin_series,
     cos_power_integral_lobes,
     oscillatory_quad,
+    poisson_lattice_sum,
     wigner_kernel_value,
 )
 from wigsolve import kernels
@@ -32,6 +35,7 @@ from wigsolve.kernels import (
     kernel_coefficients,
     poisson_kernel_coefficients,
 )
+from wigsolve.observables import FermiDiracSpec, GaussianPacketSpec
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=1.0)
 ORACLE = QuadSpec(abs_tol=1e-11, rel_tol=1e-11)
@@ -515,6 +519,87 @@ def test_poisson_table_invariants():
     grid = plane_grid(X=30.0, Q=10, M=11, N=64)
     table = poisson_kernel_coefficients(GaussianBarrier(H=1.0, a=2.0), grid, CONSTS)
     _structure_checks(table, grid.k)
+
+
+def _poisson_grid(window, N, X):
+    """Plane grid on [-X, X] x window with X rounded down to a multiple of
+    pi/L_k, so that the end nodes x = +-X put samples x -+ nu pi/L_k
+    exactly on 0."""
+    km = build_wavenumber_mesh(*window, N)
+    X = math.floor(X / (math.pi / km.length)) * (math.pi / km.length)
+    return PhaseSpaceGrid.plane(build_spatial_mesh(-X, X, 10, 11), km)
+
+
+POISSON_CASES = {
+    "log-symmetric-128": (LogPotential(H=0.7), (-np.pi, np.pi), 128),
+    "log-asymmetric-128": (LogPotential(H=0.7), (-3.0, 3.5), 128),
+    "log-symmetric-512": (LogPotential(H=-1.2), (-np.pi, np.pi), 512),
+    "gaussian-symmetric-64": (GaussianBarrier(H=1.1, a=0.5), (-np.pi, np.pi), 64),
+    "gaussian-asymmetric-128": (GaussianBarrier(H=1.0, a=2.0), (-3.0, 3.5), 128),
+}
+
+
+@pytest.mark.parametrize("spec, window, N", POISSON_CASES.values(), ids=POISSON_CASES.keys())
+def test_poisson_table_is_the_dense_lattice_sum(spec, window, N):
+    grid = _poisson_grid(window, N, X=30.0)
+    x, km = grid.x.collocation_points, grid.k
+    # samples x -+ nu pi/L_k on the log singularity, which both forms drop
+    h = km.mode_indices[km.mode_indices != 0] * (math.pi / km.length)
+    assert np.isin(x, h).any() and np.isin(x, -h).any()
+    clear_table_cache()
+    s = poisson_kernel_coefficients(spec, grid, CONSTS).multipliers
+    ref = poisson_lattice_sum(spec, grid, CONSTS)
+    assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.all(s[:, km.mode_position(0)] == 0.0)
+    _assert_exactly_odd(s, [km])
+
+
+@pytest.mark.parametrize("window", [(-np.pi, np.pi), (-3.0, 3.5)], ids=["symmetric", "asymmetric"])
+def test_log_table_matches_the_cin_series_near_zero_frequency(window):
+    # s = (H/hbar) [Cin(|w+| L) - Cin(|w-| L)]; where an argument is at most 1,
+    # gamma + ln u - Ci(u) cancels down to Cin(u) ~ u^2/4 and is pinned to
+    # the power series.  The grid has nodes where w- is exactly 0.
+    km = build_wavenumber_mesh(*window, 32)
+    grid = PhaseSpaceGrid.plane(build_spatial_mesh(-4.0, 4.0, 4, 9), km)
+    spec = LogPotential(H=0.9)
+    clear_table_cache()
+    s = kernel_coefficients(spec, grid, CONSTS).multipliers
+    x, L = grid.x.collocation_points[:, None], km.length
+    up = np.abs(2.0 * x + km.mode_frequencies) * L
+    dn = np.abs(2.0 * x - km.mode_frequencies) * L
+
+    def cin(u):
+        small = u <= 1.0
+        big = np.where(small, 2.0, u)
+        return np.where(small, cin_series(np.where(small, u, 0.0)),
+                        np.euler_gamma + np.log(big) - sici(big)[1])
+
+    near = np.minimum(up, dn) <= 1.0
+    assert near.sum() >= 20 and (dn == 0.0).any()
+    ref = spec.H / CONSTS.hbar * (cin(up) - cin(dn))
+    assert np.abs(s - ref)[near].max() <= 1e-14 * np.abs(s).max()
+    # in an entry the small Cin sits beside a large one; alone, its error is
+    # the rounding of ln u
+    u = np.geomspace(1e-12, 1.0, 61)
+    assert np.all(np.abs(kernels._cin(u) - cin_series(u)) <= 4e-16 * (1.0 - np.log(u)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: PhysicalConstants(hbar=v),
+    lambda v: PhysicalConstants(mass=v),
+    lambda v: GaussianBarrier(H=1.0, a=v),
+    lambda v: GaussianPacketSpec(x0=0.0, k0=0.0, sigma=v),
+    lambda v: GaussianPacketSpec(x0=v, k0=0.0, sigma=1.0),
+    lambda v: GaussianPacketSpec(x0=0.0, k0=v, sigma=1.0),
+    lambda v: FermiDiracSpec(T=v),
+    lambda v: FermiDiracSpec(E_F=v),
+    lambda v: build_wavenumber_mesh(-v, v, 8),
+    lambda v: build_wavenumber_mesh(-1.0, v, 8),
+], ids=["hbar", "mass", "barrier-a", "sigma", "x0", "k0", "T", "E_F", "k-window", "k_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_physical_inputs_refuse_nan_and_inf(make, value):
+    with pytest.raises(ParameterError):
+        make(value)
 
 
 def test_kernel_table_rejects_a_complex_or_misshaped_array():
