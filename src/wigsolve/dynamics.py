@@ -302,7 +302,7 @@ class _Stepper:
                  consts: PhysicalConstants | None, stages: list[tuple[str, float]],
                  inflow: np.ndarray | None = None, symmetrized_edge: bool = False):
         _check_stage_lengths(stages)
-        if table is not None and table.grid.cache_key() != grid.cache_key():
+        if table is not None and table.grid != grid:
             raise ParameterError("kernel table was built on a different grid")
         N = tuple(km.num_points for km in grid.wavenumber)
         if inflow is not None:

@@ -9,7 +9,7 @@ exp(2*pi*i*nu*(k - k_min)/L_k), nu = -N_k/2+1 .. N_k/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,15 +49,21 @@ def _cgl_barycentric_weights(M: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpatialMesh:
-    """Equal-width spectral elements with shared CGL nodes."""
+    """Equal-width spectral elements with shared CGL nodes.
+
+    A value: meshes compare and hash by (domain, Q, M), the numbers that fix
+    the node arrays, so a mesh can key a cache.
+    """
 
     domain_lo: float
     domain_hi: float
     num_elements: int
     points_per_element: int
-    element_boundaries: np.ndarray  # (Q+1,)
-    collocation_points: np.ndarray  # (Q*M,) element-major, ascending per element
-    barycentric_weights: np.ndarray  # (M,) reference weights, shared by all elements
+    element_boundaries: np.ndarray = field(compare=False)  # (Q+1,)
+    # (Q*M,) element-major, ascending per element
+    collocation_points: np.ndarray = field(compare=False)
+    # (M,) reference weights, shared by all elements
+    barycentric_weights: np.ndarray = field(compare=False)
 
     @property
     def num_points(self) -> int:
@@ -76,19 +82,20 @@ class SpatialMesh:
         e = np.floor((np.asarray(x, float) - self.domain_lo) / self.element_width)
         return np.clip(e, 0, self.num_elements - 1).astype(np.int64)
 
-    def cache_key(self) -> tuple:
-        return (self.domain_lo, self.domain_hi, self.num_elements, self.points_per_element)
-
 
 @dataclass(frozen=True)
 class WavenumberMesh:
-    """Uniform wavenumber collocation with Fourier mode bookkeeping."""
+    """Uniform wavenumber collocation with Fourier mode bookkeeping.
+
+    A value: meshes compare and hash by (k window, N_k), the numbers that fix
+    the node and mode arrays.
+    """
 
     k_min: float
     k_max: float
     num_points: int
-    collocation_k: np.ndarray  # (N_k,)
-    mode_indices: np.ndarray  # (N_k,) ascending: -N_k/2+1 .. N_k/2
+    collocation_k: np.ndarray = field(compare=False)  # (N_k,)
+    mode_indices: np.ndarray = field(compare=False)  # (N_k,) ascending: -N_k/2+1 .. N_k/2
 
     @property
     def length(self) -> float:
@@ -102,9 +109,6 @@ class WavenumberMesh:
     def mode_position(self, nu: int) -> int:
         """Index of mode nu in the ascending storage order."""
         return int(nu) + self.num_points // 2 - 1
-
-    def cache_key(self) -> tuple:
-        return (self.k_min, self.k_max, self.num_points)
 
 
 def build_spatial_mesh(X_L: float, X_R: float, Q: int, M: int) -> SpatialMesh:
@@ -294,11 +298,6 @@ class PhaseSpaceGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(m.num_points for m in self.spatial) + tuple(
             m.num_points for m in self.wavenumber
-        )
-
-    def cache_key(self) -> tuple:
-        return tuple(m.cache_key() for m in self.spatial) + tuple(
-            m.cache_key() for m in self.wavenumber
         )
 
 

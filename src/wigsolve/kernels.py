@@ -22,12 +22,12 @@ keeps the kernel substep real and marginal-preserving.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, wofz
 
-from .cache import ByteLRU
 from .errors import ParameterError
 from .grid import PhaseSpaceGrid
 from .specfun import cos_power_integral, cosine_integral
@@ -69,50 +69,55 @@ class PhysicalConstants:
 
 
 @dataclass(frozen=True)
-class DeltaPotential:
-    """V(x) = H delta(x); H in eV nm."""
+class _Strength:
+    """The strength H every potential family carries: finite, of any sign."""
 
     H: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.H):
+            raise ParameterError(f"potential strength H must be finite, got {self.H!r}")
+
 
 @dataclass(frozen=True)
-class LogPotential:
+class DeltaPotential(_Strength):
+    """V(x) = H delta(x); H in eV nm."""
+
+
+@dataclass(frozen=True)
+class LogPotential(_Strength):
     """Logarithmic potential with strength H in eV.
 
     The pointwise potential is only sampled by the discrete-sum route, which
     uses the even extension H log|x|; the kernel itself is defined for all x.
     """
 
-    H: float
-
 
 @dataclass(frozen=True)
-class InversePowerPotential:
+class InversePowerPotential(_Strength):
     """V(x) = H |x|^-alpha with alpha in (0, 1); H in eV nm^alpha."""
 
-    H: float
     alpha: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
-class InverseSquarePotential:
+class InverseSquarePotential(_Strength):
     """V(x) = H |x|^-2; H in eV nm^2."""
-
-    H: float
 
 
 @dataclass(frozen=True)
-class GaussianBarrier:
+class GaussianBarrier(_Strength):
     """Finite-size barrier H exp(-x^2/(2 a^2)) / (sqrt(2 pi) a); H in eV nm."""
 
-    H: float
     a: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.a < math.inf:
             raise ParameterError(f"barrier size must be positive and finite, got {self.a!r}")
 
@@ -122,13 +127,13 @@ class GaussianBarrier:
 
 
 @dataclass(frozen=True)
-class MultiDeltaPotential2D:
+class MultiDeltaPotential2D(_Strength):
     """Sum of 2-D point potentials H delta(x1-d1) delta(x2-d2); H in eV nm^2."""
 
-    H: float
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.points) < 1:
             raise ParameterError("need at least one delta point")
         object.__setattr__(
@@ -161,7 +166,9 @@ class KernelTable:
     """Real mode coefficients s_nu(x) (ascending nu), c_nu = i s_nu.
 
     The kernel substep multiplies mode nu by exp(i tau s_nu) over a stage
-    of length tau.
+    of length tau.  The tables `kernel_coefficients` and
+    `poisson_kernel_coefficients` return are cached and shared, so their
+    multipliers are read-only.
     """
 
     multipliers: np.ndarray  # float64; (nx, Nk) or (nx1, nx2, Nk1, Nk2)
@@ -271,26 +278,42 @@ def _coeff_table_multidelta(
 
 # A table costs 8 B per phase-space point: the bound holds about sixty
 # 45^2 x 16^2 multi-delta tables, or six hundred 2-D tables at 420 x 128.
-_TABLE_CACHE = ByteLRU(256 * 2**20)
+_TABLE_CACHE_BYTES = 256 * 2**20
+# (route, potential, grid, consts) -> table, least recently used first
+_TABLE_CACHE: OrderedDict = OrderedDict()
 
 
 def clear_table_cache():
     _TABLE_CACHE.clear()
 
 
+def _cached_table(key, build) -> KernelTable:
+    """The cached table for key, or build() cached read-only as the newest.
+
+    Every caller shares a cached table, so its multipliers cannot be written.
+    Older tables are evicted until the cache holds _TABLE_CACHE_BYTES at
+    most, but the newest one always stays.
+    """
+    table = _TABLE_CACHE.get(key)
+    if table is not None:
+        _TABLE_CACHE.move_to_end(key)
+        return table
+    table = _TABLE_CACHE[key] = build()
+    table.multipliers.flags.writeable = False
+    total = sum(t.multipliers.nbytes for t in _TABLE_CACHE.values())
+    while total > _TABLE_CACHE_BYTES and len(_TABLE_CACHE) > 1:
+        total -= _TABLE_CACHE.popitem(last=False)[1].multipliers.nbytes
+    return table
+
+
 def kernel_coefficients(
     spec: PotentialSpec, grid: PhaseSpaceGrid, consts: PhysicalConstants
 ) -> KernelTable:
     """Exact-route coefficient table s_nu(x) over K' = [-L_k, L_k]."""
-    key = ("exact", spec, grid.cache_key(), consts)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
     check_exact_route(spec, grid)
     build = _coeff_table_multidelta if isinstance(spec, MultiDeltaPotential2D) else _coeff_table_1d
-    table = KernelTable(build(spec, grid, consts), grid, spec)
-    _TABLE_CACHE.put(key, table)
-    return table
+    return _cached_table(("exact", spec, grid, consts),
+                         lambda: KernelTable(build(spec, grid, consts), grid, spec))
 
 
 def check_exact_route(spec: PotentialSpec, grid: PhaseSpaceGrid) -> None:
@@ -347,13 +370,8 @@ def poisson_kernel_coefficients(
     check_poisson_route(spec)
     if grid.ndim_space != 1:
         raise ParameterError("the discrete-sum route is implemented for 2-D phase space")
-    key = ("poisson", spec, grid.cache_key(), consts)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    km = grid.k
-    h = km.mode_indices * (math.pi / km.length)
-    s = _poisson_samples(spec, grid.x.collocation_points, h) / consts.hbar
-    table = KernelTable(s, grid, spec)
-    _TABLE_CACHE.put(key, table)
-    return table
+    def build():
+        h = grid.k.mode_indices * (math.pi / grid.k.length)
+        s = _poisson_samples(spec, grid.x.collocation_points, h) / consts.hbar
+        return KernelTable(s, grid, spec)
+    return _cached_table(("poisson", spec, grid, consts), build)

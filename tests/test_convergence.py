@@ -1,4 +1,5 @@
-"""Resolution ladders of full runs: self-convergence in N_k on the exact route.
+"""Resolution ladders of full runs: self-convergence in N_k and in Q on the
+exact route.
 
 Each family runs one packet to t = 4 at N_k = 32, 64, 128 and 256 and is
 compared with the same run at N_k = 512 (L2 error_norms on a 600-point
@@ -12,8 +13,15 @@ inverse power 1.42, inverse square 1.10).
 The Q = 20 x grid (M = 21) is under-resolved in x: at N_k = 128 the x error
 against the same run at Q = 160 is 1.3e-1 for delta and 2.1e-2 for log
 (L2, yoshida4, dt = 0.01), larger than most of the N_k errors pinned here.
-The ladder measures the wavenumber discretisation on a fixed x grid, not
-the distance to the converged Wigner function.
+The N_k ladder measures the wavenumber discretisation on a fixed x grid,
+not the distance to the converged Wigner function.
+
+The Q ladder measures the x discretisation on a fixed wavenumber grid: the
+same packet and window at N_k = 128, M = 21, dt = 0.01, with Q = 20, 40 and
+80 compared with the same run at Q = 160 (measured L2 errors: delta 1.29e-1,
+1.13e-2, 5.54e-4; log 2.14e-2, 7.12e-4, 8.86e-6).  Each family pins a
+floor a little below the mean order in the element width measured when the
+test was written (delta 3.93, log 5.62).
 """
 
 import math
@@ -45,13 +53,19 @@ FAMILIES = {
     "inverse_square": (InverseSquarePotential(H=1.0), 1.0),
 }
 
+ELEMENT_LADDER = (20, 40, 80)
+REFERENCE_ELEMENTS = 160
+ELEMENT_MODES = 128
+# family -> floor under log2(e_20 / e_80) / 2
+ELEMENT_FLOORS = {"delta": 3.7, "log": 5.4}
 
-def _final_state(potential, num_modes):
+
+def _final_state(potential, num_modes, num_elements=20, dt=0.02):
     cfg = SimulationConfig(
-        x_lo=-30.0, x_hi=30.0, num_elements=20, points_per_element=21,
+        x_lo=-30.0, x_hi=30.0, num_elements=num_elements, points_per_element=21,
         k_min=-2.0 * math.pi, k_max=2.0 * math.pi, num_modes=num_modes,
         potential=potential, initial=GaussianPacketSpec(x0=-6.0, k0=1.5, sigma=1.5),
-        dt=0.02, t_final=4.0, scheme="yoshida4",
+        dt=dt, t_final=4.0, scheme="yoshida4",
     )
     return evolve(cfg)[0][-1]
 
@@ -63,4 +77,18 @@ def test_wavenumber_ladder_converges(family):
     errors = [error_norms(_final_state(potential, n), reference, N_UNIFORM)[0] for n in LADDER]
     assert all(a > b for a, b in zip(errors, errors[1:])), errors
     order = math.log2(errors[0] / errors[-1]) / math.log2(LADDER[-1] / LADDER[0])
+    assert order > floor, (order, errors)
+
+
+@pytest.mark.parametrize("family", ELEMENT_FLOORS)
+def test_element_ladder_converges(family):
+    potential, floor = FAMILIES[family][0], ELEMENT_FLOORS[family]
+
+    def run(Q):
+        return _final_state(potential, ELEMENT_MODES, num_elements=Q, dt=0.01)
+
+    reference = run(REFERENCE_ELEMENTS)
+    errors = [error_norms(run(Q), reference, N_UNIFORM)[0] for Q in ELEMENT_LADDER]
+    assert all(a > b for a, b in zip(errors, errors[1:])), errors
+    order = math.log2(errors[0] / errors[-1]) / math.log2(ELEMENT_LADDER[-1] / ELEMENT_LADDER[0])
     assert order > floor, (order, errors)

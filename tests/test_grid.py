@@ -220,3 +220,23 @@ def test_state_shape_validation():
     grid = _plane_grid()
     with pytest.raises(ParameterError):
         WignerState(grid, np.zeros((3, 3)))
+
+
+def _value_grid(x=(-1.0, 1.0), Q=2, M=5, k=(-np.pi, np.pi), N=8):
+    return PhaseSpaceGrid.plane(build_spatial_mesh(*x, Q, M), build_wavenumber_mesh(*k, N))
+
+
+@pytest.mark.parametrize("change", [
+    {"x": (-2.0, 1.0)}, {"x": (-1.0, 2.0)}, {"Q": 3}, {"M": 7},
+    {"k": (-3.0, np.pi)}, {"k": (-np.pi, 3.0)}, {"N": 16},
+], ids=["x_lo", "x_hi", "Q", "M", "k_min", "k_max", "N_k"])
+def test_meshes_and_grids_compare_by_their_defining_numbers(change):
+    a, b = _value_grid(), _value_grid()
+    assert a is not b and a.x.collocation_points is not b.x.collocation_points
+    for u, v in [(a, b), (a.x, b.x), (a.k, b.k)]:
+        assert u == v and hash(u) == hash(v)
+    assert PhaseSpaceGrid.tensor4d(a.x, a.x, a.k, a.k) == PhaseSpaceGrid.tensor4d(b.x, b.x, b.k, b.k)
+    other = _value_grid(**change)
+    assert other != a and a != other
+    assert (other.x, other.k) != (a.x, a.k)
+    assert a.x != "mesh" and a != PhaseSpaceGrid.tensor4d(a.x, a.x, a.k, a.k)

@@ -602,6 +602,40 @@ def test_physical_inputs_refuse_nan_and_inf(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("family", [
+    DeltaPotential,
+    LogPotential,
+    lambda H: InversePowerPotential(H=H, alpha=0.5),
+    InverseSquarePotential,
+    lambda H: GaussianBarrier(H=H, a=1.0),
+    lambda H: MultiDeltaPotential2D(H=H, points=((0.0, 0.0),)),
+], ids=["delta", "log", "inverse_power", "inverse_square", "gaussian", "multi_delta_2d"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_potentials_refuse_a_non_finite_strength(family, value):
+    with pytest.raises(ParameterError, match="H"):
+        family(value)
+    # a zero or attractive strength is a potential like any other
+    assert family(0.0).H == 0.0 and family(-2.0).H == -2.0
+
+
+@pytest.mark.parametrize("route, spec", [
+    (kernel_coefficients, DeltaPotential(H=1.0)),
+    (poisson_kernel_coefficients, LogPotential(H=1.0)),
+], ids=["exact", "poisson"])
+def test_a_cached_table_cannot_be_written(route, spec):
+    clear_table_cache()
+    s = route(spec, plane_grid(), CONSTS).multipliers
+    before = s.copy()
+    with pytest.raises(ValueError):
+        s[:] = 0.0
+    # every later request, on a grid rebuilt from the same numbers too,
+    # reads the values the table was built with
+    assert np.array_equal(route(spec, plane_grid(), CONSTS).multipliers, before)
+    # an array a caller hands to KernelTable stays the caller's to write
+    assert KernelTable(before, plane_grid(), spec).multipliers.flags.writeable
+    clear_table_cache()
+
+
 def test_kernel_table_rejects_a_complex_or_misshaped_array():
     grid = plane_grid()
     s = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS).multipliers
@@ -650,7 +684,7 @@ def test_table_cache_evicts_least_recently_used(monkeypatch):
     grid = plane_grid()
     clear_table_cache()
     table_bytes = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS).multipliers.nbytes
-    monkeypatch.setattr(kernels._TABLE_CACHE, "max_bytes", 2 * table_bytes)
+    monkeypatch.setattr(kernels, "_TABLE_CACHE_BYTES", 2 * table_bytes)
     first = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
     second = kernel_coefficients(DeltaPotential(H=2.0), grid, CONSTS)
     assert len(kernels._TABLE_CACHE) == 2
@@ -658,7 +692,7 @@ def test_table_cache_evicts_least_recently_used(monkeypatch):
     assert kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS) is first
     kernel_coefficients(DeltaPotential(H=3.0), grid, CONSTS)
     assert len(kernels._TABLE_CACHE) == 2
-    assert kernels._TABLE_CACHE.nbytes <= 2 * table_bytes
+    assert sum(t.multipliers.nbytes for t in kernels._TABLE_CACHE.values()) <= 2 * table_bytes
     assert kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS) is first
     assert kernel_coefficients(DeltaPotential(H=2.0), grid, CONSTS) is not second
     clear_table_cache()
