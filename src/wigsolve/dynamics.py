@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 import scipy.fft
 
-from .errors import CapacityError, DivergenceError, ParameterError
+from .errors import CapacityError, DivergenceError, DomainError, ParameterError
 from .grid import (
     PhaseSpaceGrid,
     SpatialMesh,
@@ -533,7 +533,9 @@ def evolve(config: SimulationConfig):
 
     In 2-D the snapshots are WignerStates and the series holds every
     uniform-mesh observable.  In 4-D a snapshot is a pair (t, spatial
-    marginal) and the series holds the total mass.
+    marginal) and the series holds the total mass.  A field that stops being
+    finite, or whose moments the record step refuses, raises DivergenceError
+    carrying the series recorded so far.
     """
     grid = config.build_grid()
     if config.spatial_dims == 2:
@@ -585,8 +587,11 @@ def evolve(config: SimulationConfig):
         if i:
             work = stepper.advance(work)
             if not np.isfinite(work).all():
-                raise DivergenceError(f"non-finite field after step {i}")
-        record(i * config.dt, work)
+                raise DivergenceError(f"non-finite field after step {i}", series)
+        try:
+            record(i * config.dt, work)
+        except DomainError as err:
+            raise DivergenceError(f"unphysical field after step {i}: {err}", series) from err
         if i in snap_at:
             snapshots.append(snapshot(i * config.dt, work))
     if not snapshots:

@@ -23,7 +23,12 @@ class AccuracyError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """The evolved field stopped being finite; names the offending step."""
+    """The evolved field stopped being finite or physical; names the offending
+    step and carries the observable series recorded before it, if any."""
+
+    def __init__(self, message, series=None):
+        super().__init__(message)
+        self.series = series
 
 
 class CapacityError(RuntimeError):

@@ -173,7 +173,6 @@ class KernelTable:
 
     multipliers: np.ndarray  # float64; (nx, Nk) or (nx1, nx2, Nk1, Nk2)
     grid: PhaseSpaceGrid
-    potential: PotentialSpec
 
     def __post_init__(self):
         if np.iscomplexobj(self.multipliers):
@@ -313,7 +312,7 @@ def kernel_coefficients(
     check_exact_route(spec, grid)
     build = _coeff_table_multidelta if isinstance(spec, MultiDeltaPotential2D) else _coeff_table_1d
     return _cached_table(("exact", spec, grid, consts),
-                         lambda: KernelTable(build(spec, grid, consts), grid, spec))
+                         lambda: KernelTable(build(spec, grid, consts), grid))
 
 
 def check_exact_route(spec: PotentialSpec, grid: PhaseSpaceGrid) -> None:
@@ -373,5 +372,5 @@ def poisson_kernel_coefficients(
     def build():
         h = grid.k.mode_indices * (math.pi / grid.k.length)
         s = _poisson_samples(spec, grid.x.collocation_points, h) / consts.hbar
-        return KernelTable(s, grid, spec)
+        return KernelTable(s, grid)
     return _cached_table(("poisson", spec, grid, consts), build)

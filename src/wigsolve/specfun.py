@@ -2,22 +2,14 @@
 
 The cosine integral is scipy's `sici`, behind a domain check.
 
-The singular-oscillatory integral C(w) = int_0^L cos(w k) k^(-a) dk is an
-alternating power series for |w| L <= 12.  Above that it is the analytic
-half-line value Gamma(1-a) sin(pi a/2) |w|^(a-1) minus the tail
-int_L^inf, and the tail is a 24-node Gauss-Legendre head piece on [L, z0]
-plus half-period lobes from z0 = (m0 + 1/2) pi / w, m0 = ceil(w L/pi - 1/2),
-summed by Cohen-Villegas-Zagier acceleration.  Each lobe takes a 16-node
-Gauss-Legendre rule (nodes xi_i, weights g_i).  On lobe j the nodes are
-t = (pi/w)(m + 1/2 + (xi + 1)/2) with m = m0 + j, so
-w t = (m + 1/2) pi + (xi + 1) pi/2, cos(w t) = -(-1)^m sin((xi + 1) pi/2) and
+The singular-oscillatory integral C(w) = int_0^L cos(w k) k^(-alpha) dk is an
+alternating power series for |w| L <= 6.  Above that it is the half-line
+value Gamma(a) sin(pi alpha/2) |w|^(-a), a = 1 - alpha, minus the tail
 
-    v_j = -(-1)^m (pi/w)^(1-a) U[m],
-    U[m] = 1/2 sum_i g_i sin((xi_i + 1) pi/2) (m + 1/2 + (xi_i + 1)/2)^(-a) > 0.
+    int_L^inf cos(w k) k^(-alpha) dk = Re[e^(i pi a/2) w^(-a) Gamma(a, -i w L)],
 
-U depends on the integer m alone, so one table of it serves every point of
-a call, and a point costs only its head piece.  C is even in w, so a call
-evaluates each distinct |w| once.
+and the upper incomplete gamma function is Legendre's continued fraction
+(DLMF 8.9.2).  C is even in w, so a call evaluates each distinct |w| once.
 """
 
 from __future__ import annotations
@@ -35,11 +27,10 @@ __all__ = [
     "cos_power_integral",
 ]
 
-_CPI_SERIES_MAX = 12.0  # in |omega|*L
+_CPI_SERIES_MAX = 6.0  # in |omega|*L
 _CPI_SERIES_TERMS = 48
-_CPI_CVZ_TERMS = 24
-_CPI_CHECK_TERMS = _CPI_CVZ_TERMS - 6
-_CPI_TAIL_TOL = 1e-11  # largest accepted 24- vs 18-lobe tail difference
+_CPI_CF_TERMS = 32
+_CPI_CF_TOL = 1e-14  # largest accepted change of the last continued-fraction step
 
 
 @functools.cache
@@ -64,21 +55,6 @@ def cosine_integral(x):
 # int_0^L cos(omega k) k^(-alpha) dk
 # ----------------------------------------------------------------------
 
-def _cvz_alternating(terms: np.ndarray) -> np.ndarray:
-    """Cohen-Villegas-Zagier sum of sum_j (-1)^j terms[..., j]."""
-    n = terms.shape[-1]
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
-    s = np.zeros(terms.shape[:-1])
-    for j in range(n):
-        c = b - c
-        s = s + c * terms[..., j]
-        b *= (j + n) * (j - n) / ((j + 0.5) * (j + 1.0))
-    return s / d
-
-
 def _cpi_series(u: np.ndarray, alpha: float, L: float) -> np.ndarray:
     # L^(1-a) * sum_n (-1)^n u^(2n) / ((2n)! (2n+1-a)), u = |omega| L
     y = -(u * u)
@@ -88,38 +64,22 @@ def _cpi_series(u: np.ndarray, alpha: float, L: float) -> np.ndarray:
     return L ** (1.0 - alpha) * (acc + 1.0 / (1.0 - alpha))
 
 
-def _lobe_table(m: np.ndarray, alpha: float) -> np.ndarray:
-    """U[m] for the integers m; a sum along the node axis, so each value is
-    the same whatever else is in m."""
-    nodes, weights = _gl(16)
-    s = 0.5 * (nodes + 1.0)
-    terms = (0.5 * weights * np.sin(math.pi * s)) * (m[:, None] + 0.5 + s) ** (-alpha)
-    return terms.sum(axis=1)
-
-
-def _cpi_tail(omega: np.ndarray, alpha: float, L: float):
-    """int_L^inf cos(omega k) k^(-alpha) dk for omega > 0 (vectorized), summed
-    over 24 lobes, and the same sum over 18 lobes as its check."""
-    m0 = np.ceil(omega * L / np.pi - 0.5)
-    z0 = (m0 + 0.5) * np.pi / omega
-    # head piece [L, z0], under half a period long
-    nodes24, weights24 = _gl(24)
-    t = 0.5 * (z0 - L)[:, None] * nodes24[None, :] + 0.5 * (L + z0)[:, None]
-    head = np.sum(
-        0.5 * (z0 - L)[:, None] * weights24[None, :] * np.cos(omega[:, None] * t) * t ** (-alpha),
-        axis=1,
-    )
-    # lobe magnitudes |v_j| = (pi/w)^(1-a) U[m0 + j] from one table; the
-    # integers m0..m0+23 are all in m, so they sit at consecutive positions
-    lobes = np.arange(_CPI_CVZ_TERMS)
-    m = np.unique(m0[:, None] + lobes)
-    U = _lobe_table(m, alpha)
-    scale = (np.pi / omega) ** (1.0 - alpha)
-    magnitudes = scale[:, None] * U[np.searchsorted(m, m0)[:, None] + lobes]
-    sign0 = np.where(m0 % 2 == 0, -1.0, 1.0)  # sign of v_0, -(-1)^m0
-    tail = head + sign0 * _cvz_alternating(magnitudes)
-    check = head + sign0 * _cvz_alternating(magnitudes[:, :_CPI_CHECK_TERMS])
-    return tail, check
+def _upper_gamma(a: float, z: np.ndarray):
+    """Gamma(a, z) by Legendre's continued fraction, evaluated with the
+    modified Lentz method over `_CPI_CF_TERMS` steps, and the relative
+    change |d c - 1| the last step made."""
+    b = z + 1.0 - a
+    c = np.full_like(b, 1e300)
+    d = 1.0 / b
+    h = d
+    for n in range(1, _CPI_CF_TERMS + 1):
+        an = -n * (n - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h = h * delta
+    return np.exp(a * np.log(z) - z) * h, np.abs(delta - 1.0)
 
 
 def cos_power_integral(omega, alpha: float, L: float):
@@ -137,12 +97,15 @@ def cos_power_integral(omega, alpha: float, L: float):
         vals[small] = _cpi_series(w[small] * L, alpha, L)
     if (~small).any():
         wt = w[~small]
-        half_line = math.gamma(1.0 - alpha) * math.sin(0.5 * math.pi * alpha) * wt ** (alpha - 1.0)
-        tail, check = _cpi_tail(wt, alpha, L)
-        err = float(np.max(np.abs(tail - check))) if tail.size else 0.0
-        if err > _CPI_TAIL_TOL:
+        a = 1.0 - alpha
+        scale = wt ** (-a)
+        half_line = math.gamma(a) * math.sin(0.5 * math.pi * alpha) * scale
+        gamma, change = _upper_gamma(a, -1j * wt * L)
+        tail = np.real(np.exp(0.5j * math.pi * a) * scale * gamma)
+        err = float(change.max())
+        if err > _CPI_CF_TOL:
             raise AccuracyError(
-                f"oscillatory tail stalled at error {err:.3e}",
+                f"continued fraction stalled at relative change {err:.3e}",
                 estimate=half_line - tail,
                 error_estimate=err,
             )

@@ -3,15 +3,16 @@
 `oscillatory_quad` is an adaptive panel quadrature with an embedded error
 estimate, tuned by `QuadSpec`; `fresnel_c` is scipy's Fresnel cosine
 integral; `_cpi_tail` is the direct lobe-by-lobe evaluation of
-int_L^inf cos(w k) k^(-a) dk that `wigsolve.specfun` used before its lobe
-table, kept verbatim, and `cos_power_integral_lobes` is the whole integral
-built on it.  `_gauss_cos_transform` (Gauss-Legendre panels),
-`_coeff_table_multidelta` (a loop over the delta points) and
-`poisson_lattice_sum` (the dense lattice sum of the discrete-sum route, with
-its sampler `_poisson_samples`) are the Gaussian, multi-delta and
-discrete-sum table builders `wigsolve.kernels` used before its closed and
-one-term forms, kept verbatim.  `cin_series` is the power series of
-Cin(u) = int_0^u (1 - cos t)/t dt.  `wigner_kernel_value` is the pointwise
+int_L^inf cos(w k) k^(-a) dk, summed by the Cohen-Villegas-Zagier
+acceleration `_cvz_alternating` over `_CPI_CVZ_TERMS` lobes, that
+`wigsolve.specfun` used before its continued fraction, kept verbatim, and
+`cos_power_integral_lobes` is the whole integral built on it.
+`_gauss_cos_transform` (Gauss-Legendre panels), `_coeff_table_multidelta` (a
+loop over the delta points) and `poisson_lattice_sum` (the dense lattice sum
+of the discrete-sum route, with its sampler `_poisson_samples`) are the
+Gaussian, multi-delta and discrete-sum table builders `wigsolve.kernels`
+used before its closed and one-term forms, kept verbatim.  `cin_series` is
+the power series of Cin(u) = int_0^u (1 - cos t)/t dt.  `wigner_kernel_value` is the pointwise
 Wigner kernel V_w(x, k) of every family, the integrand the tables transform.
 `barycentric_eval` evaluates one element's interpolant at a point, and
 `k_forward`/`k_inverse` map nodal wavenumber data to ascending Fourier mode
@@ -43,7 +44,9 @@ from wigsolve.kernels import (
     _inverse_power_prefactor,
     _sinc_L,
 )
-from wigsolve.specfun import _CPI_CVZ_TERMS, _cpi_series, _cvz_alternating, _gl
+from wigsolve.specfun import _CPI_SERIES_MAX, _cpi_series, _gl
+
+_CPI_CVZ_TERMS = 24
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,21 @@ class QuadSpec:
 def fresnel_c(x):
     """Fresnel cosine integral C(x) = int_0^x cos(pi t^2/2) dt; odd in x."""
     return _scipy_fresnel(x)[1]
+
+
+def _cvz_alternating(terms: np.ndarray) -> np.ndarray:
+    """Cohen-Villegas-Zagier sum of sum_j (-1)^j terms[..., j]."""
+    n = terms.shape[-1]
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = 0.5 * (d + 1.0 / d)
+    b = -1.0
+    c = -d
+    s = np.zeros(terms.shape[:-1])
+    for j in range(n):
+        c = b - c
+        s = s + c * terms[..., j]
+        b *= (j + n) * (j - n) / ((j + 0.5) * (j + 1.0))
+    return s / d
 
 
 def _cpi_tail(omega: np.ndarray, alpha: float, L: float, n_cvz: int) -> np.ndarray:
@@ -100,11 +118,12 @@ def _cpi_tail(omega: np.ndarray, alpha: float, L: float, n_cvz: int) -> np.ndarr
 
 
 def cos_power_integral_lobes(omega, alpha: float, L: float) -> np.ndarray:
-    """int_0^L cos(omega k) k^(-alpha) dk with the package's series below
-    |omega| L = 12 and the half-line value minus `_cpi_tail` above."""
+    """int_0^L cos(omega k) k^(-alpha) dk with the package's series up to
+    its switch |omega| L = `_CPI_SERIES_MAX` and the half-line value minus
+    `_cpi_tail` above."""
     w = np.abs(np.asarray(omega, float))
     out = np.empty_like(w)
-    small = w * L <= 12.0
+    small = w * L <= _CPI_SERIES_MAX
     out[small] = _cpi_series(w[small] * L, alpha, L)
     wt = w[~small]
     half_line = math.gamma(1.0 - alpha) * math.sin(0.5 * math.pi * alpha) * wt ** (alpha - 1.0)

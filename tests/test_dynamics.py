@@ -18,7 +18,7 @@ from wigsolve.dynamics import (
     evolve_4d,
     step,
 )
-from wigsolve.errors import ParameterError
+from wigsolve.errors import DivergenceError, DomainError, ParameterError
 from wigsolve.grid import (
     PhaseSpaceGrid,
     WignerState,
@@ -27,6 +27,7 @@ from wigsolve.grid import (
 )
 from wigsolve.kernels import (
     DeltaPotential,
+    InversePowerPotential,
     KernelTable,
     MultiDeltaPotential2D,
     PhysicalConstants,
@@ -332,7 +333,7 @@ def _random_real_table(grid, seed):
     s = np.random.default_rng(seed).standard_normal(grid.shape)
     zero = tuple(km.num_points // 2 - 1 for km in grid.wavenumber)
     s[(Ellipsis, *zero)] = 0.0
-    return KernelTable(s, grid, None)
+    return KernelTable(s, grid)
 
 
 @settings(max_examples=25, deadline=None)
@@ -372,7 +373,7 @@ def test_step_with_any_real_table_stays_real_and_keeps_its_mass(
     s = _random_real_table(grid, seed).multipliers
     if not rough:
         s = np.broadcast_to(s[:1], s.shape).copy()
-    table = KernelTable(s, grid, None)
+    table = KernelTable(s, grid)
     state = init_gaussian(grid, GaussianPacketSpec(x0=x0, k0=k0, sigma=sigma))
     out = step(state, table, CONSTS, dt, scheme)
     assert np.isrealobj(out.values)
@@ -511,6 +512,37 @@ def test_evolve_stage_caches_match_per_stage_builds():
         state = step(state, table, CONSTS, cfg.dt, cfg.scheme, inflow, True)
     np.testing.assert_array_equal(snaps[-1].values, state.values)
     assert series.total_mass[-1] == pytest.approx(total_mass(state), rel=1e-14)
+
+
+def test_evolve_non_finite_field_raises_with_the_rows_recorded(monkeypatch):
+    def poisoned_table(self, grid):
+        s = kernel_coefficients(self.potential, grid, self.consts).multipliers.copy()
+        s[:, grid.k.mode_position(1)] = np.nan
+        return KernelTable(s, grid)
+
+    monkeypatch.setattr(SimulationConfig, "build_table", poisoned_table)
+    with pytest.raises(DivergenceError, match="step 1") as err:
+        evolve(delta_config(t_final=0.05))
+    assert len(err.value.series) == 1
+    assert err.value.series.t[0] == 0.0
+
+
+def test_evolve_unphysical_moments_raise_with_the_rows_recorded():
+    # alpha = 0.8 on the acceptance ladder set-up at N_k = 64: the position
+    # variance turns negative beyond round-off near t = 3.84
+    cfg = SimulationConfig(
+        x_lo=-30.0, x_hi=30.0, num_elements=20, points_per_element=21,
+        k_min=-2.0 * math.pi, k_max=2.0 * math.pi, num_modes=64,
+        potential=InversePowerPotential(H=1.0, alpha=0.8),
+        initial=GaussianPacketSpec(x0=-6.0, k0=1.5, sigma=1.5),
+        dt=0.02, t_final=4.0, scheme="yoshida4",
+    )
+    with pytest.raises(DivergenceError, match="var_x") as err:
+        evolve(cfg)
+    assert isinstance(err.value.__cause__, DomainError)
+    series = err.value.series
+    assert len(series) == 192
+    assert series.t[-1] == pytest.approx(3.82)
 
 
 @pytest.mark.parametrize("bad", [dict(dt=math.nan), dict(dt=math.inf),

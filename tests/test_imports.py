@@ -1,8 +1,12 @@
-"""Every name a package module imports is used there, and every private
-module-level name it defines is read somewhere in the repo."""
+"""Every name a package module imports is used there, every module it
+imports is the standard library, the package itself or a declared
+dependency, and every private module-level name it defines is read
+somewhere in the repo."""
 
 import ast
 import functools
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +47,33 @@ def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     used = _used(tree)
     return [f"line {line}: {name}" for name, line in _imported(tree).items() if name not in used]
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """Import names of the `[project] dependencies` of a pyproject.toml (a
+    regex read: tomllib is not in Python 3.10)."""
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project, re.M | re.S).group(1)
+    names = re.findall(r"[\"']([A-Za-z0-9_.-]+)", listed)
+    return {name.lower().replace("-", "_") for name in names}
+
+
+def undeclared_imports(source: str, declared: set[str]) -> list[str]:
+    """Top-level modules an absolute import names that are neither standard
+    library nor declared; relative imports are the package itself."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in declared:
+                out.append(f"line {node.lineno}: {top}")
+    return out
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
@@ -95,6 +126,12 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_declared_dependencies(path):
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert undeclared_imports(path.read_text(encoding="utf-8"), declared) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text(encoding="utf-8"), _repo_sources()) == []
@@ -107,6 +144,22 @@ def test_guard_flags_an_unused_import_and_spares_exports():
         "__all__ = ['tau']\nx = np.zeros(1)\n"
     )
     assert unused_imports(source) == ["line 3: os", "line 4: pi"]
+
+
+def test_guard_flags_an_undeclared_dependency():
+    pyproject = (
+        '[build-system]\nrequires = ["setuptools>=68"]\n\n'
+        '[project]\nname = "pkg"\ndependencies = [\n    "numpy>=1.24",\n    "scipy>=1.10",\n]\n\n'
+        '[project.optional-dependencies]\ntest = ["pytest>=7"]\n'
+    )
+    declared = declared_dependencies(pyproject)
+    assert declared == {"numpy", "scipy"}
+    source = (
+        "from __future__ import annotations\nimport math\nimport numpy as np\n"
+        "from scipy.special import sici\nfrom .errors import DomainError\n"
+        "import mpmath\nfrom pytest import approx\n"
+    )
+    assert undeclared_imports(source, declared) == ["line 6: mpmath", "line 7: pytest"]
 
 
 def test_guard_flags_an_unread_private_name_and_spares_read_ones():

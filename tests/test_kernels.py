@@ -632,7 +632,7 @@ def test_a_cached_table_cannot_be_written(route, spec):
     # reads the values the table was built with
     assert np.array_equal(route(spec, plane_grid(), CONSTS).multipliers, before)
     # an array a caller hands to KernelTable stays the caller's to write
-    assert KernelTable(before, plane_grid(), spec).multipliers.flags.writeable
+    assert KernelTable(before, plane_grid()).multipliers.flags.writeable
     clear_table_cache()
 
 
@@ -640,11 +640,11 @@ def test_kernel_table_rejects_a_complex_or_misshaped_array():
     grid = plane_grid()
     s = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS).multipliers
     with pytest.raises(ParameterError, match="real"):
-        KernelTable(1j * s, grid, DeltaPotential(H=1.0))
+        KernelTable(1j * s, grid)
     with pytest.raises(ParameterError, match="shape"):
-        KernelTable(s[:, :-1], grid, DeltaPotential(H=1.0))
+        KernelTable(s[:, :-1], grid)
     with pytest.raises(ParameterError, match="shape"):
-        KernelTable(s.T, grid, DeltaPotential(H=1.0))
+        KernelTable(s.T, grid)
 
 
 def test_annulus_points_layout():

@@ -7,7 +7,8 @@ import pytest
 from scipy.special import sici
 
 from oracles import QuadSpec, cos_power_integral_lobes, fresnel_c, oscillatory_quad
-from wigsolve.errors import DomainError, ParameterError
+from wigsolve import specfun
+from wigsolve.errors import AccuracyError, DomainError, ParameterError
 from wigsolve.specfun import cos_power_integral, cosine_integral
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-13)
@@ -186,10 +187,28 @@ def test_cpi_fresnel_identity_at_half():
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+@pytest.mark.parametrize("L", [np.pi, 2 * np.pi])
+@pytest.mark.parametrize("u", [6.01, 7.0, 8.0, 9.3, 10.0, 11.0, 11.9, 12.0])
+def test_cpi_fresnel_identity_between_the_switch_and_twelve(u, L):
+    # the continued fraction holds from the series switch at |omega| L = 6 up
+    # to 12, where the series, used there before, lost two to three digits
+    w = u / L
+    rhs = math.sqrt(2 * math.pi / w) * float(fresnel_c(math.sqrt(2 * w * L / math.pi)))
+    assert abs(cos_power_integral(w, 0.5, L) - rhs) <= 5e-15
+
+
+def test_cpi_continued_fraction_that_stalls_raises_with_its_estimate(monkeypatch):
+    monkeypatch.setattr(specfun, "_CPI_CF_TERMS", 2)
+    with pytest.raises(AccuracyError) as err:
+        cos_power_integral(np.array([1.0, 30.0]), 0.5, 2 * np.pi)
+    assert err.value.estimate is not None and err.value.estimate.shape == (2,)
+    assert err.value.error_estimate > specfun._CPI_CF_TOL
+
+
 def test_cpi_branch_consistency_near_switch():
-    # both branches hold near |omega| L = 12
+    # both branches hold near the series switch at |omega| L = 6, and near 12
     L = 2 * np.pi
-    for u in (11.2, 11.6, 11.99, 12.01, 12.5, 13.0):
+    for u in (5.5, 5.99, 6.01, 6.5, 11.2, 11.6, 11.99, 12.01, 12.5, 13.0):
         omega = u / L
         series_side = cos_power_integral(omega, 0.4, L)
         assert series_side == pytest.approx(cpi_oracle(omega, 0.4, L), abs=1e-9)
@@ -223,7 +242,7 @@ def test_cpi_repeated_and_negated_match_scalar_calls():
 @pytest.mark.parametrize("L", [np.pi, 2 * np.pi])
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
 def test_cpi_tail_matches_direct_lobe_sum(alpha, L):
-    # the lobe table reproduces the lobe-by-lobe quadrature to round-off
+    # the continued fraction reproduces the lobe-by-lobe quadrature to round-off
     rng = np.random.default_rng(17)
     omega = np.concatenate([np.linspace(2.0, 400.0, 2001), rng.uniform(2.0, 400.0, 500)])
     omega = omega[omega * L > 12.0]
