@@ -233,27 +233,18 @@ def _advect_4d(values, grid, plans, inflow):
 # pseudo-differential substep
 # ----------------------------------------------------------------------
 
-def _half_spectrum_positions(km: WavenumberMesh) -> np.ndarray:
-    # rfft bin nu lives at ascending-storage position nu + N/2 - 1
-    N = km.num_points
-    return np.arange(0, N // 2 + 1) + N // 2 - 1
-
-
 def _multipliers_half_2d(table: KernelTable, tau: float) -> np.ndarray:
     """exp(i tau s_nu) for the rfft bins nu = 0..Nk/2, in work layout (nu, M, Q)."""
-    phases = table.multipliers[:, _half_spectrum_positions(table.grid.k)] * tau
+    phases = table.multipliers * tau
     phases[:, -1] = 0.0  # Nyquist mode has no conjugate partner
     return np.exp(1j * _to_work_2d(phases, table.grid.x))
 
 
 def _multipliers_half_4d(table: KernelTable, tau: float) -> np.ndarray:
-    k1, k2 = table.grid.wavenumber
-    N1 = k1.num_points
-    order1 = np.mod(np.fft.fftfreq(N1, 1.0 / N1).astype(int) + N1 // 2 - 1, N1)
-    pos2 = _half_spectrum_positions(k2)
-    phases = table.multipliers[:, :, order1[:, None], pos2] * tau
-    phases[:, :, N1 // 2, :] = 0.0  # both Nyquist planes stay inert
-    phases[:, :, :, -1] = 0.0
+    # C order, like the spectrum it multiplies, whatever the table's strides
+    phases = np.multiply(table.multipliers, tau, order="C")
+    phases[:, :, table.grid.wavenumber[0].num_points // 2] = 0.0  # the Nyquist planes
+    phases[..., -1] = 0.0  # stay inert
     return np.exp(1j * phases)
 
 
@@ -448,6 +439,8 @@ class SimulationConfig:
         if not self.t_final >= 0 or not math.isfinite(self.t_final):
             raise ParameterError(f"t_final must be nonnegative and finite, got {self.t_final!r}")
         _step_index(self.t_final, self.dt, "t_final")
+        if self.n_uniform < 1:
+            raise ParameterError(f"N_um must be positive, got {self.n_uniform!r}")
         for name, names in NAMED_SETTINGS.items():
             _check_named(name, getattr(self, name), names)
         _snapshot_steps(self)
@@ -511,17 +504,17 @@ def _snapshot_steps(config: SimulationConfig) -> dict[int, float]:
 def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
     """Estimated peak bytes of a 4-D run.
 
-    The real kernel table (8 B a point); a step's input field and its
-    running stage result; one cached complex half-spectrum multiplier table
-    per distinct kernel stage length; and the largest stage temporaries, the
-    spectrum and output of a kernel substep (a sweep's work copy and product
-    are about as large).  A quarter more covers the small arrays beside them.
+    The real kernel table and one complex multiplier table per distinct
+    kernel stage length, both over the half spectrum (8 B and 16 B a bin); a
+    step's input field and its running stage result; and the largest stage
+    temporaries, the spectrum and output of a kernel substep (a sweep's work
+    copy and product are about as large).  A quarter more covers the rest.
     """
     points = float(np.prod(grid.shape))
     Nk2 = grid.wavenumber[1].num_points
     half = points * (Nk2 // 2 + 1) / Nk2  # points of a half spectrum
     kernel_lengths = len(_lengths(_stage_sequence(config.scheme, config.dt), "B"))
-    table = 8 * points
+    table = 8 * half
     fields = 2 * 8 * points
     multipliers = kernel_lengths * 16 * half
     temporaries = 16 * half + 8 * points

@@ -15,8 +15,8 @@ its difference is s_nu = (H/hbar) [Cin(|w+| L_k) - Cin(|w-| L_k)], with
 Cin(u) = gamma + ln u - Ci(u) (DLMF 6.2.2).  The discrete-sum route's window
 transform vanishes on its lattice y = zeta pi/L_k but at one point per mode,
 so s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar.  Every table
-holds the real s with c = i s; s_0 = 0 and s_{-nu} = -s_nu, which is what
-keeps the kernel substep real and marginal-preserving.
+holds the real s (c = i s) on the rfft bins alone; s_0 = 0 keeps the marginal,
+and the odd kernel's s_{-nu} = -s_nu, implied, keeps the kernel substep real.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import erf, wofz
 
 from .errors import ParameterError
-from .grid import PhaseSpaceGrid
+from .grid import PhaseSpaceGrid, WavenumberMesh
 from .specfun import cos_power_integral, cosine_integral
 
 __all__ = [
@@ -163,25 +163,32 @@ def _inverse_power_prefactor(spec: InversePowerPotential, hbar: float) -> float:
 
 @dataclass
 class KernelTable:
-    """Real mode coefficients s_nu(x) (ascending nu), c_nu = i s_nu.
+    """Real mode coefficients s_nu(x) on the rfft bins, c_nu = i s_nu.
 
-    The kernel substep multiplies mode nu by exp(i tau s_nu) over a stage
-    of length tau.  The tables `kernel_coefficients` and
-    `poisson_kernel_coefficients` return are cached and shared, so their
-    multipliers are read-only.
+    A stage of length tau multiplies bin nu of the field's real FFT over k by
+    exp(i tau s_nu), so s has scipy.fft.rfft/rfft2's output layout: (nx,
+    Nk/2+1), nu = 0..Nk/2; in 4-D (nx1, nx2, Nk1, Nk2/2+1), nu1 in fft order,
+    nu2 = 0..Nk2/2.  s_{-nu} = -s_nu is implied; Nyquist bins are never read.
+    The tables the two routes return are cached and shared: read-only.
     """
 
-    multipliers: np.ndarray  # float64; (nx, Nk) or (nx1, nx2, Nk1, Nk2)
+    multipliers: np.ndarray  # float64, shaped as above
     grid: PhaseSpaceGrid
 
     def __post_init__(self):
         if np.iscomplexobj(self.multipliers):
             raise ParameterError("kernel table must hold the real s_nu (c_nu = i s_nu)")
         self.multipliers = np.asarray(self.multipliers, float)
-        if self.multipliers.shape != self.grid.shape:
-            raise ParameterError(
-                f"table shape {self.multipliers.shape} does not match grid {self.grid.shape}"
-            )
+        expect = self.grid.shape[:-1] + (self.grid.shape[-1] // 2 + 1,)
+        if self.multipliers.shape != expect:
+            raise ParameterError(f"table shape {self.multipliers.shape} is not {expect},"
+                                 f" the rfft bins of grid {self.grid.shape}")
+
+
+def _bin_frequencies(km: WavenumberMesh, fft_order: bool = False) -> np.ndarray:
+    """nu~ = 2 pi nu/L_k on a table's bins: nu = 0..Nk/2, or every fft bin in fft order."""
+    nu = np.roll(km.mode_indices, 1 - km.num_points // 2)  # 0..Nk/2, then 1-Nk/2..-1
+    return 2.0 * np.pi * (nu if fft_order else nu[: km.num_points // 2 + 1]) / km.length
 
 
 def _sinc_L(w: np.ndarray, L: float) -> np.ndarray:
@@ -224,7 +231,7 @@ def _gauss_cos_transform(w: np.ndarray, a: float, L: float) -> np.ndarray:
 
 
 def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np.ndarray:
-    x, freqs, L = grid.x.collocation_points, grid.k.mode_frequencies, grid.k.length
+    x, freqs, L = grid.x.collocation_points, _bin_frequencies(grid.k), grid.k.length
     hbar = consts.hbar
     wp = 2.0 * x[:, None] + freqs[None, :]
     wm = 2.0 * x[:, None] - freqs[None, :]
@@ -267,16 +274,16 @@ def _coeff_table_multidelta(
         up, dn = _sinc_L(a + mu, L), _sinc_L(a - mu, L)
         return up - dn, up + dn
 
-    A1, B1 = factors(x1m.collocation_points, pts[:, 0], k1m.mode_frequencies)
-    A2, B2 = factors(x2m.collocation_points, pts[:, 1], k2m.mode_frequencies)
+    A1, B1 = factors(x1m.collocation_points, pts[:, 0], _bin_frequencies(k1m, fft_order=True))
+    A2, B2 = factors(x2m.collocation_points, pts[:, 1], _bin_frequencies(k2m))
     # sum_p A1_p (x) B2_p + B1_p (x) A2_p as one contraction over the 2P axis
     pref = 4.0 * spec.H / (math.pi * consts.hbar)
     s = np.tensordot(pref * np.concatenate([A1, B1]), np.concatenate([B2, A2]), axes=(0, 0))
     return s.transpose(0, 2, 1, 3)  # (x1, nu1, x2, nu2) -> (x1, x2, nu1, nu2)
 
 
-# A table costs 8 B per phase-space point: the bound holds about sixty
-# 45^2 x 16^2 multi-delta tables, or six hundred 2-D tables at 420 x 128.
+# A table costs 8 B per stored bin: the bound holds about a hundred and ten
+# 45^2 x 16 x 9 multi-delta tables, or twelve hundred 2-D tables at 420 x 65.
 _TABLE_CACHE_BYTES = 256 * 2**20
 # (route, potential, grid, consts) -> table, least recently used first
 _TABLE_CACHE: OrderedDict = OrderedDict()
@@ -370,7 +377,7 @@ def poisson_kernel_coefficients(
     if grid.ndim_space != 1:
         raise ParameterError("the discrete-sum route is implemented for 2-D phase space")
     def build():
-        h = grid.k.mode_indices * (math.pi / grid.k.length)
+        h = np.arange(grid.k.num_points // 2 + 1) * (math.pi / grid.k.length)
         s = _poisson_samples(spec, grid.x.collocation_points, h) / consts.hbar
         return KernelTable(s, grid)
     return _cached_table(("poisson", spec, grid, consts), build)

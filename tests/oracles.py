@@ -14,6 +14,8 @@ Gaussian, multi-delta and discrete-sum table builders `wigsolve.kernels`
 used before its closed and one-term forms, kept verbatim.  `cin_series` is
 the power series of Cin(u) = int_0^u (1 - cos t)/t dt.  `wigner_kernel_value` is the pointwise
 Wigner kernel V_w(x, k) of every family, the integrand the tables transform.
+These oracles tabulate every mode nu in ascending order; `stored_bins` takes
+from such a full table the bins a `KernelTable` holds.
 `barycentric_eval` evaluates one element's interpolant at a point, and
 `k_forward`/`k_inverse` map nodal wavenumber data to ascending Fourier mode
 coefficients and back.  `spatial_interp_matrix` (barycentric) and
@@ -387,6 +389,19 @@ def poisson_lattice_sum(
     # nu = 0 must stay exactly zero: the substep may not touch the marginal
     s[:, km.mode_position(0)] = 0.0
     return s
+
+
+def stored_bins(full: np.ndarray, meshes) -> np.ndarray:
+    """The bins of a full table, ascending nu on its trailing mode axes (one
+    per mesh), that a KernelTable stores: nu = 0..N/2 on the last mode axis
+    and, in 4-D phase space, every nu of the first in fft order."""
+    *first, last = meshes
+    out = np.take(full, [last.mode_position(n) for n in range(last.num_points // 2 + 1)], -1)
+    for km in first:
+        N = km.num_points
+        fft_order = [*range(N // 2 + 1), *range(1 - N // 2, 0)]
+        out = np.take(out, [km.mode_position(n) for n in fft_order], -2)
+    return out
 
 
 def cin_series(u, terms: int = 20) -> np.ndarray:

@@ -125,12 +125,13 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("potential.points = 0 0", "potential.points = 20 0", "delta point (20.0, 0.0) outside"),
     ("", "grid.k_min = -3.0\ngrid.k_max = 3.5\nadvect.edge = symmetrized\n",
      "edge_transport = 'symmetrized' needs a symmetric wavenumber domain"),
+    ("observables.N_um = 50", "observables.N_um = 0", "N_um must be positive, got 0"),
 ], ids=["missing", "unknown", "threads", "record", "poisson-dy-0", "poisson-offset",
         "mass-ratio", "m_e", "k_B", "non-number", "inf", "nan", "snapshot", "dt-nan",
         "t_final-inf", "M-1", "N_k-odd", "kind", "scheme", "route", "inflow", "edge",
         "poisson-delta", "snapshot-lattice", "t_final-lattice", "t_final-below-one-step",
         "stage-length", "point-outside",
-        "symmetrized-asymmetric-k"])
+        "symmetrized-asymmetric-k", "N_um-zero"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):
     from wigsolve.cli import main
 

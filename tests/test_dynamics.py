@@ -311,8 +311,10 @@ def test_kernel_small_tau_matches_operator_application():
     out = apply_kernel(state, table, tau)
     # direct mode-space application of the generator
     alpha = k_forward(state.values, km, axis=1)
-    mult = 1j * table.multipliers
-    mult[:, km.mode_position(km.num_points // 2)] = 0.0
+    # the odd extension of the stored bins nu = 0..N/2 over ascending nu
+    N, s = km.num_points, table.multipliers
+    mult = 1j * np.concatenate([-s[:, N // 2 - 1 : 0 : -1], s], axis=1)
+    mult[:, km.mode_position(N // 2)] = 0.0
     basis = np.exp(2j * np.pi * np.outer(km.mode_indices, np.arange(km.num_points)) / km.num_points)
     theta = ((mult * alpha) @ basis).real
     slope = (out.values - state.values) / tau
@@ -329,10 +331,10 @@ def test_kernel_grid_mismatch():
 
 
 def _random_real_table(grid, seed):
-    # s_nu(x) real and random, with s_0 = 0 at ascending position Nk/2 - 1
-    s = np.random.default_rng(seed).standard_normal(grid.shape)
-    zero = tuple(km.num_points // 2 - 1 for km in grid.wavenumber)
-    s[(Ellipsis, *zero)] = 0.0
+    # s_nu(x) real and random on the stored bins, with s_0 = 0
+    *lead, Nk = grid.shape
+    s = np.random.default_rng(seed).standard_normal((*lead, Nk // 2 + 1))
+    s[(Ellipsis, *(0 for _ in grid.wavenumber))] = 0.0
     return KernelTable(s, grid)
 
 
@@ -348,6 +350,28 @@ def test_kernel_with_any_real_table_and_zero_c0_keeps_the_marginal(seed, tau, pl
     state = WignerState(grid, np.random.default_rng(seed + 1).standard_normal(grid.shape))
     out = apply_kernel(state, _random_real_table(grid, seed), tau)
     np.testing.assert_allclose(marginal(out), marginal(state), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["2d", "4d"])
+def test_noise_on_the_nyquist_bins_leaves_the_kernel_substep_unchanged(planar):
+    # a Nyquist bin has no conjugate partner: the substep reads none of them,
+    # which keeps it unitary on a real field
+    if planar:
+        x = build_spatial_mesh(-5.0, 5.0, 2, 5)
+        k = build_wavenumber_mesh(-np.pi, np.pi, 8)
+        grid = PhaseSpaceGrid.tensor4d(x, x, k, k)
+        spec = MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 4))
+    else:
+        grid, spec = grid_2d(N=16, M=7, Q=3), DeltaPotential(H=1.0)
+    table = kernel_coefficients(spec, grid, CONSTS)
+    rng = np.random.default_rng(3)
+    noisy = table.multipliers.copy()
+    noisy[..., -1] = rng.standard_normal(noisy[..., -1].shape)
+    if planar:  # and the nu1 = N/2 plane
+        noisy[:, :, 4] = rng.standard_normal(noisy[:, :, 4].shape)
+    state = WignerState(grid, rng.standard_normal(grid.shape))
+    want = apply_kernel(state, table, 0.7).values
+    assert np.array_equal(apply_kernel(state, KernelTable(noisy, grid), 0.7).values, want)
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +541,7 @@ def test_evolve_stage_caches_match_per_stage_builds():
 def test_evolve_non_finite_field_raises_with_the_rows_recorded(monkeypatch):
     def poisoned_table(self, grid):
         s = kernel_coefficients(self.potential, grid, self.consts).multipliers.copy()
-        s[:, grid.k.mode_position(1)] = np.nan
+        s[:, 1] = np.nan
         return KernelTable(s, grid)
 
     monkeypatch.setattr(SimulationConfig, "build_table", poisoned_table)
@@ -550,6 +574,12 @@ def test_evolve_unphysical_moments_raise_with_the_rows_recorded():
 def test_config_rejects_non_finite_time_parameters(bad):
     with pytest.raises(ParameterError, match="finite"):
         delta_config(**bad)
+
+
+@pytest.mark.parametrize("n_uniform", [0, -5])
+def test_config_rejects_a_uniform_mesh_without_cells(n_uniform):
+    with pytest.raises(ParameterError, match=f"N_um must be positive, got {n_uniform}"):
+        delta_config(n_uniform=n_uniform)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 the adaptive oscillatory-quadrature oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     cos_power_integral_lobes,
     oscillatory_quad,
     poisson_lattice_sum,
+    stored_bins,
     wigner_kernel_value,
 )
 from wigsolve import kernels
@@ -77,8 +79,13 @@ def coefficient_oracle(spec, consts, x, nu, km) -> complex:
     return 1j * imag
 
 
-def table_entry(table: KernelTable, xm, km, p: int, nu: int) -> complex:
-    return 1j * table.multipliers[p, km.mode_position(nu)]
+def table_entry(table: KernelTable, point, nu) -> complex:
+    """c_nu = i s_nu at one node, nu one mode per k axis: read from the stored
+    bins (nu >= 0 on the last axis, fft order on the first), or through
+    s_{-nu} = -s_nu when nu < 0 on the last axis (a Nyquist nu1 then aliases)."""
+    sign = -1 if nu[-1] < 0 else 1
+    N = table.grid.shape[table.grid.ndim_space:]
+    return 1j * sign * table.multipliers[(*point, *(sign * n % m for n, m in zip(nu, N)))]
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +229,7 @@ def test_delta_table_structure():
     table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
     km = grid.k
     nx = grid.x.num_points
-    assert table.multipliers.shape == (nx, km.num_points)
+    assert table.multipliers.shape == (nx, km.num_points // 2 + 1)
     # c_nu(0) = 0 at the spatial origin
     p0 = int(np.argmin(np.abs(grid.x.collocation_points)))
     assert abs(grid.x.collocation_points[p0]) == 0.0
@@ -233,13 +240,10 @@ def _structure_checks(table, km):
     c = table.multipliers
     # the real s of c = i s
     assert c.dtype == np.float64
-    # zero mode column empty
-    assert np.abs(c[..., km.mode_position(0)]).max() < 1e-12 * (np.abs(c).max() + 1e-30)
-    # odd in nu
-    for nu in range(1, km.num_points // 2):
-        a = c[..., km.mode_position(nu)]
-        b = c[..., km.mode_position(-nu)]
-        assert np.abs(a + b).max() < 1e-12 * (np.abs(c).max() + 1e-30)
+    # the stored bins nu = 0..Nk/2, the zero mode column exactly empty; the
+    # other half, s_{-nu} = -s_nu, is not stored
+    assert c.shape[-1] == km.num_points // 2 + 1
+    assert np.all(c[..., 0] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -278,7 +282,7 @@ def test_coefficients_match_oracle(spec):
         p = int(rng.integers(0, xm.num_points))
         nu = int(rng.integers(-km.num_points // 2 + 1, km.num_points // 2 + 1))
         x = xm.collocation_points[p]
-        got = table_entry(table, xm, km, p, nu)
+        got = table_entry(table, (p,), (nu,))
         want = coefficient_oracle(spec, CONSTS, x, nu, km)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -296,7 +300,7 @@ def test_delta_against_riemann_sum():
         x = xm.collocation_points[p]
         vals = wigner_kernel_value(DeltaPotential(H=1.0), CONSTS, x, k)
         ref = np.sum(vals * np.exp(-2j * np.pi * nu * k / L)) * (2 * L) / 10**6
-        assert table_entry(table, xm, km, p, nu) == pytest.approx(ref, abs=1e-6)
+        assert table_entry(table, (p,), (nu,)) == pytest.approx(ref, abs=1e-6)
 
 
 def test_delta_small_omega_limit_column():
@@ -310,7 +314,7 @@ def test_delta_small_omega_limit_column():
     grid = PhaseSpaceGrid.plane(xm, km)
     table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
     p = int(np.argmin(np.abs(xm.collocation_points - x_special)))
-    got = 1j * table.multipliers[p, km.mode_position(nu0)]
+    got = 1j * table.multipliers[p, nu0]
     wp = 2 * x_special + 2 * np.pi * nu0 / km.length
     expect = 1j * (2.0 / np.pi) * (np.sin(wp * km.length) / wp - km.length)
     assert got == pytest.approx(expect, rel=1e-12)
@@ -348,7 +352,7 @@ def test_multidelta_origin_matches_tensor_of_delta_transforms():
         + B1[:, None, :, None] * A1[None, :, None, :]
     ) * (4.0 * 0.9 / np.pi)
     assert table.multipliers.dtype == np.float64
-    np.testing.assert_allclose(table.multipliers, expect, atol=1e-10)
+    np.testing.assert_allclose(table.multipliers, stored_bins(expect, [k1, k2]), atol=1e-10)
 
 
 def _sinc(w, L):
@@ -379,7 +383,7 @@ def test_multidelta_against_tensor_quadrature_oracle():
         Vw = wigner_kernel_value(spec, CONSTS, xa, xb, K1, K2)
         phase = np.exp(-1j * 2 * np.pi * (n1 * K1 + n2 * K2) / L)
         ref = np.einsum("i,j,ij->", wq, wq, Vw * phase)
-        got = 1j * table.multipliers[p1, p2, k1.mode_position(int(n1)), k1.mode_position(int(n2))]
+        got = table_entry(table, (p1, p2), (int(n1), int(n2)))
         assert got == pytest.approx(ref, abs=1e-8)
 
 
@@ -390,14 +394,11 @@ def test_multidelta_invariants():
     spec = MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 4))
     c = kernel_coefficients(spec, grid, CONSTS).multipliers
     assert c.dtype == np.float64
-    # jointly odd under (nu1, nu2) -> (-nu1, -nu2)
-    for n1 in range(-3, 5):
-        for n2 in range(-3, 5):
-            if abs(n1) == 4 or abs(n2) == 4 or (-n1) < -3 or (-n2) < -3:
-                continue
-            a = c[:, :, k1.mode_position(n1), k1.mode_position(n2)]
-            b = c[:, :, k1.mode_position(-n1), k1.mode_position(-n2)]
-            np.testing.assert_allclose(a, -b, atol=1e-12)
+    # jointly odd under (nu1, nu2) -> (-nu1, -nu2); with nu2 >= 0 stored,
+    # both modes of a pair are stored only on the nu2 = 0 plane
+    N = k1.num_points
+    for n1 in range(-3, 4):
+        np.testing.assert_allclose(c[:, :, n1 % N, 0], -c[:, :, -n1 % N, 0], atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -405,15 +406,13 @@ def test_multidelta_invariants():
 # ----------------------------------------------------------------------
 
 def _assert_exactly_odd(s, meshes):
-    """s_0 = 0 and s_{-nu} = -s_nu bit for bit over the trailing mode axes."""
-    pos = [[km.mode_position(n) for n in range(1 - km.num_points // 2, km.num_points // 2)]
-           for km in meshes]
-    zero = tuple(km.mode_position(0) for km in meshes)
-    assert np.all(s[(Ellipsis, *zero)] == 0.0)
-    lead = (slice(None),) * (s.ndim - len(meshes))
-    ascending = s[lead + np.ix_(*pos)]
-    descending = s[lead + np.ix_(*(p[::-1] for p in pos))]
-    assert np.array_equal(ascending, -descending)
+    """s_0 = 0 bit for bit over the stored bins and, in 4-D, s_{-nu} = -s_nu
+    on the nu2 = 0 plane, the one plane that stores both modes of a pair."""
+    assert np.all(s[(Ellipsis, *(0 for _ in meshes))] == 0.0)
+    if len(meshes) == 2:
+        N = meshes[0].num_points
+        plane = s[:, :, :, 0]
+        assert np.array_equal(plane[:, :, 1 : N // 2], -plane[:, :, : N // 2 : -1])
 
 
 GAUSS_GRIDS = {"20x21x128": (30.0, 20, 21, 128), "10x9x32": (4.0, 10, 9, 32)}
@@ -426,9 +425,9 @@ def test_gaussian_table_matches_panel_quadrature(a, dims):
     grid = plane_grid(X=X, Q=Q, M=M, N=N)
     spec = GaussianBarrier(H=1.0, a=a)
     s = kernel_coefficients(spec, grid, CONSTS).multipliers
-    ref = -2.0 / math.pi * _gauss_cos_transform(
+    ref = stored_bins(-2.0 / math.pi * _gauss_cos_transform(
         spec, grid.x.collocation_points, grid.k.mode_frequencies, grid.k.length
-    )
+    ), [grid.k])
     assert np.abs(s - ref).max() <= 1e-14 * np.abs(s).max()
     _assert_exactly_odd(s, [grid.k])
 
@@ -457,7 +456,7 @@ def test_narrow_gaussian_table_matches_small_a_expansion(dims):
     def C(w):
         return kernels._sinc_L(w, L) - 2.0 * a * a * _k2_cos_moment(w, L)
 
-    ref = 2.0 / math.pi * (C(2.0 * x + nt) - C(2.0 * x - nt))
+    ref = stored_bins(2.0 / math.pi * (C(2.0 * x + nt) - C(2.0 * x - nt)), [grid.k])
     assert np.abs(s - ref).max() <= 1e-14 * np.abs(s).max()
 
 
@@ -476,7 +475,7 @@ def test_multidelta_table_matches_point_loop(points, M, N):
     grid = PhaseSpaceGrid.tensor4d(xm, xm, km, km)
     spec = MultiDeltaPotential2D(H=1.0, points=points)
     s = kernel_coefficients(spec, grid, CONSTS).multipliers
-    ref = _coeff_table_multidelta(spec, grid, CONSTS)
+    ref = stored_bins(_coeff_table_multidelta(spec, grid, CONSTS), [km, km])
     assert np.abs(s - ref).max() <= 1e-15 * np.abs(s).max()
     _assert_exactly_odd(s, [km, km])
 
@@ -548,9 +547,9 @@ def test_poisson_table_is_the_dense_lattice_sum(spec, window, N):
     assert np.isin(x, h).any() and np.isin(x, -h).any()
     clear_table_cache()
     s = poisson_kernel_coefficients(spec, grid, CONSTS).multipliers
-    ref = poisson_lattice_sum(spec, grid, CONSTS)
+    ref = stored_bins(poisson_lattice_sum(spec, grid, CONSTS), [km])
     assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert np.all(s[:, km.mode_position(0)] == 0.0)
+    assert np.all(s[:, 0] == 0.0)
     _assert_exactly_odd(s, [km])
 
 
@@ -558,15 +557,16 @@ def test_poisson_table_is_the_dense_lattice_sum(spec, window, N):
 def test_log_table_matches_the_cin_series_near_zero_frequency(window):
     # s = (H/hbar) [Cin(|w+| L) - Cin(|w-| L)]; where an argument is at most 1,
     # gamma + ln u - Ci(u) cancels down to Cin(u) ~ u^2/4 and is pinned to
-    # the power series.  The grid has nodes where w- is exactly 0.
+    # the power series.  The grid has nodes where w- is exactly 0, and enough
+    # nodes that the stored bins nu >= 0 hold 20 entries near zero frequency.
     km = build_wavenumber_mesh(*window, 32)
-    grid = PhaseSpaceGrid.plane(build_spatial_mesh(-4.0, 4.0, 4, 9), km)
+    grid = PhaseSpaceGrid.plane(build_spatial_mesh(-4.0, 4.0, 8, 9), km)
     spec = LogPotential(H=0.9)
     clear_table_cache()
     s = kernel_coefficients(spec, grid, CONSTS).multipliers
     x, L = grid.x.collocation_points[:, None], km.length
-    up = np.abs(2.0 * x + km.mode_frequencies) * L
-    dn = np.abs(2.0 * x - km.mode_frequencies) * L
+    up = stored_bins(np.abs(2.0 * x + km.mode_frequencies) * L, [km])
+    dn = stored_bins(np.abs(2.0 * x - km.mode_frequencies) * L, [km])
 
     def cin(u):
         small = u <= 1.0
@@ -647,6 +647,54 @@ def test_kernel_table_rejects_a_complex_or_misshaped_array():
         KernelTable(s.T, grid)
 
 
+def _uneven_4d_grid():
+    # N_k1 != N_k2, so a table that mixes up its two mode axes has the wrong shape
+    xm = build_spatial_mesh(-2.0, 2.0, 2, 5)
+    k1, k2 = build_wavenumber_mesh(-np.pi, np.pi, 8), build_wavenumber_mesh(-np.pi, np.pi, 16)
+    return PhaseSpaceGrid.tensor4d(xm, xm, k1, k2)
+
+
+# the seven 2-D family and route pairs of the benchmark's families2d workload,
+# and the 4-D multi-delta table, with the stored shape each must have
+TABLE_CASES = {
+    "delta": (kernel_coefficients, DeltaPotential(H=1.0), plane_grid, (36, 17)),
+    "log": (kernel_coefficients, LogPotential(H=1.0), plane_grid, (36, 17)),
+    "log_poisson": (poisson_kernel_coefficients, LogPotential(H=1.0), plane_grid, (36, 17)),
+    "inverse_power": (kernel_coefficients, InversePowerPotential(H=1.0, alpha=0.5), plane_grid,
+                      (36, 17)),
+    "inverse_square": (kernel_coefficients, InverseSquarePotential(H=1.0), plane_grid, (36, 17)),
+    "gaussian": (kernel_coefficients, GaussianBarrier(H=1.0, a=0.5), plane_grid, (36, 17)),
+    "gaussian_poisson": (poisson_kernel_coefficients, GaussianBarrier(H=1.0, a=0.5), plane_grid,
+                         (36, 17)),
+    "multi_delta_2d": (kernel_coefficients, MultiDeltaPotential2D(H=1.0, points=((0.5, -1.0),)),
+                       _uneven_4d_grid, (10, 10, 8, 9)),
+}
+
+
+@pytest.mark.parametrize("route, spec, make_grid, shape", TABLE_CASES.values(),
+                         ids=TABLE_CASES.keys())
+def test_every_table_holds_the_rfft_bins_alone(route, spec, make_grid, shape):
+    clear_table_cache()
+    grid = make_grid()
+    s = route(spec, grid, CONSTS).multipliers
+    assert s.shape == shape
+    assert s.nbytes == 8 * math.prod(shape)
+    if len(shape) == 4:  # nu1 in fft order on every bin, nu2 on the rfft bins
+        ref = stored_bins(_coeff_table_multidelta(spec, grid, CONSTS), grid.wavenumber)
+        assert np.abs(s - ref).max() <= 1e-15 * np.abs(s).max()
+    clear_table_cache()
+
+
+@pytest.mark.parametrize("make_grid, shape", [(plane_grid, (36, 17)),
+                                              (_uneven_4d_grid, (10, 10, 8, 9))],
+                         ids=["2d", "4d"])
+def test_kernel_table_refuses_a_full_table_naming_the_stored_shape(make_grid, shape):
+    grid = make_grid()
+    with pytest.raises(ParameterError, match=re.escape(f"is not {shape}")):
+        KernelTable(np.zeros(grid.shape), grid)
+    assert KernelTable(np.zeros(shape), grid).multipliers.shape == shape
+
+
 def test_annulus_points_layout():
     pts = annulus_points(2.0, 8)
     assert pts[0] == (2.0, 0.0)
@@ -673,8 +721,8 @@ def test_inverse_power_table_matches_direct_lobe_formula(alpha):
     wp = 2.0 * x[:, None] + freqs[None, :]
     wm = 2.0 * x[:, None] - freqs[None, :]
     beta = 1.0 - alpha
-    ref = 1j * _inverse_power_prefactor(spec, CONSTS.hbar) * (
-        cos_power_integral_lobes(wp, beta, L) - cos_power_integral_lobes(wm, beta, L)
+    ref = 1j * _inverse_power_prefactor(spec, CONSTS.hbar) * stored_bins(
+        cos_power_integral_lobes(wp, beta, L) - cos_power_integral_lobes(wm, beta, L), [grid.k]
     )
     got = 1j * kernel_coefficients(spec, grid, CONSTS).multipliers
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
