@@ -13,15 +13,18 @@ three Strang steps with one negative middle stage gives order four.
 
 One stepper (_Stepper) runs the stages in 2-D and 4-D phase space; it builds
 the sweep plans and multiplier tables of each distinct stage length once.
-evolve drives a run in either dimension with one stepper; advect,
-apply_kernel and step build a stepper for a single call.
+In 2-D it also owns the stages' scratch, the sweep product and the complex
+spectrum: every 2-D stage overwrites the work field and allocates nothing,
+while 4-D stages allocate their layout copies, products and spectra.  evolve
+drives a run in either dimension with one stepper, dropped before the final
+record and snapshot; advect, apply_kernel and step build a stepper for a
+single call and leave their input state as it is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -100,15 +103,16 @@ class _SweepPlan:
     batched matmul, then reads each target (k, m, q) from exactly one row
     of that product: node m of element q - n - (0 or 1).  The flat index of
     that row is fixed per (slice, tau) and precomputed here (`rows`).  The
-    product is preceded by one boundary row per slice, holding the inflow
-    (or zero); departures outside the domain read it.
+    product ends with one boundary row per slice, holding the inflow (or
+    zero); departures outside the domain read it.
 
     On a symmetric wavenumber domain the node at k_min has no +k_max partner
     (it represents both ends of the periodic window), so transporting it with
     the one-sided velocity breaks the parity and quarter-turn equivariance of
     the discrete evolution.  That slice gets the symmetrized transport
     (f(x - v tau) + f(x + v tau))/2 instead: its mirrored-velocity copy is
-    appended after the Nk slices and swept on its own.
+    appended after the Nk slices, with its own matrix and product rows,
+    and reads the edge slice's boundary row.
     """
 
     def __init__(self, mesh: SpatialMesh, velocities: np.ndarray, tau: float,
@@ -132,49 +136,53 @@ class _SweepPlan:
         diff = r[:, :, None] - (2.0 * xi - 1.0)[None, None, :]
         self.matrices = _barycentric_rows(diff, mesh.barycentric_weights)
 
-        # product row read by target (k, m, q): boundary row k when the source
-        # element lies outside the domain, else node m of element src
+        # product row read by target (k, m, q): node m of element src, or
+        # boundary row k when the source element lies outside the domain
+        S = len(velocities)
         src = np.arange(Q) - n.astype(np.intp)[:, None, None] - (~hi)[:, :, None]
-        k = np.arange(len(velocities))[:, None, None]
-        base = self.num_slices + (k * M + np.arange(M)[:, None]) * Q
+        k = np.arange(S)[:, None, None]
+        node = (k * M + np.arange(M)[:, None]) * Q + src
+        bound = S * M * Q + k
         if edge_slice is not None:
-            # the mirrored slice is swept alone: one boundary row, then its nodes
-            k[-1], base[-1] = 0, 1 + np.arange(M)[:, None] * Q
-        self.rows = np.where((src >= 0) & (src < Q), base + src, k)
+            # the mirrored slice indexes the product from its own nodes on
+            node[-1] -= self.num_slices * M * Q
+            bound[-1] = M * Q + edge_slice
+        self.rows = np.where((src >= 0) & (src < Q), node, bound)
 
-    def apply(self, work: np.ndarray, inflow: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, work: np.ndarray, inflow: np.ndarray | None = None,
+              product: np.ndarray | None = None) -> np.ndarray:
         """Shift the field work, (Nk, M, Q, R), in place and return it.
 
         inflow, if given, holds the (Nk, R) values read by departure points
-        outside the domain; otherwise those points read 0.  Callers pass a
-        private copy: sweeping in place spares an allocation per sweep.
+        outside the domain; otherwise those points read 0.  product is the
+        sweep's scratch, (S*M*Q + Nk, R) for the S = len(matrices) slices
+        the plan sweeps; a call given none allocates its own.  Callers pass
+        a private copy of the field.
         """
         Nk = self.num_slices
         if work.shape[0] != Nk:
             raise ParameterError(f"sweep plan holds {Nk} slices, field has {work.shape[0]}")
-        mirrored = None
-        if self.edge is not None:
-            e = self.edge
-            mirrored = _sweep(
-                work[e : e + 1], self.matrices[Nk:], self.rows[Nk:],
-                None if inflow is None else inflow[e : e + 1],
-            )
-        out = _sweep(work, self.matrices[:Nk], self.rows[:Nk], inflow, out=work)
-        if mirrored is not None:
-            out[e] += mirrored[0]
-            out[e] *= 0.5
-        return out
-
-
-def _sweep(work, matrices, rows, inflow, out=None):
-    # product rows: one boundary row per slice, then (slice, node, element)
-    Nk, M, Q, R = work.shape
-    product = np.empty((Nk + Nk * M * Q, R))
-    product[:Nk] = 0.0 if inflow is None else inflow
-    np.matmul(matrices, work.reshape(Nk, M, Q * R), out=product[Nk:].reshape(Nk, M, Q * R))
-    # every row index is in range; mode="clip" skips the bounds check and
-    # lets take write straight into out, which may be work itself
-    return np.take(product, rows, axis=0, out=out, mode="clip")
+        _, M, Q, R = work.shape
+        S = len(self.matrices)
+        if product is None:
+            product = np.empty((S * M * Q + Nk, R))
+        nodes = product[: S * M * Q].reshape(S, M, Q * R)
+        np.matmul(self.matrices[:Nk], work.reshape(Nk, M, Q * R), out=nodes[:Nk])
+        e = self.edge
+        if e is not None:
+            np.matmul(self.matrices[Nk:], work[e : e + 1].reshape(1, M, Q * R), out=nodes[Nk:])
+        product[S * M * Q :] = 0.0 if inflow is None else inflow
+        # every row index is in range; mode="clip" skips the bounds check and
+        # lets take write straight into work
+        np.take(product, self.rows[:Nk], axis=0, out=work, mode="clip")
+        if e is not None:
+            # the mirrored reading goes to slice 0's spent nodes, outside the
+            # rows it reads (an overlapping out would make take copy)
+            mirrored = np.take(product[Nk * M * Q :], self.rows[Nk], axis=0,
+                               out=nodes[0].reshape(M, Q, R), mode="clip")
+            work[e] += mirrored
+            work[e] *= 0.5
+        return work
 
 
 def _edge_slice(km: WavenumberMesh) -> int:
@@ -202,6 +210,12 @@ def _to_work_2d(values: np.ndarray, mesh: SpatialMesh) -> np.ndarray:
     # (nx, Nk) -> (Nk, M, Q), always a private copy
     work = values.T.reshape(-1, mesh.num_elements, mesh.points_per_element)
     return work.transpose(0, 2, 1).copy()
+
+
+def _from_work_2d(work: np.ndarray) -> np.ndarray:
+    # (Nk, M, Q) -> (nx, Nk), a new array
+    Nk, M, Q = work.shape
+    return np.ascontiguousarray(work.transpose(0, 2, 1).reshape(Nk, Q * M).T)
 
 
 def _advect_4d(values, grid, plans, inflow):
@@ -234,10 +248,19 @@ def _advect_4d(values, grid, plans, inflow):
 # ----------------------------------------------------------------------
 
 def _multipliers_half_2d(table: KernelTable, tau: float) -> np.ndarray:
-    """exp(i tau s_nu) for the rfft bins nu = 0..Nk/2, in work layout (nu, M, Q)."""
-    phases = table.multipliers * tau
-    phases[:, -1] = 0.0  # Nyquist mode has no conjugate partner
-    return np.exp(1j * _to_work_2d(phases, table.grid.x))
+    """exp(i tau s_nu) for the rfft bins nu = 0..Nk/2, in work layout (nu, M, Q).
+
+    tau s goes into the result's real part, whose sin and cos then fill the
+    two parts: no complex exponential and no temporary.
+    """
+    x = table.grid.x
+    s = table.multipliers.T.reshape(-1, x.num_elements, x.points_per_element).transpose(0, 2, 1)
+    out = np.empty(s.shape, complex)
+    phases = np.multiply(s, tau, out=out.real)
+    np.sin(phases, out=out.imag)
+    np.cos(phases, out=phases)
+    out[-1] = 1.0  # Nyquist mode has no conjugate partner: exp(0)
+    return out
 
 
 def _multipliers_half_4d(table: KernelTable, tau: float) -> np.ndarray:
@@ -287,6 +310,13 @@ class _Stepper:
     along the leading axis; in 4-D the field's own layout, which the
     transport re-lays per dimension.  table may be None without kernel
     stages, consts without transport stages.
+
+    In 2-D the stepper owns the stages' scratch, allocated here once: the
+    sweep product, ((Nk + 1)*M*Q + Nk, 1) with the symmetrized edge's
+    mirrored slice and (Nk*M*Q + Nk, 1) without, and the complex spectrum
+    (Nk/2+1, M, Q).  Every stage overwrites the work field and allocates
+    nothing.  4-D stages allocate their own layout copies, products and
+    spectra.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
@@ -306,27 +336,23 @@ class _Stepper:
         self.plans = {
             tau: _sweep_plans(grid, consts, tau, symmetrized_edge) for tau in _lengths(stages, "A")
         }
-        if grid.ndim_space == 1:
-            half = _multipliers_half_2d
-            # the 1-D transforms skip scipy.fft's n-D argument handling, which
-            # costs a few percent of a 2-D run
-            self._rfft = partial(scipy.fft.rfft, axis=0)
-            self._irfft = partial(scipy.fft.irfft, n=N[0], axis=0)
-        else:
-            half = _multipliers_half_4d
-            self._rfft = partial(scipy.fft.rfft2, axes=(2, 3))
-            self._irfft = partial(scipy.fft.irfft2, s=N, axes=(2, 3))
+        half = _multipliers_half_2d if grid.ndim_space == 1 else _multipliers_half_4d
         self.mults = {tau: half(table, tau) for tau in _lengths(stages, "B")}
+        self.product = self.spec = None
+        if grid.ndim_space == 1:
+            Nk, M, Q = N[0], grid.x.points_per_element, grid.x.num_elements
+            if self.plans:
+                swept = Nk + 1 if symmetrized_edge else Nk  # with the mirrored edge slice
+                self.product = np.empty((swept * M * Q + Nk, 1))
+            if self.mults:
+                self.spec = np.empty((Nk // 2 + 1, M, Q), complex)
 
     def to_work(self, values: np.ndarray) -> np.ndarray:
         """Work layout of a field: a private copy in 2-D, the field itself in 4-D."""
         return values if self.grid.ndim_space == 2 else _to_work_2d(values, self.grid.x)
 
     def from_work(self, work: np.ndarray) -> np.ndarray:
-        if self.grid.ndim_space == 2:
-            return work
-        Nk, M, Q = work.shape
-        return np.ascontiguousarray(work.transpose(0, 2, 1).reshape(Nk, Q * M).T)
+        return work if self.grid.ndim_space == 2 else _from_work_2d(work)
 
     def advance(self, work: np.ndarray) -> np.ndarray:
         """Run every stage on a work-layout field; a 2-D field is overwritten."""
@@ -343,12 +369,17 @@ class _Stepper:
         if self.grid.ndim_space == 2:
             return _advect_4d(work, self.grid, self.plans[tau], self.inflow)
         inflow = None if self.inflow is None else self.inflow[:, None]
-        return self.plans[tau][0].apply(work[:, :, :, None], inflow)[:, :, :, 0]
+        self.plans[tau][0].apply(work[:, :, :, None], inflow, self.product)
+        return work
 
     def _kernel(self, work, tau):
-        spec = self._rfft(work)
-        spec *= self.mults[tau]
-        return self._irfft(spec)
+        if self.grid.ndim_space == 2:
+            spec = scipy.fft.rfft2(work, axes=(2, 3))
+            spec *= self.mults[tau]
+            return scipy.fft.irfft2(spec, s=work.shape[2:], axes=(2, 3))
+        np.fft.rfft(work, axis=0, out=self.spec)
+        self.spec *= self.mults[tau]
+        return np.fft.irfft(self.spec, n=len(work), axis=0, out=work)
 
 
 # The benchmark's layer trace still names the class _Stepper2D; the alias
@@ -549,6 +580,7 @@ def evolve(config: SimulationConfig):
     # inflow boundaries (averaged over x in 2-D; 4-D data are uniform in x)
     if config.spatial_dims == 1:
         background = values.mean(axis=0)
+        work = _to_work_2d(values, grid.x)
         quad = observables.UniformMeshQuadrature(grid, config.n_uniform)
         mesh = grid.x
         wcc = observables._cc_x_weights(mesh).reshape(mesh.num_elements, -1).T  # (M, Q)
@@ -558,9 +590,10 @@ def evolve(config: SimulationConfig):
             quad.append_row_from_work(series, t, mass, work, consts)
 
         def snapshot(t, work):
-            return WignerState(grid, stepper.from_work(work), t)
+            return WignerState(grid, _from_work_2d(work), t)
     else:
         background = values[0, 0].copy()
+        work = values
 
         def record(t, work):
             series.append(t=t, total_mass=observables.total_mass(WignerState(grid, work, t)))
@@ -568,19 +601,24 @@ def evolve(config: SimulationConfig):
         def snapshot(t, work):
             return t, observables.spatial_marginal_2d(WignerState(grid, work, t))
 
+    # the work layout is the field from here on, and the stepper's tables and
+    # scratch are built without the natural layout alive
+    del values
     stepper = _Stepper(
         grid, table, consts,
         _stage_sequence(config.scheme, config.dt) if n_steps else [],
         background if config.inflow == "background" else None,
         config.edge_transport == "symmetrized",
     )
-    work = stepper.to_work(values)
-    del values  # in 2-D the work layout is a copy; the natural one is not needed again
     for i in range(n_steps + 1):
         if i:
             work = stepper.advance(work)
             if not np.isfinite(work).all():
                 raise DivergenceError(f"non-finite field after step {i}", series)
+        if i == n_steps:
+            # the stepper's scratch and stage tables are spent; dropping them
+            # lowers the peak of the final record and snapshot
+            del stepper
         try:
             record(i * config.dt, work)
         except DomainError as err:

@@ -170,6 +170,12 @@ class KernelTable:
     Nk/2+1), nu = 0..Nk/2; in 4-D (nx1, nx2, Nk1, Nk2/2+1), nu1 in fft order,
     nu2 = 0..Nk2/2.  s_{-nu} = -s_nu is implied; Nyquist bins are never read.
     The tables the two routes return are cached and shared: read-only.
+
+    c_0 = 0, which keeps the spatial marginal, is checked to 1e-12 of max|s|:
+    in 2-D the nu = 0 bin must vanish, in 4-D the nu2 = 0 plane must be odd
+    in nu1 (s(0, 0) = 0 among it), all but its inert nu1 Nyquist line.  The
+    real transform would otherwise apply only part of such a table.  A table
+    that is not finite passes, and the run's divergence check stops it.
     """
 
     multipliers: np.ndarray  # float64, shaped as above
@@ -178,11 +184,22 @@ class KernelTable:
     def __post_init__(self):
         if np.iscomplexobj(self.multipliers):
             raise ParameterError("kernel table must hold the real s_nu (c_nu = i s_nu)")
-        self.multipliers = np.asarray(self.multipliers, float)
+        s = self.multipliers = np.asarray(self.multipliers, float)
         expect = self.grid.shape[:-1] + (self.grid.shape[-1] // 2 + 1,)
-        if self.multipliers.shape != expect:
-            raise ParameterError(f"table shape {self.multipliers.shape} is not {expect},"
+        if s.shape != expect:
+            raise ParameterError(f"table shape {s.shape} is not {expect},"
                                  f" the rfft bins of grid {self.grid.shape}")
+        if s.ndim == 2:
+            stray, what = s[:, 0], "its nu = 0 bin is not 0"
+        else:
+            # s(nu1) + s(-nu1) for nu1 = 0..N1/2-1 in fft order
+            nu1 = np.arange(s.shape[2] // 2)
+            stray = s[:, :, nu1, 0] + s[:, :, -nu1 % s.shape[2], 0]
+            what = "its nu2 = 0 plane is not odd in nu1"
+        bad = np.abs(stray).max()
+        # built tables hold c_0 = 0 exactly and skip the scale
+        if bad > 0 and bad > 1e-12 * max(s.max(), -s.min()):
+            raise ParameterError(f"kernel table breaks c_0 = 0: {what}")
 
 
 def _bin_frequencies(km: WavenumberMesh, fft_order: bool = False) -> np.ndarray:
@@ -197,6 +214,15 @@ def _sinc_L(w: np.ndarray, L: float) -> np.ndarray:
     zero = w == 0.0
     safe = np.where(zero, 1.0, w)
     return np.where(zero, L, np.sin(safe * L) / safe)
+
+
+def _sinc_L_shared(w: np.ndarray, sin_wL: np.ndarray, L: float) -> np.ndarray:
+    """_sinc_L(w) from a given sin(w L): sin_wL/w, and _sinc_L's own form
+    wherever |w| L < 1, where that quotient loses its accuracy near w = 0."""
+    near = np.abs(w) * L < 1.0
+    out = sin_wL / np.where(near, 1.0, w)
+    out[near] = _sinc_L(w[near], L)
+    return out
 
 
 def _k_cos_moment(w: np.ndarray, L: float) -> np.ndarray:
@@ -238,7 +264,9 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
 
     if isinstance(spec, DeltaPotential):
         pref = 2.0 * spec.H / (math.pi * hbar)
-        diff = _sinc_L(wp, L) - _sinc_L(wm, L)
+        # nu~ L = 2 pi nu, so sin(w+- L) = sin(2 x L): one sin per x row
+        sin_row = np.sin(2.0 * x * L)[:, None]
+        diff = _sinc_L_shared(wp, sin_row, L) - _sinc_L_shared(wm, sin_row, L)
     elif isinstance(spec, InverseSquarePotential):
         pref = -4.0 * spec.H / hbar
         diff = _k_cos_moment(wp, L) - _k_cos_moment(wm, L)

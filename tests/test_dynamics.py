@@ -10,7 +10,9 @@ from oracles import k_forward
 from wigsolve.dynamics import (
     SCHEMES,
     SimulationConfig,
+    _Stepper,
     _SweepPlan,
+    _stage_sequence,
     _working_set_4d,
     advect,
     apply_kernel,
@@ -331,10 +333,15 @@ def test_kernel_grid_mismatch():
 
 
 def _random_real_table(grid, seed):
-    # s_nu(x) real and random on the stored bins, with s_0 = 0
+    # s_nu(x) real and random on the stored bins, with c_0 = 0: s_0 = 0 in
+    # 2-D, a nu2 = 0 plane odd in nu1 in 4-D
     *lead, Nk = grid.shape
     s = np.random.default_rng(seed).standard_normal((*lead, Nk // 2 + 1))
-    s[(Ellipsis, *(0 for _ in grid.wavenumber))] = 0.0
+    if grid.ndim_space == 1:
+        s[:, 0] = 0.0
+    else:
+        plane = s[..., 0]
+        s[..., 0] = 0.5 * (plane - plane[:, :, -np.arange(lead[2]) % lead[2]])
     return KernelTable(s, grid)
 
 
@@ -429,6 +436,44 @@ def test_step_conserves_interior_mass():
     m0 = total_mass(state)
     out = step(state, table, CONSTS, 0.01, "yoshida4")
     assert total_mass(out) == pytest.approx(m0, rel=1e-10)
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])
+def test_warm_2d_advance_allocates_almost_nothing(edge):
+    # the stepper owns the sweep product and the spectrum, and every stage
+    # overwrites the work field: on the stream2d grid the tracemalloc peak of
+    # three warm steps stays below an eighth of the field
+    import tracemalloc
+
+    grid = grid_2d(N=128)
+    table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
+    values = init_gaussian(grid, PACKET).values
+    inflow = values.mean(axis=0) if edge else None
+    stepper = _Stepper(grid, table, CONSTS, _stage_sequence("yoshida4", 0.01), inflow, edge)
+    work = stepper.advance(stepper.to_work(values))
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            assert stepper.advance(work) is work
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < work.nbytes / 8, peak
+
+
+@pytest.mark.parametrize("run", [
+    lambda s, t: advect(s, CONSTS, 0.01),
+    lambda s, t: apply_kernel(s, t, 0.01),
+    lambda s, t: step(s, t, CONSTS, 0.01, "yoshida4"),
+], ids=["advect", "apply_kernel", "step"])
+def test_2d_substeps_leave_their_input_state_unchanged(run):
+    grid = grid_2d()
+    table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
+    state = init_gaussian(grid, PACKET)
+    before = state.values.copy()
+    out = run(state, table)
+    assert np.array_equal(state.values, before)
+    assert not np.shares_memory(out.values, state.values)
 
 
 def test_realness_and_mass_over_many_steps():

@@ -695,6 +695,51 @@ def test_kernel_table_refuses_a_full_table_naming_the_stored_shape(make_grid, sh
     assert KernelTable(np.zeros(shape), grid).multipliers.shape == shape
 
 
+@pytest.mark.parametrize("route, spec, make_grid, shape", TABLE_CASES.values(),
+                         ids=TABLE_CASES.keys())
+def test_every_built_table_keeps_c0_zero_bit_for_bit(route, spec, make_grid, shape):
+    clear_table_cache()
+    s = route(spec, make_grid(), CONSTS).multipliers
+    if s.ndim == 2:
+        assert np.all(s[:, 0] == 0.0)
+    else:  # the nu2 = 0 plane is odd in nu1, nu1 in fft order
+        plane, half = s[..., 0], s.shape[2] // 2
+        assert np.all(plane[:, :, 0] == 0.0)
+        assert np.array_equal(plane[:, :, 1:half], -plane[:, :, : half : -1])
+    clear_table_cache()
+
+
+def test_kernel_table_refuses_a_nonzero_zero_mode_in_2d():
+    grid = plane_grid()
+    s = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS).multipliers.copy()
+    scale = np.abs(s).max()
+    s[3, 0] = 1e-13 * scale  # round-off passes
+    KernelTable(s, grid)
+    s[3, 0] = 1e-9 * scale  # it would scale the marginal by cos(tau s_0)
+    with pytest.raises(ParameterError, match="nu = 0 bin"):
+        KernelTable(s, grid)
+
+
+def test_kernel_table_refuses_a_4d_table_that_breaks_c0():
+    grid = _uneven_4d_grid()
+    spec = MultiDeltaPotential2D(H=1.0, points=((0.5, -1.0),))
+    s = kernel_coefficients(spec, grid, CONSTS).multipliers
+    scale, half = np.abs(s).max(), s.shape[2] // 2
+    rng = np.random.default_rng(5)
+    # round-off on the nu2 = 0 plane and noise on its inert nu1 Nyquist line pass
+    ok = s.copy()
+    ok[:, :, 1:half, 0] += 1e-13 * scale * rng.standard_normal(ok[:, :, 1:half, 0].shape)
+    ok[:, :, half, 0] = rng.standard_normal(ok[:, :, half, 0].shape)
+    KernelTable(ok, grid)
+    zero_mode = s.copy()
+    zero_mode[1, 2, 0, 0] = 1e-9 * scale
+    noisy = s.copy()  # the entries a real transform of the plane would not read
+    noisy[:, :, half + 1 :, 0] = rng.standard_normal(noisy[:, :, half + 1 :, 0].shape)
+    for bad in (zero_mode, noisy):
+        with pytest.raises(ParameterError, match="not odd in nu1"):
+            KernelTable(bad, grid)
+
+
 def test_annulus_points_layout():
     pts = annulus_points(2.0, 8)
     assert pts[0] == (2.0, 0.0)
