@@ -12,13 +12,13 @@ table.  Strang composition gives order two; the triple-jump composition of
 three Strang steps with one negative middle stage gives order four.
 
 One stepper (_Stepper) runs the stages in 2-D and 4-D phase space; it builds
-the sweep plans and multiplier tables of each distinct stage length once.
-In 2-D it also owns the stages' scratch, the sweep product and the complex
-spectrum: every 2-D stage overwrites the work field and allocates nothing,
-while 4-D stages allocate their layout copies, products and spectra.  evolve
-drives a run in either dimension with one stepper, dropped before the final
-record and snapshot; advect, apply_kernel and step build a stepper for a
-single call and leave their input state as it is.
+the sweep plans and multiplier tables of each distinct stage length once,
+and every buffer the stages use: no stage allocates, in 2-D or in 4-D.  A
+2-D stage overwrites the work field.  A 4-D field alternates between two
+work layouts, one switch per transport, into the stepper's second field
+buffer.  evolve drives a run in either dimension with one stepper, dropped
+before the final record and snapshot; advect, apply_kernel and step build a
+stepper for a single call and leave their input state as it is.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import CapacityError, DivergenceError, DomainError, ParameterError
 from .grid import (
@@ -218,29 +217,32 @@ def _from_work_2d(work: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(work.transpose(0, 2, 1).reshape(Nk, Q * M).T)
 
 
-def _advect_4d(values, grid, plans, inflow):
-    """Sweep x1, then x2, through three layout copies of the field.
+# The two 4-D work layouts, as axis orders of the natural field split per
+# element, (q1, m1, q2, m2, k1, k2): L1 = (k1, m1, q1, q2, m2, k2) leads with
+# x1 and its slices, L2 = (k2, m2, q2, q1, m1, k1) with x2.  Each is the
+# other with its axes reversed.  A spectrum has the axes of its field.
+_LAYOUTS_4D = ((4, 1, 0, 2, 3, 5), (5, 3, 2, 0, 1, 4))
 
-    With x_d = (q_d, m_d) the field axes are (q1, m1, q2, m2, k1, k2).  The
-    x1 sweep works on (k1, m1, q1, x2*k2), the x2 sweep on (k2, m2, q2,
-    x1*k1); each sweep runs in place on its work copy.
-    """
-    x1, x2 = grid.spatial
-    Q1, M1, Q2, M2 = x1.num_elements, x1.points_per_element, x2.num_elements, x2.points_per_element
-    nx1, nx2, Nk1, Nk2 = values.shape
-    prof1 = prof2 = None
-    if inflow is not None:
-        prof1 = np.broadcast_to(inflow[:, None, :], (Nk1, nx2, Nk2)).reshape(Nk1, nx2 * Nk2)
-        prof2 = np.broadcast_to(inflow.T[:, None, :], (Nk2, nx1, Nk1)).reshape(Nk2, nx1 * Nk1)
-    work = values.reshape(Q1, M1, Q2, M2, Nk1, Nk2).transpose(4, 1, 0, 2, 3, 5).copy()
-    work = work.reshape(Nk1, M1, Q1, nx2 * Nk2)
-    plans[0].apply(work, prof1)
-    # (k1, m1, q1, q2, m2, k2) -> (k2, m2, q2, q1, m1, k1)
-    work = work.reshape(Nk1, M1, Q1, Q2, M2, Nk2).transpose(5, 4, 3, 2, 1, 0).copy()
-    work = work.reshape(Nk2, M2, Q2, nx1 * Nk1)
-    plans[1].apply(work, prof2)
-    work = work.reshape(Nk2, M2, Q2, Q1, M1, Nk1).transpose(3, 4, 2, 1, 5, 0)
-    return work.reshape(nx1, nx2, Nk1, Nk2)
+
+def _split_4d(grid: PhaseSpaceGrid) -> tuple[int, ...]:
+    """(Q1, M1, Q2, M2, Nk1, Nk2): the natural 4-D shape with x split per element."""
+    (x1, x2), (k1, k2) = grid.spatial, grid.wavenumber
+    return (x1.num_elements, x1.points_per_element, x2.num_elements, x2.points_per_element,
+            k1.num_points, k2.num_points)
+
+
+def _to_work_4d(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    # (nx1, nx2, Nk1, Nk2) -> L1, always a private copy
+    return values.reshape(_split_4d(grid)).transpose(_LAYOUTS_4D[0]).copy()
+
+
+def _from_work_4d(work: np.ndarray, grid: PhaseSpaceGrid, layout: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    # L1 (layout 0) or L2 (layout 1) -> (nx1, nx2, Nk1, Nk2), into out if given
+    if out is None:
+        out = np.empty(grid.shape)
+    np.copyto(out.reshape(_split_4d(grid)), work.transpose(np.argsort(_LAYOUTS_4D[layout])))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -263,12 +265,25 @@ def _multipliers_half_2d(table: KernelTable, tau: float) -> np.ndarray:
     return out
 
 
-def _multipliers_half_4d(table: KernelTable, tau: float) -> np.ndarray:
-    # C order, like the spectrum it multiplies, whatever the table's strides
-    phases = np.multiply(table.multipliers, tau, order="C")
-    phases[:, :, table.grid.wavenumber[0].num_points // 2] = 0.0  # the Nyquist planes
-    phases[..., -1] = 0.0  # stay inert
-    return np.exp(1j * phases)
+def _multipliers_half_4d(table: KernelTable, tau: float, layout: int) -> np.ndarray:
+    """exp(i tau s_nu) on the spectrum of a field in layout L1 (0) or L2 (1):
+    nu1 over every fft bin, nu2 = 0..Nk2/2, with the axes of that layout.
+
+    As in 2-D, tau s goes into the real part and its sin and cos fill the
+    two parts; the Nyquist planes get phase 0.
+    """
+    Q1, M1, Q2, M2, Nk1, Nk2 = _split_4d(table.grid)
+    natural = (Q1, M1, Q2, M2, Nk1, Nk2 // 2 + 1)
+    order = _LAYOUTS_4D[layout]
+    out = np.empty([natural[a] for a in order], complex)
+    phases = out.real
+    s = phases.transpose(np.argsort(order))  # the same numbers, in natural axis order
+    np.multiply(table.multipliers.reshape(natural), tau, out=s)
+    s[..., Nk1 // 2, :] = 0.0  # the Nyquist planes
+    s[..., -1] = 0.0  # stay inert
+    np.sin(phases, out=out.imag)
+    np.cos(phases, out=phases)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -301,22 +316,58 @@ def _check_stage_lengths(stages: list[tuple[str, float]]) -> None:
             raise ParameterError(f"stage length {tau} fs exceeds the configured bound")
 
 
+def _layouts_4d(stages: list[tuple[str, float]]) -> tuple[list[int], int]:
+    """The layout, L1 (0) or L2 (1), in which each stage finds a 4-D field
+    that starts in L1, and the layout the last stage leaves: every transport
+    switches it.  A step of every scheme has an even number of transports,
+    so a step starts and ends in L1."""
+    layouts, layout = [], 0
+    for kind, _ in stages:
+        layouts.append(layout)
+        layout ^= kind == "A"
+    return layouts, layout
+
+
+def _scratch_shapes_4d(grid: PhaseSpaceGrid, symmetrized_edge: bool):
+    """Shapes of the 4-D scratch block's views: each dimension's sweep product
+    (float) and the half spectrum in each layout (complex)."""
+    split = _split_4d(grid)
+    points = math.prod(split)
+    products = tuple(
+        (((Nk + 1) if symmetrized_edge else Nk) * M * Q + Nk, points // (Nk * M * Q))
+        for Q, M, Nk in ((split[0], split[1], split[4]), (split[2], split[3], split[5]))
+    )
+    half = split[:5] + (split[5] // 2 + 1,)
+    spectra = tuple(tuple(half[a] for a in order) for order in _LAYOUTS_4D)
+    return products, spectra
+
+
 class _Stepper:
     """A fixed sequence of stages: transports ("A") and kernel substeps ("B").
 
     Every distinct stage length's sweep plans or half-spectrum multipliers
-    are built once, here.  The stages run on the field in work layout:
-    (Nk, M, Q) in 2-D phase space, so that every sweep and transform runs
-    along the leading axis; in 4-D the field's own layout, which the
-    transport re-lays per dimension.  table may be None without kernel
-    stages, consts without transport stages.
+    are built once, here, and so is every buffer the stages use: no stage
+    allocates, in 2-D or in 4-D.  table may be None without kernel stages,
+    consts without transport stages.
 
-    In 2-D the stepper owns the stages' scratch, allocated here once: the
-    sweep product, ((Nk + 1)*M*Q + Nk, 1) with the symmetrized edge's
-    mirrored slice and (Nk*M*Q + Nk, 1) without, and the complex spectrum
-    (Nk/2+1, M, Q).  Every stage overwrites the work field and allocates
-    nothing.  4-D stages allocate their own layout copies, products and
-    spectra.
+    In 2-D the field's work layout is (Nk, M, Q), so that every sweep and
+    transform runs along the leading axis, and every stage overwrites it.
+    The stepper owns the sweep product, ((Nk + 1)*M*Q + Nk, 1) with the
+    symmetrized edge's mirrored slice and (Nk*M*Q + Nk, 1) without, and the
+    complex spectrum (Nk/2+1, M, Q).
+
+    In 4-D the field is in layout L1 or L2 (_LAYOUTS_4D), and advance()
+    takes it in L1.  A transport sweeps the dimension its layout leads with
+    in place, switches layouts into the other field buffer, sweeps the
+    other dimension there, and leaves the field in the other layout; the
+    buffer it came from becomes the idle one.  A kernel substep runs in
+    place on either layout, the real transform along k2 and the complex one
+    along k1, with the multipliers built in that layout.  The stepper owns
+    the second field buffer and one scratch block, allocated together; the
+    scratch holds in turn the sweep product, the layout switch's staging
+    copy, the spectrum and, between steps, `readout`, the natural layout
+    the run reads.  It also owns the inflow profiles broadcast over each
+    sweep's slabs.  Without stages it owns no buffer.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
@@ -332,32 +383,73 @@ class _Stepper:
                 raise ParameterError(f"inflow must have shape {N}, got {inflow.shape}")
         self.grid = grid
         self.stages = stages
-        self.inflow = inflow
         self.plans = {
             tau: _sweep_plans(grid, consts, tau, symmetrized_edge) for tau in _lengths(stages, "A")
         }
-        half = _multipliers_half_2d if grid.ndim_space == 1 else _multipliers_half_4d
-        self.mults = {tau: half(table, tau) for tau in _lengths(stages, "B")}
-        self.product = self.spec = None
+        self.profiles = (None, None)
+        self.spare = self.staging = self.readout = None
         if grid.ndim_space == 1:
+            self.layouts, self.end_layout = [0] * len(stages), 0
+            self.mults = {tau: _multipliers_half_2d(table, tau) for tau in _lengths(stages, "B")}
             Nk, M, Q = N[0], grid.x.points_per_element, grid.x.num_elements
-            if self.plans:
-                swept = Nk + 1 if symmetrized_edge else Nk  # with the mirrored edge slice
-                self.product = np.empty((swept * M * Q + Nk, 1))
-            if self.mults:
-                self.spec = np.empty((Nk // 2 + 1, M, Q), complex)
+            swept = Nk + 1 if symmetrized_edge else Nk  # with the mirrored edge slice
+            self.products = (np.empty((swept * M * Q + Nk, 1)),) if self.plans else ()
+            self.spectra = (np.empty((Nk // 2 + 1, M, Q), complex),) if self.mults else ()
+            if inflow is not None:
+                self.profiles = (inflow[:, None], None)
+            return
+        self.layouts, self.end_layout = _layouts_4d(stages)
+        kernel_stages = dict.fromkeys(
+            (tau, layout) for (kind, tau), layout in zip(stages, self.layouts) if kind == "B"
+        )
+        self.mults = {key: _multipliers_half_4d(table, *key) for key in kernel_stages}
+        self.products = self.spectra = ()
+        if not stages:
+            return
+        products, spectra = _scratch_shapes_4d(grid, symmetrized_edge)
+        points = math.prod(grid.shape)
+        spectrum = math.prod(spectra[0])
+        # one block: the second field, padded so the scratch after it is
+        # 16-byte aligned for the complex spectrum, then the scratch
+        field = points + points % 2
+        block = np.empty(field + max(2 * spectrum, *(math.prod(p) for p in products)))
+        scratch = block[field:]
+        self.spare, self.staging = block[:points], scratch[:points]
+        self.products = tuple(scratch[: math.prod(p)].reshape(p) for p in products)
+        self.spectra = tuple(scratch[: 2 * spectrum].view(complex).reshape(s) for s in spectra)
+        self.readout = self.staging.reshape(grid.shape)
+        if inflow is not None and self.plans:
+            nx1, nx2 = grid.shape[:2]
+            self.profiles = tuple(
+                np.broadcast_to(f[:, None, :], (f.shape[0], nx, f.shape[1])).reshape(f.shape[0], -1)
+                for f, nx in ((inflow, nx2), (inflow.T, nx1))
+            )
 
     def to_work(self, values: np.ndarray) -> np.ndarray:
-        """Work layout of a field: a private copy in 2-D, the field itself in 4-D."""
-        return values if self.grid.ndim_space == 2 else _to_work_2d(values, self.grid.x)
+        """Work layout of a field, always a private copy: L1 in 4-D."""
+        if self.grid.ndim_space == 2:
+            return _to_work_4d(values, self.grid)
+        return _to_work_2d(values, self.grid.x)
 
     def from_work(self, work: np.ndarray) -> np.ndarray:
-        return work if self.grid.ndim_space == 2 else _from_work_2d(work)
+        """A new natural-layout field from the work field advance() left."""
+        if self.grid.ndim_space == 2:
+            return _from_work_4d(work, self.grid, self.end_layout)
+        return _from_work_2d(work)
 
     def advance(self, work: np.ndarray) -> np.ndarray:
-        """Run every stage on a work-layout field; a 2-D field is overwritten."""
-        for kind, tau in self.stages:
-            work = self._transport(work, tau) if kind == "A" else self._kernel(work, tau)
+        """Run every stage on a work-layout field and return the result.
+
+        A 2-D field is overwritten.  A 4-D field, given in L1, ends in
+        end_layout, in the caller's array after an even number of
+        transports and in the stepper's second field buffer otherwise; the
+        stepper keeps the array it does not return as its idle buffer.
+        """
+        for (kind, tau), layout in zip(self.stages, self.layouts):
+            if kind == "A":
+                work = self._transport(work, tau, layout)
+            else:
+                work = self._kernel(work, tau, layout)
         return work
 
     def apply(self, state: WignerState, dt: float = 0.0) -> WignerState:
@@ -365,21 +457,46 @@ class _Stepper:
         values = self.from_work(self.advance(self.to_work(state.values)))
         return WignerState(state.grid, values, state.time + dt)
 
-    def _transport(self, work, tau):
-        if self.grid.ndim_space == 2:
-            return _advect_4d(work, self.grid, self.plans[tau], self.inflow)
-        inflow = None if self.inflow is None else self.inflow[:, None]
-        self.plans[tau][0].apply(work[:, :, :, None], inflow, self.product)
-        return work
+    def _sweep(self, plan: _SweepPlan, field: np.ndarray, dim: int) -> None:
+        Nk, M, Q = field.shape[:3]
+        plan.apply(field.reshape(Nk, M, Q, -1), self.profiles[dim], self.products[dim])
 
-    def _kernel(self, work, tau):
-        if self.grid.ndim_space == 2:
-            spec = scipy.fft.rfft2(work, axes=(2, 3))
+    def _transport(self, work, tau, layout):
+        plans = self.plans[tau]
+        if self.grid.ndim_space == 1:
+            self._sweep(plans[0], work, 0)
+            return work
+        # the dimension this layout leads with, one switch, then the other
+        self._sweep(plans[layout], work, layout)
+        shape = work.shape[::-1]
+        # an idle buffer of the right shape is used as it is, so that the
+        # caller's array comes back as itself after an even number of transports
+        switched = self.spare if self.spare.shape == shape else self.spare.reshape(shape)
+        # The switch reverses all six axes in two passes through the scratch,
+        # idle between the sweeps: the leading axis goes last, then the other
+        # five are reversed.  Each pass keeps a contiguous inner run, where a
+        # one-pass reversal reads its inner loop with the largest stride (on
+        # the fermi4d field 1.4 ms against 3.2 ms, one core of a 2-core x86
+        # host).
+        staged = self.staging.reshape(work.shape[1:] + work.shape[:1])
+        np.copyto(staged, np.moveaxis(work, 0, -1))
+        np.copyto(switched, staged.transpose(4, 3, 2, 1, 0, 5))
+        self._sweep(plans[1 - layout], switched, 1 - layout)
+        self.spare = work
+        return switched
+
+    def _kernel(self, work, tau, layout):
+        spec = self.spectra[layout]
+        if self.grid.ndim_space == 1:
+            np.fft.rfft(work, axis=0, out=spec)
             spec *= self.mults[tau]
-            return scipy.fft.irfft2(spec, s=work.shape[2:], axes=(2, 3))
-        np.fft.rfft(work, axis=0, out=self.spec)
-        self.spec *= self.mults[tau]
-        return np.fft.irfft(self.spec, n=len(work), axis=0, out=work)
+            return np.fft.irfft(spec, n=len(work), axis=0, out=work)
+        real, full = (-1, 0) if layout == 0 else (0, -1)  # the k2 and k1 axes
+        np.fft.rfft(work, axis=real, out=spec)
+        np.fft.fft(spec, axis=full, out=spec)
+        spec *= self.mults[tau, layout]
+        np.fft.ifft(spec, axis=full, out=spec)
+        return np.fft.irfft(spec, n=work.shape[real], axis=real, out=work)
 
 
 # The benchmark's layer trace still names the class _Stepper2D; the alias
@@ -533,23 +650,22 @@ def _snapshot_steps(config: SimulationConfig) -> dict[int, float]:
 
 
 def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
-    """Estimated peak bytes of a 4-D run.
+    """Estimated peak bytes of a 4-D run: the table and what the stepper owns.
 
-    The real kernel table and one complex multiplier table per distinct
-    kernel stage length, both over the half spectrum (8 B and 16 B a bin); a
-    step's input field and its running stage result; and the largest stage
-    temporaries, the spectrum and output of a kernel substep (a sweep's work
-    copy and product are about as large).  A quarter more covers the rest.
+    The real kernel table over the half spectrum (8 B a bin); one complex
+    multiplier table (16 B a bin) per distinct kernel stage length and
+    layout; two fields, the work field and the stepper's second buffer; and
+    the stepper's one scratch block, the larger of a sweep product and the
+    complex half spectrum.  A quarter more covers the rest.
     """
-    points = float(np.prod(grid.shape))
-    Nk2 = grid.wavenumber[1].num_points
-    half = points * (Nk2 // 2 + 1) / Nk2  # points of a half spectrum
-    kernel_lengths = len(_lengths(_stage_sequence(config.scheme, config.dt), "B"))
-    table = 8 * half
-    fields = 2 * 8 * points
-    multipliers = kernel_lengths * 16 * half
-    temporaries = 16 * half + 8 * points
-    return 1.25 * (table + fields + multipliers + temporaries)
+    points = math.prod(grid.shape)
+    stages = _stage_sequence(config.scheme, config.dt)
+    layouts, _ = _layouts_4d(stages)
+    tables = len({(tau, layout) for (kind, tau), layout in zip(stages, layouts) if kind == "B"})
+    products, spectra = _scratch_shapes_4d(grid, config.edge_transport == "symmetrized")
+    half = math.prod(spectra[0])  # bins of a half spectrum
+    scratch = 8 * max(2 * half, *(math.prod(p) for p in products))
+    return 1.25 * (8 * half + tables * 16 * half + 2 * 8 * points + scratch)
 
 
 def evolve(config: SimulationConfig):
@@ -593,13 +709,20 @@ def evolve(config: SimulationConfig):
             return WignerState(grid, _from_work_2d(work), t)
     else:
         background = values[0, 0].copy()
-        work = values
+        # a run with steps works in L1 from here on and reads the natural
+        # layout from the stepper's readout buffer; a run without reads the
+        # field itself and makes no layout copy
+        work = _to_work_4d(values, grid) if n_steps else values
+
+        def natural(work):
+            return work if readout is None else _from_work_4d(work, grid, 0, readout)
 
         def record(t, work):
-            series.append(t=t, total_mass=observables.total_mass(WignerState(grid, work, t)))
+            state = WignerState(grid, natural(work), t)
+            series.append(t=t, total_mass=observables.total_mass(state))
 
         def snapshot(t, work):
-            return t, observables.spatial_marginal_2d(WignerState(grid, work, t))
+            return t, observables.spatial_marginal_2d(WignerState(grid, natural(work), t))
 
     # the work layout is the field from here on, and the stepper's tables and
     # scratch are built without the natural layout alive
@@ -610,14 +733,21 @@ def evolve(config: SimulationConfig):
         background if config.inflow == "background" else None,
         config.edge_transport == "symmetrized",
     )
+    readout = stepper.readout
     for i in range(n_steps + 1):
         if i:
             work = stepper.advance(work)
-            if not np.isfinite(work).all():
+            # a sum is finite only if every entry is, and a sum of finite
+            # entries that overflows is divergence too; unlike isfinite it
+            # allocates nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = work.sum()
+            if not math.isfinite(total):
                 raise DivergenceError(f"non-finite field after step {i}", series)
         if i == n_steps:
-            # the stepper's scratch and stage tables are spent; dropping them
-            # lowers the peak of the final record and snapshot
+            # the stepper's tables and buffers are spent (in 4-D all but the
+            # readout); dropping them lowers the peak of the final record and
+            # snapshot
             del stepper
         try:
             record(i * config.dt, work)
@@ -627,6 +757,12 @@ def evolve(config: SimulationConfig):
             snapshots.append(snapshot(i * config.dt, work))
     if not snapshots:
         snapshots.append(snapshot(n_steps * config.dt, work))
+    # the stepper's block goes before the field, which lies below it on the
+    # heap: freed last, the field leaves malloc a heap top below its trim
+    # threshold, so the next run reuses those pages instead of faulting in
+    # new ones (a cold 4-D set-up after warm runs: 0 minor faults, about
+    # 1 000 with the block freed last)
+    readout = None
     return snapshots, series
 
 

@@ -297,9 +297,11 @@ def _coeff_table_multidelta(
 
     def factors(xs, d, mu):
         # (P, x, nu) transforms of every delta, a = 2(x - d): the sine one
-        # A = Im int_{-L}^{L} sin(a k) e^{-i mu k} dk and its cosine twin B
+        # A = Im int_{-L}^{L} sin(a k) e^{-i mu k} dk and its cosine twin B;
+        # mu L = 2 pi nu, so sin((a +- mu) L) = sin(a L): one sin per (P, x) row
         a = 2.0 * (xs[None, :, None] - d[:, None, None])
-        up, dn = _sinc_L(a + mu, L), _sinc_L(a - mu, L)
+        sin_row = np.sin(a * L)
+        up, dn = _sinc_L_shared(a + mu, sin_row, L), _sinc_L_shared(a - mu, sin_row, L)
         return up - dn, up + dn
 
     A1, B1 = factors(x1m.collocation_points, pts[:, 0], _bin_frequencies(k1m, fft_order=True))

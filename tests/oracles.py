@@ -22,6 +22,11 @@ coefficients and back.  `spatial_interp_matrix` (barycentric) and
 `wavenumber_interp_matrix` (periodic sinc, closed-form Dirichlet kernel) are
 the dense interpolation matrices at arbitrary targets that the package's
 matrix-free uniform-mesh maps must agree with.
+`step_4d_natural` runs 4-D stages on the natural field layout as
+`wigsolve.dynamics` did before its alternating layouts, kept verbatim: each
+transport through three layout copies (`advect_4d_three_copies`), each
+kernel substep by scipy's rfft2 and irfft2 with multipliers from a complex
+exponential (`kernel_4d_rfft2`, `multipliers_half_4d_natural`).
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
+import scipy.fft
 from scipy.special import fresnel as _scipy_fresnel
 
+from wigsolve.dynamics import _sweep_plans
 from wigsolve.errors import AccuracyError, DomainError, ParameterError
 from wigsolve.grid import PhaseSpaceGrid, SpatialMesh, WavenumberMesh, _interp_rows
 from wigsolve.kernels import (
@@ -479,3 +486,55 @@ def wavenumber_interp_matrix(mesh: WavenumberMesh, targets) -> np.ndarray:
         kernel = np.sin(N * half) / (N * np.tan(half))
     kernel[np.abs(s) < 1e-15] = 1.0
     return kernel
+
+
+def multipliers_half_4d_natural(table, tau: float) -> np.ndarray:
+    """exp(i tau s) on the rfft2 bins of a natural-layout 4-D field; the
+    Nyquist planes stay inert."""
+    phases = np.multiply(table.multipliers, tau, order="C")
+    phases[:, :, table.grid.wavenumber[0].num_points // 2] = 0.0
+    phases[..., -1] = 0.0
+    return np.exp(1j * phases)
+
+
+def kernel_4d_rfft2(values: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    spec = scipy.fft.rfft2(values, axes=(2, 3))
+    spec *= mults
+    return scipy.fft.irfft2(spec, s=values.shape[2:], axes=(2, 3))
+
+
+def advect_4d_three_copies(values, grid, plans, inflow):
+    """Sweep x1, then x2, through three layout copies of the field.
+
+    With x_d = (q_d, m_d) the field axes are (q1, m1, q2, m2, k1, k2).  The
+    x1 sweep works on (k1, m1, q1, x2*k2), the x2 sweep on (k2, m2, q2,
+    x1*k1); each sweep runs in place on its work copy.
+    """
+    x1, x2 = grid.spatial
+    Q1, M1, Q2, M2 = x1.num_elements, x1.points_per_element, x2.num_elements, x2.points_per_element
+    nx1, nx2, Nk1, Nk2 = values.shape
+    prof1 = prof2 = None
+    if inflow is not None:
+        prof1 = np.broadcast_to(inflow[:, None, :], (Nk1, nx2, Nk2)).reshape(Nk1, nx2 * Nk2)
+        prof2 = np.broadcast_to(inflow.T[:, None, :], (Nk2, nx1, Nk1)).reshape(Nk2, nx1 * Nk1)
+    work = values.reshape(Q1, M1, Q2, M2, Nk1, Nk2).transpose(4, 1, 0, 2, 3, 5).copy()
+    work = work.reshape(Nk1, M1, Q1, nx2 * Nk2)
+    plans[0].apply(work, prof1)
+    # (k1, m1, q1, q2, m2, k2) -> (k2, m2, q2, q1, m1, k1)
+    work = work.reshape(Nk1, M1, Q1, Q2, M2, Nk2).transpose(5, 4, 3, 2, 1, 0).copy()
+    work = work.reshape(Nk2, M2, Q2, nx1 * Nk1)
+    plans[1].apply(work, prof2)
+    work = work.reshape(Nk2, M2, Q2, Q1, M1, Nk1).transpose(3, 4, 2, 1, 5, 0)
+    return work.reshape(nx1, nx2, Nk1, Nk2)
+
+
+def step_4d_natural(values, grid, table, consts, stages, inflow=None,
+                    symmetrized_edge: bool = False) -> np.ndarray:
+    """Run (kind, tau) stages on a natural-layout 4-D field; returns a new field."""
+    for kind, tau in stages:
+        if kind == "A":
+            plans = _sweep_plans(grid, consts, tau, symmetrized_edge)
+            values = advect_4d_three_copies(values, grid, plans, inflow)
+        else:
+            values = kernel_4d_rfft2(values, multipliers_half_4d_natural(table, tau))
+    return values

@@ -476,7 +476,9 @@ def test_multidelta_table_matches_point_loop(points, M, N):
     spec = MultiDeltaPotential2D(H=1.0, points=points)
     s = kernel_coefficients(spec, grid, CONSTS).multipliers
     ref = stored_bins(_coeff_table_multidelta(spec, grid, CONSTS), [km, km])
-    assert np.abs(s - ref).max() <= 1e-15 * np.abs(s).max()
+    # the table divides one sin(a L) per row where the oracle evaluates four
+    # sincs per entry; the two differ by a few ulp of max|s| (2.8e-15 at most)
+    assert np.abs(s - ref).max() <= 1e-14 * np.abs(s).max()
     _assert_exactly_odd(s, [km, km])
 
 
@@ -681,7 +683,7 @@ def test_every_table_holds_the_rfft_bins_alone(route, spec, make_grid, shape):
     assert s.nbytes == 8 * math.prod(shape)
     if len(shape) == 4:  # nu1 in fft order on every bin, nu2 on the rfft bins
         ref = stored_bins(_coeff_table_multidelta(spec, grid, CONSTS), grid.wavenumber)
-        assert np.abs(s - ref).max() <= 1e-15 * np.abs(s).max()
+        assert np.abs(s - ref).max() <= 1e-14 * np.abs(s).max()
     clear_table_cache()
 
 
