@@ -101,15 +101,6 @@ class WavenumberMesh:
     def length(self) -> float:
         return self.k_max - self.k_min
 
-    @property
-    def mode_frequencies(self) -> np.ndarray:
-        """nu~ = 2*pi*nu/L_k for every mode, ascending order."""
-        return 2.0 * np.pi * self.mode_indices / self.length
-
-    def mode_position(self, nu: int) -> int:
-        """Index of mode nu in the ascending storage order."""
-        return int(nu) + self.num_points // 2 - 1
-
 
 def build_spatial_mesh(X_L: float, X_R: float, Q: int, M: int) -> SpatialMesh:
     if not (np.isfinite(X_L) and np.isfinite(X_R)) or X_L >= X_R:

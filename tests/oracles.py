@@ -16,12 +16,14 @@ the power series of Cin(u) = int_0^u (1 - cos t)/t dt.  `wigner_kernel_value` is
 Wigner kernel V_w(x, k) of every family, the integrand the tables transform.
 These oracles tabulate every mode nu in ascending order; `stored_bins` takes
 from such a full table the bins a `KernelTable` holds.
-`barycentric_eval` evaluates one element's interpolant at a point, and
-`k_forward`/`k_inverse` map nodal wavenumber data to ascending Fourier mode
-coefficients and back.  `spatial_interp_matrix` (barycentric) and
-`wavenumber_interp_matrix` (periodic sinc, closed-form Dirichlet kernel) are
-the dense interpolation matrices at arbitrary targets that the package's
-matrix-free uniform-mesh maps must agree with.
+`barycentric_eval` evaluates one element's interpolant at a point,
+`mode_frequencies` and `mode_position` give each mode's frequency and its
+index in ascending storage, and `k_forward`/`k_inverse` map nodal
+wavenumber data to ascending Fourier mode coefficients and back.
+`spatial_interp_matrix` (barycentric) and `wavenumber_interp_matrix`
+(periodic sinc, closed-form Dirichlet kernel) are the dense interpolation
+matrices at arbitrary targets that the package's matrix-free uniform-mesh
+maps must agree with.
 `step_4d_natural` runs 4-D stages on the natural field layout as
 `wigsolve.dynamics` did before its alternating layouts, kept verbatim: each
 transport through three layout copies (`advect_4d_three_copies`), each
@@ -280,6 +282,16 @@ def barycentric_eval(mesh: SpatialMesh, element_values, element: int, x_star: fl
     return float(ratios @ values / ratios.sum())
 
 
+def mode_frequencies(mesh: WavenumberMesh) -> np.ndarray:
+    """nu~ = 2*pi*nu/L_k for every mode, ascending order."""
+    return 2.0 * np.pi * mesh.mode_indices / mesh.length
+
+
+def mode_position(mesh: WavenumberMesh, nu: int) -> int:
+    """Index of mode nu in the ascending storage order."""
+    return int(nu) + mesh.num_points // 2 - 1
+
+
 def k_forward(values, mesh: WavenumberMesh, axis: int = -1) -> np.ndarray:
     """Mode coefficients alpha_nu (ascending nu) of nodal wavenumber data."""
     values = np.asarray(values)
@@ -337,8 +349,8 @@ def _coeff_table_multidelta(
     L = k1m.length
     x1 = x1m.collocation_points
     x2 = x2m.collocation_points
-    f1 = k1m.mode_frequencies
-    f2 = k2m.mode_frequencies
+    f1 = mode_frequencies(k1m)
+    f2 = mode_frequencies(k2m)
 
     def sin_transform_im(xs, freqs):
         # Im int_{-L}^{L} sin(a k) e^{-i mu k} dk, a = 2(x-d)
@@ -390,11 +402,11 @@ def poisson_lattice_sum(
     y = zeta * delta_y
     dV = _poisson_samples(spec, x, y)
     # int_{-L}^{L} e^{-ik(y_zeta + nu~)} dk = 2 sinc_L(y_zeta + nu~)
-    G = 2.0 * _sinc_L(y[:, None] + km.mode_frequencies[None, :], L)
+    G = 2.0 * _sinc_L(y[:, None] + mode_frequencies(km)[None, :], L)
     # c = -i (...), so s is minus the real sum
     s = -((delta_y / (2.0 * math.pi * consts.hbar)) * (dV @ G))
     # nu = 0 must stay exactly zero: the substep may not touch the marginal
-    s[:, km.mode_position(0)] = 0.0
+    s[:, mode_position(km, 0)] = 0.0
     return s
 
 
@@ -403,11 +415,11 @@ def stored_bins(full: np.ndarray, meshes) -> np.ndarray:
     per mesh), that a KernelTable stores: nu = 0..N/2 on the last mode axis
     and, in 4-D phase space, every nu of the first in fft order."""
     *first, last = meshes
-    out = np.take(full, [last.mode_position(n) for n in range(last.num_points // 2 + 1)], -1)
+    out = np.take(full, [mode_position(last, n) for n in range(last.num_points // 2 + 1)], -1)
     for km in first:
         N = km.num_points
         fft_order = [*range(N // 2 + 1), *range(1 - N // 2, 0)]
-        out = np.take(out, [km.mode_position(n) for n in fft_order], -2)
+        out = np.take(out, [mode_position(km, n) for n in fft_order], -2)
     return out
 
 

@@ -1,18 +1,24 @@
 """Transport and kernel substeps, composed stepping, evolve drivers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import k_forward, step_4d_natural
+from oracles import k_forward, mode_position, step_4d_natural
+import wigsolve
 from wigsolve.dynamics import (
     SCHEMES,
     SimulationConfig,
     _Stepper,
     _SweepPlan,
     _stage_sequence,
+    _sweep_plans,
     _working_set_4d,
     advect,
     apply_kernel,
@@ -278,6 +284,19 @@ def test_sweep_plan_rejects_slice_count_mismatch():
         plan.apply(np.zeros((3, 5, 2, 1)))
 
 
+@pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])
+def test_equal_dimensions_share_one_sweep_plan(edge):
+    # meshes compare by value, so two separately built equal meshes share a
+    # plan; unequal ones do not
+    x = [build_spatial_mesh(-4.0, 4.0, 3, 5) for _ in range(2)]
+    k = [build_wavenumber_mesh(-np.pi, np.pi, 8) for _ in range(2)]
+    plan1, plan2 = _sweep_plans(PhaseSpaceGrid.tensor4d(*x, *k), CONSTS, 0.1, edge)
+    assert plan1 is plan2
+    plan1, plan2 = _sweep_plans(uneven_tensor_grid(), CONSTS, 0.1, edge)
+    assert plan1 is not plan2
+    assert (len(plan1.rows), len(plan2.rows)) == ((9, 17) if edge else (8, 16))
+
+
 # ----------------------------------------------------------------------
 # apply_kernel
 # ----------------------------------------------------------------------
@@ -316,7 +335,7 @@ def test_kernel_small_tau_matches_operator_application():
     # the odd extension of the stored bins nu = 0..N/2 over ascending nu
     N, s = km.num_points, table.multipliers
     mult = 1j * np.concatenate([-s[:, N // 2 - 1 : 0 : -1], s], axis=1)
-    mult[:, km.mode_position(N // 2)] = 0.0
+    mult[:, mode_position(km, N // 2)] = 0.0
     basis = np.exp(2j * np.pi * np.outer(km.mode_indices, np.arange(km.num_points)) / km.num_points)
     theta = ((mult * alpha) @ basis).real
     slope = (out.values - state.values) / tau
@@ -738,6 +757,60 @@ def uneven_tensor_grid():
         build_spatial_mesh(-4.0, 4.0, 3, 5), build_spatial_mesh(-5.0, 5.0, 2, 7),
         build_wavenumber_mesh(-np.pi, np.pi, 8), build_wavenumber_mesh(-np.pi, np.pi, 16),
     )
+
+
+@pytest.mark.parametrize("layout", ["L1", "L2"])
+def test_4d_kernel_substep_keeps_each_nodes_norm_over_the_modes(layout):
+    # unimodular multipliers: the discrete l2 norm over (k1, k2) of every x
+    # node is untouched, in L1 (a lone kernel substep) and in L2 (after one
+    # transport, which both sides of the comparison run alike)
+    grid = uneven_tensor_grid()
+    table = kernel_coefficients(MultiDeltaPotential2D(H=1.0, points=((0.5, -1.0),)), grid,
+                                FD_CONSTS)
+    state = WignerState(grid, np.random.default_rng(5).standard_normal(grid.shape))
+    if layout == "L1":
+        before, after = state, apply_kernel(state, table, 0.3)
+    else:
+        before = advect(state, FD_CONSTS, 0.02)
+        after = _Stepper(grid, table, FD_CONSTS, [("A", 0.02), ("B", 0.3)]).apply(state)
+    n0 = np.linalg.norm(before.values, axis=(2, 3))
+    n1 = np.linalg.norm(after.values, axis=(2, 3))
+    assert np.abs(after.values - before.values).max() > 0.1  # the substep did act
+    np.testing.assert_allclose(n1, n0, rtol=1e-13, atol=0)
+
+
+_THREADED_EVOLVE = """\
+import sys
+import numpy as np
+from wigsolve.dynamics import SimulationConfig, evolve
+from wigsolve.kernels import MultiDeltaPotential2D, PhysicalConstants, annulus_points
+from wigsolve.observables import FermiDiracSpec
+
+cfg = SimulationConfig(
+    x_lo=-10.0, x_hi=10.0, num_elements=5, points_per_element=9, num_modes=16,
+    potential=MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 8)),
+    initial=FermiDiracSpec(), consts=PhysicalConstants(hbar=0.658211899, mass=0.067 * 5.68562966),
+    dt=0.01, t_final=0.02, inflow="background", edge_transport="symmetrized",
+)
+snapshots, _ = evolve(cfg)
+np.save(sys.argv[1], snapshots[-1][1])
+"""
+
+
+def test_4d_evolve_gives_the_same_bits_on_one_and_two_blas_threads(tmp_path):
+    # the kernel substep's matrix products may be split over BLAS threads;
+    # each output entry must still be summed in one fixed order
+    src = str(Path(wigsolve.__file__).resolve().parent.parent)
+    marginals = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"marginal-{threads}.npy"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREADED_EVOLVE, str(out)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        marginals.append(np.load(out))
+    assert np.array_equal(marginals[0], marginals[1])
 
 
 @pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])

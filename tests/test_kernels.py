@@ -14,6 +14,7 @@ from oracles import (
     _gauss_cos_transform,
     cin_series,
     cos_power_integral_lobes,
+    mode_frequencies,
     oscillatory_quad,
     poisson_lattice_sum,
     stored_bins,
@@ -339,7 +340,7 @@ def test_multidelta_origin_matches_tensor_of_delta_transforms():
 
     L = k1.length
     # 1-D building blocks evaluated independently, scalar sinc at a time
-    f1 = k1.mode_frequencies
+    f1 = mode_frequencies(k1)
     a1 = 2.0 * x1.collocation_points
     A1 = np.empty((a1.size, f1.size))
     B1 = np.empty_like(A1)
@@ -426,7 +427,7 @@ def test_gaussian_table_matches_panel_quadrature(a, dims):
     spec = GaussianBarrier(H=1.0, a=a)
     s = kernel_coefficients(spec, grid, CONSTS).multipliers
     ref = stored_bins(-2.0 / math.pi * _gauss_cos_transform(
-        spec, grid.x.collocation_points, grid.k.mode_frequencies, grid.k.length
+        spec, grid.x.collocation_points, mode_frequencies(grid.k), grid.k.length
     ), [grid.k])
     assert np.abs(s - ref).max() <= 1e-14 * np.abs(s).max()
     _assert_exactly_odd(s, [grid.k])
@@ -451,7 +452,7 @@ def test_narrow_gaussian_table_matches_small_a_expansion(dims):
     s = kernel_coefficients(GaussianBarrier(H=1.0, a=a), grid, CONSTS).multipliers
     L = grid.k.length
     x = grid.x.collocation_points[:, None]
-    nt = grid.k.mode_frequencies[None, :]
+    nt = mode_frequencies(grid.k)[None, :]
 
     def C(w):
         return kernels._sinc_L(w, L) - 2.0 * a * a * _k2_cos_moment(w, L)
@@ -567,8 +568,8 @@ def test_log_table_matches_the_cin_series_near_zero_frequency(window):
     clear_table_cache()
     s = kernel_coefficients(spec, grid, CONSTS).multipliers
     x, L = grid.x.collocation_points[:, None], km.length
-    up = stored_bins(np.abs(2.0 * x + km.mode_frequencies) * L, [km])
-    dn = stored_bins(np.abs(2.0 * x - km.mode_frequencies) * L, [km])
+    up = stored_bins(np.abs(2.0 * x + mode_frequencies(km)) * L, [km])
+    dn = stored_bins(np.abs(2.0 * x - mode_frequencies(km)) * L, [km])
 
     def cin(u):
         small = u <= 1.0
@@ -763,7 +764,7 @@ def test_inverse_power_table_matches_direct_lobe_formula(alpha):
     grid = plane_grid(X=30.0, Q=10, M=9, N=64)
     spec = InversePowerPotential(H=1.1, alpha=alpha)
     x = grid.x.collocation_points
-    freqs = grid.k.mode_frequencies
+    freqs = mode_frequencies(grid.k)
     L = grid.k.length
     wp = 2.0 * x[:, None] + freqs[None, :]
     wm = 2.0 * x[:, None] - freqs[None, :]

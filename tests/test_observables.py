@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import spatial_interp_matrix, wavenumber_interp_matrix
+from oracles import mode_position, spatial_interp_matrix, wavenumber_interp_matrix
 from wigsolve.errors import DomainError, ParameterError
 from wigsolve.grid import (
     PhaseSpaceGrid,
@@ -369,7 +369,7 @@ def test_fermi_dirac_position_independent_and_monotone():
     v = state.values
     assert np.array_equal(v[0, 0], v[3, 7])
     # strictly decreasing in |k|^2 along the k1 axis at k2 = 0
-    j0 = grid.wavenumber[1].mode_position(0)
+    j0 = mode_position(grid.wavenumber[1], 0)
     center = int(np.argmin(np.abs(grid.wavenumber[0].collocation_k)))
     profile = v[0, 0, center:, j0]
     assert np.all(np.diff(profile) < 0)
