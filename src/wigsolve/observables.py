@@ -148,17 +148,17 @@ def init_fermi_dirac_4d(
     grid: PhaseSpaceGrid, spec: FermiDiracSpec, consts: PhysicalConstants
 ) -> WignerState:
     """Position-independent 2-D Fermi-Dirac occupation on a 4-D grid, for
-    particles of mass consts.mass in units with consts.hbar."""
+    particles of mass consts.mass in units with consts.hbar.
+
+    The values are a read-only broadcast of the (Nk1, Nk2) profile, with
+    zero strides along x: copy them before writing to them."""
     if grid.ndim_space != 2:
         raise ParameterError("Fermi-Dirac initial data needs a 4-D grid")
     k1 = grid.wavenumber[0].collocation_k
     k2 = grid.wavenumber[1].collocation_k
     ksq = (k1[:, None] ** 2 + k2[None, :] ** 2).ravel()
     prof = _fermi_dirac_profile(spec, consts, ksq).reshape(k1.size, k2.size)
-    nx1 = grid.spatial[0].num_points
-    nx2 = grid.spatial[1].num_points
-    values = np.broadcast_to(prof[None, None, :, :], (nx1, nx2, k1.size, k2.size)).copy()
-    return WignerState(grid, values, 0.0)
+    return WignerState(grid, np.broadcast_to(prof, grid.shape), 0.0)
 
 
 def _initial_state(grid: PhaseSpaceGrid, spec, consts: PhysicalConstants) -> WignerState:

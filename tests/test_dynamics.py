@@ -17,8 +17,10 @@ from wigsolve.dynamics import (
     SimulationConfig,
     _Stepper,
     _SweepPlan,
+    _marginal_4d,
     _stage_sequence,
     _sweep_plans,
+    _to_work_4d,
     _working_set_4d,
     advect,
     apply_kernel,
@@ -46,6 +48,7 @@ from wigsolve.kernels import (
 from wigsolve.observables import (
     FermiDiracSpec,
     GaussianPacketSpec,
+    _cc_x_weights,
     init_fermi_dirac_4d,
     init_gaussian,
     spatial_marginal,
@@ -730,8 +733,15 @@ def test_evolve_4d_stage_caches_match_per_stage_builds():
     inflow = state.values[0, 0].copy()
     for _ in range(3):
         state = step(state, table, cfg.consts, cfg.dt, cfg.scheme, inflow, True)
-    np.testing.assert_array_equal(snaps[-1][1], spatial_marginal_2d(state))
-    assert series.total_mass[-1] == total_mass(state)
+    # evolve reads its L1 field in place: exact against the same reduction of
+    # the reference field in L1, and as the natural-layout observables but for
+    # the summation order
+    it = _marginal_4d(_to_work_4d(state.values, grid), grid)
+    w1, w2 = (_cc_x_weights(mesh) for mesh in grid.spatial)
+    np.testing.assert_array_equal(snaps[-1][1], it)
+    assert series.total_mass[-1] == float(w1 @ it @ w2)
+    np.testing.assert_allclose(snaps[-1][1], spatial_marginal_2d(state), rtol=1e-14, atol=0)
+    assert series.total_mass[-1] == pytest.approx(total_mass(state), rel=1e-14)
 
 
 @pytest.mark.parametrize("Q, M, N", [(3, 5, 8), (5, 9, 16)])
@@ -757,6 +767,50 @@ def uneven_tensor_grid():
         build_spatial_mesh(-4.0, 4.0, 3, 5), build_spatial_mesh(-5.0, 5.0, 2, 7),
         build_wavenumber_mesh(-np.pi, np.pi, 8), build_wavenumber_mesh(-np.pi, np.pi, 16),
     )
+
+
+def test_marginal_4d_matches_the_natural_layout_marginal():
+    grid = uneven_tensor_grid()
+    values = np.random.default_rng(11).random(grid.shape)
+    got = _marginal_4d(_to_work_4d(values, grid), grid)
+    want = spatial_marginal_2d(WignerState(grid, values))
+    assert got.shape == grid.shape[:2]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_marginal_4d_allocates_little_beyond_its_result():
+    # the reduction reads the L1 field where it lies: no field-sized copy
+    import tracemalloc
+
+    cfg = fd_config()
+    grid = cfg.build_grid()
+    work = _to_work_4d(init_fermi_dirac_4d(grid, cfg.initial, cfg.consts).values, grid)
+    tracemalloc.start()
+    try:
+        _marginal_4d(work, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < work.nbytes / 64, peak
+
+
+@pytest.mark.parametrize("run", [
+    lambda s, t, i: advect(s, FD_CONSTS, 0.01, i, True),
+    lambda s, t, i: step(s, t, FD_CONSTS, 0.01, "yoshida4", i, True),
+], ids=["advect", "step"])
+def test_4d_substeps_on_read_only_fermi_dirac_data_match_a_writable_copy(run):
+    grid = uneven_tensor_grid()
+    table = kernel_coefficients(MultiDeltaPotential2D(H=1.0, points=((0.5, -1.0),)), grid,
+                                FD_CONSTS)
+    state = init_fermi_dirac_4d(grid, FermiDiracSpec(), FD_CONSTS)
+    assert not state.values.flags.writeable
+    assert state.values.strides[:2] == (0, 0)
+    before = state.values.copy()
+    inflow = before[0, 0]
+    got = run(state, table, inflow).values
+    want = run(WignerState(grid, before.copy()), table, inflow).values
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(state.values, before)
 
 
 @pytest.mark.parametrize("layout", ["L1", "L2"])
