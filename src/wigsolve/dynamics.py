@@ -13,19 +13,26 @@ three Strang steps with one negative middle stage gives order four.
 
 One stepper (_Stepper) runs the stages in 2-D and 4-D phase space; it builds
 the sweep plans and multiplier tables of each distinct stage length once,
-and every buffer the stages use: no stage allocates, in 2-D or in 4-D.  A
-2-D stage overwrites the work field, and its kernel substep is numpy's rfft
-and irfft along the k axis.  A 4-D field alternates between two work
-layouts, one switch per transport, into the stepper's second field buffer.
-Its kernel substep is the same four matrix products in either layout: a
-real one against a precomputed rfft matrix along the layout's trailing,
-contiguous k axis, the complex DFT along its leading k axis and its
-inverse, with the multiply between them, and a real irfft matrix back into
-the field.  At N_k = 16 to 64 BLAS runs these transforms faster than
-pocketfft, whose per-lane overhead dominates a 16-point transform.  evolve
-drives a run in either dimension with one stepper, dropped before the final
-record and snapshot; advect, apply_kernel and step build a stepper for a
-single call and leave their input state as it is.
+and every buffer the stages use: no stage allocates, in 2-D or in 4-D.  Both
+kernel substeps are four matrix products against DFT matrices built once by
+one helper (_dft_matrices), the multiply between the middle two; no np.fft
+call is left.  A 2-D stage overwrites the work field.  Its kernel substep
+factors the k axis, N_k = N1*N2 (Bailey's four-step FFT): per n2, one real
+product maps the N1 slices k = N2*n1 + n2 to H1 = N1/2 + 1 bins, the
+twiddle folded into the matrix; the complex N2-point DFT across them, the
+multiply and the inverse DFT run as real products on (Re, Im) pairs; per
+n2, one real product with the conjugate twiddle and the c2r weights returns
+to the field.  A 4-D field alternates between two work layouts, one switch
+per transport, into the stepper's second field buffer.  Its kernel substep
+is the same four matrix products in either layout: a real one against a
+precomputed rfft matrix along the layout's trailing, contiguous k axis, the
+complex DFT along its leading k axis and its inverse, with the multiply
+between them, and a real irfft matrix back into the field.  At these sizes
+(N_k = 16 to 128) BLAS runs the transforms faster than pocketfft, which
+transforms one lane at a time.  evolve drives a run in either dimension with
+one stepper, dropped before the final record and snapshot; advect,
+apply_kernel and step build a stepper for a single call and leave their
+input state as it is.
 """
 
 from __future__ import annotations
@@ -264,20 +271,38 @@ def _marginal_4d(work: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
 # pseudo-differential substep
 # ----------------------------------------------------------------------
 
-def _multipliers_half_2d(table: KernelTable, tau: float) -> np.ndarray:
-    """exp(i tau s_nu) for the rfft bins nu = 0..Nk/2, in work layout (nu, M, Q).
+def _multipliers_2d(table: KernelTable, tau: float, n_real: int, n_complex: int,
+                    out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i tau s_nu) on the spectrum of the factored 2-D substep, written
+    into out (complex, one entry a bin) and returned as the two halves of
+    its columns, each contiguous (columns, N2).
 
-    tau s goes into the result's real part, whose sin and cos then fill the
-    two parts: no complex exponential and no temporary.
+    The spectrum's axes are (k1, m, q, k2): bin nu = k1 + N1*k2 at work
+    node (m, q), with k1 = 0..N1/2, N1 = n_real and N2 = n_complex; the
+    halves split it at k1 = H1/2, H1 = N1/2 + 1.  Those bins hold every nu
+    mod N_k once.  A bin with nu > N_k/2 reads s_nu = -s_{N_k-nu}, and the
+    Nyquist bin gets phase 0.  As in 4-D, tau s goes into the real part,
+    whose sin and cos then fill the two parts, and every value is written
+    straight from the table into the result: no table-sized temporary
+    exists.
     """
     x = table.grid.x
-    s = table.multipliers.T.reshape(-1, x.num_elements, x.points_per_element).transpose(0, 2, 1)
-    out = np.empty(s.shape, complex)
-    phases = np.multiply(s, tau, out=out.real)
+    N1, N2 = n_real, n_complex
+    N, H1 = N1 * N2, N1 // 2 + 1
+    s = table.multipliers.reshape(x.num_elements, x.points_per_element, -1).transpose(1, 0, 2)
+    out = out.reshape((H1,) + s.shape[:2] + (N2,))
+    phases = out.real
+    for k1, bins in enumerate(phases):
+        stored = (N // 2 - k1) // N1 + 1  # the k2 with nu <= N_k/2
+        np.multiply(s[..., k1 : N // 2 + 1 : N1], tau, out=bins[..., :stored])
+        # N_k - nu runs down from N_k - k1 - N1*stored to N1 - k1
+        mirrored = s[..., N1 - k1 : N1 * (N2 - stored + 1) - k1 : N1]
+        np.multiply(mirrored[..., ::-1], -tau, out=bins[..., stored:])
+    k2, k1 = divmod(N // 2, N1)
+    phases[k1, ..., k2] = 0.0  # the Nyquist bin has no conjugate partner
     np.sin(phases, out=out.imag)
     np.cos(phases, out=phases)
-    out[-1] = 1.0  # Nyquist mode has no conjugate partner: exp(0)
-    return out
+    return out[: H1 // 2].reshape(-1, N2), out[H1 // 2 :].reshape(-1, N2)
 
 
 def _multipliers_half_4d(table: KernelTable, tau: float, layout: int) -> np.ndarray:
@@ -315,26 +340,51 @@ def _multipliers_half_4d(table: KernelTable, tau: float, layout: int) -> np.ndar
     return out
 
 
-def _dft_matrices_4d(n_trail: int, n_lead: int) -> tuple[np.ndarray, ...]:
-    """The four matrices of the 4-D kernel substep in a layout whose k axes
-    have n_lead (leading) and n_trail (trailing, contiguous) points.
+def _factors(n: int) -> tuple[int, int]:
+    """(N1, N2) with N1*N2 = n for the 2-D kernel substep: N2 is the largest
+    divisor of n at most sqrt(n/2), so N1 >= 2*N2 (16 x 8 at n = 128); N2 = 1
+    leaves the dense real DFT."""
+    n2 = max(d for d in range(1, math.isqrt(n // 2) + 1) if n % d == 0)
+    return n // n2, n2
 
-    forward, (n_trail, 2H) with H = n_trail/2 + 1, maps a row of the field
-    to its rfft with each bin's (Re, Im) in adjacent columns, so that the
-    product viewed as complex is the half spectrum; back, (2H, n_trail), is
-    the irfft and, like it, reads no imaginary part at bins 0 and
-    n_trail/2.  lead and lead_inv are the complex DFT along the leading
-    axis and its inverse.
+
+def _dft_matrices(n_real: int, n_complex: int, twiddled: bool) -> tuple[np.ndarray, ...]:
+    """The DFT matrices of a kernel substep that transforms an n_real-point
+    axis by real products and an n_complex-point axis by complex ones:
+    roots, weights, lead and lead_inv.
+
+    roots, (S, n_real, H) with H = n_real/2 + 1, holds per shift n2 < S the
+    map of n_real real samples to H bins; weights, (H,), are the c2r
+    weights over n_real that map them back: bins 0 and n_real/2 count once,
+    every other bin twice, as its own conjugate partner.  lead and lead_inv
+    are the complex n_complex-point DFT and its inverse.  Untwiddled (4-D),
+    S = 1 and roots is the rfft matrix of its axis.  Twiddled (2-D), the two
+    axes are the factors of one N = n_real*n_complex point axis, sample k =
+    n_complex*n1 + n2 and bin nu = k1 + n_real*k2 (Bailey's four-step FFT):
+    S = n_complex, and roots[n2, n1, k1] = exp(-2 pi i k1 k / N) carries the
+    twiddle.
     """
-    n = np.arange(n_trail)
-    roots = np.exp(-2j * np.pi * (np.outer(n, n[: n_trail // 2 + 1]) % n_trail) / n_trail)
-    roots[:, -1].imag = 0.0  # the Nyquist column is (-1)^n
-    weights = np.full(roots.shape[1], 2.0 / n_trail)
-    weights[[0, -1]] = 1.0 / n_trail
-    back = np.ascontiguousarray((roots * weights).view(float).T)
-    a = np.arange(n_lead)
-    lead = np.exp(-2j * np.pi * (np.outer(a, a) % n_lead) / n_lead)
-    return roots.view(float), lead, lead.conj() / n_lead, back
+    stride = n_complex if twiddled else 1
+    n = n_real * stride
+    samples = stride * np.arange(n_real)[:, None] + np.arange(stride)[:, None, None]
+    phase = samples * np.arange(n_real // 2 + 1) % n
+    roots = np.exp(-2j * np.pi * phase / n)
+    roots.imag[2 * phase % n == 0] = 0.0  # the roots +-1 exactly
+    weights = np.full(roots.shape[-1], 2.0 / n_real)
+    weights[0] = 1.0 / n_real
+    if n_real % 2 == 0:
+        weights[-1] = 1.0 / n_real  # the Nyquist bin
+    a = np.arange(n_complex)
+    lead = np.exp(-2j * np.pi * (np.outer(a, a) % n_complex) / n_complex)
+    return roots, weights, lead, lead.conj() / n_complex
+
+
+def _real_form(matrix: np.ndarray) -> np.ndarray:
+    """The real (2n, 2n) matrix R with v @ R = w for every complex (n, n)
+    matrix D and vectors z, D @ z, stored as (Re, Im) pairs in v and w."""
+    units = np.array([1.0, 1j])[:, None]
+    return np.ascontiguousarray(matrix.T[:, None, :] * units).view(float).reshape(
+        2 * len(matrix), -1)
 
 
 # ----------------------------------------------------------------------
@@ -403,11 +453,21 @@ class _Stepper:
     allocates, in 2-D or in 4-D.  table may be None without kernel stages,
     consts without transport stages.
 
-    In 2-D the field's work layout is (Nk, M, Q), so that every sweep and
-    transform runs along the leading axis, and every stage overwrites it.
-    The stepper owns the sweep product, ((Nk + 1)*M*Q + Nk, 1) with the
-    symmetrized edge's mirrored slice and (Nk*M*Q + Nk, 1) without, and the
-    complex spectrum (Nk/2+1, M, Q).
+    In 2-D the field's work layout is (Nk, M, Q), so that every sweep runs
+    along the leading axis, and every stage overwrites it.  The stepper owns
+    one block: the multiplier tables, then a scratch that transports and
+    kernel substeps take in turn, as the sweep product, ((Nk + 1)*M*Q + Nk,
+    1) with the symmetrized edge's mirrored slice and (Nk*M*Q + Nk, 1)
+    without, or as the spectrum, (N2, 2*H1, M*Q) for the factors Nk = N1*N2
+    (_factors), H1 = N1/2 + 1.  A kernel substep writes the spectrum by one
+    real product per n2, the (Re, Im) parts of its H1 bins as two blocks of
+    rows.  The complex DFT along n2, the multiply and the inverse DFT then
+    run on half of the spectrum's columns (k1, node) at a time through the
+    work field, which holds nothing until the last product: the DFT, as a
+    product of the half's transpose with the DFT's real form, writes each
+    bin's (Re, Im) pair along k2, a complex view multiplies it by that
+    half's multipliers, and the inverse goes back into the spectrum.  One
+    real product per n2 returns to the field.
 
     In 4-D the field is in layout L1 or L2 (_LAYOUTS_4D), and advance()
     takes it in L1.  A transport sweeps the dimension its layout leads with
@@ -449,11 +509,34 @@ class _Stepper:
         self.spare = self.staging = None
         if grid.ndim_space == 1:
             self.layouts, self.end_layout = [0] * len(stages), 0
-            self.mults = {tau: _multipliers_half_2d(table, tau) for tau in _lengths(stages, "B")}
             Nk, M, Q = N[0], grid.x.points_per_element, grid.x.num_elements
+            N1, N2 = _factors(Nk)
+            taus = _lengths(stages, "B")
             swept = Nk + 1 if symmetrized_edge else Nk  # with the mirrored edge slice
-            self.products = (np.empty((swept * M * Q + Nk, 1)),) if self.plans else ()
-            self.spectra = (np.empty((Nk // 2 + 1, M, Q), complex),) if self.mults else ()
+            product = swept * M * Q + Nk if self.plans else 0
+            spectrum = (N2, 2 * (N1 // 2 + 1), M * Q) if taus else (0,)
+            # one block: each kernel stage length's multipliers (complex, one
+            # a spectrum bin), then the scratch, which transports and kernel
+            # substeps take in turn.  Freed at once, it keeps malloc's trim
+            # threshold above what a run frees, so the next run or set-up
+            # reuses the heap's pages (a cold families2d set-up took about 470
+            # minor faults a config with the tables allocated one by one,
+            # none with the block)
+            tables = len(taus) * math.prod(spectrum)
+            block = np.empty(tables + max(product, math.prod(spectrum)))
+            bins = block[:tables].view(complex).reshape(len(taus), math.prod(spectrum) // 2)
+            self.mults = {(tau, 0): _multipliers_2d(table, tau, N1, N2, out)
+                          for tau, out in zip(taus, bins)}
+            scratch = block[tables:]
+            self.products = (scratch[:product].reshape(product, 1),) if self.plans else ()
+            self.spectra = (scratch[: math.prod(spectrum)].reshape(spectrum),) if taus else ()
+            self.dfts = {}
+            if taus:
+                roots, weights, lead, lead_inv = _dft_matrices(N1, N2, twiddled=True)
+                # the real products' (Re, Im) parts as two blocks of H1 bins
+                planar = np.concatenate([roots.real, roots.imag], axis=2)
+                self.dfts[0] = (planar.transpose(0, 2, 1).copy(), _real_form(lead),
+                                _real_form(lead_inv).T, planar * np.tile(weights, 2))
             if inflow is not None:
                 self.profiles = (inflow[:, None], None)
             return
@@ -463,8 +546,12 @@ class _Stepper:
         )
         self.mults = {key: _multipliers_half_4d(table, *key) for key in kernel_stages}
         # the trailing k axis of L1 is k2, that of L2 is k1
-        self.dfts = {layout: _dft_matrices_4d(*(N[::-1] if layout == 0 else N))
-                     for layout in {layout for _, layout in kernel_stages}}
+        self.dfts = {}
+        for layout in {layout for _, layout in kernel_stages}:
+            roots, weights, lead, lead_inv = _dft_matrices(
+                *(N[::-1] if layout == 0 else N), twiddled=False)
+            self.dfts[layout] = (roots[0].view(float), lead, lead_inv,
+                                 np.ascontiguousarray((roots[0] * weights).view(float).T))
         self.products = self.spectra = ()
         if not stages:
             return
@@ -502,7 +589,8 @@ class _Stepper:
         return _from_work_2d(work)
 
     def advance(self, work: np.ndarray) -> np.ndarray:
-        """Run every stage on a work-layout field and return the result.
+        """Run every stage on a C-contiguous work-layout field (to_work
+        gives one) and return the result.
 
         A 2-D field is overwritten.  A 4-D field, given in L1, ends in
         end_layout, in the caller's array after an even number of
@@ -550,12 +638,30 @@ class _Stepper:
         return switched
 
     def _kernel(self, work, tau, layout):
+        forward, lead, lead_inv, back = self.dfts[layout]
         spec = self.spectra[layout]
         if self.grid.ndim_space == 1:
-            np.fft.rfft(work, axis=0, out=spec)
-            spec *= self.mults[tau]
-            return np.fft.irfft(spec, n=len(work), axis=0, out=work)
-        forward, lead, lead_inv, back = self.dfts[layout]
+            # the field as (N2, N1, M*Q), [n2, n1] holding slice N2*n1 + n2
+            N2, N1 = len(forward), forward.shape[2]
+            field = work.reshape(N1, N2, -1).transpose(1, 0, 2)
+            np.matmul(forward, field, out=spec)
+            # the complex DFT along n2, the multiply and the inverse cannot run
+            # in place: they go through the spent field, half of the columns
+            # (k1, node) at a time, each half's bins as (Re, Im) pairs along k2
+            # (the larger half, 2*N2*ceil(H1/2) entries a node, fits in the
+            # field's N1*N2 a node: N1 >= 4)
+            columns = spec.reshape(2 * N2, -1)  # rows (n2, Re or Im)
+            start = 0
+            for mults in self.mults[tau, layout]:
+                part = columns[:, start : start + len(mults)]
+                start += len(mults)
+                through = work.reshape(-1)[: part.size].reshape(len(mults), -1)
+                np.matmul(part.T, lead, out=through)
+                bins = through.view(complex)
+                bins *= mults
+                np.matmul(lead_inv, through.T, out=part)
+            np.matmul(back, spec, out=field)
+            return work
         rows = work.reshape(-1, work.shape[-1])
         bins = spec.view(float).reshape(len(rows), -1)  # (Re, Im) of each bin
         np.matmul(rows, forward, out=bins)

@@ -211,30 +211,48 @@ def _cell_centred_modes(N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return nu, factor
 
 
-def _fold(terms: np.ndarray, nu: np.ndarray, n: int) -> np.ndarray:
-    """Sum terms (..., len(nu)) into n bins by nu mod n."""
-    out = np.zeros(terms.shape[:-1] + (n,), complex)
-    for lo in range(0, nu.size, n):  # n consecutive modes fill distinct bins
-        out[..., nu[lo:lo + n] % n] += terms[..., lo:lo + n]
+def _fold(terms: np.ndarray, nu: np.ndarray, n: int, kept: int | None = None) -> np.ndarray:
+    """Sum terms (..., len(nu)) into n bins by nu mod n; with kept, only into
+    bins 0..kept-1, the others' terms left out."""
+    kept = n if kept is None else kept
+    out = np.zeros(terms.shape[:-1] + (kept,), complex)
+    for lo in range(0, nu.size, n):
+        # n consecutive modes fill distinct bins: from nu[lo] mod n up to
+        # n - 1, then from 0
+        start = nu[lo] % n
+        chunk = terms[..., lo:lo + n]
+        for first, run in ((start, chunk[..., : n - start]), (0, chunk[..., n - start :])):
+            run = run[..., : max(0, kept - first)]
+            out[..., first : first + run.shape[-1]] += run
     return out
 
 
 def _uniform_wavenumber_interp(mesh: WavenumberMesh, values, n: int) -> np.ndarray:
-    """The periodic-sinc interpolant of nodal values (c, N) on the
+    """The periodic-sinc interpolant of real nodal values (c, N) on the
     cell-centred n-point mesh, (c, n).
 
     With alpha_nu = fft(values)[nu mod N] / N,
 
         f(t_i) = sum_nu c_nu alpha_nu exp(i pi nu / n) exp(2 pi i nu i / n)
-               = n ifft(fold_n(c_nu alpha_nu exp(i pi nu / n)))_i,
+               = n ifft(fold_n(c_nu alpha_nu exp(i pi nu / n)))_i.
 
-    one FFT of length N and one inverse FFT of length n for all rows.  It is
-    exact for every n, n < N/2 included: aliasing enters through the fold.
+    Real values make the term of -nu the conjugate of that of nu, so the
+    fold is Hermitian: one rfft of length N gives the terms, and one irfft of
+    length n reads the fold's bins 0..n/2 alone.  It is exact for every n,
+    n < N/2 included: aliasing enters through the fold.
     """
     N = mesh.num_points
     nu, factor = _cell_centred_modes(N, n)
-    terms = factor * np.fft.fft(values)[:, nu % N]
-    return np.fft.ifft(_fold(terms, nu, n)).real * (n / N)
+    half = np.fft.rfft(values)  # N alpha_nu for nu = 0..N/2
+    terms = np.empty(half.shape[:-1] + (N + 1,), complex)
+    np.multiply(factor[N // 2 :], half, out=terms[..., N // 2 :])
+    np.multiply(factor[: N // 2], half[..., :0:-1].conj(), out=terms[..., : N // 2])
+    del half
+    folded = _fold(terms, nu, n, n // 2 + 1)
+    del terms  # the irfft holds only the folded bins and its result
+    out = np.fft.irfft(folded, n)
+    out *= n / N
+    return out
 
 
 def _uniform_wavenumber_interp_adjoint(mesh: WavenumberMesh, columns) -> np.ndarray:

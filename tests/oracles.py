@@ -24,6 +24,10 @@ wavenumber data to ascending Fourier mode coefficients and back.
 (periodic sinc, closed-form Dirichlet kernel) are the dense interpolation
 matrices at arbitrary targets that the package's matrix-free uniform-mesh
 maps must agree with.
+`kernel_2d_rfft` runs the 2-D kernel substep as `wigsolve.dynamics` did
+before its factored matrix products: numpy's rfft along the k axis of the
+natural layout, the multiply by exp(i tau s) on the stored bins with the
+Nyquist bin at phase 0 (`multipliers_half_2d`), and irfft.
 `step_4d_natural` runs 4-D stages on the natural field layout as
 `wigsolve.dynamics` did before its alternating layouts, kept verbatim: each
 transport through three layout copies (`advect_4d_three_copies`), each
@@ -498,6 +502,20 @@ def wavenumber_interp_matrix(mesh: WavenumberMesh, targets) -> np.ndarray:
         kernel = np.sin(N * half) / (N * np.tan(half))
     kernel[np.abs(s) < 1e-15] = 1.0
     return kernel
+
+
+def multipliers_half_2d(table, tau: float) -> np.ndarray:
+    """exp(i tau s) on the rfft bins of a (nx, Nk) field; the Nyquist bin
+    stays inert."""
+    phases = np.multiply(table.multipliers, tau, order="C")
+    phases[:, -1] = 0.0
+    return np.exp(1j * phases)
+
+
+def kernel_2d_rfft(values: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    spec = np.fft.rfft(values, axis=1)
+    spec *= mults
+    return np.fft.irfft(spec, n=values.shape[1], axis=1)
 
 
 def multipliers_half_4d_natural(table, tau: float) -> np.ndarray:

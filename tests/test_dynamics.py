@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import k_forward, mode_position, step_4d_natural
+from oracles import (
+    k_forward,
+    kernel_2d_rfft,
+    mode_position,
+    multipliers_half_2d,
+    step_4d_natural,
+)
 import wigsolve
 from wigsolve.dynamics import (
     SCHEMES,
@@ -381,6 +387,21 @@ def test_kernel_with_any_real_table_and_zero_c0_keeps_the_marginal(seed, tau, pl
     np.testing.assert_allclose(marginal(out), marginal(state), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("N", [4, 6, 8, 32, 38, 96, 128, 512])
+def test_kernel_substep_matches_the_rfft_reference(N):
+    # N_k = N1*N2 with N2 the largest divisor at most sqrt(N_k/2): 4 and 6
+    # leave N2 = 1 (one dense real DFT), 38 gives the odd N1 = 19, and 128
+    # the stream2d 16 x 8, whose H1 = 9 bins k1 split 4 + 5 between the
+    # column halves
+    grid = grid_2d(N=N, M=5, Q=3)
+    table = _random_real_table(grid, N)
+    state = WignerState(grid, np.random.default_rng(N + 1).standard_normal(grid.shape))
+    tau = 0.7
+    want = kernel_2d_rfft(state.values, multipliers_half_2d(table, tau))
+    got = apply_kernel(state, table, tau).values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("planar", [False, True], ids=["2d", "4d"])
 def test_noise_on_the_nyquist_bins_leaves_the_kernel_substep_unchanged(planar):
     # a Nyquist bin has no conjugate partner: the substep reads none of them,
@@ -707,6 +728,25 @@ def test_evolve_4d_free_marginal_constant_in_time():
     assert abs(m[-1] - m[0]) < 1e-10 * abs(m[0])
 
 
+def test_a_free_4d_packet_is_the_product_of_two_2d_runs():
+    # with zero strength the 4-D flow factorises into one 2-D flow per
+    # dimension, and so do the packet, its marginal and its mass; the
+    # comparison crosses the 2-D factored kernel substep with the 4-D
+    # layouts, their switches and their DFT products
+    common = dict(
+        x_lo=-10.0, x_hi=10.0, num_elements=5, points_per_element=9, num_modes=16,
+        initial=GaussianPacketSpec(x0=-2.0, k0=1.0, sigma=1.5), consts=CONSTS,
+        dt=0.05, t_final=1.0,
+    )
+    snaps2, series2 = evolve(SimulationConfig(potential=DeltaPotential(H=0.0), **common))
+    snaps4, series4 = evolve(SimulationConfig(
+        potential=MultiDeltaPotential2D(H=0.0, points=((0.0, 0.0),)), **common))
+    m2 = spatial_marginal(snaps2[-1])
+    marginal = snaps4[-1][1]
+    assert np.abs(marginal - np.outer(m2, m2)).max() <= 1e-14 * np.abs(marginal).max()
+    assert series4.total_mass[-1] == pytest.approx(series2.total_mass[-1] ** 2, rel=1e-14, abs=0)
+
+
 def test_evolve_4d_single_origin_delta_symmetry():
     cfg = fd_config(potential=MultiDeltaPotential2D(H=1.0, points=((0.0, 0.0),)),
                     t_final=0.05, dt=0.01)
@@ -837,34 +877,44 @@ _THREADED_EVOLVE = """\
 import sys
 import numpy as np
 from wigsolve.dynamics import SimulationConfig, evolve
-from wigsolve.kernels import MultiDeltaPotential2D, PhysicalConstants, annulus_points
-from wigsolve.observables import FermiDiracSpec
+from wigsolve.kernels import (DeltaPotential, MultiDeltaPotential2D, PhysicalConstants,
+                              annulus_points)
+from wigsolve.observables import FermiDiracSpec, GaussianPacketSpec
 
-cfg = SimulationConfig(
-    x_lo=-10.0, x_hi=10.0, num_elements=5, points_per_element=9, num_modes=16,
-    potential=MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 8)),
-    initial=FermiDiracSpec(), consts=PhysicalConstants(hbar=0.658211899, mass=0.067 * 5.68562966),
-    dt=0.01, t_final=0.02, inflow="background", edge_transport="symmetrized",
-)
-snapshots, _ = evolve(cfg)
-np.save(sys.argv[1], snapshots[-1][1])
+if sys.argv[2] == "4d":
+    cfg = SimulationConfig(
+        x_lo=-10.0, x_hi=10.0, num_elements=5, points_per_element=9, num_modes=16,
+        potential=MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 8)),
+        initial=FermiDiracSpec(),
+        consts=PhysicalConstants(hbar=0.658211899, mass=0.067 * 5.68562966),
+        dt=0.01, t_final=0.02, inflow="background", edge_transport="symmetrized",
+    )
+else:
+    cfg = SimulationConfig(
+        x_lo=-30.0, x_hi=30.0, num_elements=20, points_per_element=21, num_modes=128,
+        potential=DeltaPotential(H=1.0), initial=GaussianPacketSpec(x0=-10.0, k0=2.0, sigma=2.0),
+        consts=PhysicalConstants(hbar=1.0, mass=1.0), dt=0.01, t_final=0.02,
+    )
+last = evolve(cfg)[0][-1]
+np.save(sys.argv[1], last[1] if sys.argv[2] == "4d" else last.values)
 """
 
 
-def test_4d_evolve_gives_the_same_bits_on_one_and_two_blas_threads(tmp_path):
+@pytest.mark.parametrize("dims", ["2d", "4d"])
+def test_evolve_gives_the_same_bits_on_one_and_two_blas_threads(tmp_path, dims):
     # the kernel substep's matrix products may be split over BLAS threads;
     # each output entry must still be summed in one fixed order
     src = str(Path(wigsolve.__file__).resolve().parent.parent)
-    marginals = []
+    fields = []
     for threads in ("1", "2"):
-        out = tmp_path / f"marginal-{threads}.npy"
+        out = tmp_path / f"field-{threads}.npy"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _THREADED_EVOLVE, str(out)], env=env,
+        run = subprocess.run([sys.executable, "-c", _THREADED_EVOLVE, str(out), dims], env=env,
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
-        marginals.append(np.load(out))
-    assert np.array_equal(marginals[0], marginals[1])
+        fields.append(np.load(out))
+    assert np.array_equal(fields[0], fields[1])
 
 
 @pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])

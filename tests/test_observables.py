@@ -237,6 +237,24 @@ def test_resample_matches_the_exact_sinc_interpolant_at_512_modes():
     assert err <= 2e-15 * np.linalg.norm(want.astype(float))
 
 
+def test_resample_stays_within_its_memory_bound():
+    # the wavenumber half folds only the Hermitian half of its bins and ends
+    # in an irfft: on the stream2d grid at N_um = 600 one resample peaks at
+    # about 6.4 MB (13.4 MB when it folded and inverted every complex bin)
+    import tracemalloc
+
+    grid = reference_grid(128, 21)
+    state = init_gaussian(grid, reference_packet())
+    resample_uniform(state, 600)
+    tracemalloc.start()
+    try:
+        resample_uniform(state, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, peak
+
+
 def test_evolve_records_without_resampling(monkeypatch):
     # the per-step observables come from the reduced vectors: a run never
     # evaluates the field on the uniform mesh
