@@ -4,35 +4,39 @@ The transport substep is solved along characteristics: every wavenumber
 slice is shifted by v = hbar*k/m times the stage length and re-read through
 per-element barycentric interpolation (semi-Lagrangian, no CFL bound, signed
 stage lengths allowed).  A sweep plan fixes, per (slice, stage length), one
-interpolation matrix and the one source row each target node reads, so a
-sweep is one batched matmul and one precomputed gather.  The
-pseudo-differential substep is diagonal in the wavenumber modes: alpha_nu
-picks up exp(tau * c_nu(x)) = exp(i tau s_nu(x)), with s the real kernel
-table.  Strang composition gives order two; the triple-jump composition of
-three Strang steps with one negative middle stage gives order four.
+interpolation matrix, and groups adjacent slices that read the same source
+elements into runs, so a sweep is two batched matmuls a run, each from a
+view of the source straight into the shifted view of its target: no gather.
+The pseudo-differential substep is diagonal in the wavenumber modes:
+alpha_nu picks up exp(tau * c_nu(x)) = exp(i tau s_nu(x)), with s the real
+kernel table.  Strang composition gives order two; the triple-jump
+composition of three Strang steps with one negative middle stage gives
+order four.
 
 One stepper (_Stepper) runs the stages in 2-D and 4-D phase space; it builds
 the sweep plans and multiplier tables of each distinct stage length once,
 and every buffer the stages use: no stage allocates, in 2-D or in 4-D.  Both
 kernel substeps are four matrix products against DFT matrices built once by
 one helper (_dft_matrices), the multiply between the middle two; no np.fft
-call is left.  A 2-D stage overwrites the work field.  Its kernel substep
-factors the k axis, N_k = N1*N2 (Bailey's four-step FFT): per n2, one real
-product maps the N1 slices k = N2*n1 + n2 to H1 = N1/2 + 1 bins, the
-twiddle folded into the matrix; the complex N2-point DFT across them, the
-multiply and the inverse DFT run as real products on (Re, Im) pairs; per
-n2, one real product with the conjugate twiddle and the c2r weights returns
-to the field.  A 4-D field alternates between two work layouts, one switch
-per transport, into the stepper's second field buffer.  Its kernel substep
-is the same four matrix products in either layout: a real one against a
-precomputed rfft matrix along the layout's trailing, contiguous k axis, the
-complex DFT along its leading k axis and its inverse, with the multiply
-between them, and a real irfft matrix back into the field.  At these sizes
-(N_k = 16 to 128) BLAS runs the transforms faster than pocketfft, which
-transforms one lane at a time.  evolve drives a run in either dimension with
-one stepper, dropped before the final record and snapshot; advect,
-apply_kernel and step build a stepper for a single call and leave their
-input state as it is.
+call is left.  A 2-D transport moves the field between the work array and
+the stepper's second field buffer; a 2-D kernel substep overwrites it.  Its
+kernel substep factors the k axis, N_k = N1*N2 (Bailey's four-step FFT): per
+n2, one real product maps the N1 slices k = N2*n1 + n2 to H1 = N1/2 + 1
+bins, the twiddle folded into the matrix; the complex N2-point DFT across
+them, the multiply and the inverse DFT run as real products on (Re, Im)
+pairs; per n2, one real product with the conjugate twiddle and the c2r
+weights returns to the field.  A 4-D field alternates between two work
+layouts, one switch per transport, and always stays in the caller's array:
+a transport sweeps into the stepper's scratch, switches back, and sweeps
+back.  Its kernel substep is the same four matrix products in either
+layout: stacked real ones against a precomputed rfft matrix along the
+layout's trailing, contiguous k axis, the complex DFT along its leading k
+axis and its inverse, with the multiply between them, and stacked real
+irfft products back into the field.  At these sizes (N_k = 16 to 128) BLAS
+runs the transforms faster than pocketfft, which transforms one lane at a
+time.  evolve drives a run in either dimension with one stepper, dropped
+before the final record and snapshot; advect, apply_kernel and step build a
+stepper for a single call and leave their input state as it is.
 """
 
 from __future__ import annotations
@@ -107,30 +111,31 @@ class _SweepPlan:
     Work layout is (Nk, M, Q, R): slice, node-in-element, element, slab.
     Equal-width elements make the interpolation matrices depend only on the
     fractional part of the shift.  A slice shifted by n elements plus a
-    fraction serves each target node from a single source element: n away
-    for nodes at or beyond the fraction, n+1 away for the others.  The two
+    fraction serves each target node from a single source element: the
+    nodes at or beyond the fraction, a contiguous suffix [m0, M) of the CGL
+    nodes, from element q - n, the others from q - n - 1.  The two
     interpolation matrices of a slice thus have disjoint nonzero rows, and
     the plan stores their sum, one M x M matrix per slice.
 
-    apply() multiplies every source element by its slice's matrix in one
-    batched matmul, then reads each target (k, m, q) from exactly one row
-    of that product: node m of element q - n - (0 or 1).  The flat index of
-    that row is fixed per (slice, tau) and precomputed here (`rows`).  The
-    product ends with one boundary row per slice, holding the inflow (or
-    zero); departures outside the domain read it.
+    Adjacent slices share (n, m0) in runs, a few per stage (3 to 5 on the
+    benchmark grids, 34 on the Q = 160, N_k = 512 grid of the convergence
+    ladders at yoshida4 dt = 0.08), and the plan stores those runs as
+    (first slice, end, n, m0).  apply() writes each run with two batched
+    matmuls, one per row group, each from a view of the source elements
+    straight into the shifted view of the target elements; no per-node
+    index exists.
 
     On a symmetric wavenumber domain the node at k_min has no +k_max partner
     (it represents both ends of the periodic window), so transporting it with
     the one-sided velocity breaks the parity and quarter-turn equivariance of
     the discrete evolution.  That slice gets the symmetrized transport
-    (f(x - v tau) + f(x + v tau))/2 instead: its mirrored-velocity copy is
-    appended after the Nk slices, with its own matrix and product rows,
-    and reads the edge slice's boundary row.
+    (f(x - v tau) + f(x + v tau))/2 instead: its mirrored-velocity copy
+    follows the Nk slices, with its own matrix and one more run, the last.
     """
 
     def __init__(self, mesh: SpatialMesh, velocities: np.ndarray, tau: float,
                  edge_slice: int | None = None):
-        M, Q = mesh.points_per_element, mesh.num_elements
+        M = mesh.points_per_element
         width = mesh.element_width
         velocities = np.asarray(velocities, float)
         self.edge = edge_slice
@@ -149,53 +154,67 @@ class _SweepPlan:
         diff = r[:, :, None] - (2.0 * xi - 1.0)[None, None, :]
         self.matrices = _barycentric_rows(diff, mesh.barycentric_weights)
 
-        # product row read by target (k, m, q): node m of element src, or
-        # boundary row k when the source element lies outside the domain
-        S = len(velocities)
-        src = np.arange(Q) - n.astype(np.intp)[:, None, None] - (~hi)[:, :, None]
-        k = np.arange(S)[:, None, None]
-        node = (k * M + np.arange(M)[:, None]) * Q + src
-        bound = S * M * Q + k
-        if edge_slice is not None:
-            # the mirrored slice indexes the product from its own nodes on
-            node[-1] -= self.num_slices * M * Q
-            bound[-1] = M * Q + edge_slice
-        self.rows = np.where((src >= 0) & (src < Q), node, bound)
+        n, m0 = n.astype(int).tolist(), (M - hi.sum(axis=1)).tolist()
+        # a run ends where (n, m0) changes and at the mirrored slice, which
+        # is a run of its own
+        cuts = [0, *(s for s in range(1, len(n)) if (n[s], m0[s]) != (n[s - 1], m0[s - 1])
+                     or s == self.num_slices), len(n)]
+        self.runs = [(a, b, n[a], m0[a]) for a, b in zip(cuts, cuts[1:])]
 
     def apply(self, work: np.ndarray, inflow: np.ndarray | None = None,
-              product: np.ndarray | None = None) -> np.ndarray:
-        """Shift the field work, (Nk, M, Q, R), in place and return it.
+              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+        """The field work, (Nk, M, Q, R), shifted into out; returns out.
 
         inflow, if given, holds the (Nk, R) values read by departure points
-        outside the domain; otherwise those points read 0.  product is the
-        sweep's scratch, (S*M*Q + Nk, R) for the S = len(matrices) slices
-        the plan sweeps; a call given none allocates its own.  Callers pass
-        a private copy of the field.
+        outside the domain; otherwise those points read 0.  out is a
+        C-contiguous buffer of work's shape that shares no memory with it;
+        with the symmetrized edge, scratch holds the mirrored slice's
+        reading, at least M*Q*R floats apart from both.  A call given none
+        allocates its own.
         """
         Nk = self.num_slices
         if work.shape[0] != Nk:
             raise ParameterError(f"sweep plan holds {Nk} slices, field has {work.shape[0]}")
-        _, M, Q, R = work.shape
-        S = len(self.matrices)
-        if product is None:
-            product = np.empty((S * M * Q + Nk, R))
-        nodes = product[: S * M * Q].reshape(S, M, Q * R)
-        np.matmul(self.matrices[:Nk], work.reshape(Nk, M, Q * R), out=nodes[:Nk])
+        if out is None:
+            out = np.empty_like(work)
+        runs = self.runs
         e = self.edge
         if e is not None:
-            np.matmul(self.matrices[Nk:], work[e : e + 1].reshape(1, M, Q * R), out=nodes[Nk:])
-        product[S * M * Q :] = 0.0 if inflow is None else inflow
-        # every row index is in range; mode="clip" skips the bounds check and
-        # lets take write straight into work
-        np.take(product, self.rows[:Nk], axis=0, out=work, mode="clip")
+            *runs, mirror = runs
+        for start, stop, n, m0 in runs:
+            _shift_run(self.matrices[start:stop], work[start:stop], out[start:stop], n, m0,
+                       None if inflow is None else inflow[start:stop])
         if e is not None:
-            # the mirrored reading goes to slice 0's spent nodes, outside the
-            # rows it reads (an overlapping out would make take copy)
-            mirrored = np.take(product[Nk * M * Q :], self.rows[Nk], axis=0,
-                               out=nodes[0].reshape(M, Q, R), mode="clip")
-            work[e] += mirrored
-            work[e] *= 0.5
-        return work
+            if scratch is None:
+                scratch = np.empty(work[0].size)
+            reading = scratch[: work[0].size].reshape(work[e : e + 1].shape)
+            start, _, n, m0 = mirror
+            _shift_run(self.matrices[start:], work[e : e + 1], reading, n, m0,
+                       None if inflow is None else inflow[e : e + 1])
+            out[e] += reading[0]
+            out[e] *= 0.5
+        return out
+
+
+def _shift_run(matrices: np.ndarray, work: np.ndarray, out: np.ndarray, n: int, m0: int,
+               inflow: np.ndarray | None) -> None:
+    """Write K slices of work, (K, M, Q, R), that share (n, m0) into out: row
+    m of target element q is matrices[:, m] times source element q - n for m
+    >= m0, q - n - 1 below, or the (K, R) inflow (0 without) where that
+    element lies outside [0, Q)."""
+    K, M, Q, R = work.shape
+    source, target = work.reshape(K, M, Q * R), out.reshape(K, M, Q * R)
+    fill = 0.0 if inflow is None else inflow[:, None, None, :]
+    for rows, shift in ((slice(m0, M), n), (slice(0, m0), n + 1)):
+        # targets [lo, hi) read sources [lo - shift, hi - shift)
+        lo, hi = min(max(shift, 0), Q), min(max(Q + shift, 0), Q)
+        if lo < hi:
+            np.matmul(matrices[:, rows], source[:, :, (lo - shift) * R : (hi - shift) * R],
+                      out=target[:, rows, lo * R : hi * R])
+        if lo > 0:
+            out[:, rows, :lo] = fill
+        if hi < Q:
+            out[:, rows, hi:] = fill
 
 
 def _edge_slice(km: WavenumberMesh) -> int:
@@ -272,7 +291,7 @@ def _marginal_4d(work: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _multipliers_2d(table: KernelTable, tau: float, n_real: int, n_complex: int,
-                    out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(i tau s_nu) on the spectrum of the factored 2-D substep, written
     into out (complex, one entry a bin) and returned as the two halves of
     its columns, each contiguous (columns, N2).
@@ -281,10 +300,10 @@ def _multipliers_2d(table: KernelTable, tau: float, n_real: int, n_complex: int,
     node (m, q), with k1 = 0..N1/2, N1 = n_real and N2 = n_complex; the
     halves split it at k1 = H1/2, H1 = N1/2 + 1.  Those bins hold every nu
     mod N_k once.  A bin with nu > N_k/2 reads s_nu = -s_{N_k-nu}, and the
-    Nyquist bin gets phase 0.  As in 4-D, tau s goes into the real part,
-    whose sin and cos then fill the two parts, and every value is written
-    straight from the table into the result: no table-sized temporary
-    exists.
+    Nyquist bin gets phase 0.  As in 4-D, tau s/2 goes into the real part
+    and _phasors turns it into exp(i tau s) through scratch; every value is
+    written straight from the table into the result: no table-sized
+    temporary exists.
     """
     x = table.grid.x
     N1, N2 = n_real, n_complex
@@ -292,30 +311,31 @@ def _multipliers_2d(table: KernelTable, tau: float, n_real: int, n_complex: int,
     s = table.multipliers.reshape(x.num_elements, x.points_per_element, -1).transpose(1, 0, 2)
     out = out.reshape((H1,) + s.shape[:2] + (N2,))
     phases = out.real
+    half = 0.5 * tau
     for k1, bins in enumerate(phases):
         stored = (N // 2 - k1) // N1 + 1  # the k2 with nu <= N_k/2
-        np.multiply(s[..., k1 : N // 2 + 1 : N1], tau, out=bins[..., :stored])
+        np.multiply(s[..., k1 : N // 2 + 1 : N1], half, out=bins[..., :stored])
         # N_k - nu runs down from N_k - k1 - N1*stored to N1 - k1
         mirrored = s[..., N1 - k1 : N1 * (N2 - stored + 1) - k1 : N1]
-        np.multiply(mirrored[..., ::-1], -tau, out=bins[..., stored:])
+        np.multiply(mirrored[..., ::-1], -half, out=bins[..., stored:])
     k2, k1 = divmod(N // 2, N1)
     phases[k1, ..., k2] = 0.0  # the Nyquist bin has no conjugate partner
-    np.sin(phases, out=out.imag)
-    np.cos(phases, out=phases)
+    _phasors(out, scratch)
     return out[: H1 // 2].reshape(-1, N2), out[H1 // 2 :].reshape(-1, N2)
 
 
-def _multipliers_half_4d(table: KernelTable, tau: float, layout: int) -> np.ndarray:
+def _multipliers_half_4d(table: KernelTable, tau: float, layout: int,
+                         scratch: np.ndarray) -> np.ndarray:
     """exp(i tau s_nu) on the spectrum of a field in layout L1 (0) or L2 (1),
     with the axes of that layout: half along the layout's trailing k axis,
     every fft bin along its leading one.  L1 holds nu2 = 0..Nk2/2 and every
     nu1, as the table stores them; L2 holds nu1 = 0..Nk1/2 and every nu2,
     the nu2 < 0 bins from s(-nu) = -s(nu).
 
-    As in 2-D, tau s goes into the real part and its sin and cos fill the
-    two parts; the Nyquist planes get phase 0.  Every value is written
-    straight from the table into the result, so no table-sized temporary
-    exists.
+    As in 2-D, tau s/2 goes into the real part and _phasors turns it into
+    exp(i tau s) through scratch; the Nyquist planes get phase 0.  Every
+    value is written straight from the table into the result, so no
+    table-sized temporary exists.
     """
     Q1, M1, Q2, M2, Nk1, Nk2 = _split_4d(table.grid)
     H1, H2 = Nk1 // 2 + 1, Nk2 // 2 + 1
@@ -323,21 +343,44 @@ def _multipliers_half_4d(table: KernelTable, tau: float, layout: int) -> np.ndar
     natural = (Q1, M1, Q2, M2) + ((Nk1, H2) if layout == 0 else (H1, Nk2))
     order = _LAYOUTS_4D[layout]
     out = np.empty([natural[a] for a in order], complex)
-    phases = out.real
-    s = phases.transpose(np.argsort(order))  # the same numbers, in natural axis order
+    s = out.real.transpose(np.argsort(order))  # the same numbers, in natural axis order
+    half = 0.5 * tau
     if layout == 0:
-        np.multiply(stored, tau, out=s)
+        np.multiply(stored, half, out=s)
     else:
-        np.multiply(stored[..., :H1, :], tau, out=s[..., :H2])
+        np.multiply(stored[..., :H1, :], half, out=s[..., :H2])
         # s(nu1, -nu2) = -s(-nu1, nu2): -nu1 is bin 0, then Nk1-1 down to Nk1/2
         mirrored = stored[..., H2 - 2 : 0 : -1]
-        np.multiply(mirrored[..., :1, :], -tau, out=s[..., :1, H2:])
-        np.multiply(mirrored[..., : Nk1 // 2 - 1 : -1, :], -tau, out=s[..., 1:, H2:])
+        np.multiply(mirrored[..., :1, :], -half, out=s[..., :1, H2:])
+        np.multiply(mirrored[..., : Nk1 // 2 - 1 : -1, :], -half, out=s[..., 1:, H2:])
     s[..., Nk1 // 2, :] = 0.0  # the Nyquist planes
     s[..., Nk2 // 2] = 0.0  # stay inert
-    np.sin(phases, out=out.imag)
-    np.cos(phases, out=phases)
+    _phasors(out, scratch)
     return out
+
+
+def _phasors(out: np.ndarray, scratch: np.ndarray) -> None:
+    """Overwrite every entry of the contiguous complex array out, whose real
+    part holds a half angle theta/2, with exp(i theta), from one tangent:
+    with t = tan(theta/2), cos = 2/(1 + t^2) - 1 and sin = t*2/(1 + t^2).
+
+    numpy's float64 sin and cos run one lane at a time, tan vectorised, but
+    not on a strided view: each block of at most 8192 entries is copied out
+    of the real part into scratch first, which holds two blocks.  A zero
+    angle gives exactly 1.
+    """
+    flat = out.reshape(-1)
+    size = min(8192, len(scratch) // 2)
+    for start in range(0, len(flat), size):
+        part = flat[start : start + size]
+        t, d = scratch[: len(part)], scratch[size : size + len(part)]
+        np.copyto(t, part.real)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=d)
+        d += 1.0
+        np.divide(2.0, d, out=d)
+        np.multiply(t, d, out=part.imag)
+        np.subtract(d, 1.0, out=part.real)
 
 
 def _factors(n: int) -> tuple[int, int]:
@@ -429,20 +472,20 @@ def _layouts_4d(stages: list[tuple[str, float]]) -> tuple[list[int], int]:
     return layouts, layout
 
 
-def _scratch_shapes_4d(grid: PhaseSpaceGrid, symmetrized_edge: bool):
-    """Shapes of the 4-D scratch block's views: each dimension's sweep product
-    (float) and the half spectrum in each layout (complex), half along the
-    layout's trailing k axis: nu2 in L1, nu1 in L2."""
+def _scratch_4d(grid: PhaseSpaceGrid, symmetrized_edge: bool):
+    """The 4-D scratch's size in floats and the shapes of its spectrum views.
+
+    The scratch holds in turn the field a transport's first sweep writes,
+    with the symmetrized edge followed by the mirrored slice's reading of
+    either sweep, and the half spectrum in either layout (complex), half
+    along the layout's trailing k axis: nu2 in L1, nu1 in L2."""
     split = _split_4d(grid)
     points = math.prod(split)
-    products = tuple(
-        (((Nk + 1) if symmetrized_edge else Nk) * M * Q + Nk, points // (Nk * M * Q))
-        for Q, M, Nk in ((split[0], split[1], split[4]), (split[2], split[3], split[5]))
-    )
     Nk1, Nk2 = split[4:]
+    reading = points // min(Nk1, Nk2) if symmetrized_edge else 0
     halves = (split[:4] + (Nk1, Nk2 // 2 + 1), split[:4] + (Nk1 // 2 + 1, Nk2))
     spectra = tuple(tuple(half[a] for a in order) for half, order in zip(halves, _LAYOUTS_4D))
-    return products, spectra
+    return max(points + reading, *(2 * math.prod(s) for s in spectra)), spectra
 
 
 class _Stepper:
@@ -454,39 +497,39 @@ class _Stepper:
     consts without transport stages.
 
     In 2-D the field's work layout is (Nk, M, Q), so that every sweep runs
-    along the leading axis, and every stage overwrites it.  The stepper owns
-    one block: the multiplier tables, then a scratch that transports and
-    kernel substeps take in turn, as the sweep product, ((Nk + 1)*M*Q + Nk,
-    1) with the symmetrized edge's mirrored slice and (Nk*M*Q + Nk, 1)
-    without, or as the spectrum, (N2, 2*H1, M*Q) for the factors Nk = N1*N2
-    (_factors), H1 = N1/2 + 1.  A kernel substep writes the spectrum by one
-    real product per n2, the (Re, Im) parts of its H1 bins as two blocks of
-    rows.  The complex DFT along n2, the multiply and the inverse DFT then
-    run on half of the spectrum's columns (k1, node) at a time through the
-    work field, which holds nothing until the last product: the DFT, as a
-    product of the half's transpose with the DFT's real form, writes each
-    bin's (Re, Im) pair along k2, a complex view multiplies it by that
-    half's multipliers, and the inverse goes back into the spectrum.  One
-    real product per n2 returns to the field.
+    along the leading axis.  A transport moves the field between the work
+    array and the stepper's second field buffer, the spare; a kernel
+    substep overwrites it.  Every step has an even number of transports, so
+    a step leaves the field in the array it came in.  The stepper owns the
+    spare and one block: the multiplier tables, then a scratch that holds in
+    turn the mirrored edge slice's reading and the spectrum, (N2, 2*H1,
+    M*Q) for the factors Nk = N1*N2 (_factors), H1 = N1/2 + 1.  A kernel
+    substep writes the spectrum by one real product per n2, the (Re, Im)
+    parts of its H1 bins as two blocks of rows.  The complex DFT along n2,
+    the multiply and the inverse DFT then run on half of the spectrum's
+    columns (k1, node) at a time through the work field, which holds
+    nothing until the last product: the DFT, as a product of the half's
+    transpose with the DFT's real form, writes each bin's (Re, Im) pair
+    along k2, a complex view multiplies it by that half's multipliers, and
+    the inverse goes back into the spectrum.  One real product per n2
+    returns to the field.
 
     In 4-D the field is in layout L1 or L2 (_LAYOUTS_4D), and advance()
     takes it in L1.  A transport sweeps the dimension its layout leads with
-    in place, switches layouts into the other field buffer, sweeps the
-    other dimension there, and leaves the field in the other layout; the
-    buffer it came from becomes the idle one.  A kernel substep overwrites
-    the field in either layout with the same code: one real matrix product
-    along the trailing k axis (k2 in L1, k1 in L2) writes the half spectrum
-    into the scratch, as (Re, Im) column pairs that a complex view reads
-    as the rfft; the complex DFT along the leading k axis, the multiply by
-    the multipliers built in that layout and the inverse DFT then run on
-    half of the spectrum's columns at a time through the idle field
-    buffer, which holds that half; one real product returns to the field.
-    The stepper owns the second field buffer and one scratch block,
-    allocated together; the scratch holds in turn the sweep product, the
-    layout switch's staging copy and the spectrum, and nothing a run reads
-    between steps.  It also owns the inflow profiles broadcast over each
-    sweep's slabs and each kernel layout's DFT matrices.  Without stages it
-    owns no buffer.
+    into the scratch, switches layouts back into the field's array in two
+    passes, the second into the scratch, and sweeps the other dimension
+    back into the field's array, which then holds the other layout: the
+    field always stays in the caller's array.  A kernel substep overwrites
+    the field in either layout with the same code: one stack of real matrix
+    products along the trailing k axis (k2 in L1, k1 in L2) writes the half
+    spectrum into the scratch, as (Re, Im) column pairs that a complex view
+    reads as the rfft; the complex DFT along the leading k axis, the
+    multiply by the multipliers built in that layout and the inverse DFT
+    then run on half of the spectrum's columns at a time through the spent
+    field, as in 2-D; one stack of real products returns to the field.  The
+    stepper owns the scratch (_scratch_4d), the inflow profiles
+    broadcast over each sweep's slabs and each kernel layout's DFT
+    matrices.  Without stages it owns no buffer.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
@@ -506,30 +549,33 @@ class _Stepper:
             tau: _sweep_plans(grid, consts, tau, symmetrized_edge) for tau in _lengths(stages, "A")
         }
         self.profiles = (None, None)
-        self.spare = self.staging = None
+        # the spare field buffer (2-D), the scratch, and the part of it that
+        # holds the mirrored edge slice's reading
+        self.spare = self.scratch = self.reading = None
         if grid.ndim_space == 1:
             self.layouts, self.end_layout = [0] * len(stages), 0
             Nk, M, Q = N[0], grid.x.points_per_element, grid.x.num_elements
             N1, N2 = _factors(Nk)
             taus = _lengths(stages, "B")
-            swept = Nk + 1 if symmetrized_edge else Nk  # with the mirrored edge slice
-            product = swept * M * Q + Nk if self.plans else 0
             spectrum = (N2, 2 * (N1 // 2 + 1), M * Q) if taus else (0,)
+            reading = M * Q if self.plans and symmetrized_edge else 0
             # one block: each kernel stage length's multipliers (complex, one
-            # a spectrum bin), then the scratch, which transports and kernel
-            # substeps take in turn.  Freed at once, it keeps malloc's trim
-            # threshold above what a run frees, so the next run or set-up
-            # reuses the heap's pages (a cold families2d set-up took about 470
-            # minor faults a config with the tables allocated one by one,
-            # none with the block)
+            # a spectrum bin), then the scratch.  Freed at once, it keeps
+            # malloc's trim threshold above what a run frees, so the next run
+            # or set-up reuses the heap's pages (a cold families2d set-up took
+            # about 470 minor faults a config with the tables allocated one by
+            # one, none with the block).  The spare stays apart: in the block
+            # it left the heap top trimmed after a stream2d run, and each cold
+            # set-up after it took 178 minor faults (none with it apart)
             tables = len(taus) * math.prod(spectrum)
-            block = np.empty(tables + max(product, math.prod(spectrum)))
+            block = np.empty(tables + max(math.prod(spectrum), reading))
             bins = block[:tables].view(complex).reshape(len(taus), math.prod(spectrum) // 2)
-            self.mults = {(tau, 0): _multipliers_2d(table, tau, N1, N2, out)
+            self.scratch = self.reading = block[tables:]
+            self.mults = {(tau, 0): _multipliers_2d(table, tau, N1, N2, out, self.scratch)
                           for tau, out in zip(taus, bins)}
-            scratch = block[tables:]
-            self.products = (scratch[:product].reshape(product, 1),) if self.plans else ()
-            self.spectra = (scratch[: math.prod(spectrum)].reshape(spectrum),) if taus else ()
+            if self.plans:
+                self.spare = np.empty((Nk, M, Q))
+            self.spectra = (self.scratch[: math.prod(spectrum)].reshape(spectrum),) if taus else ()
             self.dfts = {}
             if taus:
                 roots, weights, lead, lead_inv = _dft_matrices(N1, N2, twiddled=True)
@@ -544,7 +590,17 @@ class _Stepper:
         kernel_stages = dict.fromkeys(
             (tau, layout) for (kind, tau), layout in zip(stages, self.layouts) if kind == "B"
         )
-        self.mults = {key: _multipliers_half_4d(table, *key) for key in kernel_stages}
+        self.spectra = ()
+        if stages:
+            size, spectra = _scratch_4d(grid, symmetrized_edge)
+            self.scratch = np.empty(size)
+            self.reading = self.scratch[math.prod(grid.shape) :]
+            # each spectrum as (leading k bins, the rest), the shape the DFT
+            # along the leading axis reads
+            self.spectra = tuple(self.scratch[: 2 * math.prod(s)].view(complex).reshape(s[0], -1)
+                                 for s in spectra)
+        self.mults = {key: _multipliers_half_4d(table, *key, self.scratch)
+                      for key in kernel_stages}
         # the trailing k axis of L1 is k2, that of L2 is k1
         self.dfts = {}
         for layout in {layout for _, layout in kernel_stages}:
@@ -552,23 +608,6 @@ class _Stepper:
                 *(N[::-1] if layout == 0 else N), twiddled=False)
             self.dfts[layout] = (roots[0].view(float), lead, lead_inv,
                                  np.ascontiguousarray((roots[0] * weights).view(float).T))
-        self.products = self.spectra = ()
-        if not stages:
-            return
-        products, spectra = _scratch_shapes_4d(grid, symmetrized_edge)
-        points = math.prod(grid.shape)
-        spectrum = max(math.prod(s) for s in spectra)
-        # one block: the second field, padded so the scratch after it is
-        # 16-byte aligned for the complex spectrum, then the scratch
-        field = points + points % 2
-        block = np.empty(field + max(2 * spectrum, *(math.prod(p) for p in products)))
-        scratch = block[field:]
-        self.spare, self.staging = block[:points], scratch[:points]
-        self.products = tuple(scratch[: math.prod(p)].reshape(p) for p in products)
-        # each spectrum as (leading k bins, the rest), the shape the DFT
-        # along the leading axis reads
-        self.spectra = tuple(scratch[: 2 * math.prod(s)].view(complex).reshape(s[0], -1)
-                             for s in spectra)
         if inflow is not None and self.plans:
             nx1, nx2 = grid.shape[:2]
             self.profiles = tuple(
@@ -592,50 +631,51 @@ class _Stepper:
         """Run every stage on a C-contiguous work-layout field (to_work
         gives one) and return the result.
 
-        A 2-D field is overwritten.  A 4-D field, given in L1, ends in
-        end_layout, in the caller's array after an even number of
-        transports and in the stepper's second field buffer otherwise; the
-        stepper keeps the array it does not return as its idle buffer.
+        A 2-D field ends in the caller's array after an even number of
+        transports and in the stepper's spare otherwise; the stepper keeps
+        the array it does not return as its spare.  A 4-D field, given in
+        L1, ends in end_layout in the caller's array: as that array after an
+        even number of transports, as a view of it in L2's shape otherwise.
         """
+        field = work
         for (kind, tau), layout in zip(self.stages, self.layouts):
             if kind == "A":
-                work = self._transport(work, tau, layout)
+                field = self._transport(field, tau, layout)
             else:
-                work = self._kernel(work, tau, layout)
-        return work
+                self._kernel(field, tau, layout)
+        return work if self.grid.ndim_space == 2 and self.end_layout == 0 else field
 
     def apply(self, state: WignerState, dt: float = 0.0) -> WignerState:
         """The stages applied to a state, which is left as it is; time moves by dt."""
         values = self.from_work(self.advance(self.to_work(state.values)))
         return WignerState(state.grid, values, state.time + dt)
 
-    def _sweep(self, plan: _SweepPlan, field: np.ndarray, dim: int) -> None:
-        Nk, M, Q = field.shape[:3]
-        plan.apply(field.reshape(Nk, M, Q, -1), self.profiles[dim], self.products[dim])
+    def _sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int) -> None:
+        shape = field.shape[:3] + (-1,)
+        plan.apply(field.reshape(shape), self.profiles[dim], out.reshape(shape), self.reading)
 
     def _transport(self, work, tau, layout):
         plans = self.plans[tau]
         if self.grid.ndim_space == 1:
-            self._sweep(plans[0], work, 0)
-            return work
-        # the dimension this layout leads with, one switch, then the other
-        self._sweep(plans[layout], work, layout)
-        shape = work.shape[::-1]
-        # an idle buffer of the right shape is used as it is, so that the
-        # caller's array comes back as itself after an even number of transports
-        switched = self.spare if self.spare.shape == shape else self.spare.reshape(shape)
-        # The switch reverses all six axes in two passes through the scratch,
-        # idle between the sweeps: the leading axis goes last, then the other
-        # five are reversed.  Each pass keeps a contiguous inner run, where a
-        # one-pass reversal reads its inner loop with the largest stride (on
-        # the fermi4d field 1.4 ms against 3.2 ms, one core of a 2-core x86
-        # host).
-        staged = self.staging.reshape(work.shape[1:] + work.shape[:1])
-        np.copyto(staged, np.moveaxis(work, 0, -1))
+            out, self.spare = self.spare, work
+            self._sweep(plans[0], work, out, 0)
+            return out
+        # the dimension this layout leads with into the scratch, then the
+        # switch and the other dimension back into the field's array.  The
+        # switch reverses all six axes in two passes: the leading axis goes
+        # last, then the other five are reversed.  Each pass keeps a
+        # contiguous inner run, where a one-pass reversal reads its inner
+        # loop with the largest stride (on the fermi4d field 1.4 ms against
+        # 3.2 ms, one core of a 2-core x86 host).
+        swept = self.scratch[: work.size].reshape(work.shape)
+        self._sweep(plans[layout], work, swept, layout)
+        staged = work.reshape(work.shape[1:] + work.shape[:1])
+        np.copyto(staged, np.moveaxis(swept, 0, -1))
+        switched = swept.reshape(work.shape[::-1])
         np.copyto(switched, staged.transpose(4, 3, 2, 1, 0, 5))
-        self._sweep(plans[1 - layout], switched, 1 - layout)
-        self.spare = work
-        return switched
+        out = work.reshape(work.shape[::-1])
+        self._sweep(plans[1 - layout], switched, out, 1 - layout)
+        return out
 
     def _kernel(self, work, tau, layout):
         forward, lead, lead_inv, back = self.dfts[layout]
@@ -661,24 +701,25 @@ class _Stepper:
                 bins *= mults
                 np.matmul(lead_inv, through.T, out=part)
             np.matmul(back, spec, out=field)
-            return work
-        rows = work.reshape(-1, work.shape[-1])
-        bins = spec.view(float).reshape(len(rows), -1)  # (Re, Im) of each bin
+            return
+        # the products along the trailing k axis as a stack over the leading
+        # (k, m) pairs, (q*q*m, k) blocks each, which BLAS runs faster than
+        # one flat (points/k, k) product
+        rows = work.reshape(work.shape[0] * work.shape[1], -1, work.shape[-1])
+        bins = spec.view(float).reshape(len(rows), -1, forward.shape[1])  # (Re, Im) of each bin
         np.matmul(rows, forward, out=bins)
         mults = self.mults[tau, layout].reshape(spec.shape)
         # the leading-axis DFT, multiply and inverse cannot run in place: they
-        # go through the idle field buffer, half of the columns at a time
-        # (half a spectrum is (Nk/2 + 1)/Nk of a field, Nk >= 4, so it fits)
-        idle = self.spare.reshape(-1)
+        # go through the spent field, half of the columns at a time (half a
+        # spectrum is (Nk/2 + 1)/Nk of a field, Nk >= 4, so it fits)
         cut = spec.shape[1] // 2
         for cols in (slice(0, cut), slice(cut, None)):
             part = spec[:, cols]
-            through = idle[: 2 * part.size].view(complex).reshape(part.shape)
+            through = work.reshape(-1)[: 2 * part.size].view(complex).reshape(part.shape)
             np.matmul(lead, part, out=through)
             through *= mults[:, cols]
             np.matmul(lead_inv, through, out=part)
         np.matmul(bins, back, out=rows)
-        return work
 
 
 # The benchmark's layer trace still names the class _Stepper2D; the alias
@@ -836,20 +877,19 @@ def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
 
     The real kernel table over the L1 half spectrum (8 B a bin); one complex
     multiplier table (16 B a bin of its layout's half spectrum) per distinct
-    kernel stage length and layout; two fields, the work field and the
-    stepper's second buffer; and the stepper's one scratch block, the larger
-    of a sweep product and the larger complex half spectrum.  A quarter more
+    kernel stage length and layout; the work field; and the stepper's
+    scratch, the larger of a field (with the symmetrized edge, and one
+    slice's reading) and the larger complex half spectrum.  A quarter more
     covers the rest.
     """
     points = math.prod(grid.shape)
     stages = _stage_sequence(config.scheme, config.dt)
     layouts, _ = _layouts_4d(stages)
     kernel_stages = {(tau, layout) for (kind, tau), layout in zip(stages, layouts) if kind == "B"}
-    products, spectra = _scratch_shapes_4d(grid, config.edge_transport == "symmetrized")
+    scratch, spectra = _scratch_4d(grid, config.edge_transport == "symmetrized")
     bins = [math.prod(s) for s in spectra]  # of the half spectrum in each layout
     tables = sum(16 * bins[layout] for _, layout in kernel_stages)
-    scratch = 8 * max(2 * max(bins), *(math.prod(p) for p in products))
-    return 1.25 * (8 * bins[0] + tables + 2 * 8 * points + scratch)
+    return 1.25 * (8 * bins[0] + tables + 8 * points + 8 * scratch)
 
 
 def evolve(config: SimulationConfig):

@@ -125,23 +125,22 @@ def init_gaussian(grid: PhaseSpaceGrid, spec: GaussianPacketSpec) -> WignerState
 
 def _fermi_dirac_profile(spec: FermiDiracSpec, consts: PhysicalConstants,
                          ksq: np.ndarray) -> np.ndarray:
+    # every panel's Gauss-Legendre nodes at once, over the distinct |k|^2
+    # only, so equal |k|^2 get equal values
     hbar, mass = consts.hbar, consts.mass
     kBT = K_B * spec.T
-    shift = (hbar**2 * ksq / (2.0 * mass) - spec.E_F) / kBT
+    distinct, where = np.unique(ksq, return_inverse=True)
+    shift = (hbar**2 * distinct / (2.0 * mass) - spec.E_F) / kBT
     y_max = math.sqrt(35.0 + max(0.0, spec.E_F / kBT))
     panels = int(math.ceil(y_max))
     nodes, weights = _gl(64)
-    total = np.zeros_like(shift)
+    a = np.arange(panels)[:, None] * y_max / panels
+    b = np.arange(1, panels + 1)[:, None] * y_max / panels
+    y = (0.5 * (b - a) * nodes + 0.5 * (a + b)).reshape(-1, 1)
+    w = (0.5 * (b - a) * weights).reshape(-1)
     with np.errstate(over="ignore"):  # deep tails overflow exp harmlessly to inf
-        for p in range(panels):
-            a = p * y_max / panels
-            b = (p + 1) * y_max / panels
-            y = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            w = 0.5 * (b - a) * weights
-            total += np.sum(
-                w[:, None] / (1.0 + np.exp(y[:, None] ** 2 + shift[None, :])), axis=0
-            )
-    return math.sqrt(2.0 * mass * kBT) / (math.pi * hbar) * total
+        total = w @ (1.0 / (1.0 + np.exp(y**2 + shift)))
+    return math.sqrt(2.0 * mass * kBT) / (math.pi * hbar) * total[where.reshape(np.shape(ksq))]
 
 
 def init_fermi_dirac_4d(

@@ -549,11 +549,11 @@ def advect_4d_three_copies(values, grid, plans, inflow):
         prof2 = np.broadcast_to(inflow.T[:, None, :], (Nk2, nx1, Nk1)).reshape(Nk2, nx1 * Nk1)
     work = values.reshape(Q1, M1, Q2, M2, Nk1, Nk2).transpose(4, 1, 0, 2, 3, 5).copy()
     work = work.reshape(Nk1, M1, Q1, nx2 * Nk2)
-    plans[0].apply(work, prof1)
+    work = plans[0].apply(work, prof1)
     # (k1, m1, q1, q2, m2, k2) -> (k2, m2, q2, q1, m1, k1)
     work = work.reshape(Nk1, M1, Q1, Q2, M2, Nk2).transpose(5, 4, 3, 2, 1, 0).copy()
     work = work.reshape(Nk2, M2, Q2, nx1 * Nk1)
-    plans[1].apply(work, prof2)
+    work = plans[1].apply(work, prof2)
     work = work.reshape(Nk2, M2, Q2, Q1, M1, Nk1).transpose(3, 4, 2, 1, 5, 0)
     return work.reshape(nx1, nx2, Nk1, Nk2)
 

@@ -1,0 +1,58 @@
+"""The benchmark's layer trace (bench/spans.py) against the package it wraps.
+
+The trace names its entry points by string and reads their arguments, so a
+change to the package can silently drop a layer metric or count the wrong
+work; these tests import it from the checkout without writing anything
+under bench/.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wigsolve.dynamics import advect
+from wigsolve.grid import PhaseSpaceGrid, WignerState, build_spatial_mesh, build_wavenumber_mesh
+from wigsolve.kernels import PhysicalConstants
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    writes = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # no __pycache__ under bench/
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.dont_write_bytecode = writes
+        del sys.modules[spec.name]
+
+
+def test_every_traced_entry_point_resolves(spans):
+    assert spans.unresolved() == []
+
+
+def test_sweep_flop_reads_real_sweep_calls(spans):
+    # one symmetrized 4-D transport on a grid whose every axis has its own
+    # length: each sweep's field is apply's second positional argument,
+    # (Nk, M, Q, R), and its plan sweeps one mirrored slice more
+    x1, x2 = build_spatial_mesh(-4.0, 4.0, 3, 5), build_spatial_mesh(-5.0, 5.0, 2, 7)
+    k1, k2 = build_wavenumber_mesh(-np.pi, np.pi, 8), build_wavenumber_mesh(-np.pi, np.pi, 16)
+    grid = PhaseSpaceGrid.tensor4d(x1, x2, k1, k2)
+    state = WignerState(grid, np.ones(grid.shape))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        advect(state, PhysicalConstants(), 0.1, symmetrized_edge=True)
+    applies = [s for s in tracer.spans if s.name == "_SweepPlan.apply"]
+    # (Nk, M, Q, R) of the x1 sweep, then of the x2 sweep
+    shapes = [(8, 5, 3, 14 * 16), (16, 7, 2, 15 * 8)]
+    assert [s.info["flop"] for s in applies] == [
+        4 * M * M * Q * R * (Nk + 1) for Nk, M, Q, R in shapes
+    ]

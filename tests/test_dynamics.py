@@ -15,15 +15,21 @@ from oracles import (
     kernel_2d_rfft,
     mode_position,
     multipliers_half_2d,
+    multipliers_half_4d_natural,
     step_4d_natural,
 )
 import wigsolve
 from wigsolve.dynamics import (
     SCHEMES,
     SimulationConfig,
+    _LAYOUTS_4D,
     _Stepper,
     _SweepPlan,
+    _factors,
     _marginal_4d,
+    _multipliers_2d,
+    _multipliers_half_4d,
+    _split_4d,
     _stage_sequence,
     _sweep_plans,
     _to_work_4d,
@@ -252,25 +258,34 @@ def _reference_sweep(mesh, velocities, tau, work, inflow=None, edge_slice=None):
 
 
 SWEEP_CASES = [
-    (tau_seed, R, with_inflow, edge)
-    for tau_seed in range(4)
+    (case, R, with_inflow, edge)
+    for case in (0, 1, 2, 3, "own runs", "one run")
     for R in (1, 3)
     for with_inflow in (False, True)
     for edge in (None, 0)
 ]
 
 
-@pytest.mark.parametrize("tau_seed, R, with_inflow, edge", SWEEP_CASES)
-def test_sweep_plan_matches_two_matrix_reference(tau_seed, R, with_inflow, edge):
-    rng = np.random.default_rng(100 + tau_seed)
+@pytest.mark.parametrize("case, R, with_inflow, edge", SWEEP_CASES)
+def test_sweep_plan_matches_two_matrix_reference(case, R, with_inflow, edge):
+    rng = np.random.default_rng(100 + len(str(case)) + (case if isinstance(case, int) else 0))
     mesh = build_spatial_mesh(-3.0, 5.0, 6, 7)  # element width 4/3
     velocities = np.linspace(-4.0, 3.5, 16)
-    # signed stage lengths: shifts from a fraction of an element up to
-    # departures past both ends of the domain (|v tau| up to 12)
-    tau = rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
+    if case == "own runs":
+        # shifts 9/8 of an element apart: every slice its own (n, m0)
+        tau = 3.0
+    elif case == "one run":
+        # shifts below the first node spacing, all with n = 0 and m0 = 1
+        velocities, tau = np.linspace(0.5, 1.0, 16), 0.05
+    else:
+        # signed stage lengths: shifts from a fraction of an element up to
+        # departures past both ends of the domain (|v tau| up to 12)
+        tau = rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
     work = rng.standard_normal((16, 7, 6, R))
     inflow = rng.uniform(1.0, 2.0, (16, R)) if with_inflow else None
     plan = _SweepPlan(mesh, velocities, tau, edge)
+    runs = {"own runs": len(plan.matrices), "one run": 1 + (edge is not None)}
+    assert len(plan.runs) == runs.get(case, len(plan.runs))
     want = _reference_sweep(mesh, velocities, tau, work, inflow, edge)
     got = plan.apply(work, inflow)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -303,7 +318,7 @@ def test_equal_dimensions_share_one_sweep_plan(edge):
     assert plan1 is plan2
     plan1, plan2 = _sweep_plans(uneven_tensor_grid(), CONSTS, 0.1, edge)
     assert plan1 is not plan2
-    assert (len(plan1.rows), len(plan2.rows)) == ((9, 17) if edge else (8, 16))
+    assert (len(plan1.matrices), len(plan2.matrices)) == ((9, 17) if edge else (8, 16))
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +400,56 @@ def test_kernel_with_any_real_table_and_zero_c0_keeps_the_marginal(seed, tau, pl
     state = WignerState(grid, np.random.default_rng(seed + 1).standard_normal(grid.shape))
     out = apply_kernel(state, _random_real_table(grid, seed), tau)
     np.testing.assert_allclose(marginal(out), marginal(state), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [38, 128])
+def test_2d_multipliers_are_exp_i_tau_s_on_every_bin(N):
+    # tau s spans several turns; the scratch holds blocks of 50, so the
+    # tangent runs over many blocks, the last one short
+    grid = grid_2d(N=N, M=5, Q=3)
+    table = _random_real_table(grid, N)
+    tau = 6.0
+    N1, N2 = _factors(N)
+    H1 = N1 // 2 + 1
+    out = np.empty(H1 * 15 * N2, complex)
+    _multipliers_2d(table, tau, N1, N2, out, np.empty(100))
+    got = out.reshape(H1, 5, 3, N2)  # (k1, m, q, k2), bin nu = k1 + N1*k2
+    half = multipliers_half_2d(table, tau)  # (nx, N/2 + 1); exp(i tau s_{-nu}) is its conjugate
+    nu = np.arange(N)
+    full = half[:, np.minimum(nu, N - nu)]
+    full[:, nu > N // 2] = full[:, nu > N // 2].conj()
+    want = full.reshape(3, 5, N2, N1)[..., :H1].transpose(3, 1, 0, 2)
+    assert np.abs(got - want).max() <= 1e-15
+    assert tau * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
+    k2, k1 = divmod(N // 2, N1)
+    np.testing.assert_array_equal(got[k1, ..., k2], 1.0)  # the Nyquist bin
+
+
+@pytest.mark.parametrize("layout", [0, 1], ids=["L1", "L2"])
+def test_4d_multipliers_are_exp_i_tau_s_on_every_bin(layout):
+    grid = uneven_tensor_grid()
+    table = _random_real_table(grid, 5)
+    tau = 6.0
+    got = _multipliers_half_4d(table, tau, layout, np.empty(100))
+    Q1, M1, Q2, M2, Nk1, Nk2 = _split_4d(grid)
+    half = multipliers_half_4d_natural(table, tau)  # (nx1, nx2, Nk1, Nk2/2 + 1)
+    if layout == 0:
+        want = half.reshape(Q1, M1, Q2, M2, Nk1, -1)
+    else:
+        # nu1 = 0..Nk1/2 and every nu2, exp(i tau s(nu1, -nu2)) the conjugate
+        # of exp(i tau s(-nu1, nu2))
+        nu1, nu2 = np.arange(Nk1 // 2 + 1)[:, None], np.arange(Nk2)
+        mirrored = nu2 > Nk2 // 2
+        want = half[:, :, np.where(mirrored, -nu1 % Nk1, nu1), np.minimum(nu2, Nk2 - nu2)]
+        want[..., mirrored] = want[..., mirrored].conj()
+        want = want.reshape(Q1, M1, Q2, M2, Nk1 // 2 + 1, Nk2)
+    want = want.transpose(_LAYOUTS_4D[layout])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15
+    assert tau * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
+    natural = got.transpose(np.argsort(_LAYOUTS_4D[layout]))
+    np.testing.assert_array_equal(natural[..., Nk1 // 2, :], 1.0)  # the Nyquist planes
+    np.testing.assert_array_equal(natural[..., Nk2 // 2], 1.0)
 
 
 @pytest.mark.parametrize("N", [4, 6, 8, 32, 38, 96, 128, 512])
