@@ -13,30 +13,25 @@ kernel table.  Strang composition gives order two; the triple-jump
 composition of three Strang steps with one negative middle stage gives
 order four.
 
-One stepper (_Stepper) runs the stages in 2-D and 4-D phase space; it builds
-the sweep plans and multiplier tables of each distinct stage length once,
-and every buffer the stages use: no stage allocates, in 2-D or in 4-D.  Both
-kernel substeps are four matrix products against DFT matrices built once by
-one helper (_dft_matrices), the multiply between the middle two; no np.fft
-call is left.  A 2-D transport moves the field between the work array and
-the stepper's second field buffer; a 2-D kernel substep overwrites it.  Its
-kernel substep factors the k axis, N_k = N1*N2 (Bailey's four-step FFT): per
-n2, one real product maps the N1 slices k = N2*n1 + n2 to H1 = N1/2 + 1
-bins, the twiddle folded into the matrix; the complex N2-point DFT across
-them, the multiply and the inverse DFT run as real products on (Re, Im)
-pairs; per n2, one real product with the conjugate twiddle and the c2r
-weights returns to the field.  A 4-D field alternates between two work
-layouts, one switch per transport, and always stays in the caller's array:
-a transport sweeps into the stepper's scratch, switches back, and sweeps
-back.  Its kernel substep is the same four matrix products in either
-layout: stacked real ones against a precomputed rfft matrix along the
-layout's trailing, contiguous k axis, the complex DFT along its leading k
-axis and its inverse, with the multiply between them, and stacked real
-irfft products back into the field.  At these sizes (N_k = 16 to 128) BLAS
-runs the transforms faster than pocketfft, which transforms one lane at a
-time.  evolve drives a run in either dimension with one stepper, dropped
-before the final record and snapshot; advect, apply_kernel and step build a
-stepper for a single call and leave their input state as it is.
+Every work layout is an axis order of the natural field split per element
+(grid._split), listed once in _LAYOUTS: one in 2-D, two in 4-D.  One pair of
+conversions (_to_work, _from_work), one stage-to-layout map (_layouts) and
+one reading of the spatial marginal and the mass (observables._marginal and
+_mass, in whatever order the field lies) serve both dimensions.  Only the
+transport's layout switch and the kernel substep's DFT factorisation differ.
+One stepper (_Stepper) runs the stages; it builds the sweep plans and
+multiplier tables of each distinct stage length once, and every buffer the
+stages use: no stage allocates.  Both kernel substeps are four matrix
+products against DFT matrices built once by one helper (_dft_matrices), the
+multiply between the middle two; no np.fft call is left.  In 2-D they
+factor the k axis, N_k = N1*N2 (Bailey's four-step FFT); in 4-D they run
+along the layout's trailing k axis (rfft) and its leading one (complex).
+At these sizes (N_k = 16 to 128) BLAS runs the transforms faster than
+pocketfft, which transforms one lane at a time.  A 4-D field switches
+layouts once per transport and always stays in the caller's array.  evolve
+drives a run in either dimension with one stepper, dropped before the final
+record and snapshot; advect, apply_kernel and step build a stepper for a
+single call and leave their input state as it is.
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ from .grid import (
     WavenumberMesh,
     WignerState,
     _barycentric_rows,
+    _split,
     build_spatial_mesh,
     build_wavenumber_mesh,
 )
@@ -240,50 +236,24 @@ def _sweep_plans(grid: PhaseSpaceGrid, consts: PhysicalConstants, tau: float,
     return tuple(plans[dim] for dim in dims)
 
 
-def _to_work_2d(values: np.ndarray, mesh: SpatialMesh) -> np.ndarray:
-    # (nx, Nk) -> (Nk, M, Q), always a private copy
-    work = values.T.reshape(-1, mesh.num_elements, mesh.points_per_element)
-    return work.transpose(0, 2, 1).copy()
+# The work layouts, as axis orders of the natural field split per element
+# (grid._split).  In 2-D, of (q, m, k): the one layout (k, m, q).  In 4-D, of
+# (q1, m1, q2, m2, k1, k2): L1 = (k1, m1, q1, q2, m2, k2) leads with x1 and
+# its slices, L2 = (k2, m2, q2, q1, m1, k1) with x2; each is the other with
+# its axes reversed.  A spectrum has the axes of its field.
+_LAYOUTS = {1: ((2, 1, 0),), 2: ((4, 1, 0, 2, 3, 5), (5, 3, 2, 0, 1, 4))}
 
 
-def _from_work_2d(work: np.ndarray) -> np.ndarray:
-    # (Nk, M, Q) -> (nx, Nk), a new array
-    Nk, M, Q = work.shape
-    return np.ascontiguousarray(work.transpose(0, 2, 1).reshape(Nk, Q * M).T)
+def _to_work(values: np.ndarray, grid: PhaseSpaceGrid, order: tuple[int, ...]) -> np.ndarray:
+    """A natural-layout field in the work layout order, always a private copy."""
+    return values.reshape(_split(grid)).transpose(order).copy()
 
 
-# The two 4-D work layouts, as axis orders of the natural field split per
-# element, (q1, m1, q2, m2, k1, k2): L1 = (k1, m1, q1, q2, m2, k2) leads with
-# x1 and its slices, L2 = (k2, m2, q2, q1, m1, k1) with x2.  Each is the
-# other with its axes reversed.  A spectrum has the axes of its field.
-_LAYOUTS_4D = ((4, 1, 0, 2, 3, 5), (5, 3, 2, 0, 1, 4))
-
-
-def _split_4d(grid: PhaseSpaceGrid) -> tuple[int, ...]:
-    """(Q1, M1, Q2, M2, Nk1, Nk2): the natural 4-D shape with x split per element."""
-    (x1, x2), (k1, k2) = grid.spatial, grid.wavenumber
-    return (x1.num_elements, x1.points_per_element, x2.num_elements, x2.points_per_element,
-            k1.num_points, k2.num_points)
-
-
-def _to_work_4d(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    # (nx1, nx2, Nk1, Nk2) -> L1, always a private copy
-    return values.reshape(_split_4d(grid)).transpose(_LAYOUTS_4D[0]).copy()
-
-
-def _from_work_4d(work: np.ndarray, grid: PhaseSpaceGrid, layout: int) -> np.ndarray:
-    # L1 (layout 0) or L2 (layout 1) -> (nx1, nx2, Nk1, Nk2), a new array
+def _from_work(work: np.ndarray, grid: PhaseSpaceGrid, order: tuple[int, ...]) -> np.ndarray:
+    """A new natural-layout field from a field in the work layout order."""
     out = np.empty(grid.shape)
-    np.copyto(out.reshape(_split_4d(grid)), work.transpose(np.argsort(_LAYOUTS_4D[layout])))
+    np.copyto(out.reshape(_split(grid)), work.transpose(np.argsort(order)))
     return out
-
-
-def _marginal_4d(work: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    # spatial marginal (nx1, nx2) of an L1 field: summed over (k1, k2) where it
-    # lies, so it differs from spatial_marginal_2d only in the summation order
-    k1, k2 = grid.wavenumber
-    return np.einsum("abcdef->cbde", work).reshape(grid.shape[:2]) * (
-        k1.length * k2.length / (k1.num_points * k2.num_points))
 
 
 # ----------------------------------------------------------------------
@@ -337,11 +307,11 @@ def _multipliers_half_4d(table: KernelTable, tau: float, layout: int,
     value is written straight from the table into the result, so no
     table-sized temporary exists.
     """
-    Q1, M1, Q2, M2, Nk1, Nk2 = _split_4d(table.grid)
+    Q1, M1, Q2, M2, Nk1, Nk2 = _split(table.grid)
     H1, H2 = Nk1 // 2 + 1, Nk2 // 2 + 1
     stored = table.multipliers.reshape(Q1, M1, Q2, M2, Nk1, H2)
     natural = (Q1, M1, Q2, M2) + ((Nk1, H2) if layout == 0 else (H1, Nk2))
-    order = _LAYOUTS_4D[layout]
+    order = _LAYOUTS[2][layout]
     out = np.empty([natural[a] for a in order], complex)
     s = out.real.transpose(np.argsort(order))  # the same numbers, in natural axis order
     half = 0.5 * tau
@@ -449,27 +419,30 @@ def _stage_sequence(scheme: str, dt: float) -> list[tuple[str, float]]:
     return fused
 
 
-def _lengths(stages: list[tuple[str, float]], kind: str) -> dict[float, None]:
-    """Distinct stage lengths of one kind ("A" or "B"), in order of first use."""
-    return dict.fromkeys(tau for k, tau in stages if k == kind)
+def _transport_lengths(stages: list[tuple[str, float]]) -> dict[float, None]:
+    """Distinct transport stage lengths, in order of first use."""
+    return dict.fromkeys(tau for kind, tau in stages if kind == "A")
 
 
 def _check_stage_lengths(stages: list[tuple[str, float]]) -> None:
-    for tau in _lengths(stages, "A"):
+    for tau in _transport_lengths(stages):
         if abs(tau) > MAX_STAGE_FS:
             raise ParameterError(f"stage length {tau} fs exceeds the configured bound")
 
 
-def _layouts_4d(stages: list[tuple[str, float]]) -> tuple[list[int], int]:
-    """The layout, L1 (0) or L2 (1), in which each stage finds a 4-D field
-    that starts in L1, and the layout the last stage leaves: every transport
-    switches it.  A step of every scheme has an even number of transports,
-    so a step starts and ends in L1."""
+def _layouts(stages: list[tuple[str, float]], ndim: int) -> tuple[list[int], int, dict]:
+    """The layout (an index into _LAYOUTS[ndim]) in which each stage finds a
+    field that starts in the first, the layout the last stage leaves, and
+    the distinct (length, layout) pairs of the kernel stages in order of
+    first use, one multiplier table each.  Every 4-D transport switches L1
+    and L2; 2-D has one layout.  A step of every scheme has an even number
+    of transports, so a step starts and ends in the first layout."""
     layouts, layout = [], 0
     for kind, _ in stages:
         layouts.append(layout)
-        layout ^= kind == "A"
-    return layouts, layout
+        layout = (layout + (kind == "A")) % len(_LAYOUTS[ndim])
+    kernel = dict.fromkeys((tau, at) for (kind, tau), at in zip(stages, layouts) if kind == "B")
+    return layouts, layout, kernel
 
 
 def _scratch_4d(grid: PhaseSpaceGrid, symmetrized_edge: bool):
@@ -479,12 +452,12 @@ def _scratch_4d(grid: PhaseSpaceGrid, symmetrized_edge: bool):
     with the symmetrized edge followed by the mirrored slice's reading of
     either sweep, and the half spectrum in either layout (complex), half
     along the layout's trailing k axis: nu2 in L1, nu1 in L2."""
-    split = _split_4d(grid)
+    split = _split(grid)
     points = math.prod(split)
     Nk1, Nk2 = split[4:]
     reading = points // min(Nk1, Nk2) if symmetrized_edge else 0
     halves = (split[:4] + (Nk1, Nk2 // 2 + 1), split[:4] + (Nk1 // 2 + 1, Nk2))
-    spectra = tuple(tuple(half[a] for a in order) for half, order in zip(halves, _LAYOUTS_4D))
+    spectra = tuple(tuple(half[a] for a in order) for half, order in zip(halves, _LAYOUTS[2]))
     return max(points + reading, *(2 * math.prod(s) for s in spectra)), spectra
 
 
@@ -496,7 +469,13 @@ class _Stepper:
     allocates, in 2-D or in 4-D.  table may be None without kernel stages,
     consts without transport stages.
 
-    In 2-D the field's work layout is (Nk, M, Q), so that every sweep runs
+    The work layouts are _LAYOUTS[ndim] (orders): stage i finds the field in
+    orders[layouts[i]], advance() leaves it in orders[end_layout], and
+    to_work and from_work convert through them.  The inflow profiles and the
+    (stage length, layout) keys of the multiplier tables are built from them
+    alike in both dimensions; the buffer plan is per dimension.
+
+    In 2-D the one work layout is (Nk, M, Q), so that every sweep runs
     along the leading axis.  A transport moves the field between the work
     array and the stepper's second field buffer, the spare; a kernel
     substep overwrites it.  Every step has an even number of transports, so
@@ -514,22 +493,22 @@ class _Stepper:
     the inverse goes back into the spectrum.  One real product per n2
     returns to the field.
 
-    In 4-D the field is in layout L1 or L2 (_LAYOUTS_4D), and advance()
-    takes it in L1.  A transport sweeps the dimension its layout leads with
-    into the scratch, switches layouts back into the field's array in two
-    passes, the second into the scratch, and sweeps the other dimension
-    back into the field's array, which then holds the other layout: the
-    field always stays in the caller's array.  A kernel substep overwrites
-    the field in either layout with the same code: one stack of real matrix
-    products along the trailing k axis (k2 in L1, k1 in L2) writes the half
-    spectrum into the scratch, as (Re, Im) column pairs that a complex view
-    reads as the rfft; the complex DFT along the leading k axis, the
-    multiply by the multipliers built in that layout and the inverse DFT
-    then run on half of the spectrum's columns at a time through the spent
-    field, as in 2-D; one stack of real products returns to the field.  The
-    stepper owns the scratch (_scratch_4d), the inflow profiles
-    broadcast over each sweep's slabs and each kernel layout's DFT
-    matrices.  Without stages it owns no buffer.
+    In 4-D the field is in layout L1 or L2, and advance() takes it in L1.
+    A transport sweeps the dimension its layout leads with into the
+    scratch, switches layouts back into the field's array in two passes,
+    the second into the scratch, and sweeps the other dimension back into
+    the field's array, which then holds the other layout: the field always
+    stays in the caller's array.  A kernel substep overwrites the field in
+    either layout with the same code: one stack of real matrix products
+    along the trailing k axis (k2 in L1, k1 in L2) writes the half spectrum
+    into the scratch, as (Re, Im) column pairs that a complex view reads as
+    the rfft; the complex DFT along the leading k axis, the multiply by the
+    multipliers built in that layout and the inverse DFT then run on half of
+    the spectrum's columns at a time through the spent field, as in 2-D; one
+    stack of real products returns to the field.  The stepper owns the
+    scratch (_scratch_4d), the inflow profiles broadcast over each sweep's
+    slabs and each kernel layout's DFT matrices.  Without stages it owns no
+    buffer.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
@@ -545,19 +524,18 @@ class _Stepper:
                 raise ParameterError(f"inflow must have shape {N}, got {inflow.shape}")
         self.grid = grid
         self.stages = stages
-        self.plans = {
-            tau: _sweep_plans(grid, consts, tau, symmetrized_edge) for tau in _lengths(stages, "A")
-        }
-        self.profiles = (None, None)
+        self.orders = _LAYOUTS[grid.ndim_space]
+        self.layouts, self.end_layout, kernel_stages = _layouts(stages, grid.ndim_space)
+        self.plans = {tau: _sweep_plans(grid, consts, tau, symmetrized_edge)
+                      for tau in _transport_lengths(stages)}
         # the spare field buffer (2-D), the scratch, and the part of it that
         # holds the mirrored edge slice's reading
         self.spare = self.scratch = self.reading = None
+        self.spectra, self.dfts = (), {}
         if grid.ndim_space == 1:
-            self.layouts, self.end_layout = [0] * len(stages), 0
             Nk, M, Q = N[0], grid.x.points_per_element, grid.x.num_elements
             N1, N2 = _factors(Nk)
-            taus = _lengths(stages, "B")
-            spectrum = (N2, 2 * (N1 // 2 + 1), M * Q) if taus else (0,)
+            spectrum = (N2, 2 * (N1 // 2 + 1), M * Q) if kernel_stages else (0,)
             reading = M * Q if self.plans and symmetrized_edge else 0
             # one block: each kernel stage length's multipliers (complex, one
             # a spectrum bin), then the scratch.  Freed at once, it keeps
@@ -567,65 +545,55 @@ class _Stepper:
             # one, none with the block).  The spare stays apart: in the block
             # it left the heap top trimmed after a stream2d run, and each cold
             # set-up after it took 178 minor faults (none with it apart)
-            tables = len(taus) * math.prod(spectrum)
-            block = np.empty(tables + max(math.prod(spectrum), reading))
-            bins = block[:tables].view(complex).reshape(len(taus), math.prod(spectrum) // 2)
+            size = math.prod(spectrum)
+            tables = len(kernel_stages) * size
+            block = np.empty(tables + max(size, reading))
+            bins = block[:tables].view(complex).reshape(len(kernel_stages), size // 2)
             self.scratch = self.reading = block[tables:]
-            self.mults = {(tau, 0): _multipliers_2d(table, tau, N1, N2, out, self.scratch)
-                          for tau, out in zip(taus, bins)}
+            self.mults = {key: _multipliers_2d(table, key[0], N1, N2, out, self.scratch)
+                          for key, out in zip(kernel_stages, bins)}
             if self.plans:
                 self.spare = np.empty((Nk, M, Q))
-            self.spectra = (self.scratch[: math.prod(spectrum)].reshape(spectrum),) if taus else ()
-            self.dfts = {}
-            if taus:
+            if kernel_stages:
+                self.spectra = (self.scratch[:size].reshape(spectrum),)
                 roots, weights, lead, lead_inv = _dft_matrices(N1, N2, twiddled=True)
                 # the real products' (Re, Im) parts as two blocks of H1 bins
                 planar = np.concatenate([roots.real, roots.imag], axis=2)
                 self.dfts[0] = (planar.transpose(0, 2, 1).copy(), _real_form(lead),
                                 _real_form(lead_inv).T, planar * np.tile(weights, 2))
-            if inflow is not None:
-                self.profiles = (inflow[:, None], None)
-            return
-        self.layouts, self.end_layout = _layouts_4d(stages)
-        kernel_stages = dict.fromkeys(
-            (tau, layout) for (kind, tau), layout in zip(stages, self.layouts) if kind == "B"
-        )
-        self.spectra = ()
-        if stages:
-            size, spectra = _scratch_4d(grid, symmetrized_edge)
-            self.scratch = np.empty(size)
-            self.reading = self.scratch[math.prod(grid.shape) :]
-            # each spectrum as (leading k bins, the rest), the shape the DFT
-            # along the leading axis reads
-            self.spectra = tuple(self.scratch[: 2 * math.prod(s)].view(complex).reshape(s[0], -1)
-                                 for s in spectra)
-        self.mults = {key: _multipliers_half_4d(table, *key, self.scratch)
-                      for key in kernel_stages}
-        # the trailing k axis of L1 is k2, that of L2 is k1
-        self.dfts = {}
-        for layout in {layout for _, layout in kernel_stages}:
-            roots, weights, lead, lead_inv = _dft_matrices(
-                *(N[::-1] if layout == 0 else N), twiddled=False)
-            self.dfts[layout] = (roots[0].view(float), lead, lead_inv,
-                                 np.ascontiguousarray((roots[0] * weights).view(float).T))
+        else:
+            if stages:
+                size, spectra = _scratch_4d(grid, symmetrized_edge)
+                self.scratch = np.empty(size)
+                self.reading = self.scratch[math.prod(grid.shape) :]
+                # each spectrum as (leading k bins, the rest), the shape the
+                # DFT along the leading axis reads
+                self.spectra = tuple(
+                    self.scratch[: 2 * math.prod(s)].view(complex).reshape(s[0], -1)
+                    for s in spectra)
+            self.mults = {key: _multipliers_half_4d(table, *key, self.scratch)
+                          for key in kernel_stages}
+            # the trailing k axis of L1 is k2, that of L2 is k1
+            for layout in {layout for _, layout in kernel_stages}:
+                roots, weights, lead, lead_inv = _dft_matrices(
+                    *(N[::-1] if layout == 0 else N), twiddled=False)
+                self.dfts[layout] = (roots[0].view(float), lead, lead_inv,
+                                     np.ascontiguousarray((roots[0] * weights).view(float).T))
+        self.profiles = (None, None)
         if inflow is not None and self.plans:
-            nx1, nx2 = grid.shape[:2]
-            self.profiles = tuple(
-                np.broadcast_to(f[:, None, :], (f.shape[0], nx, f.shape[1])).reshape(f.shape[0], -1)
-                for f, nx in ((inflow, nx2), (inflow.T, nx1))
-            )
+            # each layout's inflow as (slices, slab), the shape its sweeps
+            # read: the profile broadcast over the x axes the slab holds
+            natural = np.broadcast_to(inflow, _split(grid))
+            lanes = [natural.transpose(order)[:, 0, 0] for order in self.orders]
+            self.profiles = tuple(lane.reshape(len(lane), -1) for lane in lanes)
 
     def to_work(self, values: np.ndarray) -> np.ndarray:
-        """Work layout of a field, always a private copy: L1 in 4-D."""
-        if self.grid.ndim_space == 2:
-            return _to_work_4d(values, self.grid)
-        return _to_work_2d(values, self.grid.x)
+        """Work layout of a field, always a private copy: the first layout."""
+        return _to_work(values, self.grid, self.orders[0])
 
     def from_work(self, work: np.ndarray) -> np.ndarray:
         """A new natural-layout field from the work field advance() left."""
-        if self.grid.ndim_space == 2:
-            return _from_work_4d(work, self.grid, self.end_layout)
-        return _from_work_2d(work)
+        return _from_work(work, self.grid, self.orders[self.end_layout])
 
     def advance(self, work: np.ndarray) -> np.ndarray:
         """Run every stage on a C-contiguous work-layout field (to_work
@@ -884,8 +852,7 @@ def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
     """
     points = math.prod(grid.shape)
     stages = _stage_sequence(config.scheme, config.dt)
-    layouts, _ = _layouts_4d(stages)
-    kernel_stages = {(tau, layout) for (kind, tau), layout in zip(stages, layouts) if kind == "B"}
+    _, _, kernel_stages = _layouts(stages, 2)
     scratch, spectra = _scratch_4d(grid, config.edge_transport == "symmetrized")
     bins = [math.prod(s) for s in spectra]  # of the half spectrum in each layout
     tables = sum(16 * bins[layout] for _, layout in kernel_stages)
@@ -918,34 +885,30 @@ def evolve(config: SimulationConfig):
 
     # reservoir inflow: the wavenumber profile of the initial data feeds the
     # inflow boundaries (averaged over x in 2-D; 4-D data are uniform in x)
+    background = values.mean(axis=0) if config.spatial_dims == 1 else values[0, 0].copy()
+    # the field is held once, in the first work layout, and read there; a
+    # step-less 4-D run reads its initial data as they are (a read-only
+    # Fermi-Dirac broadcast stays one), never copied
+    order = None if config.spatial_dims == 2 and not n_steps else _LAYOUTS[grid.ndim_space][0]
+    work = values if order is None else _to_work(values, grid, order)
+    weights = tuple(observables._cc_x_weights(mesh) for mesh in grid.spatial)
     if config.spatial_dims == 1:
-        background = values.mean(axis=0)
-        work = _to_work_2d(values, grid.x)
         quad = observables.UniformMeshQuadrature(grid, config.n_uniform)
-        mesh = grid.x
-        wcc = observables._cc_x_weights(mesh).reshape(mesh.num_elements, -1).T  # (M, Q)
 
-        def record(t, work):
-            mass = grid.k.length * float((wcc * work.mean(axis=0)).sum())
+        def append(t, mass, work):
             quad.append_row_from_work(series, t, mass, work, consts)
 
         def snapshot(t, work):
-            return WignerState(grid, _from_work_2d(work), t)
+            return WignerState(grid, _from_work(work, grid, order), t)
     else:
-        background = values[0, 0].copy()
-        # a run with steps holds its field once, in L1, and reads it there; a
-        # run without reads the initial data as they are, never copied
-        work = _to_work_4d(values, grid) if n_steps else values
-        w1, w2 = (observables._cc_x_weights(mesh) for mesh in grid.spatial)
-
-        def record(t, work):
-            mass = (float(w1 @ _marginal_4d(work, grid) @ w2) if n_steps
-                    else observables.total_mass(WignerState(grid, work)))
+        def append(t, mass, work):
             series.append(t=t, total_mass=mass)
 
         def snapshot(t, work):
-            return t, (_marginal_4d(work, grid) if n_steps
-                       else observables.spatial_marginal_2d(WignerState(grid, work)))
+            return t, observables._marginal(work, grid, order)
+
+    def record(t, work):
+        append(t, observables._mass(observables._marginal(work, grid, order), weights), work)
 
     # the work layout is the field from here on, and the stepper's tables and
     # scratch are built without the natural layout alive

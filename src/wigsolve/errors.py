@@ -32,4 +32,4 @@ class DivergenceError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """A requested allocation would exceed the configured memory budget."""
+    """A run's estimated working set exceeds dynamics.MEMORY_BUDGET_BYTES."""

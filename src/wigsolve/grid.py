@@ -310,6 +310,14 @@ class PhaseSpaceGrid:
         )
 
 
+def _split(grid: PhaseSpaceGrid) -> tuple[int, ...]:
+    """The natural field's shape with each x axis split per element: (Q, M,
+    Nk) in 2-D phase space, (Q1, M1, Q2, M2, Nk1, Nk2) in 4-D.  Every work
+    layout is an axis order of this split field."""
+    spatial = tuple(n for x in grid.spatial for n in (x.num_elements, x.points_per_element))
+    return spatial + tuple(k.num_points for k in grid.wavenumber)
+
+
 @dataclass
 class WignerState:
     """Real phase-space field on a grid at one time instant."""

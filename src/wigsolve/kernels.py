@@ -9,9 +9,11 @@ transforms:
     C(w)    = int_0^{L_k} cos(w k) phi(k) dk.
 
 C is a sinc moment for the delta, inverse-square and multi-delta families
-and a Faddeeva form for the Gaussian barrier (DLMF 7.2); the inverse-power
-family uses the singular-oscillatory quadrature.  The log C diverges but
-its difference is s_nu = (H/hbar) [Cin(|w+| L_k) - Cin(|w-| L_k)], with
+and a Faddeeva form for the Gaussian barrier (DLMF 7.2).  The inverse-power
+C is specfun.cos_power_integral: a power series for |w| L_k <= 6, and above
+that the half-line value minus a tail from Legendre's continued fraction for
+Gamma(a, -i w L_k) (DLMF 8.9.2).  The log C diverges but its difference is
+s_nu = (H/hbar) [Cin(|w+| L_k) - Cin(|w-| L_k)], with
 Cin(u) = gamma + ln u - Ci(u) (DLMF 6.2.2).  The discrete-sum route's window
 transform vanishes on its lattice y = zeta pi/L_k but at one point per mode,
 so s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar.  Every table

@@ -25,6 +25,7 @@ from .grid import (
     WignerState,
     _spatial_interp,
     _spatial_interp_adjoint,
+    _split,
     _uniform_wavenumber_interp,
     _uniform_wavenumber_interp_adjoint,
     clenshaw_curtis_weights,
@@ -176,31 +177,49 @@ def _cc_x_weights(mesh) -> np.ndarray:
     return np.tile(w, mesh.num_elements)
 
 
+def _marginal(values: np.ndarray, grid: PhaseSpaceGrid, order=None) -> np.ndarray:
+    """Spatial marginal, (nx,) or (nx1, nx2), of a field whose axes are those
+    of the element-split natural field (grid._split) in the given order, or
+    of the natural field itself (order None): one sum over the k axes where
+    they lie, so a work-layout field is read in place, never copied."""
+    split = _split(grid)
+    order = range(len(split)) if order is None else order
+    axes = "abcdef"[: len(split)]
+    x = 2 * grid.ndim_space  # the (q, m) axes lead the split field
+    summed = np.einsum("".join(axes[a] for a in order) + "->" + axes[:x],
+                       values.reshape([split[a] for a in order]))
+    scale = math.prod(km.length for km in grid.wavenumber) / math.prod(split[x:])
+    return summed.reshape(grid.shape[: grid.ndim_space]) * scale
+
+
+def _mass(marginal: np.ndarray, weights: tuple[np.ndarray, ...]) -> float:
+    """Clenshaw-Curtis integral of a spatial marginal: weights holds one
+    per-node vector (_cc_x_weights) per spatial dimension."""
+    first, *rest = weights
+    mass = first @ marginal
+    for w in rest:
+        mass = mass @ w
+    return float(mass)
+
+
 def spatial_marginal(state: WignerState) -> np.ndarray:
     """Integral of f over wavenumbers at every spatial point (2-D)."""
     if state.grid.ndim_space != 1:
         raise ParameterError("spatial_marginal expects a 2-D phase-space state")
-    return state.grid.k.length * state.values.mean(axis=1)
+    return _marginal(state.values, state.grid)
 
 
 def spatial_marginal_2d(state: WignerState) -> np.ndarray:
     """F_sm(x1, x2): integral over both wavenumber axes (4-D)."""
     if state.grid.ndim_space != 2:
         raise ParameterError("spatial_marginal_2d expects a 4-D phase-space state")
-    L1 = state.grid.wavenumber[0].length
-    L2 = state.grid.wavenumber[1].length
-    return L1 * L2 * state.values.mean(axis=(2, 3))
+    return _marginal(state.values, state.grid)
 
 
 def total_mass(state: WignerState) -> float:
     """Phase-space integral of f: exact in modes over k, Clenshaw-Curtis in x."""
-    if state.grid.ndim_space == 1:
-        marg = spatial_marginal(state)
-        return float(_cc_x_weights(state.grid.x) @ marg)
-    marg = spatial_marginal_2d(state)
-    w1 = _cc_x_weights(state.grid.spatial[0])
-    w2 = _cc_x_weights(state.grid.spatial[1])
-    return float(w1 @ marg @ w2)
+    weights = tuple(_cc_x_weights(mesh) for mesh in state.grid.spatial)
+    return _mass(_marginal(state.values, state.grid), weights)
 
 
 # ----------------------------------------------------------------------

@@ -26,19 +26,33 @@ same packet and window at N_k = 128, M = 21, dt = 0.01, with Q = 20, 40 and
 1.13e-2, 5.54e-4; log 2.14e-2, 7.12e-4, 8.86e-6).  Each family pins a
 floor a little below the mean order in the element width measured when the
 test was written (delta 3.93, log 5.62).
+
+The 4-D ladder runs the benchmark's fermi4d set-up at seed 0 (multi-delta
+annulus, Fermi-Dirac data, background inflow, symmetrized edge; Q = 5,
+M = 9, yoshida4, dt = 0.01) to t = 0.2 at N_k = 16 and 32 and compares the
+spatial marginal with the same run at N_k = 64 (the largest difference over
+the largest reference value).  Each pins a bound a little above the error
+measured when the test was written (0.113 and 0.037): the benchmark's
+N_k = 16 is a speed workload, far from converged.
 """
 
 import math
 
 import pytest
 
+import numpy as np
+
 from wigsolve import (
     DeltaPotential,
+    FermiDiracSpec,
     GaussianPacketSpec,
     InversePowerPotential,
     InverseSquarePotential,
     LogPotential,
+    MultiDeltaPotential2D,
+    PhysicalConstants,
     SimulationConfig,
+    annulus_points,
     error_norms,
     evolve,
 )
@@ -70,6 +84,10 @@ REFERENCE_ELEMENTS = 160
 ELEMENT_MODES = 128
 # family -> floor under log2(e_20 / e_80) / 2
 ELEMENT_FLOORS = {"delta": 3.7, "log": 5.4}
+
+# N_k -> bound on the 4-D marginal's error against N_k = 64
+TENSOR_BOUNDS = {16: 0.12, 32: 0.04}
+TENSOR_REFERENCE_MODES = 64
 
 
 def _final_state(potential, num_modes, num_elements=20, dt=0.02):
@@ -106,3 +124,23 @@ def test_element_ladder_converges(family):
     assert all(a > b for a, b in zip(errors, errors[1:])), errors
     order = math.log2(errors[0] / errors[-1]) / math.log2(ELEMENT_LADDER[-1] / ELEMENT_LADDER[0])
     assert order > floor, (order, errors)
+
+
+def _tensor_marginal(num_modes):
+    cfg = SimulationConfig(
+        x_lo=-10.0, x_hi=10.0, num_elements=5, points_per_element=9, num_modes=num_modes,
+        potential=MultiDeltaPotential2D(H=1.0, points=annulus_points(2.0, 8)),
+        initial=FermiDiracSpec(),
+        consts=PhysicalConstants(hbar=0.658211899, mass=0.067 * 5.68562966),
+        dt=0.01, t_final=0.2, scheme="yoshida4", inflow="background",
+        edge_transport="symmetrized",
+    )
+    return evolve(cfg)[0][-1][1]
+
+
+def test_tensor_wavenumber_ladder_converges():
+    reference = _tensor_marginal(TENSOR_REFERENCE_MODES)
+    errors = {n: float(np.abs(_tensor_marginal(n) - reference).max() / np.abs(reference).max())
+              for n in TENSOR_BOUNDS}
+    assert errors[16] > errors[32], errors
+    assert all(errors[n] < bound for n, bound in TENSOR_BOUNDS.items()), errors

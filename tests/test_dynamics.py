@@ -22,17 +22,16 @@ import wigsolve
 from wigsolve.dynamics import (
     SCHEMES,
     SimulationConfig,
-    _LAYOUTS_4D,
+    _LAYOUTS,
     _Stepper,
     _SweepPlan,
     _factors,
-    _marginal_4d,
+    _from_work,
     _multipliers_2d,
     _multipliers_half_4d,
-    _split_4d,
     _stage_sequence,
     _sweep_plans,
-    _to_work_4d,
+    _to_work,
     _working_set_4d,
     advect,
     apply_kernel,
@@ -44,6 +43,7 @@ from wigsolve.errors import DivergenceError, DomainError, ParameterError
 from wigsolve.grid import (
     PhaseSpaceGrid,
     WignerState,
+    _split,
     build_spatial_mesh,
     build_wavenumber_mesh,
 )
@@ -61,6 +61,8 @@ from wigsolve.observables import (
     FermiDiracSpec,
     GaussianPacketSpec,
     _cc_x_weights,
+    _marginal,
+    _mass,
     init_fermi_dirac_4d,
     init_gaussian,
     spatial_marginal,
@@ -431,7 +433,7 @@ def test_4d_multipliers_are_exp_i_tau_s_on_every_bin(layout):
     table = _random_real_table(grid, 5)
     tau = 6.0
     got = _multipliers_half_4d(table, tau, layout, np.empty(100))
-    Q1, M1, Q2, M2, Nk1, Nk2 = _split_4d(grid)
+    Q1, M1, Q2, M2, Nk1, Nk2 = _split(grid)
     half = multipliers_half_4d_natural(table, tau)  # (nx1, nx2, Nk1, Nk2/2 + 1)
     if layout == 0:
         want = half.reshape(Q1, M1, Q2, M2, Nk1, -1)
@@ -443,11 +445,11 @@ def test_4d_multipliers_are_exp_i_tau_s_on_every_bin(layout):
         want = half[:, :, np.where(mirrored, -nu1 % Nk1, nu1), np.minimum(nu2, Nk2 - nu2)]
         want[..., mirrored] = want[..., mirrored].conj()
         want = want.reshape(Q1, M1, Q2, M2, Nk1 // 2 + 1, Nk2)
-    want = want.transpose(_LAYOUTS_4D[layout])
+    want = want.transpose(_LAYOUTS[2][layout])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-15
     assert tau * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
-    natural = got.transpose(np.argsort(_LAYOUTS_4D[layout]))
+    natural = got.transpose(np.argsort(_LAYOUTS[2][layout]))
     np.testing.assert_array_equal(natural[..., Nk1 // 2, :], 1.0)  # the Nyquist planes
     np.testing.assert_array_equal(natural[..., Nk2 // 2], 1.0)
 
@@ -841,10 +843,10 @@ def test_evolve_4d_stage_caches_match_per_stage_builds():
     # evolve reads its L1 field in place: exact against the same reduction of
     # the reference field in L1, and as the natural-layout observables but for
     # the summation order
-    it = _marginal_4d(_to_work_4d(state.values, grid), grid)
-    w1, w2 = (_cc_x_weights(mesh) for mesh in grid.spatial)
+    L1 = _LAYOUTS[2][0]
+    it = _marginal(_to_work(state.values, grid, L1), grid, L1)
     np.testing.assert_array_equal(snaps[-1][1], it)
-    assert series.total_mass[-1] == float(w1 @ it @ w2)
+    assert series.total_mass[-1] == _mass(it, tuple(_cc_x_weights(mesh) for mesh in grid.spatial))
     np.testing.assert_allclose(snaps[-1][1], spatial_marginal_2d(state), rtol=1e-14, atol=0)
     assert series.total_mass[-1] == pytest.approx(total_mass(state), rel=1e-14)
 
@@ -874,12 +876,23 @@ def uneven_tensor_grid():
     )
 
 
-def test_marginal_4d_matches_the_natural_layout_marginal():
-    grid = uneven_tensor_grid()
+@pytest.mark.parametrize("dims, layout", [(1, 0), (2, 0), (2, 1), (1, None), (2, None)],
+                         ids=["2d", "L1", "L2", "2d-natural", "4d-natural"])
+def test_work_layouts_round_trip_and_give_the_natural_layout_marginal(dims, layout):
+    # each layout of the table, and the natural order (None), holds the same
+    # field: it converts back bit for bit and gives the natural marginal
+    grid = uneven_tensor_grid() if dims == 2 else grid_2d(N=8, M=5, Q=3)
     values = np.random.default_rng(11).random(grid.shape)
-    got = _marginal_4d(_to_work_4d(values, grid), grid)
-    want = spatial_marginal_2d(WignerState(grid, values))
-    assert got.shape == grid.shape[:2]
+    order = None if layout is None else _LAYOUTS[dims][layout]
+    work = values if order is None else _to_work(values, grid, order)
+    if order is not None:
+        assert work.shape == tuple(_split(grid)[a] for a in order)
+        assert work.flags.c_contiguous and not np.shares_memory(work, values)
+        np.testing.assert_array_equal(_from_work(work, grid, order), values)
+    got = _marginal(work, grid, order)
+    lengths = math.prod(km.length for km in grid.wavenumber)
+    want = lengths * values.mean(axis=tuple(range(dims, 2 * dims)))
+    assert got.shape == grid.shape[:dims]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
@@ -889,14 +902,32 @@ def test_marginal_4d_allocates_little_beyond_its_result():
 
     cfg = fd_config()
     grid = cfg.build_grid()
-    work = _to_work_4d(init_fermi_dirac_4d(grid, cfg.initial, cfg.consts).values, grid)
+    L1 = _LAYOUTS[2][0]
+    work = _to_work(init_fermi_dirac_4d(grid, cfg.initial, cfg.consts).values, grid, L1)
     tracemalloc.start()
     try:
-        _marginal_4d(work, grid)
+        _marginal(work, grid, L1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < work.nbytes / 64, peak
+
+
+def test_stepless_4d_evolve_copies_no_field():
+    # without steps evolve reads the read-only Fermi-Dirac broadcast in its
+    # natural order: the peak (the profile's quadrature, the marginal) stays
+    # far below one field
+    import tracemalloc
+
+    cfg = fd_config(t_final=0.0)
+    evolve_4d(cfg)  # the table is cached from here on
+    tracemalloc.start()
+    try:
+        evolve_4d(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * math.prod(cfg.build_grid().shape) / 4, peak
 
 
 @pytest.mark.parametrize("run", [
