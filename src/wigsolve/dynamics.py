@@ -5,8 +5,10 @@ slice is shifted by v = hbar*k/m times the stage length and re-read through
 per-element barycentric interpolation (semi-Lagrangian, no CFL bound, signed
 stage lengths allowed).  A sweep plan fixes, per (slice, stage length), one
 interpolation matrix, and groups adjacent slices that read the same source
-elements into runs, so a sweep is two batched matmuls a run, each from a
-view of the source straight into the shifted view of its target: no gather.
+elements into runs, so a sweep is at most two batched matmuls a run, each
+from a view of the source straight into the shifted view of its target (no
+gather); a whole-element shift is a copy, and the CGL endpoint that two
+elements share is computed once.
 The pseudo-differential substep is diagonal in the wavenumber modes:
 alpha_nu picks up exp(tau * c_nu(x)) = exp(i tau s_nu(x)), with s the real
 kernel table.  Strang composition gives order two; the triple-jump
@@ -15,10 +17,13 @@ order four.
 
 Every work layout is an axis order of the natural field split per element
 (grid._split), listed once in _LAYOUTS: one in 2-D, two in 4-D.  One pair of
-conversions (_to_work, _from_work), one stage-to-layout map (_layouts) and
-one reading of the spatial marginal and the mass (observables._marginal and
-_mass, in whatever order the field lies) serve both dimensions.  Only the
-transport's layout switch and the kernel substep's DFT factorisation differ.
+conversions (_to_work, _from_work) and one stage-to-layout map (_layouts)
+serve both dimensions.  Only the transport's layout switch, the kernel
+substep's DFT factorisation and the record differ: a 2-D record is two
+products against the observables' functionals in the work layout
+(observables.UniformMeshQuadrature), a 4-D one the spatial marginal and its
+mass (observables._marginal and _mass, read where the field lies).  Either
+also sums every entry of the field, which is evolve's finiteness check.
 One stepper (_Stepper) runs the stages; it builds the sweep plans and
 multiplier tables of each distinct stage length once, and every buffer the
 stages use: no stage allocates.  Both kernel substeps are four matrix
@@ -116,10 +121,15 @@ class _SweepPlan:
     Adjacent slices share (n, m0) in runs, a few per stage (3 to 5 on the
     benchmark grids, 34 on the Q = 160, N_k = 512 grid of the convergence
     ladders at yoshida4 dt = 0.08), and the plan stores those runs as
-    (first slice, end, n, m0).  apply() writes each run with two batched
-    matmuls, one per row group, each from a view of the source elements
-    straight into the shifted view of the target elements; no per-node
-    index exists.
+    (first slice, end, n, m0).  apply() writes each run (_shift_run) with
+    at most two batched matmuls, one per row group, each from a view of the
+    source elements straight into the shifted view of the target elements;
+    no per-node index exists.  A run with m0 = 0 has no fractional shift
+    and identity matrices, and is a copy by n whole elements.  In every
+    other run, row 0 of element q is row M-1 of element q-1, the CGL
+    endpoint the two share: it is copied from its neighbour, and a row
+    group that is only that row (m0 = 1 or M-1) runs no product but for
+    the one end element without a neighbour.
 
     On a symmetric wavenumber domain the node at k_min has no +k_max partner
     (it represents both ends of the periodic window), so transporting it with
@@ -197,20 +207,53 @@ def _shift_run(matrices: np.ndarray, work: np.ndarray, out: np.ndarray, n: int, 
     """Write K slices of work, (K, M, Q, R), that share (n, m0) into out: row
     m of target element q is matrices[:, m] times source element q - n for m
     >= m0, q - n - 1 below, or the (K, R) inflow (0 without) where that
-    element lies outside [0, Q)."""
+    element lies outside [0, Q).
+
+    With m0 = 0 the shift is a whole number of elements and every matrix
+    the identity (_barycentric_rows gives unit rows on exact node hits): the
+    run is a copy.  With m0 >= 1, row 0 of target q and row M-1 of target
+    q-1 are one CGL endpoint with one departure point, source element and
+    matrix row; that row is read from its neighbour, never computed twice.
+    A row group that is only the shared row (m0 = 1 or M-1) runs one
+    product for the end element that has no neighbour.
+    """
     K, M, Q, R = work.shape
-    source, target = work.reshape(K, M, Q * R), out.reshape(K, M, Q * R)
     fill = 0.0 if inflow is None else inflow[:, None, None, :]
-    for rows, shift in ((slice(m0, M), n), (slice(0, m0), n + 1)):
-        # targets [lo, hi) read sources [lo - shift, hi - shift)
-        lo, hi = min(max(shift, 0), Q), min(max(Q + shift, 0), Q)
+    if m0 == 0:
+        # targets [lo, hi) read sources [lo - n, hi - n); work and out share
+        # no memory, so the copy makes no temporary
+        lo, hi = min(max(n, 0), Q), min(max(Q + n, 0), Q)
+        if lo < hi:
+            np.copyto(out[:, :, lo:hi], work[:, :, lo - n : hi - n])
+        if lo > 0:
+            out[:, :, :lo] = fill
+        if hi < Q:
+            out[:, :, hi:] = fill
+        return
+    source, target = work.reshape(K, M, Q * R), out.reshape(K, M, Q * R)
+    # a group that is only the shared row writes it for its end element
+    upper_shared = m0 == M - 1
+    lower_shared = m0 == 1 and not upper_shared
+    groups = ((slice(m0, M), n, Q - 1 if upper_shared else 0, Q),
+              (slice(0, m0), n + 1, 0, 1 if lower_shared else Q))
+    for rows, shift, first, end in groups:
+        # targets [lo, hi) of [first, end) read sources [lo - shift, hi - shift)
+        lo, hi = min(max(shift, first), end), min(max(Q + shift, first), end)
         if lo < hi:
             np.matmul(matrices[:, rows], source[:, :, (lo - shift) * R : (hi - shift) * R],
                       out=target[:, rows, lo * R : hi * R])
-        if lo > 0:
-            out[:, rows, :lo] = fill
-        if hi < Q:
-            out[:, rows, hi:] = fill
+        if lo > first:
+            out[:, rows, first:lo] = fill
+        if hi < end:
+            out[:, rows, hi:end] = fill
+    # the shared row, from the group that wrote it.  numpy first copies the
+    # whole source when its extent overlaps the target's; one slice at a
+    # time the two rows' extents are disjoint, and at R = 1 the whole source
+    # is only K*Q floats
+    lower, upper = target[:, 0, R:], target[:, M - 1, :-R]
+    into, read = (upper, lower) if upper_shared else (lower, upper)
+    for a, b in zip(into, read) if R > 1 else ((into, read),):
+        np.copyto(a, b)
 
 
 def _edge_slice(km: WavenumberMesh) -> int:
@@ -302,55 +345,74 @@ def _multipliers_half_4d(table: KernelTable, tau: float, layout: int,
     nu1, as the table stores them; L2 holds nu1 = 0..Nk1/2 and every nu2,
     the nu2 < 0 bins from s(-nu) = -s(nu).
 
-    As in 2-D, tau s/2 goes into the real part and _phasors turns it into
-    exp(i tau s) through scratch; the Nyquist planes get phase 0.  Every
-    value is written straight from the table into the result, so no
-    table-sized temporary exists.
+    The result is filled one block at a time along the layout's leading
+    axis, or a finer one if scratch holds less than two blocks (it must hold
+    two of the trailing axis): the table is read transposed into one block
+    of scratch, scaled to the half angle tau s/2, and _phasor writes its
+    exp(i tau s) through the other.  Written in the layout's order, no value
+    goes through a transposed view, and no table-sized temporary exists.
+    The Nyquist planes get phase 0.
     """
     Q1, M1, Q2, M2, Nk1, Nk2 = _split(table.grid)
     H1, H2 = Nk1 // 2 + 1, Nk2 // 2 + 1
-    stored = table.multipliers.reshape(Q1, M1, Q2, M2, Nk1, H2)
-    natural = (Q1, M1, Q2, M2) + ((Nk1, H2) if layout == 0 else (H1, Nk2))
     order = _LAYOUTS[2][layout]
+    # the stored table, (Q1, M1, Q2, M2, Nk1, H2), with the layout's axes:
+    # (nu1, ..., nu2) in L1, (nu2, ..., nu1) in L2
+    stored = table.multipliers.reshape(Q1, M1, Q2, M2, Nk1, H2).transpose(order)
+    natural = (Q1, M1, Q2, M2) + ((Nk1, H2) if layout == 0 else (H1, Nk2))
     out = np.empty([natural[a] for a in order], complex)
-    s = out.real.transpose(np.argsort(order))  # the same numbers, in natural axis order
+    lead, trail = (Nk1, H2) if layout == 0 else (Nk2, H1)
+    split = next(a for a in range(1, out.ndim) if 2 * math.prod(out.shape[a:]) <= len(scratch))
+    size = math.prod(out.shape[split:])
+    t, d = (scratch[a : a + size].reshape(out.shape[split:]) for a in (0, size))
     half = 0.5 * tau
-    if layout == 0:
-        np.multiply(stored, half, out=s)
-    else:
-        np.multiply(stored[..., :H1, :], half, out=s[..., :H2])
-        # s(nu1, -nu2) = -s(-nu1, nu2): -nu1 is bin 0, then Nk1-1 down to Nk1/2
-        mirrored = stored[..., H2 - 2 : 0 : -1]
-        np.multiply(mirrored[..., :1, :], -half, out=s[..., :1, H2:])
-        np.multiply(mirrored[..., : Nk1 // 2 - 1 : -1, :], -half, out=s[..., 1:, H2:])
-    s[..., Nk1 // 2, :] = 0.0  # the Nyquist planes
-    s[..., Nk2 // 2] = 0.0  # stay inert
-    _phasors(out, scratch)
+    for at in np.ndindex(out.shape[:split]):
+        j, rest = at[0], at[1:]
+        if layout == 0 or j < H2:
+            np.copyto(t, stored[j][rest][..., :trail])
+            t *= half
+        else:
+            # s(nu1, -nu2) = -s(-nu1, nu2): -nu1 is bin 0, then Nk1-1 down to Nk1/2
+            mirrored = stored[Nk2 - j][rest]
+            np.copyto(t[..., :1], mirrored[..., :1])
+            np.copyto(t[..., 1:], mirrored[..., : Nk1 // 2 - 1 : -1])
+            t *= -half
+        if j == lead // 2:
+            t[...] = 0.0  # the Nyquist planes
+        t[..., trail - 1] = 0.0  # stay inert
+        _phasor(out[at], t, d)
     return out
 
 
 def _phasors(out: np.ndarray, scratch: np.ndarray) -> None:
     """Overwrite every entry of the contiguous complex array out, whose real
-    part holds a half angle theta/2, with exp(i theta), from one tangent:
-    with t = tan(theta/2), cos = 2/(1 + t^2) - 1 and sin = t*2/(1 + t^2).
+    part holds a half angle theta/2, with exp(i theta) (_phasor).
 
-    numpy's float64 sin and cos run one lane at a time, tan vectorised, but
-    not on a strided view: each block of at most 8192 entries is copied out
-    of the real part into scratch first, which holds two blocks.  A zero
-    angle gives exactly 1.
+    numpy's float64 tan runs vectorised, but not on a strided view: each
+    block of at most 8192 entries is copied out of the real part into
+    scratch first, which holds two blocks.
     """
     flat = out.reshape(-1)
     size = min(8192, len(scratch) // 2)
     for start in range(0, len(flat), size):
         part = flat[start : start + size]
-        t, d = scratch[: len(part)], scratch[size : size + len(part)]
+        t = scratch[: len(part)]
         np.copyto(t, part.real)
-        np.tan(t, out=t)
-        np.multiply(t, t, out=d)
-        d += 1.0
-        np.divide(2.0, d, out=d)
-        np.multiply(t, d, out=part.imag)
-        np.subtract(d, 1.0, out=part.real)
+        _phasor(part, t, scratch[size : size + len(part)])
+
+
+def _phasor(out: np.ndarray, t: np.ndarray, d: np.ndarray) -> None:
+    """exp(i theta) into the complex out from the half angles theta/2 in t,
+    from one tangent: with t = tan(theta/2), cos = 2/(1 + t^2) - 1 and sin =
+    t*2/(1 + t^2).  t and d, of out's shape, are overwritten.  numpy's
+    float64 sin and cos run one lane at a time, tan vectorised.  A zero
+    angle gives exactly 1."""
+    np.tan(t, out=t)
+    np.multiply(t, t, out=d)
+    d += 1.0
+    np.divide(2.0, d, out=d)
+    np.multiply(t, d, out=out.imag)
+    np.subtract(d, 1.0, out=out.real)
 
 
 def _factors(n: int) -> tuple[int, int]:
@@ -891,24 +953,32 @@ def evolve(config: SimulationConfig):
     # Fermi-Dirac broadcast stays one), never copied
     order = None if config.spatial_dims == 2 and not n_steps else _LAYOUTS[grid.ndim_space][0]
     work = values if order is None else _to_work(values, grid, order)
-    weights = tuple(observables._cc_x_weights(mesh) for mesh in grid.spatial)
+    # record(t, work) returns a sum over every entry of the field, read from
+    # its k-sums (the 2-D record's unweighted row, the 4-D marginal), and in
+    # 4-D the marginal, which a snapshot of that step reuses; it appends a
+    # row only if that sum is finite.  A sum is finite only if every entry
+    # is, and a sum of finite entries that overflows is divergence too
     if config.spatial_dims == 1:
         quad = observables.UniformMeshQuadrature(grid, config.n_uniform)
 
-        def append(t, mass, work):
-            quad.append_row_from_work(series, t, mass, work, consts)
+        def record(t, work):
+            return quad.append_row_from_work(series, t, work, consts), None
 
-        def snapshot(t, work):
+        def snapshot(t, work, marginal):
             return WignerState(grid, _from_work(work, grid, order), t)
     else:
-        def append(t, mass, work):
-            series.append(t=t, total_mass=mass)
+        weights = tuple(observables._cc_x_weights(mesh) for mesh in grid.spatial)
 
-        def snapshot(t, work):
-            return t, observables._marginal(work, grid, order)
+        def record(t, work):
+            with np.errstate(over="ignore", invalid="ignore"):
+                marginal = observables._marginal(work, grid, order)
+                total = float(marginal.sum())
+            if math.isfinite(total):
+                series.append(t=t, total_mass=observables._mass(marginal, weights))
+            return total, marginal
 
-    def record(t, work):
-        append(t, observables._mass(observables._marginal(work, grid, order), weights), work)
+        def snapshot(t, work, marginal):
+            return t, marginal
 
     # the work layout is the field from here on, and the stepper's tables and
     # scratch are built without the natural layout alive
@@ -922,13 +992,6 @@ def evolve(config: SimulationConfig):
     for i in range(n_steps + 1):
         if i:
             work = stepper.advance(work)
-            # a sum is finite only if every entry is, and a sum of finite
-            # entries that overflows is divergence too; unlike isfinite it
-            # allocates nothing
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = work.sum()
-            if not math.isfinite(total):
-                raise DivergenceError(f"non-finite field after step {i}", series)
         if i == n_steps:
             # the stepper's tables and buffers are spent: dropping them lowers
             # the peak of the final record and snapshot, and in 4-D frees the
@@ -938,13 +1001,14 @@ def evolve(config: SimulationConfig):
             # 1 840 minor faults, about 2 350 with the block freed last)
             del stepper
         try:
-            record(i * config.dt, work)
+            total, marginal = record(i * config.dt, work)
         except DomainError as err:
             raise DivergenceError(f"unphysical field after step {i}: {err}", series) from err
-        if i in snap_at:
-            snapshots.append(snapshot(i * config.dt, work))
-    if not snapshots:
-        snapshots.append(snapshot(n_steps * config.dt, work))
+        if not math.isfinite(total):
+            raise DivergenceError(f"non-finite field after step {i}", series)
+        if i in snap_at or i == n_steps and not snap_at:
+            snapshots.append(snapshot(i * config.dt, work, marginal))
+        del marginal  # not held through the next step
     return snapshots, series
 
 

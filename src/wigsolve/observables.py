@@ -235,18 +235,29 @@ class UncertaintyResult:
     product: float
 
 
+def _node_order(rows: np.ndarray, mesh) -> np.ndarray:
+    """Rows over the natural node order (q, m) in the work order (m, q)."""
+    Q, M = mesh.num_elements, mesh.points_per_element
+    return rows.reshape(len(rows), Q, M).transpose(0, 2, 1).reshape(len(rows), -1)
+
+
 class UniformMeshQuadrature:
     """Midpoint-rule functionals on the cell-centered N_um x N_um mesh.
 
     Resampling is linear: F = Rx f Rk.T with Rx barycentric (N_um x Q*M) and
     Rk periodic sinc (N_um x N_k), both applied matrix-free
     (`grid._spatial_interp`, `grid._uniform_wavenumber_interp`).  Every
-    recorded observable is then a bilinear form u^T f v in the nodal values,
-    and the per-step cost is one thin matrix product.  The seven reduced
-    vectors Rx.T w and Rk.T w come from the transposed maps: the x ones
-    scatter each target's barycentric row onto its element's nodes, the k
-    ones come from two short FFTs (`grid._spatial_interp_adjoint`,
-    `grid._uniform_wavenumber_interp_adjoint`).
+    recorded observable is then a bilinear form u^T f v in the nodal values.
+    The seven reduced vectors Rx.T w and Rk.T w come from the transposed
+    maps: the x ones scatter each target's barycentric row onto its
+    element's nodes, the k ones come from two short FFTs
+    (`grid._spatial_interp_adjoint`, `grid._uniform_wavenumber_interp_adjoint`).
+
+    A row reads the field once: the k functionals (a row of ones, u_k, v_k,
+    v_k2) times the field, (4, N_k) @ (N_k, Q*M), then that times the x
+    functionals (ones, the Clenshaw-Curtis mass weights, u_x_right, v_x,
+    v_x2, u_x), a (4, 6) matrix of every bilinear form a row needs, the
+    field's sum and its Clenshaw-Curtis mass among them.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, n_uniform: int):
@@ -266,8 +277,14 @@ class UniformMeshQuadrature:
             _spatial_interp_adjoint(xm, x, np.column_stack([ones, x >= 0.0, x, x**2]))
         )
         kvec = _uniform_wavenumber_interp_adjoint(km, np.column_stack([ones, k, k**2]))
-        self.u_k, self.v_k, self.v_k2 = kvec
-        self._kstack = kvec.T.copy()
+        # the two factors of the reduction (see _moments_from_reduced): the k
+        # functionals as rows, the x functionals as columns in the work order
+        # (m, q) of the nodes
+        self._k_rows = np.vstack([np.ones(km.num_points), kvec])
+        self.u_k, self.v_k, self.v_k2 = self._k_rows[1:]
+        x_cols = np.stack([np.ones(xm.num_points), _cc_x_weights(xm) * km.length / km.num_points,
+                           self.u_x_right, self.v_x, self.v_x2, self.u_x])
+        self._x_cols = _node_order(x_cols, xm).T.copy()
 
     def resample(self, state: WignerState) -> np.ndarray:
         """The field on the uniform mesh, (N_um, N_um): x first, then k."""
@@ -278,14 +295,19 @@ class UniformMeshQuadrature:
         return float(self.u_x_right @ state.values @ self.u_k)
 
     def moments(self, state: WignerState, consts: PhysicalConstants) -> UncertaintyResult:
-        return self._moments_from_reduced(state.values @ self._kstack, consts)
+        reduced = _node_order(self._k_rows @ state.values.T, self.grid.x)
+        return self._moments_from_reduced(reduced @ self._x_cols, consts)
 
-    def _moments_from_reduced(self, red: np.ndarray, consts: PhysicalConstants):
+    def _moments_from_reduced(self, reduced: np.ndarray, consts: PhysicalConstants):
+        """The moments from the reduced field: reduced[a, b] is the k
+        functional a (1, u_k, v_k, v_k2) and the x functional b (1, the
+        Clenshaw-Curtis mass weights, u_x_right, v_x, v_x2, u_x) applied to
+        the field, a (4, 6) matrix."""
         hbar = consts.hbar
-        mean_x = float(self.v_x @ red[:, 0])
-        mean_x2 = float(self.v_x2 @ red[:, 0])
-        mean_p = hbar * float(self.u_x @ red[:, 1])
-        mean_p2 = hbar**2 * float(self.u_x @ red[:, 2])
+        mean_x = float(reduced[1, 3])
+        mean_x2 = float(reduced[1, 4])
+        mean_p = hbar * float(reduced[2, 5])
+        mean_p2 = hbar**2 * float(reduced[3, 5])
         var_x = mean_x2 - mean_x**2
         var_p = mean_p2 - mean_p**2
         for name, v in (("var_x", var_x), ("var_p", var_p)):
@@ -297,21 +319,27 @@ class UniformMeshQuadrature:
             mean_x, mean_p, var_x, var_p, math.sqrt(var_x) * math.sqrt(var_p)
         )
 
-    def append_row_from_work(self, series, t, mass_spectral, work, consts):
-        """Record one row from a field in the stepper's (Nk, M, Q) work layout."""
-        red = np.tensordot(self._kstack.T, work, axes=1)  # (3, M, Q)
-        red = red.transpose(2, 1, 0).reshape(-1, 3)  # (nx, 3), x = (q, m)
-        m = self._moments_from_reduced(red, consts)
+    def append_row_from_work(self, series, t, work, consts) -> float:
+        """Record one row from a field in the stepper's (Nk, M, Q) work layout,
+        by the two products, and return the sum of its entries; a field whose
+        sum is not finite (a NaN, an infinity or an overflow) records no row."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            reduced = self._k_rows @ work.reshape(len(work), -1) @ self._x_cols
+        total = float(reduced[0, 0])
+        if not math.isfinite(total):
+            return total
+        m = self._moments_from_reduced(reduced, consts)
         series.append(
             t=t,
-            total_mass=mass_spectral,
-            partial_mass=float(self.u_x_right @ red[:, 0]),
+            total_mass=reduced[0, 1],
+            partial_mass=reduced[1, 2],
             mean_x=m.mean_x,
             mean_p=m.mean_p,
             var_x=m.var_x,
             var_p=m.var_p,
             uncertainty=m.product,
         )
+        return total
 
 
 def resample_uniform(state: WignerState, N_um: int) -> np.ndarray:

@@ -65,9 +65,11 @@ from wigsolve.observables import (
     _mass,
     init_fermi_dirac_4d,
     init_gaussian,
+    partial_mass,
     spatial_marginal,
     spatial_marginal_2d,
     total_mass,
+    uncertainty,
 )
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=1.0)
@@ -261,7 +263,7 @@ def _reference_sweep(mesh, velocities, tau, work, inflow=None, edge_slice=None):
 
 SWEEP_CASES = [
     (case, R, with_inflow, edge)
-    for case in (0, 1, 2, 3, "own runs", "one run")
+    for case in (0, 1, 2, 3, "own runs", "one run", "whole elements", "shared rows")
     for R in (1, 3)
     for with_inflow in (False, True)
     for edge in (None, 0)
@@ -271,26 +273,46 @@ SWEEP_CASES = [
 @pytest.mark.parametrize("case, R, with_inflow, edge", SWEEP_CASES)
 def test_sweep_plan_matches_two_matrix_reference(case, R, with_inflow, edge):
     rng = np.random.default_rng(100 + len(str(case)) + (case if isinstance(case, int) else 0))
-    mesh = build_spatial_mesh(-3.0, 5.0, 6, 7)  # element width 4/3
+    Q, M = 6, 7
     velocities = np.linspace(-4.0, 3.5, 16)
+    whole = np.arange(-8, 8)  # element shifts past both ends of the domain
     if case == "own runs":
         # shifts 9/8 of an element apart: every slice its own (n, m0)
         tau = 3.0
     elif case == "one run":
         # shifts below the first node spacing, all with n = 0 and m0 = 1
         velocities, tau = np.linspace(0.5, 1.0, 16), 0.05
+    elif case == "whole elements":
+        # element width 2: every shift a whole number of elements, m0 = 0
+        Q, velocities, tau = 4, 4.0 * whole, -0.5
+    elif case == "shared rows":
+        # shifts just past a whole element (m0 = 1) and just short of the
+        # next (m0 = M - 1), alternating
+        velocities, tau = (whole + np.where(whole % 2, 0.97, 0.03)) * 4.0 / 3.0, 1.0
     else:
         # signed stage lengths: shifts from a fraction of an element up to
         # departures past both ends of the domain (|v tau| up to 12)
         tau = rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
-    work = rng.standard_normal((16, 7, 6, R))
+    mesh = build_spatial_mesh(-3.0, 5.0, Q, M)  # element width 8/Q
+    work = rng.standard_normal((16, M, Q, R))
     inflow = rng.uniform(1.0, 2.0, (16, R)) if with_inflow else None
     plan = _SweepPlan(mesh, velocities, tau, edge)
     runs = {"own runs": len(plan.matrices), "one run": 1 + (edge is not None)}
     assert len(plan.runs) == runs.get(case, len(plan.runs))
+    m0s = {m0 for *_, m0 in plan.runs}
+    assert m0s == {"whole elements": {0}, "shared rows": {1, M - 1}}.get(case, m0s)
     want = _reference_sweep(mesh, velocities, tau, work, inflow, edge)
     got = plan.apply(work, inflow)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    if case == "whole elements":
+        np.testing.assert_array_equal(got, want)  # identity matrices: a copy
+
+    # row 0 of element q and row M-1 of element q-1 are one CGL point,
+    # equal to the last bit wherever a shift has a fraction (m0 >= 1); the
+    # edge slice averages it with its mirrored reading
+    for start, stop, _, m0 in plan.runs[: len(plan.runs) - (edge is not None)]:
+        if m0 and (edge is None or not start <= edge < stop or plan.runs[-1][3]):
+            np.testing.assert_array_equal(got[start:stop, 0, 1:], got[start:stop, M - 1, :-1])
 
     # targets whose departure point lies outside the domain read the inflow
     x = mesh.points_by_element  # (Q, M)
@@ -302,6 +324,32 @@ def test_sweep_plan_matches_two_matrix_reference(case, R, with_inflow, edge):
     expect = np.broadcast_to((inflow if with_inflow else np.zeros((16, R)))[:, None, None, :],
                              got.shape)
     np.testing.assert_array_equal(got[outside], expect[outside])
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])
+def test_warm_sweep_allocates_a_few_kilobytes(edge):
+    # the fermi4d shape, (16, 9, 5, 720) with inflow: no run copies its
+    # shared endpoint row through a temporary (a whole copy takes up to
+    # 185 kB here)
+    import tracemalloc
+
+    cfg = fd_config()
+    grid = cfg.build_grid()
+    work = np.random.default_rng(4).standard_normal((16, 9, 5, 720))
+    out, scratch = np.empty_like(work), np.empty(work[0].size)
+    inflow = np.ones((16, 720))
+    plans = [_sweep_plans(grid, cfg.consts, tau, edge)[0] for tau in (0.0068, -0.0018)]
+    assert {m0 for plan in plans for *_, m0 in plan.runs} >= {0, 1, 8}
+    for plan in plans:
+        plan.apply(work, inflow, out, scratch)
+    tracemalloc.start()
+    try:
+        for plan in plans:
+            plan.apply(work, inflow, out, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
 
 
 def test_sweep_plan_rejects_slice_count_mismatch():
@@ -652,6 +700,20 @@ def test_evolve_deterministic_and_snapshots():
     np.testing.assert_array_equal(r1.column("uncertainty"), r2.column("uncertainty"))
 
 
+def test_evolve_records_the_natural_state_functionals():
+    # a row reduced in the work layout by two products equals the public
+    # functionals of the natural state at the same step, taken mid-run
+    cfg = delta_config(t_final=0.3, snapshot_times=(0.2,), potential=DeltaPotential(H=2.0),
+                       initial=GaussianPacketSpec(x0=-1.0, k0=2.0, sigma=2.0))
+    (state,), series = evolve(cfg)
+    u = uncertainty(state, cfg.n_uniform, cfg.consts)
+    for name, want in (("total_mass", total_mass(state)),
+                       ("partial_mass", partial_mass(state, cfg.n_uniform)),
+                       ("mean_x", u.mean_x), ("mean_p", u.mean_p), ("var_x", u.var_x),
+                       ("var_p", u.var_p), ("uncertainty", u.product)):
+        assert series.at_time(0.2, name) == pytest.approx(want, rel=1e-12, abs=0), name
+
+
 def test_evolve_free_dynamics_spread():
     cfg = delta_config(potential=DeltaPotential(H=0.0), t_final=10.0, dt=0.1,
                        num_modes=128, points_per_element=31, n_uniform=400)
@@ -711,9 +773,11 @@ def test_evolve_non_finite_field_raises_with_the_rows_recorded(monkeypatch):
     [math.nan], [math.inf], [-math.inf], [math.inf, -math.inf], [1.7e308, 1.7e308],
 ], ids=["nan", "inf", "-inf", "inf-pair", "overflowing-sum"])
 def test_evolve_refuses_every_non_finite_field(monkeypatch, make, entries):
-    # the finiteness check reads one sum of the field: NaN, either infinity,
-    # an inf/-inf pair (whose sum is NaN) and finite entries whose sum
-    # overflows all stop the run after the step that made them
+    # the finiteness check reads the field's sum from the record's k-sums
+    # (the unweighted row of the 2-D reduction, the 4-D marginal): NaN,
+    # either infinity, an inf/-inf pair (whose sum is NaN) and finite entries
+    # whose sum overflows all stop the run after the step that made them,
+    # before its row is recorded
     advance = _Stepper.advance
 
     def poisoned(self, work):

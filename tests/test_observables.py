@@ -133,9 +133,10 @@ def test_row_from_work_matches_the_state_functionals():
     state = init_gaussian(grid, GaussianPacketSpec(x0=0.4, k0=0.5, sigma=0.8))
     series = ObservableSeries()
     quad = UniformMeshQuadrature(grid, 50)
-    quad.append_row_from_work(series, 0.0, 1.0, _work_layout(state), CONSTS)
+    quad.append_row_from_work(series, 0.0, _work_layout(state), CONSTS)
     u = uncertainty(state, 50, CONSTS)
-    for name, want in (("partial_mass", partial_mass(state, 50)), ("mean_x", u.mean_x),
+    for name, want in (("total_mass", total_mass(state)),
+                       ("partial_mass", partial_mass(state, 50)), ("mean_x", u.mean_x),
                        ("mean_p", u.mean_p), ("var_x", u.var_x), ("var_p", u.var_p),
                        ("uncertainty", u.product)):
         assert series.column(name)[0] == pytest.approx(want, rel=1e-13, abs=1e-15), name
@@ -149,7 +150,7 @@ def test_row_from_work_rejects_a_negative_variance():
     work = 100.0 * _work_layout(state)
     with pytest.raises(DomainError, match="var_x"):
         UniformMeshQuadrature(grid, 50).append_row_from_work(
-            ObservableSeries(), 0.0, 100.0, work, CONSTS
+            ObservableSeries(), 0.0, work, CONSTS
         )
 
 
