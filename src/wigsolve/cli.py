@@ -6,7 +6,9 @@ parses a ``key = value`` config file, runs it with evolve (2-D or 4-D phase
 space) and prints the resolved config (config_echo), which is itself a valid
 config file, followed by the final total mass as a comment.  A config that
 does not parse or does not validate prints one ``wigsolve: ...`` line on
-stderr and exits with status 2.
+stderr and exits with status 2; a run that stops after the echo (the field
+diverges, the grid exceeds the memory budget, or a special function misses
+its tolerance) prints one such line and exits with status 1.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 from .config import build_simulation_config, config_echo, load_config
 from .dynamics import evolve
-from .errors import ParameterError
+from .errors import AccuracyError, CapacityError, DivergenceError, ParameterError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,7 +35,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     for key, value in config_echo(cfg).items():
         print(f"{key} = {value}")
-    _, series = evolve(cfg)
+    try:
+        _, series = evolve(cfg)
+    except (DivergenceError, CapacityError, AccuracyError) as exc:
+        print(f"wigsolve: {exc}", file=sys.stderr)
+        return 1
     print(f"# total_mass at t = {series.t[-1]!r}: {series.total_mass[-1]!r}")
     return 0
 

@@ -10,9 +10,14 @@ transforms:
 
 C is a sinc moment for the delta, inverse-square and multi-delta families
 and a Faddeeva form for the Gaussian barrier (DLMF 7.2).  The inverse-power
-C is specfun.cos_power_integral: a power series for |w| L_k <= 6, and above
+C is specfun.cos_power_integral: a power series for |w| L_k <= 5, and above
 that the half-line value minus a tail from Legendre's continued fraction for
-Gamma(a, -i w L_k) (DLMF 8.9.2).  The log C diverges but its difference is
+Gamma(a, -i w L_k) (DLMF 8.9.2).  Since nu~ L_k = 2 pi nu, sin(w+- L_k) =
+sin(2x L_k) depends on x alone, so the delta, multi-delta and inverse-square
+tables take their sines once per x row (_sinc_L_shared).  The Gaussian and
+inverse-power C depend on |w| alone, which repeats wherever 2x +- nu~ does,
+so their tables evaluate C once per distinct |w| of both signs
+(_even_difference).  The log C diverges but its difference is
 s_nu = (H/hbar) [Cin(|w+| L_k) - Cin(|w-| L_k)], with
 Cin(u) = gamma + ln u - Ci(u) (DLMF 6.2.2).  The discrete-sum route's window
 transform vanishes on its lattice y = zeta pi/L_k but at one point per mode,
@@ -227,9 +232,20 @@ def _sinc_L_shared(w: np.ndarray, sin_wL: np.ndarray, L: float) -> np.ndarray:
     return out
 
 
-def _k_cos_moment(w: np.ndarray, L: float) -> np.ndarray:
-    """int_0^L k cos(w k) dk = L sin(w L)/w - 2 sin^2(w L/2)/w^2, both terms sincs."""
-    return L * _sinc_L(w, L) - 0.5 * _sinc_L(0.5 * np.asarray(w, float), L) ** 2
+def _k_cos_moment(w: np.ndarray, sin_wL: np.ndarray, sin_half: np.ndarray,
+                  L: float) -> np.ndarray:
+    """int_0^L k cos(w k) dk = L sin(w L)/w - 2 sin^2(w L/2)/w^2, both terms
+    sincs, from a given sin(w L) and sin(w L/2) (the latter's sign squares out)."""
+    return L * _sinc_L_shared(w, sin_wL, L) - 0.5 * _sinc_L_shared(0.5 * w, sin_half, L) ** 2
+
+
+def _even_difference(C, wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
+    """C(|w+|) - C(|w-|) for a transform C of |w| alone, with one call of C
+    on the distinct |w| of both arrays, scattered back by the inverse index."""
+    both = np.stack([wp, wm])
+    w, inverse = np.unique(np.abs(both, out=both).ravel(), return_inverse=True)
+    vals = C(w)[inverse].reshape(both.shape)
+    return vals[0] - vals[1]
 
 
 def _cin(u: np.ndarray) -> np.ndarray:
@@ -271,18 +287,20 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
         diff = _sinc_L_shared(wp, sin_row, L) - _sinc_L_shared(wm, sin_row, L)
     elif isinstance(spec, InverseSquarePotential):
         pref = -4.0 * spec.H / hbar
-        diff = _k_cos_moment(wp, L) - _k_cos_moment(wm, L)
+        # sin(w+- L) = sin(2 x L) and sin(w+- L/2) = (-1)^nu sin(x L): per x row
+        sin_row, sin_half = np.sin(2.0 * x * L)[:, None], np.sin(x * L)[:, None]
+        diff = _k_cos_moment(wp, sin_row, sin_half, L) - _k_cos_moment(wm, sin_row, sin_half, L)
     elif isinstance(spec, GaussianBarrier):
         pref = 2.0 * spec.H / (math.pi * hbar)
-        diff = _gauss_cos_transform(wp, spec.a, L) - _gauss_cos_transform(wm, spec.a, L)
+        diff = _even_difference(lambda w: _gauss_cos_transform(w, spec.a, L), wp, wm)
     elif isinstance(spec, LogPotential):
         pref = spec.H / hbar
         diff = _cin(np.abs(wp) * L) - _cin(np.abs(wm) * L)
     elif isinstance(spec, InversePowerPotential):
         pref = _inverse_power_prefactor(spec, hbar)
         beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
-        cp, cm = cos_power_integral(np.stack([wp, wm]), beta, L)
-        diff = cp - cm
+        # looked up at call time, where the layer trace wraps it
+        diff = _even_difference(lambda w: cos_power_integral(w, beta, L), wp, wm)
     else:
         raise ParameterError(f"unsupported 2-D potential {spec!r}")
     return pref * diff

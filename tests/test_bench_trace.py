@@ -15,7 +15,7 @@ import pytest
 
 from wigsolve.dynamics import advect
 from wigsolve.grid import PhaseSpaceGrid, WignerState, build_spatial_mesh, build_wavenumber_mesh
-from wigsolve.kernels import PhysicalConstants
+from wigsolve.kernels import InversePowerPotential, PhysicalConstants, clear_table_cache
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -56,3 +56,24 @@ def test_sweep_flop_reads_real_sweep_calls(spans):
     assert [s.info["flop"] for s in applies] == [
         4 * M * M * Q * R * (Nk + 1) for Nk, M, Q, R in shapes
     ]
+
+
+def test_cold_inverse_power_table_traces_one_transform_per_distinct_w(spans):
+    # the table evaluates C once per distinct |2x +- nu~| of both signs, and
+    # the trace's point count reads that, not the table's size
+    grid = PhaseSpaceGrid.plane(build_spatial_mesh(-6.0, 6.0, 4, 7),
+                                build_wavenumber_mesh(-np.pi, np.pi, 16))
+    x = grid.x.collocation_points[:, None]
+    nu = np.arange(16 // 2 + 1)[None, :]  # nu~ = nu on this window
+    distinct = np.unique(np.abs(np.concatenate([2.0 * x + nu, 2.0 * x - nu]))).size
+    clear_table_cache()
+    tracer = spans.Tracer()
+    try:
+        with tracer.installed():
+            spans.kernels.kernel_coefficients(
+                InversePowerPotential(H=1.0, alpha=0.5), grid, PhysicalConstants())
+    finally:
+        clear_table_cache()
+    calls = [s for s in tracer.spans if s.name == "cos_power_integral"]
+    assert [s.info["points"] for s in calls] == [distinct]
+    assert distinct < x.size * nu.size  # the grid repeats |w|, so the count shows it

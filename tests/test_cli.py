@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from wigsolve.config import build_simulation_config, config_echo, parse_config_text
-from wigsolve.errors import ParameterError
+from wigsolve.errors import AccuracyError, CapacityError, DivergenceError, ParameterError
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -145,6 +145,39 @@ def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, 
     assert out == ""
     assert err.startswith("wigsolve: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("error", [
+    DivergenceError("non-finite field after step 3"),
+    CapacityError("working set 9.9 GB exceeds the memory budget"),
+    AccuracyError("continued fraction stalled at relative change 1.000e-10"),
+], ids=["divergence", "capacity", "accuracy"])
+def test_run_reports_a_failed_run_in_one_line(error, tmp_path, capsys, monkeypatch):
+    from wigsolve import cli
+
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "evolve", fail)
+    path = tmp_path / "run.cfg"
+    path.write_text(TINY_2D)
+    assert cli.main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("grid.")  # the echo came first
+    assert err == f"wigsolve: {error}\n"
+
+
+def test_run_lets_any_other_error_through(tmp_path, monkeypatch):
+    from wigsolve import cli
+
+    def fail(cfg):
+        raise ZeroDivisionError("a bug, not a failed run")
+
+    monkeypatch.setattr(cli, "evolve", fail)
+    path = tmp_path / "run.cfg"
+    path.write_text(TINY_2D)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["run", str(path)])
 
 
 def test_config_rejects_a_malformed_point():

@@ -792,3 +792,88 @@ def test_table_cache_evicts_least_recently_used(monkeypatch):
     assert kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS) is first
     assert kernel_coefficients(DeltaPotential(H=2.0), grid, CONSTS) is not second
     clear_table_cache()
+
+
+# the families2d grid, where 2x +- nu~ repeats across elements (4 392
+# distinct |w| among 54 600 entries), and one where almost none repeat
+DEDUPE_GRIDS = {
+    "families2d": ((-30.0, 30.0), (-np.pi, np.pi)),
+    "no-repeats": ((-29.3, 31.7), (-3.0, 3.3)),
+}
+
+
+def _dedupe_grid(name):
+    (x_lo, x_hi), (k_lo, k_hi) = DEDUPE_GRIDS[name]
+    return PhaseSpaceGrid.plane(build_spatial_mesh(x_lo, x_hi, 20, 21),
+                                build_wavenumber_mesh(k_lo, k_hi, 128))
+
+
+def _both_signs(grid):
+    x = grid.x.collocation_points[:, None]
+    freqs = kernels._bin_frequencies(grid.k)[None, :]
+    return 2.0 * x + freqs, 2.0 * x - freqs
+
+
+@pytest.mark.parametrize("spec", [
+    GaussianBarrier(H=1.0, a=0.5),
+    InversePowerPotential(H=1.1, alpha=0.5),
+    InversePowerPotential(H=0.7, alpha=0.8),
+], ids=["gaussian", "inverse_power_0.5", "inverse_power_0.8"])
+@pytest.mark.parametrize("name", DEDUPE_GRIDS)
+def test_distinct_w_tables_equal_a_per_entry_evaluation(spec, name):
+    # C depends on |w| alone, so evaluating it once per distinct |w| and
+    # scattering it back gives every entry's bits
+    grid = _dedupe_grid(name)
+    wp, wm = _both_signs(grid)
+    L = grid.k.length
+    if isinstance(spec, GaussianBarrier):
+        pref = 2.0 * spec.H / (math.pi * CONSTS.hbar)
+        C = lambda w: kernels._gauss_cos_transform(w, spec.a, L)
+    else:
+        pref = _inverse_power_prefactor(spec, CONSTS.hbar)
+        C = lambda w: kernels.cos_power_integral(w, 1.0 - spec.alpha, L)
+    clear_table_cache()
+    try:
+        s = kernel_coefficients(spec, grid, CONSTS).multipliers
+    finally:
+        clear_table_cache()
+    np.testing.assert_array_equal(s, pref * (C(wp) - C(wm)))
+
+
+@pytest.mark.parametrize("name", DEDUPE_GRIDS)
+def test_gaussian_table_transforms_each_distinct_w_once(name, monkeypatch):
+    grid = _dedupe_grid(name)
+    both = np.concatenate(_both_signs(grid))
+    distinct = np.unique(np.abs(both)).size
+    calls = []
+    transform = kernels._gauss_cos_transform
+
+    def spy(w, a, L):
+        calls.append(np.size(w))
+        return transform(w, a, L)
+
+    monkeypatch.setattr(kernels, "_gauss_cos_transform", spy)
+    clear_table_cache()
+    try:
+        kernel_coefficients(GaussianBarrier(H=1.0, a=0.5), grid, CONSTS)
+    finally:
+        clear_table_cache()
+    assert len(calls) == 1 and calls[0] <= distinct
+    if name == "families2d":
+        assert distinct < 0.1 * both.size
+
+
+def test_inverse_square_row_sines_match_per_entry_sines():
+    # sin(w+- L) = sin(2 x L) and sin^2(w+- L/2) = sin^2(x L) hold exactly
+    # at nu~ L = 2 pi nu; in floating point the two forms agree to round-off
+    grid = _dedupe_grid("families2d")
+    wp, wm = _both_signs(grid)
+    L = grid.k.length
+
+    def moment(w):
+        return L * kernels._sinc_L(w, L) - 0.5 * kernels._sinc_L(0.5 * w, L) ** 2
+
+    spec = InverseSquarePotential(H=1.0)
+    ref = -4.0 * spec.H / CONSTS.hbar * (moment(wp) - moment(wm))
+    s = kernel_coefficients(spec, grid, CONSTS).multipliers
+    assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -188,10 +188,11 @@ def test_cpi_fresnel_identity_at_half():
 
 
 @pytest.mark.parametrize("L", [np.pi, 2 * np.pi])
-@pytest.mark.parametrize("u", [6.01, 7.0, 8.0, 9.3, 10.0, 11.0, 11.9, 12.0])
+@pytest.mark.parametrize("u", [5.01, 5.5, 5.94, 6.01, 7.0, 8.0, 9.3, 10.0, 11.0, 11.9, 12.0])
 def test_cpi_fresnel_identity_between_the_switch_and_twelve(u, L):
-    # the continued fraction holds from the series switch at |omega| L = 6 up
-    # to 12, where the series, used there before, lost two to three digits
+    # the continued fraction holds from the series switch at |omega| L = 5 up
+    # to 12, where the series, used there before, lost two to three digits;
+    # just below 6 it lost about one
     w = u / L
     rhs = math.sqrt(2 * math.pi / w) * float(fresnel_c(math.sqrt(2 * w * L / math.pi)))
     assert abs(cos_power_integral(w, 0.5, L) - rhs) <= 5e-15
@@ -206,12 +207,22 @@ def test_cpi_continued_fraction_that_stalls_raises_with_its_estimate(monkeypatch
 
 
 def test_cpi_branch_consistency_near_switch():
-    # both branches hold near the series switch at |omega| L = 6, and near 12
+    # both branches hold near the series switch at |omega| L = 5, and near 12
     L = 2 * np.pi
-    for u in (5.5, 5.99, 6.01, 6.5, 11.2, 11.6, 11.99, 12.01, 12.5, 13.0):
+    for u in (4.5, 4.99, 5.01, 5.5, 11.2, 11.6, 11.99, 12.01, 12.5, 13.0):
         omega = u / L
         series_side = cos_power_integral(omega, 0.4, L)
         assert series_side == pytest.approx(cpi_oracle(omega, 0.4, L), abs=1e-9)
+
+
+def test_cpi_continued_fraction_settles_from_the_switch_up():
+    # the switch is as low as the 32-step continued fraction allows: its last
+    # step settles under the tolerance from there up for every alpha (at
+    # most 5e-15 on [5, 6]; below 5 it reaches 2.6e-14 at alpha = 0.95)
+    u = np.linspace(specfun._CPI_SERIES_MAX, 6.0, 201)
+    for alpha in np.linspace(0.05, 0.95, 19):
+        _, change = specfun._upper_gamma(1.0 - alpha, -1j * u)
+        assert change.max() <= specfun._CPI_CF_TOL, alpha
 
 
 def test_cpi_domain_and_parameter_errors():
@@ -231,7 +242,7 @@ def test_cpi_vectorized():
 
 
 def test_cpi_repeated_and_negated_match_scalar_calls():
-    # |omega| is evaluated once per distinct value and scattered back
+    # repeated and negated omega give the scalar call's bits, elementwise
     om = np.array([[3.0, -3.0, 57.5, 0.2], [-57.5, 3.0, -0.2, 57.5]])
     got = cos_power_integral(om, 0.4, np.pi)
     ref = np.array([[cos_power_integral(float(w), 0.4, np.pi) for w in row] for row in om])
