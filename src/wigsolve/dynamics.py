@@ -17,13 +17,16 @@ order four.
 
 Every work layout is an axis order of the natural field split per element
 (grid._split), listed once in _LAYOUTS: one in 2-D, two in 4-D.  One pair of
-conversions (_to_work, _from_work) and one stage-to-layout map (_layouts)
-serve both dimensions.  Only the transport's layout switch, the kernel
-substep's DFT factorisation and the record differ: a 2-D record is two
-products against the observables' functionals in the work layout
+conversions (_to_work, _from_work), one stage-to-layout map (_layouts), one
+multiplier builder (_multipliers, over the spectrum shape _bins of a layout)
+and one buffer plan (_scratch) serve both dimensions.  Per dimension stay
+the transport's layout switch, the kernel substep's DFT factorisation and
+product form, and the record: a 2-D record is two products against the
+observables' functionals in the work layout
 (observables.UniformMeshQuadrature), a 4-D one the spatial marginal and its
 mass (observables._marginal and _mass, read where the field lies).  Either
 also sums every entry of the field, which is evolve's finiteness check.
+
 One stepper (_Stepper) runs the stages; it builds the sweep plans and
 multiplier tables of each distinct stage length once, and every buffer the
 stages use: no stage allocates.  Both kernel substeps are four matrix
@@ -41,6 +44,7 @@ single call and leave their input state as it is.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -303,102 +307,77 @@ def _from_work(work: np.ndarray, grid: PhaseSpaceGrid, order: tuple[int, ...]) -
 # pseudo-differential substep
 # ----------------------------------------------------------------------
 
-def _multipliers_2d(table: KernelTable, tau: float, n_real: int, n_complex: int,
-                    out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(i tau s_nu) on the spectrum of the factored 2-D substep, written
-    into out (complex, one entry a bin) and returned as the two halves of
-    its columns, each contiguous (columns, N2).
-
-    The spectrum's axes are (k1, m, q, k2): bin nu = k1 + N1*k2 at work
-    node (m, q), with k1 = 0..N1/2, N1 = n_real and N2 = n_complex; the
-    halves split it at k1 = H1/2, H1 = N1/2 + 1.  Those bins hold every nu
-    mod N_k once.  A bin with nu > N_k/2 reads s_nu = -s_{N_k-nu}, and the
-    Nyquist bin gets phase 0.  As in 4-D, tau s/2 goes into the real part
-    and _phasors turns it into exp(i tau s) through scratch; every value is
-    written straight from the table into the result: no table-sized
-    temporary exists.
-    """
-    x = table.grid.x
-    N1, N2 = n_real, n_complex
-    N, H1 = N1 * N2, N1 // 2 + 1
-    s = table.multipliers.reshape(x.num_elements, x.points_per_element, -1).transpose(1, 0, 2)
-    out = out.reshape((H1,) + s.shape[:2] + (N2,))
-    phases = out.real
-    half = 0.5 * tau
-    for k1, bins in enumerate(phases):
-        stored = (N // 2 - k1) // N1 + 1  # the k2 with nu <= N_k/2
-        np.multiply(s[..., k1 : N // 2 + 1 : N1], half, out=bins[..., :stored])
-        # N_k - nu runs down from N_k - k1 - N1*stored to N1 - k1
-        mirrored = s[..., N1 - k1 : N1 * (N2 - stored + 1) - k1 : N1]
-        np.multiply(mirrored[..., ::-1], -half, out=bins[..., stored:])
-    k2, k1 = divmod(N // 2, N1)
-    phases[k1, ..., k2] = 0.0  # the Nyquist bin has no conjugate partner
-    _phasors(out, scratch)
-    return out[: H1 // 2].reshape(-1, N2), out[H1 // 2 :].reshape(-1, N2)
+def _bins(grid: PhaseSpaceGrid, layout: int) -> tuple[int, ...]:
+    """(leading bins, work nodes..., trailing bins), the spectrum a kernel
+    substep multiplies in a layout.  In 2-D, N_k = N1*N2 (_factors), it is
+    (k1, m, q, k2) with bin nu = k1 + N1*k2, k1 = 0..N1/2: every nu mod N_k
+    once.  In 4-D it has the layout's axes, half along the trailing k axis:
+    (nu1, ..., nu2 = 0..Nk2/2) in L1, (nu2, ..., nu1 = 0..Nk1/2) in L2."""
+    split = _split(grid)
+    if grid.ndim_space == 1:
+        Q, M, Nk = split
+        N1, N2 = _factors(Nk)
+        return (N1 // 2 + 1, M, Q, N2)
+    Nk1, Nk2 = split[4:]
+    natural = split[:4] + ((Nk1, Nk2 // 2 + 1) if layout == 0 else (Nk1 // 2 + 1, Nk2))
+    return tuple(natural[a] for a in _LAYOUTS[2][layout])
 
 
-def _multipliers_half_4d(table: KernelTable, tau: float, layout: int,
-                         scratch: np.ndarray) -> np.ndarray:
-    """exp(i tau s_nu) on the spectrum of a field in layout L1 (0) or L2 (1),
-    with the axes of that layout: half along the layout's trailing k axis,
-    every fft bin along its leading one.  L1 holds nu2 = 0..Nk2/2 and every
-    nu1, as the table stores them; L2 holds nu1 = 0..Nk1/2 and every nu2,
-    the nu2 < 0 bins from s(-nu) = -s(nu).
-
-    The result is filled one block at a time along the layout's leading
-    axis, or a finer one if scratch holds less than two blocks (it must hold
-    two of the trailing axis): the table is read transposed into one block
-    of scratch, scaled to the half angle tau s/2, and _phasor writes its
-    exp(i tau s) through the other.  Written in the layout's order, no value
-    goes through a transposed view, and no table-sized temporary exists.
-    The Nyquist planes get phase 0.
-    """
-    Q1, M1, Q2, M2, Nk1, Nk2 = _split(table.grid)
-    H1, H2 = Nk1 // 2 + 1, Nk2 // 2 + 1
-    order = _LAYOUTS[2][layout]
-    # the stored table, (Q1, M1, Q2, M2, Nk1, H2), with the layout's axes:
+def _table_rows(table: KernelTable, layout: int):
+    """Per leading bin of _bins(table.grid, layout), its row's parts as
+    (trailing index, strided view of the table, sign) and the trailing
+    indices of its Nyquist bins, which get phase 0.  The table stores nu >= 0
+    along its last axis; a bin of negative nu reads s(-nu) = -s(nu), signed
+    -1: in 2-D, N_k - nu backwards; in an L2 row of nu2 > Nk2/2, the row
+    Nk2 - nu2 at -nu1, which is bin 0, then Nk1 - 1 down to Nk1/2."""
+    split = _split(table.grid)
+    if table.grid.ndim_space == 1:
+        Q, M, N = split
+        N1, N2 = _factors(N)
+        s = table.multipliers.reshape(Q, M, -1).transpose(1, 0, 2)  # (m, q, nu)
+        nyquist = divmod(N // 2, N1)  # (k2, k1)
+        for k1 in range(N1 // 2 + 1):
+            stored = (N // 2 - k1) // N1 + 1  # the k2 with nu <= N_k/2
+            # N_k - nu runs down from N_k - k1 - N1*stored to N1 - k1
+            mirrored = s[..., N1 - k1 : N1 * (N2 - stored + 1) - k1 : N1][..., ::-1]
+            yield (((slice(None, stored), s[..., k1 : N // 2 + 1 : N1], 1.0),
+                    (slice(stored, None), mirrored, -1.0)),
+                   (nyquist[0],) if k1 == nyquist[1] else ())
+        return
     # (nu1, ..., nu2) in L1, (nu2, ..., nu1) in L2
-    stored = table.multipliers.reshape(Q1, M1, Q2, M2, Nk1, H2).transpose(order)
-    natural = (Q1, M1, Q2, M2) + ((Nk1, H2) if layout == 0 else (H1, Nk2))
-    out = np.empty([natural[a] for a in order], complex)
-    lead, trail = (Nk1, H2) if layout == 0 else (Nk2, H1)
-    split = next(a for a in range(1, out.ndim) if 2 * math.prod(out.shape[a:]) <= len(scratch))
-    size = math.prod(out.shape[split:])
-    t, d = (scratch[a : a + size].reshape(out.shape[split:]) for a in (0, size))
-    half = 0.5 * tau
-    for at in np.ndindex(out.shape[:split]):
-        j, rest = at[0], at[1:]
-        if layout == 0 or j < H2:
-            np.copyto(t, stored[j][rest][..., :trail])
-            t *= half
+    s = table.multipliers.reshape(split[:5] + (-1,)).transpose(_LAYOUTS[2][layout])
+    lead, *_, trail = _bins(table.grid, layout)
+    for j in range(lead):
+        if layout == 0 or j <= lead // 2:
+            parts = ((slice(None), s[j][..., :trail], 1.0),)
         else:
-            # s(nu1, -nu2) = -s(-nu1, nu2): -nu1 is bin 0, then Nk1-1 down to Nk1/2
-            mirrored = stored[Nk2 - j][rest]
-            np.copyto(t[..., :1], mirrored[..., :1])
-            np.copyto(t[..., 1:], mirrored[..., : Nk1 // 2 - 1 : -1])
-            t *= -half
-        if j == lead // 2:
-            t[...] = 0.0  # the Nyquist planes
-        t[..., trail - 1] = 0.0  # stay inert
-        _phasor(out[at], t, d)
+            mirrored = s[lead - j]
+            parts = ((slice(None, 1), mirrored[..., :1], -1.0),
+                     (slice(1, None), mirrored[..., : trail - 2 : -1], -1.0))
+        # the Nyquist planes: the whole row at nu = lead/2, else its last bin
+        yield parts, (slice(None),) if j == lead // 2 else (trail - 1,)
+
+
+def _multipliers(table: KernelTable, tau: float, layout: int, out: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """exp(i tau s_nu) on the spectrum a kernel substep multiplies in a
+    layout, written into out (complex, of shape _bins) and returned: each
+    leading bin's row is scaled from its table views (_table_rows) to the
+    half angle tau s/2 in a row of scratch, which holds two, and _phasor
+    writes exp(i tau s) through the other.  No value is written through a
+    transposed view, and no table-sized temporary exists."""
+    size = math.prod(out.shape[1:])
+    t, d = scratch[:size], scratch[size : 2 * size]
+    phases = t.reshape(out.shape[1:])
+    half = 0.5 * tau
+    for row, (parts, nyquist) in zip(out, _table_rows(table, layout)):
+        for at, view, sign in parts:
+            np.multiply(view, sign * half, out=phases[..., at])
+        for at in nyquist:
+            phases[..., at] = 0.0  # stays inert
+        # flat, each ufunc of _phasor sets up one loop, not one per axis
+        _phasor(row.reshape(-1), t, d)
     return out
-
-
-def _phasors(out: np.ndarray, scratch: np.ndarray) -> None:
-    """Overwrite every entry of the contiguous complex array out, whose real
-    part holds a half angle theta/2, with exp(i theta) (_phasor).
-
-    numpy's float64 tan runs vectorised, but not on a strided view: each
-    block of at most 8192 entries is copied out of the real part into
-    scratch first, which holds two blocks.
-    """
-    flat = out.reshape(-1)
-    size = min(8192, len(scratch) // 2)
-    for start in range(0, len(flat), size):
-        part = flat[start : start + size]
-        t = scratch[: len(part)]
-        np.copyto(t, part.real)
-        _phasor(part, t, scratch[size : size + len(part)])
 
 
 def _phasor(out: np.ndarray, t: np.ndarray, d: np.ndarray) -> None:
@@ -507,20 +486,18 @@ def _layouts(stages: list[tuple[str, float]], ndim: int) -> tuple[list[int], int
     return layouts, layout, kernel
 
 
-def _scratch_4d(grid: PhaseSpaceGrid, symmetrized_edge: bool):
-    """The 4-D scratch's size in floats and the shapes of its spectrum views.
-
-    The scratch holds in turn the field a transport's first sweep writes,
-    with the symmetrized edge followed by the mirrored slice's reading of
-    either sweep, and the half spectrum in either layout (complex), half
-    along the layout's trailing k axis: nu2 in L1, nu1 in L2."""
-    split = _split(grid)
-    points = math.prod(split)
-    Nk1, Nk2 = split[4:]
-    reading = points // min(Nk1, Nk2) if symmetrized_edge else 0
-    halves = (split[:4] + (Nk1, Nk2 // 2 + 1), split[:4] + (Nk1 // 2 + 1, Nk2))
-    spectra = tuple(tuple(half[a] for a in order) for half, order in zip(halves, _LAYOUTS[2]))
-    return max(points + reading, *(2 * math.prod(s) for s in spectra)), spectra
+def _scratch(grid: PhaseSpaceGrid, transports: bool, kernel_layouts, symmetrized_edge: bool):
+    """The stepper's scratch size in floats, and where in it the mirrored
+    edge slice's reading starts.  The scratch holds in turn the field a 4-D
+    transport's first sweep writes, then the reading of either sweep (a 2-D
+    sweep's reading alone), and the spectrum of every kernel layout (_bins,
+    complex), which also holds the two rows _multipliers needs."""
+    points = math.prod(grid.shape)
+    field = points if transports and grid.ndim_space == 2 else 0
+    slices = min(km.num_points for km in grid.wavenumber)
+    reading = points // slices if transports and symmetrized_edge else 0
+    spectra = (2 * math.prod(_bins(grid, layout)) for layout in kernel_layouts)
+    return max([field + reading, *spectra]), field
 
 
 class _Stepper:
@@ -533,44 +510,32 @@ class _Stepper:
 
     The work layouts are _LAYOUTS[ndim] (orders): stage i finds the field in
     orders[layouts[i]], advance() leaves it in orders[end_layout], and
-    to_work and from_work convert through them.  The inflow profiles and the
-    (stage length, layout) keys of the multiplier tables are built from them
-    alike in both dimensions; the buffer plan is per dimension.
+    to_work and from_work convert through them.  The inflow profiles, the
+    multiplier tables, one per (stage length, layout) over that layout's
+    spectrum (_bins, _multipliers), and the buffer plan (_scratch) are built
+    from them alike in both dimensions.
 
-    In 2-D the one work layout is (Nk, M, Q), so that every sweep runs
-    along the leading axis.  A transport moves the field between the work
-    array and the stepper's second field buffer, the spare; a kernel
-    substep overwrites it.  Every step has an even number of transports, so
-    a step leaves the field in the array it came in.  The stepper owns the
-    spare and one block: the multiplier tables, then a scratch that holds in
-    turn the mirrored edge slice's reading and the spectrum, (N2, 2*H1,
-    M*Q) for the factors Nk = N1*N2 (_factors), H1 = N1/2 + 1.  A kernel
-    substep writes the spectrum by one real product per n2, the (Re, Im)
-    parts of its H1 bins as two blocks of rows.  The complex DFT along n2,
-    the multiply and the inverse DFT then run on half of the spectrum's
-    columns (k1, node) at a time through the work field, which holds
-    nothing until the last product: the DFT, as a product of the half's
-    transpose with the DFT's real form, writes each bin's (Re, Im) pair
-    along k2, a complex view multiplies it by that half's multipliers, and
-    the inverse goes back into the spectrum.  One real product per n2
-    returns to the field.
-
-    In 4-D the field is in layout L1 or L2, and advance() takes it in L1.
-    A transport sweeps the dimension its layout leads with into the
-    scratch, switches layouts back into the field's array in two passes,
+    The stepper owns one block, every kernel stage's multipliers and then
+    the scratch, and in 2-D a second field buffer, the spare, kept apart.
+    The 2-D work layout is (Nk, M, Q), so that every sweep runs along the
+    leading axis: a transport moves the field between the work array and
+    the spare, and a step, with an even number of transports, leaves it in
+    the array it came in.  A 4-D field is in L1 or L2, and advance() takes
+    it in L1: a transport sweeps the dimension its layout leads with into
+    the scratch, switches layouts back into the field's array in two passes,
     the second into the scratch, and sweeps the other dimension back into
-    the field's array, which then holds the other layout: the field always
-    stays in the caller's array.  A kernel substep overwrites the field in
-    either layout with the same code: one stack of real matrix products
-    along the trailing k axis (k2 in L1, k1 in L2) writes the half spectrum
-    into the scratch, as (Re, Im) column pairs that a complex view reads as
-    the rfft; the complex DFT along the leading k axis, the multiply by the
-    multipliers built in that layout and the inverse DFT then run on half of
-    the spectrum's columns at a time through the spent field, as in 2-D; one
-    stack of real products returns to the field.  The stepper owns the
-    scratch (_scratch_4d), the inflow profiles broadcast over each sweep's
-    slabs and each kernel layout's DFT matrices.  Without stages it owns no
-    buffer.
+    the field's array, which then holds the other layout, so the field
+    always stays in the caller's array.  The mirrored edge slice's reading
+    follows the swept field in the scratch.  A kernel substep overwrites the
+    field through the spectrum, which the scratch holds.  The stepper also
+    owns the inflow profiles, broadcast over each sweep's slabs, and each
+    kernel layout's DFT matrices.  Without stages its block is empty.
+
+    A kernel substep keeps one product form per dimension (_kernel): the
+    2-D spectrum, (N2, 2*H1, M*Q) for the factors Nk = N1*N2 (_factors), H1
+    = N1/2 + 1, holds the (Re, Im) parts of its H1 bins as two blocks of
+    rows; the 4-D half spectrum holds (Re, Im) column pairs that a complex
+    view reads as the rfft.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
@@ -590,55 +555,48 @@ class _Stepper:
         self.layouts, self.end_layout, kernel_stages = _layouts(stages, grid.ndim_space)
         self.plans = {tau: _sweep_plans(grid, consts, tau, symmetrized_edge)
                       for tau in _transport_lengths(stages)}
-        # the spare field buffer (2-D), the scratch, and the part of it that
-        # holds the mirrored edge slice's reading
-        self.spare = self.scratch = self.reading = None
-        self.spectra, self.dfts = (), {}
-        if grid.ndim_space == 1:
-            Nk, M, Q = N[0], grid.x.points_per_element, grid.x.num_elements
-            N1, N2 = _factors(Nk)
-            spectrum = (N2, 2 * (N1 // 2 + 1), M * Q) if kernel_stages else (0,)
-            reading = M * Q if self.plans and symmetrized_edge else 0
-            # one block: each kernel stage length's multipliers (complex, one
-            # a spectrum bin), then the scratch.  Freed at once, it keeps
-            # malloc's trim threshold above what a run frees, so the next run
-            # or set-up reuses the heap's pages (a cold families2d set-up took
-            # about 470 minor faults a config with the tables allocated one by
-            # one, none with the block).  The spare stays apart: in the block
-            # it left the heap top trimmed after a stream2d run, and each cold
-            # set-up after it took 178 minor faults (none with it apart)
-            size = math.prod(spectrum)
-            tables = len(kernel_stages) * size
-            block = np.empty(tables + max(size, reading))
-            bins = block[:tables].view(complex).reshape(len(kernel_stages), size // 2)
-            self.scratch = self.reading = block[tables:]
-            self.mults = {key: _multipliers_2d(table, key[0], N1, N2, out, self.scratch)
-                          for key, out in zip(kernel_stages, bins)}
-            if self.plans:
-                self.spare = np.empty((Nk, M, Q))
-            if kernel_stages:
-                self.spectra = (self.scratch[:size].reshape(spectrum),)
-                roots, weights, lead, lead_inv = _dft_matrices(N1, N2, twiddled=True)
+        # one block: each kernel stage's multipliers (complex, of its
+        # layout's _bins), then the scratch.  Freed at once, it keeps
+        # malloc's trim threshold above what a run frees, so the next run or
+        # set-up reuses the heap's pages (a cold families2d set-up took about
+        # 470 minor faults a config with the 2-D tables allocated one by one,
+        # none with the block)
+        bins = {key: _bins(grid, key[1]) for key in kernel_stages}
+        ends = [0, *itertools.accumulate(2 * math.prod(b) for b in bins.values())]
+        size, field = _scratch(grid, bool(self.plans), {at for _, at in kernel_stages},
+                               symmetrized_edge)
+        block = np.empty(ends[-1] + size)
+        self.scratch = block[ends[-1] :]
+        self.reading = self.scratch[field:]
+        self.mults = {key: _multipliers(table, *key, block[a:b].view(complex).reshape(bins[key]),
+                                        self.scratch)
+                      for key, a, b in zip(bins, ends, ends[1:])}
+        # the spare field buffer (2-D) stays apart: in the block it left the
+        # heap top trimmed after a stream2d run, and each cold set-up after
+        # it took 178 minor faults (none with it apart)
+        self.spare = None
+        if self.plans and grid.ndim_space == 1:
+            self.spare = np.empty([_split(grid)[a] for a in self.orders[0]])
+        self.spectra, self.dfts = {}, {}
+        for layout in {at for _, at in kernel_stages}:
+            bins = _bins(grid, layout)
+            spectrum = self.scratch[: 2 * math.prod(bins)]
+            # the real axis, then the complex one: in 2-D the factors of Nk;
+            # in 4-D the trailing k axis (k2 in L1, k1 in L2), then the leading
+            twiddled = grid.ndim_space == 1
+            roots, weights, lead, lead_inv = _dft_matrices(
+                *(_factors(N[0]) if twiddled else N[::-1] if layout == 0 else N), twiddled)
+            if twiddled:
+                # (n2, Re or Im of the H1 bins k1, node), the real products' output
+                self.spectra[layout] = spectrum.reshape(len(lead), 2 * bins[0], -1)
                 # the real products' (Re, Im) parts as two blocks of H1 bins
                 planar = np.concatenate([roots.real, roots.imag], axis=2)
-                self.dfts[0] = (planar.transpose(0, 2, 1).copy(), _real_form(lead),
-                                _real_form(lead_inv).T, planar * np.tile(weights, 2))
-        else:
-            if stages:
-                size, spectra = _scratch_4d(grid, symmetrized_edge)
-                self.scratch = np.empty(size)
-                self.reading = self.scratch[math.prod(grid.shape) :]
-                # each spectrum as (leading k bins, the rest), the shape the
-                # DFT along the leading axis reads
-                self.spectra = tuple(
-                    self.scratch[: 2 * math.prod(s)].view(complex).reshape(s[0], -1)
-                    for s in spectra)
-            self.mults = {key: _multipliers_half_4d(table, *key, self.scratch)
-                          for key in kernel_stages}
-            # the trailing k axis of L1 is k2, that of L2 is k1
-            for layout in {layout for _, layout in kernel_stages}:
-                roots, weights, lead, lead_inv = _dft_matrices(
-                    *(N[::-1] if layout == 0 else N), twiddled=False)
+                self.dfts[layout] = (planar.transpose(0, 2, 1).copy(), _real_form(lead),
+                                     _real_form(lead_inv).T, planar * np.tile(weights, 2))
+            else:
+                # (leading k bins, the rest), the shape the DFT along the
+                # leading axis reads
+                self.spectra[layout] = spectrum.view(complex).reshape(bins[0], -1)
                 self.dfts[layout] = (roots[0].view(float), lead, lead_inv,
                                      np.ascontiguousarray((roots[0] * weights).view(float).T))
         self.profiles = (None, None)
@@ -721,14 +679,14 @@ class _Stepper:
             # (the larger half, 2*N2*ceil(H1/2) entries a node, fits in the
             # field's N1*N2 a node: N1 >= 4)
             columns = spec.reshape(2 * N2, -1)  # rows (n2, Re or Im)
-            start = 0
-            for mults in self.mults[tau, layout]:
-                part = columns[:, start : start + len(mults)]
-                start += len(mults)
-                through = work.reshape(-1)[: part.size].reshape(len(mults), -1)
+            cut = len(self.mults[tau, layout]) // 2 * spec.shape[2]
+            mults = self.mults[tau, layout].reshape(-1, N2)  # rows (k1, node), as the columns
+            for cols in (slice(0, cut), slice(cut, None)):
+                part = columns[:, cols]
+                through = work.reshape(-1)[: part.size].reshape(part.shape[::-1])
                 np.matmul(part.T, lead, out=through)
                 bins = through.view(complex)
-                bins *= mults
+                bins *= mults[cols]
                 np.matmul(lead_inv, through.T, out=part)
             np.matmul(back, spec, out=field)
             return
@@ -752,9 +710,11 @@ class _Stepper:
         np.matmul(bins, back, out=rows)
 
 
-# The benchmark's layer trace still names the class _Stepper2D; the alias
-# goes away with the next change to the benchmark.
+# The benchmark's layer trace still names the class _Stepper2D and the
+# builder _multipliers_half_4d; the aliases go away with the next change to
+# the benchmark.
 _Stepper2D = _Stepper
+_multipliers_half_4d = _multipliers
 
 
 def advect(
@@ -908,17 +868,16 @@ def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
     The real kernel table over the L1 half spectrum (8 B a bin); one complex
     multiplier table (16 B a bin of its layout's half spectrum) per distinct
     kernel stage length and layout; the work field; and the stepper's
-    scratch, the larger of a field (with the symmetrized edge, and one
-    slice's reading) and the larger complex half spectrum.  A quarter more
-    covers the rest.
+    scratch (_scratch).  A quarter more covers the rest.
     """
-    points = math.prod(grid.shape)
     stages = _stage_sequence(config.scheme, config.dt)
     _, _, kernel_stages = _layouts(stages, 2)
-    scratch, spectra = _scratch_4d(grid, config.edge_transport == "symmetrized")
-    bins = [math.prod(s) for s in spectra]  # of the half spectrum in each layout
-    tables = sum(16 * bins[layout] for _, layout in kernel_stages)
-    return 1.25 * (8 * bins[0] + tables + 8 * points + 8 * scratch)
+    layouts = [layout for _, layout in kernel_stages]
+    bins = [math.prod(_bins(grid, layout)) for layout in (0, 1)]  # the half spectra
+    scratch, _ = _scratch(grid, bool(_transport_lengths(stages)), set(layouts),
+                          config.edge_transport == "symmetrized")
+    tables = sum(16 * bins[layout] for layout in layouts)
+    return 1.25 * (8 * bins[0] + tables + 8 * math.prod(grid.shape) + 8 * scratch)
 
 
 def evolve(config: SimulationConfig):

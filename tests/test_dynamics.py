@@ -27,8 +27,8 @@ from wigsolve.dynamics import (
     _SweepPlan,
     _factors,
     _from_work,
-    _multipliers_2d,
-    _multipliers_half_4d,
+    _bins,
+    _multipliers,
     _stage_sequence,
     _sweep_plans,
     _to_work,
@@ -452,18 +452,22 @@ def test_kernel_with_any_real_table_and_zero_c0_keeps_the_marginal(seed, tau, pl
     np.testing.assert_allclose(marginal(out), marginal(state), rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("N", [38, 128])
+def _two_rows(grid, layout):
+    # the least scratch a multiplier build takes
+    return np.empty(2 * math.prod(_bins(grid, layout)[1:]))
+
+
+@pytest.mark.parametrize("N", [4, 6, 38, 128])
 def test_2d_multipliers_are_exp_i_tau_s_on_every_bin(N):
-    # tau s spans several turns; the scratch holds blocks of 50, so the
-    # tangent runs over many blocks, the last one short
+    # tau s spans several turns; 4 and 6 leave N2 = 1, so every row holds
+    # one bin k2 and the last row the Nyquist bin
     grid = grid_2d(N=N, M=5, Q=3)
     table = _random_real_table(grid, N)
     tau = 6.0
     N1, N2 = _factors(N)
     H1 = N1 // 2 + 1
-    out = np.empty(H1 * 15 * N2, complex)
-    _multipliers_2d(table, tau, N1, N2, out, np.empty(100))
-    got = out.reshape(H1, 5, 3, N2)  # (k1, m, q, k2), bin nu = k1 + N1*k2
+    assert _bins(grid, 0) == (H1, 5, 3, N2)  # (k1, m, q, k2), bin nu = k1 + N1*k2
+    got = _multipliers(table, tau, 0, np.empty((H1, 5, 3, N2), complex), _two_rows(grid, 0))
     half = multipliers_half_2d(table, tau)  # (nx, N/2 + 1); exp(i tau s_{-nu}) is its conjugate
     nu = np.arange(N)
     full = half[:, np.minimum(nu, N - nu)]
@@ -480,7 +484,8 @@ def test_4d_multipliers_are_exp_i_tau_s_on_every_bin(layout):
     grid = uneven_tensor_grid()
     table = _random_real_table(grid, 5)
     tau = 6.0
-    got = _multipliers_half_4d(table, tau, layout, np.empty(100))
+    got = _multipliers(table, tau, layout, np.empty(_bins(grid, layout), complex),
+                       _two_rows(grid, layout))
     Q1, M1, Q2, M2, Nk1, Nk2 = _split(grid)
     half = multipliers_half_4d_natural(table, tau)  # (nx1, nx2, Nk1, Nk2/2 + 1)
     if layout == 0:
@@ -617,6 +622,32 @@ def test_warm_2d_advance_allocates_almost_nothing(edge):
     finally:
         tracemalloc.stop()
     assert peak < work.nbytes / 8, peak
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["stream2d", "fermi4d"])
+def test_stepper_build_makes_no_table_sized_temporary(planar):
+    # a yoshida4 stepper on the benchmark grids, the 4-D one with background
+    # inflow and the symmetrized edge: its build's tracemalloc peak stays
+    # within 128 kB of what it keeps, where one copy of the fermi4d table
+    # (a reshape across its transposed bin axes) is 2.33 MB
+    import tracemalloc
+
+    if planar:
+        cfg = fd_config()
+        inflow = np.ones((cfg.num_modes,) * 2)
+    else:
+        cfg, inflow = delta_config(num_modes=128), None
+    grid = cfg.build_grid()
+    table = cfg.build_table(grid)
+    tracemalloc.start()
+    try:
+        stepper = _Stepper(grid, table, cfg.consts, _stage_sequence("yoshida4", cfg.dt), inflow,
+                           planar)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stepper.mults) == 2
+    assert peak - kept <= 128e3, (peak, kept)
 
 
 @pytest.mark.parametrize("run", [
