@@ -18,11 +18,11 @@ order four.
 Every work layout is an axis order of the natural field split per element
 (grid._split), listed once in _LAYOUTS: one in 2-D, two in 4-D.  One pair of
 conversions (_to_work, _from_work), one stage-to-layout map (_layouts), one
-multiplier builder (_multipliers, over the spectrum shape _bins of a layout)
-and one buffer plan (_scratch) serve both dimensions.  Per dimension stay
-the transport's layout switch, the kernel substep's DFT factorisation and
-product form, and the record: a 2-D record is two products against the
-observables' functionals in the work layout
+multiplier builder (_multipliers, over the spectrum shape _bins of a layout),
+one block plan (_block) and one DFT matrix builder (_dft_matrices) serve both
+dimensions.  Per dimension stay the transport's layout switch, the kernel
+substep's product form, and the record: a 2-D record is two products
+against the observables' functionals in the work layout
 (observables.UniformMeshQuadrature), a 4-D one the spatial marginal and its
 mass (observables._marginal and _mass, read where the field lies).  Either
 also sums every entry of the field, which is evolve's finiteness check.
@@ -30,7 +30,7 @@ also sums every entry of the field, which is evolve's finiteness check.
 One stepper (_Stepper) runs the stages; it builds the sweep plans and
 multiplier tables of each distinct stage length once, and every buffer the
 stages use: no stage allocates.  Both kernel substeps are four matrix
-products against DFT matrices built once by one helper (_dft_matrices), the
+products against the DFT matrices _dft_matrices builds once per layout, the
 multiply between the middle two; no np.fft call is left.  In 2-D they
 factor the k axis, N_k = N1*N2 (Bailey's four-step FFT); in 4-D they run
 along the layout's trailing k axis (rfft) and its leading one (complex).
@@ -44,7 +44,6 @@ single call and leave their input state as it is.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +56,7 @@ from .grid import (
     WavenumberMesh,
     WignerState,
     _barycentric_rows,
+    _check_count,
     _split,
     build_spatial_mesh,
     build_wavenumber_mesh,
@@ -65,8 +65,7 @@ from .kernels import (
     KernelTable,
     MultiDeltaPotential2D,
     PhysicalConstants,
-    check_exact_route,
-    check_poisson_route,
+    check_route,
     kernel_coefficients,
     poisson_kernel_coefficients,
 )
@@ -402,35 +401,48 @@ def _factors(n: int) -> tuple[int, int]:
     return n // n2, n2
 
 
-def _dft_matrices(n_real: int, n_complex: int, twiddled: bool) -> tuple[np.ndarray, ...]:
-    """The DFT matrices of a kernel substep that transforms an n_real-point
-    axis by real products and an n_complex-point axis by complex ones:
-    roots, weights, lead and lead_inv.
+def _dft_matrices(grid: PhaseSpaceGrid, layout: int) -> tuple[np.ndarray, ...]:
+    """The four matrices a kernel substep in a layout multiplies by (_kernel):
+    forward, lead, lead_inv and back.
 
-    roots, (S, n_real, H) with H = n_real/2 + 1, holds per shift n2 < S the
-    map of n_real real samples to H bins; weights, (H,), are the c2r
-    weights over n_real that map them back: bins 0 and n_real/2 count once,
-    every other bin twice, as its own conjugate partner.  lead and lead_inv
-    are the complex n_complex-point DFT and its inverse.  Untwiddled (4-D),
-    S = 1 and roots is the rfft matrix of its axis.  Twiddled (2-D), the two
-    axes are the factors of one N = n_real*n_complex point axis, sample k =
+    The substep transforms an n_real-point axis by real products and an
+    n_complex-point axis by complex ones.  roots, (S, n_real, H) with H =
+    n_real/2 + 1, holds per shift n2 < S the map of n_real real samples to H
+    bins; weights, (H,), are the c2r weights over n_real that map them back:
+    bins 0 and n_real/2 count once, every other bin twice, as its own
+    conjugate partner.  lead and lead_inv are the complex n_complex-point DFT
+    and its inverse.  In 4-D the real axis is the layout's trailing k axis
+    (k2 in L1, k1 in L2), the complex one its leading k axis; S = 1 and roots
+    is the rfft matrix of its axis.  In 2-D the two axes are the factors of
+    the one N_k = n_real*n_complex point axis (_factors), sample k =
     n_complex*n1 + n2 and bin nu = k1 + n_real*k2 (Bailey's four-step FFT):
-    S = n_complex, and roots[n2, n1, k1] = exp(-2 pi i k1 k / N) carries the
-    twiddle.
+    S = n_complex, and roots[n2, n1, k1] = exp(-2 pi i k1 k / N_k) carries
+    the twiddle.  The 2-D matrices act on (Re, Im) parts as real ones: the
+    real products' output holds the H bins' Re and Im parts as two blocks.
     """
+    N = tuple(km.num_points for km in grid.wavenumber)
+    twiddled = grid.ndim_space == 1
+    n_real, n_complex = _factors(N[0]) if twiddled else N[::-1] if layout == 0 else N
     stride = n_complex if twiddled else 1
     n = n_real * stride
     samples = stride * np.arange(n_real)[:, None] + np.arange(stride)[:, None, None]
     phase = samples * np.arange(n_real // 2 + 1) % n
     roots = np.exp(-2j * np.pi * phase / n)
     roots.imag[2 * phase % n == 0] = 0.0  # the roots +-1 exactly
+    del samples, phase  # freed before the returned matrices, at a run's peak
     weights = np.full(roots.shape[-1], 2.0 / n_real)
     weights[0] = 1.0 / n_real
     if n_real % 2 == 0:
         weights[-1] = 1.0 / n_real  # the Nyquist bin
     a = np.arange(n_complex)
     lead = np.exp(-2j * np.pi * (np.outer(a, a) % n_complex) / n_complex)
-    return roots, weights, lead, lead.conj() / n_complex
+    lead_inv = lead.conj() / n_complex
+    if twiddled:
+        planar = np.concatenate([roots.real, roots.imag], axis=2)
+        return (planar.transpose(0, 2, 1).copy(), _real_form(lead), _real_form(lead_inv).T,
+                planar * np.tile(weights, 2))
+    return (roots[0].view(float), lead, lead_inv,
+            np.ascontiguousarray((roots[0] * weights).view(float).T))
 
 
 def _real_form(matrix: np.ndarray) -> np.ndarray:
@@ -486,18 +498,28 @@ def _layouts(stages: list[tuple[str, float]], ndim: int) -> tuple[list[int], int
     return layouts, layout, kernel
 
 
-def _scratch(grid: PhaseSpaceGrid, transports: bool, kernel_layouts, symmetrized_edge: bool):
-    """The stepper's scratch size in floats, and where in it the mirrored
-    edge slice's reading starts.  The scratch holds in turn the field a 4-D
-    transport's first sweep writes, then the reading of either sweep (a 2-D
-    sweep's reading alone), and the spectrum of every kernel layout (_bins,
+def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]], symmetrized_edge: bool):
+    """The stepper's one block of floats: each kernel stage's multiplier
+    table (complex, of its layout's _bins), then the scratch.  Returns the
+    tables as {(length, layout): (slice, _bins)}, in order of first use,
+    where the scratch and the mirrored edge slice's reading start, and the
+    block's length.  The scratch holds in turn the field a 4-D transport's
+    first sweep writes, then the reading of either sweep (a 2-D sweep's
+    reading alone), and the spectrum of every kernel layout (_bins,
     complex), which also holds the two rows _multipliers needs."""
+    _, _, kernel = _layouts(stages, grid.ndim_space)
+    tables, start = {}, 0
+    for key in kernel:
+        bins = _bins(grid, key[1])
+        stop = start + 2 * math.prod(bins)
+        tables[key], start = (slice(start, stop), bins), stop
     points = math.prod(grid.shape)
+    transports = bool(_transport_lengths(stages))
     field = points if transports and grid.ndim_space == 2 else 0
     slices = min(km.num_points for km in grid.wavenumber)
     reading = points // slices if transports and symmetrized_edge else 0
-    spectra = (2 * math.prod(_bins(grid, layout)) for layout in kernel_layouts)
-    return max([field + reading, *spectra]), field
+    spectra = (2 * math.prod(bins) for _, bins in tables.values())
+    return tables, start, start + field, start + max([field + reading, *spectra])
 
 
 class _Stepper:
@@ -510,13 +532,15 @@ class _Stepper:
 
     The work layouts are _LAYOUTS[ndim] (orders): stage i finds the field in
     orders[layouts[i]], advance() leaves it in orders[end_layout], and
-    to_work and from_work convert through them.  The inflow profiles, the
-    multiplier tables, one per (stage length, layout) over that layout's
-    spectrum (_bins, _multipliers), and the buffer plan (_scratch) are built
-    from them alike in both dimensions.
+    apply() converts through them.  The inflow profiles, the multiplier
+    tables, one per (stage length, layout) over that layout's spectrum
+    (_bins, _multipliers), the block plan (_block) and each kernel layout's
+    DFT matrices (_dft_matrices) are built from them alike in both
+    dimensions.
 
     The stepper owns one block, every kernel stage's multipliers and then
-    the scratch, and in 2-D a second field buffer, the spare, kept apart.
+    the scratch (_block), and in 2-D a second field buffer, the spare, kept
+    apart.
     The 2-D work layout is (Nk, M, Q), so that every sweep runs along the
     leading axis: a transport moves the field between the work array and
     the spare, and a step, with an even number of transports, leaves it in
@@ -552,25 +576,20 @@ class _Stepper:
         self.grid = grid
         self.stages = stages
         self.orders = _LAYOUTS[grid.ndim_space]
-        self.layouts, self.end_layout, kernel_stages = _layouts(stages, grid.ndim_space)
+        self.layouts, self.end_layout, _ = _layouts(stages, grid.ndim_space)
         self.plans = {tau: _sweep_plans(grid, consts, tau, symmetrized_edge)
                       for tau in _transport_lengths(stages)}
-        # one block: each kernel stage's multipliers (complex, of its
-        # layout's _bins), then the scratch.  Freed at once, it keeps
-        # malloc's trim threshold above what a run frees, so the next run or
-        # set-up reuses the heap's pages (a cold families2d set-up took about
-        # 470 minor faults a config with the 2-D tables allocated one by one,
-        # none with the block)
-        bins = {key: _bins(grid, key[1]) for key in kernel_stages}
-        ends = [0, *itertools.accumulate(2 * math.prod(b) for b in bins.values())]
-        size, field = _scratch(grid, bool(self.plans), {at for _, at in kernel_stages},
-                               symmetrized_edge)
-        block = np.empty(ends[-1] + size)
-        self.scratch = block[ends[-1] :]
-        self.reading = self.scratch[field:]
-        self.mults = {key: _multipliers(table, *key, block[a:b].view(complex).reshape(bins[key]),
+        # one block (_block).  Freed at once, it keeps malloc's trim
+        # threshold above what a run frees, so the next run or set-up reuses
+        # the heap's pages (a cold families2d set-up took about 470 minor
+        # faults a config with the 2-D tables allocated one by one, none with
+        # the block)
+        tables, start, reading, length = _block(grid, stages, symmetrized_edge)
+        block = np.empty(length)
+        self.scratch, self.reading = block[start:], block[reading:]
+        self.mults = {key: _multipliers(table, *key, block[at].view(complex).reshape(bins),
                                         self.scratch)
-                      for key, a, b in zip(bins, ends, ends[1:])}
+                      for key, (at, bins) in tables.items()}
         # the spare field buffer (2-D) stays apart: in the block it left the
         # heap top trimmed after a stream2d run, and each cold set-up after
         # it took 178 minor faults (none with it apart)
@@ -578,27 +597,16 @@ class _Stepper:
         if self.plans and grid.ndim_space == 1:
             self.spare = np.empty([_split(grid)[a] for a in self.orders[0]])
         self.spectra, self.dfts = {}, {}
-        for layout in {at for _, at in kernel_stages}:
+        for layout in {at for _, at in tables}:
+            self.dfts[layout] = _dft_matrices(grid, layout)
             bins = _bins(grid, layout)
             spectrum = self.scratch[: 2 * math.prod(bins)]
-            # the real axis, then the complex one: in 2-D the factors of Nk;
-            # in 4-D the trailing k axis (k2 in L1, k1 in L2), then the leading
-            twiddled = grid.ndim_space == 1
-            roots, weights, lead, lead_inv = _dft_matrices(
-                *(_factors(N[0]) if twiddled else N[::-1] if layout == 0 else N), twiddled)
-            if twiddled:
-                # (n2, Re or Im of the H1 bins k1, node), the real products' output
-                self.spectra[layout] = spectrum.reshape(len(lead), 2 * bins[0], -1)
-                # the real products' (Re, Im) parts as two blocks of H1 bins
-                planar = np.concatenate([roots.real, roots.imag], axis=2)
-                self.dfts[layout] = (planar.transpose(0, 2, 1).copy(), _real_form(lead),
-                                     _real_form(lead_inv).T, planar * np.tile(weights, 2))
-            else:
-                # (leading k bins, the rest), the shape the DFT along the
-                # leading axis reads
-                self.spectra[layout] = spectrum.view(complex).reshape(bins[0], -1)
-                self.dfts[layout] = (roots[0].view(float), lead, lead_inv,
-                                     np.ascontiguousarray((roots[0] * weights).view(float).T))
+            # 2-D: (n2, Re or Im of the H1 bins k1, node), the real products'
+            # output; 4-D: (leading k bins, the rest), the shape the DFT
+            # along the leading axis reads
+            self.spectra[layout] = (
+                spectrum.reshape(len(self.dfts[layout][0]), 2 * bins[0], -1)
+                if grid.ndim_space == 1 else spectrum.view(complex).reshape(bins[0], -1))
         self.profiles = (None, None)
         if inflow is not None and self.plans:
             # each layout's inflow as (slices, slab), the shape its sweeps
@@ -607,17 +615,9 @@ class _Stepper:
             lanes = [natural.transpose(order)[:, 0, 0] for order in self.orders]
             self.profiles = tuple(lane.reshape(len(lane), -1) for lane in lanes)
 
-    def to_work(self, values: np.ndarray) -> np.ndarray:
-        """Work layout of a field, always a private copy: the first layout."""
-        return _to_work(values, self.grid, self.orders[0])
-
-    def from_work(self, work: np.ndarray) -> np.ndarray:
-        """A new natural-layout field from the work field advance() left."""
-        return _from_work(work, self.grid, self.orders[self.end_layout])
-
     def advance(self, work: np.ndarray) -> np.ndarray:
-        """Run every stage on a C-contiguous work-layout field (to_work
-        gives one) and return the result.
+        """Run every stage on a C-contiguous field in the first work layout
+        (_to_work gives one) and return the result.
 
         A 2-D field ends in the caller's array after an even number of
         transports and in the stepper's spare otherwise; the stepper keeps
@@ -635,7 +635,8 @@ class _Stepper:
 
     def apply(self, state: WignerState, dt: float = 0.0) -> WignerState:
         """The stages applied to a state, which is left as it is; time moves by dt."""
-        values = self.from_work(self.advance(self.to_work(state.values)))
+        work = self.advance(_to_work(state.values, self.grid, self.orders[0]))
+        values = _from_work(work, self.grid, self.orders[self.end_layout])
         return WignerState(state.grid, values, state.time + dt)
 
     def _sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int) -> None:
@@ -772,7 +773,10 @@ class SimulationConfig:
     packet along every dimension) or, in 4-D, a FermiDiracSpec; both kinds
     of data use consts, as the transport and the kernel do.  Construction
     runs every check of evolve but the machine-dependent 4-D memory budget;
-    that includes a symmetric wavenumber domain for the symmetrized edge.
+    that includes integral grid and mesh counts, a PhysicalConstants,
+    kernels.check_route (a potential of one of the families that the route
+    tabulates on the grid), and a symmetric wavenumber domain for the
+    symmetrized edge.
     """
 
     x_lo: float
@@ -800,14 +804,16 @@ class SimulationConfig:
         if not self.t_final >= 0 or not math.isfinite(self.t_final):
             raise ParameterError(f"t_final must be nonnegative and finite, got {self.t_final!r}")
         _step_index(self.t_final, self.dt, "t_final")
+        for name in ("num_elements", "points_per_element", "num_modes", "n_uniform"):
+            _check_count(name, getattr(self, name))
+        if not isinstance(self.consts, PhysicalConstants):
+            raise ParameterError(f"consts must be a PhysicalConstants, got {self.consts!r}")
         if self.n_uniform < 1:
             raise ParameterError(f"N_um must be positive, got {self.n_uniform!r}")
         for name, names in NAMED_SETTINGS.items():
             _check_named(name, getattr(self, name), names)
         _snapshot_steps(self)
         _check_stage_lengths(_stage_sequence(self.scheme, self.dt))
-        if self.kernel_route == "poisson":
-            check_poisson_route(self.potential)
         if not isinstance(self.initial, (observables.GaussianPacketSpec,
                                          observables.FermiDiracSpec)):
             raise ParameterError(
@@ -816,8 +822,7 @@ class SimulationConfig:
         if isinstance(self.initial, observables.FermiDiracSpec) and self.spatial_dims != 2:
             raise ParameterError("Fermi-Dirac initial data needs spatial_dims = 2")
         grid = self.build_grid()  # a grid that cannot be built fails here, not mid-run
-        if self.kernel_route == "exact":
-            check_exact_route(self.potential, grid)
+        check_route(self.kernel_route, self.potential, grid)
         if self.edge_transport == "symmetrized":
             for km in grid.wavenumber:
                 _edge_slice(km)
@@ -865,19 +870,15 @@ def _snapshot_steps(config: SimulationConfig) -> dict[int, float]:
 def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
     """Estimated peak bytes of a 4-D run: the table and what the stepper owns.
 
-    The real kernel table over the L1 half spectrum (8 B a bin); one complex
-    multiplier table (16 B a bin of its layout's half spectrum) per distinct
-    kernel stage length and layout; the work field; and the stepper's
-    scratch (_scratch).  A quarter more covers the rest.
+    The real kernel table over the L1 half spectrum (8 B a bin); the work
+    field; and the stepper's block (_block): one complex multiplier table
+    (16 B a bin of its layout's half spectrum) per distinct kernel stage
+    length and layout, then the scratch.  A quarter more covers the rest.
     """
-    stages = _stage_sequence(config.scheme, config.dt)
-    _, _, kernel_stages = _layouts(stages, 2)
-    layouts = [layout for _, layout in kernel_stages]
-    bins = [math.prod(_bins(grid, layout)) for layout in (0, 1)]  # the half spectra
-    scratch, _ = _scratch(grid, bool(_transport_lengths(stages)), set(layouts),
-                          config.edge_transport == "symmetrized")
-    tables = sum(16 * bins[layout] for layout in layouts)
-    return 1.25 * (8 * bins[0] + tables + 8 * math.prod(grid.shape) + 8 * scratch)
+    *_, length = _block(grid, _stage_sequence(config.scheme, config.dt),
+                        config.edge_transport == "symmetrized")
+    table = 8 * math.prod(_bins(grid, 0))  # the half spectrum in L1
+    return 1.25 * (table + 8 * math.prod(grid.shape) + 8 * length)
 
 
 def evolve(config: SimulationConfig):

@@ -9,6 +9,7 @@ exp(2*pi*i*nu*(k - k_min)/L_k), nu = -N_k/2+1 .. N_k/2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +103,15 @@ class WavenumberMesh:
         return self.k_max - self.k_min
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer; numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def build_spatial_mesh(X_L: float, X_R: float, Q: int, M: int) -> SpatialMesh:
+    _check_count("Q", Q)
+    _check_count("M", M)
     if not (np.isfinite(X_L) and np.isfinite(X_R)) or X_L >= X_R:
         raise ParameterError(f"degenerate spatial domain [{X_L}, {X_R}]")
     if Q < 1 or M < 3:
@@ -128,6 +137,7 @@ def build_spatial_mesh(X_L: float, X_R: float, Q: int, M: int) -> SpatialMesh:
 
 
 def build_wavenumber_mesh(k_min: float, k_max: float, N_k: int) -> WavenumberMesh:
+    _check_count("N_k", N_k)
     if not (np.isfinite(k_min) and np.isfinite(k_max)) or k_min >= k_max:
         raise ParameterError(f"degenerate wavenumber domain [{k_min}, {k_max}]")
     if N_k < 4 or N_k % 2 != 0:

@@ -24,6 +24,8 @@ transform vanishes on its lattice y = zeta pi/L_k but at one point per mode,
 so s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar.  Every table
 holds the real s (c = i s) on the rfft bins alone; s_0 = 0 keeps the marginal,
 and the odd kernel's s_{-nu} = -s_nu, implied, keeps the kernel substep real.
+One rule, check_route, says which potentials each route tabulates on which
+grid; both table builders and dynamics.SimulationConfig call it.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ __all__ = [
     "KernelTable",
     "kernel_coefficients",
     "poisson_kernel_coefficients",
-    "check_exact_route",
-    "check_poisson_route",
+    "check_route",
     "clear_table_cache",
 ]
 
@@ -296,13 +297,11 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
     elif isinstance(spec, LogPotential):
         pref = spec.H / hbar
         diff = _cin(np.abs(wp) * L) - _cin(np.abs(wm) * L)
-    elif isinstance(spec, InversePowerPotential):
+    else:  # InversePowerPotential, the last scalar family check_route admits
         pref = _inverse_power_prefactor(spec, hbar)
         beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
         # looked up at call time, where the layer trace wraps it
         diff = _even_difference(lambda w: cos_power_integral(w, beta, L), wp, wm)
-    else:
-        raise ParameterError(f"unsupported 2-D potential {spec!r}")
     return pref * diff
 
 
@@ -310,8 +309,6 @@ def _coeff_table_multidelta(
     spec: MultiDeltaPotential2D, grid: PhaseSpaceGrid, consts: PhysicalConstants
 ) -> np.ndarray:
     (x1m, x2m), (k1m, k2m) = grid.spatial, grid.wavenumber
-    if k1m.length != k2m.length:
-        raise ParameterError("multi-delta table expects matching wavenumber domains")
     L = k1m.length
     pts = np.asarray(spec.points)
 
@@ -366,30 +363,35 @@ def kernel_coefficients(
     spec: PotentialSpec, grid: PhaseSpaceGrid, consts: PhysicalConstants
 ) -> KernelTable:
     """Exact-route coefficient table s_nu(x) over K' = [-L_k, L_k]."""
-    check_exact_route(spec, grid)
+    check_route("exact", spec, grid)
     build = _coeff_table_multidelta if isinstance(spec, MultiDeltaPotential2D) else _coeff_table_1d
     return _cached_table(("exact", spec, grid, consts),
                          lambda: KernelTable(build(spec, grid, consts), grid))
 
 
-def check_exact_route(spec: PotentialSpec, grid: PhaseSpaceGrid) -> None:
-    """Raise ParameterError unless the exact route can tabulate spec on grid."""
-    if isinstance(spec, MultiDeltaPotential2D):
-        if grid.ndim_space != 2:
-            raise ParameterError("multi-delta potential needs a 4-D grid")
-        for d in spec.points:
-            if not all(m.domain_lo <= c <= m.domain_hi for m, c in zip(grid.spatial, d)):
-                raise ParameterError(f"delta point {d} outside the spatial domain")
-    elif grid.ndim_space != 1:
-        raise ParameterError("scalar potential families need a 2-D phase-space grid")
-
-
-def check_poisson_route(spec: PotentialSpec) -> None:
-    """Raise ParameterError unless the discrete-sum route can tabulate spec."""
-    # the route samples V pointwise: families smooth away from the origin
-    if not isinstance(spec, (LogPotential, GaussianBarrier)):
+def check_route(route: str, spec: PotentialSpec, grid: PhaseSpaceGrid) -> None:
+    """Raise ParameterError unless route ("exact" or "poisson") can tabulate
+    spec on grid: spec is an instance of one of the potential families; the
+    discrete-sum route samples V pointwise, so it takes the families smooth
+    away from the origin only; the multi-delta family lives on a 4-D grid
+    with equal wavenumber windows and its points in the spatial domain, every
+    other family on a 2-D grid."""
+    if not isinstance(spec, PotentialSpec):
+        raise ParameterError(f"potential must be one of the potential families, got {spec!r}")
+    if route == "poisson" and not isinstance(spec, (LogPotential, GaussianBarrier)):
         raise ParameterError("the discrete-sum route supports smooth-away-from-origin potentials"
                              f" only (logarithmic or Gaussian), got {spec!r}")
+    if not isinstance(spec, MultiDeltaPotential2D):
+        if grid.ndim_space != 1:
+            raise ParameterError("scalar potential families need a 2-D phase-space grid")
+        return
+    if grid.ndim_space != 2:
+        raise ParameterError("multi-delta potential needs a 4-D grid")
+    if grid.wavenumber[0].length != grid.wavenumber[1].length:
+        raise ParameterError("multi-delta table expects matching wavenumber domains")
+    for d in spec.points:
+        if not all(m.domain_lo <= c <= m.domain_hi for m, c in zip(grid.spatial, d)):
+            raise ParameterError(f"delta point {d} outside the spatial domain")
 
 
 def _poisson_samples(spec, x, h):
@@ -423,9 +425,8 @@ def poisson_kernel_coefficients(
     which is exactly 0 at nu = 0.  A difference with a sample exactly on the
     logarithmic singularity at x = 0 is dropped (_poisson_samples).
     """
-    check_poisson_route(spec)
-    if grid.ndim_space != 1:
-        raise ParameterError("the discrete-sum route is implemented for 2-D phase space")
+    check_route("poisson", spec, grid)
+
     def build():
         h = np.arange(grid.k.num_points // 2 + 1) * (math.pi / grid.k.length)
         s = _poisson_samples(spec, grid.x.collocation_points, h) / consts.hbar

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -253,11 +253,13 @@ class UniformMeshQuadrature:
     element's nodes, the k ones come from two short FFTs
     (`grid._spatial_interp_adjoint`, `grid._uniform_wavenumber_interp_adjoint`).
 
-    A row reads the field once: the k functionals (a row of ones, u_k, v_k,
-    v_k2) times the field, (4, N_k) @ (N_k, Q*M), then that times the x
-    functionals (ones, the Clenshaw-Curtis mass weights, u_x_right, v_x,
-    v_x2, u_x), a (4, 6) matrix of every bilinear form a row needs, the
-    field's sum and its Clenshaw-Curtis mass among them.
+    A row reads the field once (_reduce): the k functionals (a row of ones,
+    u_k, v_k, v_k2) times the field, (4, N_k) @ (N_k, Q*M), then that times
+    the x functionals (ones, the Clenshaw-Curtis mass weights, u_x_right,
+    v_x, v_x2, u_x), a (4, 6) matrix of every bilinear form a row needs, the
+    field's sum and its Clenshaw-Curtis mass among them.  _row turns that
+    matrix into the row's columns; the record, moments and partial_mass all
+    read the field through _reduce.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, n_uniform: int):
@@ -277,9 +279,9 @@ class UniformMeshQuadrature:
             _spatial_interp_adjoint(xm, x, np.column_stack([ones, x >= 0.0, x, x**2]))
         )
         kvec = _uniform_wavenumber_interp_adjoint(km, np.column_stack([ones, k, k**2]))
-        # the two factors of the reduction (see _moments_from_reduced): the k
-        # functionals as rows, the x functionals as columns in the work order
-        # (m, q) of the nodes
+        # the two factors of the reduction (_reduce): the k functionals as
+        # rows, the x functionals as columns in the work order (m, q) of the
+        # nodes
         self._k_rows = np.vstack([np.ones(km.num_points), kvec])
         self.u_k, self.v_k, self.v_k2 = self._k_rows[1:]
         x_cols = np.stack([np.ones(xm.num_points), _cc_x_weights(xm) * km.length / km.num_points,
@@ -291,18 +293,16 @@ class UniformMeshQuadrature:
         fx = _spatial_interp(self.grid.x, self.x_pts, state.values)
         return _uniform_wavenumber_interp(self.grid.k, fx, self.n_uniform)
 
-    def partial_mass(self, state: WignerState) -> float:
-        return float(self.u_x_right @ state.values @ self.u_k)
+    def _reduce(self, work: np.ndarray) -> np.ndarray:
+        """The reduced field of a field in the stepper's (Nk, M, Q) work
+        layout, by the two products: entry [a, b] is the k functional a (1,
+        u_k, v_k, v_k2) and the x functional b (1, the Clenshaw-Curtis mass
+        weights, u_x_right, v_x, v_x2, u_x) applied to the field, a (4, 6)
+        matrix.  [0, 0] is the sum of the field's entries."""
+        return self._k_rows @ work.reshape(len(work), -1) @ self._x_cols
 
-    def moments(self, state: WignerState, consts: PhysicalConstants) -> UncertaintyResult:
-        reduced = _node_order(self._k_rows @ state.values.T, self.grid.x)
-        return self._moments_from_reduced(reduced @ self._x_cols, consts)
-
-    def _moments_from_reduced(self, reduced: np.ndarray, consts: PhysicalConstants):
-        """The moments from the reduced field: reduced[a, b] is the k
-        functional a (1, u_k, v_k, v_k2) and the x functional b (1, the
-        Clenshaw-Curtis mass weights, u_x_right, v_x, v_x2, u_x) applied to
-        the field, a (4, 6) matrix."""
+    def _row(self, reduced: np.ndarray, consts: PhysicalConstants) -> dict:
+        """Every ObservableSeries column but t from a reduced field (_reduce)."""
         hbar = consts.hbar
         mean_x = float(reduced[1, 3])
         mean_x2 = float(reduced[1, 4])
@@ -315,30 +315,27 @@ class UniformMeshQuadrature:
                 raise DomainError(f"{name} = {v} is negative beyond roundoff")
         var_x = max(var_x, 0.0)
         var_p = max(var_p, 0.0)
-        return UncertaintyResult(
-            mean_x, mean_p, var_x, var_p, math.sqrt(var_x) * math.sqrt(var_p)
-        )
+        return {"total_mass": reduced[0, 1], "partial_mass": reduced[1, 2], "mean_x": mean_x,
+                "mean_p": mean_p, "var_x": var_x, "var_p": var_p,
+                "uncertainty": math.sqrt(var_x) * math.sqrt(var_p)}
+
+    def partial_mass(self, state: WignerState) -> float:
+        return float(self._reduce(state.values.reshape(_split(self.grid)).T)[1, 2])
+
+    def moments(self, state: WignerState, consts: PhysicalConstants) -> UncertaintyResult:
+        row = self._row(self._reduce(state.values.reshape(_split(self.grid)).T), consts)
+        return UncertaintyResult(row["mean_x"], row["mean_p"], row["var_x"], row["var_p"],
+                                 row["uncertainty"])
 
     def append_row_from_work(self, series, t, work, consts) -> float:
-        """Record one row from a field in the stepper's (Nk, M, Q) work layout,
-        by the two products, and return the sum of its entries; a field whose
-        sum is not finite (a NaN, an infinity or an overflow) records no row."""
+        """Record one row from a field in the stepper's (Nk, M, Q) work layout
+        and return the sum of its entries; a field whose sum is not finite (a
+        NaN, an infinity or an overflow) records no row."""
         with np.errstate(over="ignore", invalid="ignore"):
-            reduced = self._k_rows @ work.reshape(len(work), -1) @ self._x_cols
+            reduced = self._reduce(work)
         total = float(reduced[0, 0])
-        if not math.isfinite(total):
-            return total
-        m = self._moments_from_reduced(reduced, consts)
-        series.append(
-            t=t,
-            total_mass=reduced[0, 1],
-            partial_mass=reduced[1, 2],
-            mean_x=m.mean_x,
-            mean_p=m.mean_p,
-            var_x=m.var_x,
-            var_p=m.var_p,
-            uncertainty=m.product,
-        )
+        if math.isfinite(total):
+            series.append(t=t, **self._row(reduced, consts))
         return total
 
 
@@ -383,7 +380,11 @@ def error_norms(candidate: WignerState, reference: WignerState, n_uniform: int):
 
 @dataclass
 class ObservableSeries:
-    """Per-step observable record with strictly increasing times."""
+    """Per-step observable record with strictly increasing times.
+
+    Its fields, in order, are the one list of the record's columns
+    (_COLUMNS); a 4-D run records t and total_mass alone.
+    """
 
     t: list = field(default_factory=list)
     total_mass: list = field(default_factory=list)
@@ -394,21 +395,19 @@ class ObservableSeries:
     var_p: list = field(default_factory=list)
     uncertainty: list = field(default_factory=list)
 
-    def append(self, *, t, total_mass, partial_mass=math.nan, mean_x=math.nan,
-               mean_p=math.nan, var_x=math.nan, var_p=math.nan, uncertainty=math.nan):
+    def append(self, *, t, total_mass, **rest):
+        """Append one row; a column left out records NaN, an unknown one fails."""
         if self.t and t <= self.t[-1]:
             raise ParameterError("observable times must increase strictly")
-        for v, name in ((var_x, "var_x"), (var_p, "var_p")):
-            if not math.isnan(v) and v < 0:
+        unknown = rest.keys() - _COLUMNS
+        if unknown:
+            raise ParameterError(f"unknown observable columns: {', '.join(sorted(unknown))}")
+        for name in ("var_x", "var_p"):
+            if rest.get(name, 0.0) < 0:
                 raise ParameterError(f"{name} must be nonnegative")
-        self.t.append(float(t))
-        self.total_mass.append(float(total_mass))
-        self.partial_mass.append(float(partial_mass))
-        self.mean_x.append(float(mean_x))
-        self.mean_p.append(float(mean_p))
-        self.var_x.append(float(var_x))
-        self.var_p.append(float(var_p))
-        self.uncertainty.append(float(uncertainty))
+        rest["t"], rest["total_mass"] = t, total_mass
+        for name in _COLUMNS:
+            getattr(self, name).append(float(rest.get(name, math.nan)))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -422,3 +421,7 @@ class ObservableSeries:
         if abs(arr[idx] - t) > 1e-9:
             raise ParameterError(f"no record at t = {t}")
         return float(self.column(name)[idx])
+
+
+# the series columns, in row order: the one list of them
+_COLUMNS = tuple(f.name for f in fields(ObservableSeries))

@@ -613,7 +613,7 @@ def test_warm_2d_advance_allocates_almost_nothing(edge):
     values = init_gaussian(grid, PACKET).values
     inflow = values.mean(axis=0) if edge else None
     stepper = _Stepper(grid, table, CONSTS, _stage_sequence("yoshida4", 0.01), inflow, edge)
-    work = stepper.advance(stepper.to_work(values))
+    work = stepper.advance(_to_work(values, grid, _LAYOUTS[1][0]))
     tracemalloc.start()
     try:
         for _ in range(3):
@@ -847,6 +847,21 @@ def test_evolve_unphysical_moments_raise_with_the_rows_recorded():
 def test_config_rejects_non_finite_time_parameters(bad):
     with pytest.raises(ParameterError, match="finite"):
         delta_config(**bad)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("consts", "x"), ("num_modes", 8.0), ("n_uniform", 2.5), ("num_elements", 2.5),
+    ("potential", object()), ("potential", DeltaPotential),
+], ids=["consts", "num_modes", "n_uniform", "num_elements", "potential-object",
+        "potential-class"])
+def test_config_refuses_at_construction_what_evolve_cannot_run(field, bad):
+    with pytest.raises(ParameterError, match=field):
+        delta_config(**{field: bad})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = delta_config(num_elements=np.int64(20), num_modes=np.int32(64), n_uniform=np.int64(200))
+    assert cfg.build_grid() == delta_config().build_grid()
 
 
 @pytest.mark.parametrize("n_uniform", [0, -5])
@@ -1121,7 +1136,7 @@ def test_warm_4d_advance_allocates_almost_nothing(edge):
     values = init_fermi_dirac_4d(grid, cfg.initial, cfg.consts).values
     stepper = _Stepper(grid, table, cfg.consts, _stage_sequence("yoshida4", cfg.dt),
                        values[0, 0], edge)
-    work = stepper.advance(stepper.to_work(values))
+    work = stepper.advance(_to_work(values, grid, _LAYOUTS[2][0]))
     assert work.nbytes == 4_147_200
     tracemalloc.start()
     try:

@@ -48,6 +48,16 @@ def test_mesh_parameter_errors(bad):
         build_spatial_mesh(*bad)
 
 
+@pytest.mark.parametrize("build, args, name", [
+    (build_spatial_mesh, (-1.0, 1.0, 2.5, 5), "Q"),
+    (build_spatial_mesh, (-1.0, 1.0, 4, 5.0), "M"),
+    (build_wavenumber_mesh, (-np.pi, np.pi, 8.0), "N_k"),
+])
+def test_mesh_builders_refuse_non_integral_counts(build, args, name):
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        build(*args)
+
+
 def test_barycentric_reproduces_constants_and_cubics():
     mesh = build_spatial_mesh(-2.0, 4.0, 3, 4)
     nodes = mesh.points_by_element[1]

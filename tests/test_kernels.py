@@ -1,6 +1,7 @@
 """Kernel values against the defining transform; coefficient tables against
 the adaptive oscillatory-quadrature oracle."""
 
+import itertools
 import math
 import re
 
@@ -34,6 +35,7 @@ from wigsolve.kernels import (
     PhysicalConstants,
     _inverse_power_prefactor,
     annulus_points,
+    check_route,
     clear_table_cache,
     kernel_coefficients,
     poisson_kernel_coefficients,
@@ -515,6 +517,48 @@ def test_poisson_rejects_unsupported_family():
     grid = plane_grid()
     with pytest.raises(ParameterError):
         poisson_kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
+
+
+def _route_grids():
+    xm = build_spatial_mesh(-2.0, 2.0, 2, 5)
+    km, narrow = build_wavenumber_mesh(-np.pi, np.pi, 8), build_wavenumber_mesh(-2.0, 2.0, 8)
+    return {"2d": PhaseSpaceGrid.plane(xm, km), "4d": PhaseSpaceGrid.tensor4d(xm, xm, km, km),
+            "4d-unequal-k": PhaseSpaceGrid.tensor4d(xm, xm, km, narrow)}
+
+
+ROUTE_SPECS = {
+    "delta": DeltaPotential(H=1.0),
+    "log": LogPotential(H=1.0),
+    "inverse_power": InversePowerPotential(H=1.0, alpha=0.5),
+    "inverse_square": InverseSquarePotential(H=1.0),
+    "gaussian": GaussianBarrier(H=1.0, a=0.5),
+    "multi_delta_2d": MultiDeltaPotential2D(H=1.0, points=((0.5, -1.0),)),
+    "object": object(),
+    "class": DeltaPotential,
+}
+
+
+def test_builders_refuse_what_check_route_refuses():
+    # each route x family x grid: a builder refuses exactly where check_route
+    # does, and both admit only the scalar families on a 2-D grid (the
+    # discrete-sum route the log and Gaussian ones) and the multi-delta
+    # family on a 4-D grid with equal wavenumber windows
+    clear_table_cache()
+    builders = {"exact": kernel_coefficients, "poisson": poisson_kernel_coefficients}
+    admitted = set()
+    for (route, build), (family, spec), (shape, grid) in itertools.product(
+            builders.items(), ROUTE_SPECS.items(), _route_grids().items()):
+        try:
+            check_route(route, spec, grid)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                build(spec, grid, CONSTS)
+        else:
+            assert build(spec, grid, CONSTS).grid == grid
+            admitted.add((route, family, shape))
+    scalar = {"delta", "log", "inverse_power", "inverse_square", "gaussian"}
+    assert admitted == ({("exact", f, "2d") for f in scalar} | {("exact", "multi_delta_2d", "4d")}
+                        | {("poisson", f, "2d") for f in ("log", "gaussian")})
 
 
 def test_poisson_table_invariants():

@@ -1,6 +1,7 @@
 """Initial data, marginals, masses, moments, error norms."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -454,3 +455,20 @@ def test_series_ordering_enforced():
         s.append(t=0.1, total_mass=1.0)
     assert len(s) == 2
     assert s.at_time(0.1, "total_mass") == 1.0
+
+
+def test_series_append_fills_omitted_columns_and_refuses_unknown_ones():
+    s = ObservableSeries()
+    s.append(t=0.0, total_mass=1.0, mean_x=2.0, var_p=0.5)
+    assert (s.t, s.total_mass, s.mean_x, s.var_p) == ([0.0], [1.0], [2.0], [0.5])
+    for name in ("partial_mass", "mean_p", "var_x", "uncertainty"):
+        assert math.isnan(getattr(s, name)[0]), name
+    with pytest.raises(ParameterError, match="unknown observable columns: spread"):
+        s.append(t=0.1, total_mass=1.0, spread=0.2)
+    with pytest.raises(ParameterError, match="observable times must increase strictly"):
+        s.append(t=0.0, total_mass=1.0)
+    for name in ("var_x", "var_p"):
+        with pytest.raises(ParameterError, match=f"{name} must be nonnegative"):
+            s.append(t=0.1, total_mass=1.0, **{name: -1e-3})
+    # a refused row appends nothing: every column keeps one entry
+    assert {len(getattr(s, f.name)) for f in fields(s)} == {1}
