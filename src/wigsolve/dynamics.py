@@ -29,17 +29,20 @@ also sums every entry of the field, which is evolve's finiteness check.
 
 One stepper (_Stepper) runs the stages; it builds the sweep plans and
 multiplier tables of each distinct stage length once, and every buffer the
-stages use: no stage allocates.  Both kernel substeps are four matrix
-products against the DFT matrices _dft_matrices builds once per layout, the
-multiply between the middle two; no np.fft call is left.  In 2-D they
-factor the k axis, N_k = N1*N2 (Bailey's four-step FFT); in 4-D they run
-along the layout's trailing k axis (rfft) and its leading one (complex).
-At these sizes (N_k = 16 to 128) BLAS runs the transforms faster than
-pocketfft, which transforms one lane at a time.  A 4-D field switches
-layouts once per transport and always stays in the caller's array.  evolve
-drives a run in either dimension with one stepper, dropped before the final
-record and snapshot; advect, apply_kernel and step build a stepper for a
-single call and leave their input state as it is.
+stages use but the field's own: no stage allocates.  A stepped 2-D field
+runs in two spectrum-sized buffers, its own (_room) and the stepper's
+scratch: a transport sweeps it from one into the other, and a kernel
+substep writes its spectrum into the one it is not in.  Both kernel
+substeps are four matrix products against the DFT matrices _dft_matrices
+builds once per layout, the multiply between the middle two; no np.fft
+call is left.  In 2-D they factor the k axis, N_k = N1*N2 (Bailey's
+four-step FFT); in 4-D they run along the layout's trailing k axis (rfft)
+and its leading one (complex).  At these sizes (N_k = 16 to 128) BLAS runs
+the transforms faster than pocketfft, which transforms one lane at a time.
+A 4-D field switches layouts once per transport and always stays in the
+caller's array.  evolve drives a run in either dimension with one stepper,
+dropped before the final record and snapshot; advect, apply_kernel and step
+build a stepper for a single call and leave their input state as it is.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .grid import (
     WignerState,
     _barycentric_rows,
     _check_count,
+    _check_real,
     _split,
     build_spatial_mesh,
     build_wavenumber_mesh,
@@ -290,9 +294,14 @@ def _sweep_plans(grid: PhaseSpaceGrid, consts: PhysicalConstants, tau: float,
 _LAYOUTS = {1: ((2, 1, 0),), 2: ((4, 1, 0, 2, 3, 5), (5, 3, 2, 0, 1, 4))}
 
 
-def _to_work(values: np.ndarray, grid: PhaseSpaceGrid, order: tuple[int, ...]) -> np.ndarray:
-    """A natural-layout field in the work layout order, always a private copy."""
-    return values.reshape(_split(grid)).transpose(order).copy()
+def _to_work(values: np.ndarray, grid: PhaseSpaceGrid, order: tuple[int, ...],
+             length: int = 0) -> np.ndarray:
+    """A natural-layout field in the work layout order, always a private copy,
+    at the head of a new flat buffer of at least length floats (_room)."""
+    split = _split(grid)
+    work = np.empty(max(length, values.size))[: values.size].reshape([split[a] for a in order])
+    np.copyto(work, values.reshape(split).transpose(order))
+    return work
 
 
 def _from_work(work: np.ndarray, grid: PhaseSpaceGrid, order: tuple[int, ...]) -> np.ndarray:
@@ -322,26 +331,36 @@ def _bins(grid: PhaseSpaceGrid, layout: int) -> tuple[int, ...]:
     return tuple(natural[a] for a in _LAYOUTS[2][layout])
 
 
-def _table_rows(table: KernelTable, layout: int):
+def _table_rows(table: KernelTable, layout: int, out: np.ndarray):
     """Per leading bin of _bins(table.grid, layout), its row's parts as
-    (trailing index, strided view of the table, sign) and the trailing
-    indices of its Nyquist bins, which get phase 0.  The table stores nu >= 0
-    along its last axis; a bin of negative nu reads s(-nu) = -s(nu), signed
-    -1: in 2-D, N_k - nu backwards; in an L2 row of nu2 > Nk2/2, the row
-    Nk2 - nu2 at -nu1, which is bin 0, then Nk1 - 1 down to Nk1/2."""
+    (trailing index, view, sign) and the trailing indices of its Nyquist
+    bins, which get phase 0.  The table stores nu >= 0 along its last axis; a
+    bin of negative nu reads s(-nu) = -s(nu).
+
+    In 2-D every row is first written, as s(nu) at nu = k1 + N1*k2 with
+    s(N_k - nu) negated beyond N_k/2, into the second half of the floats of
+    out (contiguous, of shape _bins), one k2 at a time, reading the table in
+    its storage order.  Row k1 of out, written after its row is read,
+    reaches only rows k1 and below there.  In 4-D a part is a strided view
+    of the table, signed -1 in an L2 row of nu2 > Nk2/2: the row Nk2 - nu2
+    at -nu1, which is bin 0, then Nk1 - 1 down to Nk1/2."""
     split = _split(table.grid)
     if table.grid.ndim_space == 1:
         Q, M, N = split
         N1, N2 = _factors(N)
-        s = table.multipliers.reshape(Q, M, -1).transpose(1, 0, 2)  # (m, q, nu)
+        H1 = N1 // 2 + 1
+        s = table.multipliers.reshape(Q, M, -1)  # (q, m, nu)
+        rows = out.view(float).reshape(-1)[out.size :].reshape(out.shape)
+        for k2 in range(N2):
+            lo = N1 * k2
+            stored = min(max(N // 2 + 1 - lo, 0), H1)  # the k1 with nu <= N_k/2
+            into = rows[..., k2]  # (k1, m, q)
+            np.copyto(into[:stored], s[..., lo : lo + stored].transpose(2, 1, 0))
+            np.negative(s[..., N - lo - stored : N - lo - H1 : -1].transpose(2, 1, 0),
+                        out=into[stored:])
         nyquist = divmod(N // 2, N1)  # (k2, k1)
-        for k1 in range(N1 // 2 + 1):
-            stored = (N // 2 - k1) // N1 + 1  # the k2 with nu <= N_k/2
-            # N_k - nu runs down from N_k - k1 - N1*stored to N1 - k1
-            mirrored = s[..., N1 - k1 : N1 * (N2 - stored + 1) - k1 : N1][..., ::-1]
-            yield (((slice(None, stored), s[..., k1 : N // 2 + 1 : N1], 1.0),
-                    (slice(stored, None), mirrored, -1.0)),
-                   (nyquist[0],) if k1 == nyquist[1] else ())
+        for k1, row in enumerate(rows):
+            yield ((slice(None), row, 1.0),), (nyquist[0],) if k1 == nyquist[1] else ()
         return
     # (nu1, ..., nu2) in L1, (nu2, ..., nu1) in L2
     s = table.multipliers.reshape(split[:5] + (-1,)).transpose(_LAYOUTS[2][layout])
@@ -360,16 +379,16 @@ def _table_rows(table: KernelTable, layout: int):
 def _multipliers(table: KernelTable, tau: float, layout: int, out: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
     """exp(i tau s_nu) on the spectrum a kernel substep multiplies in a
-    layout, written into out (complex, of shape _bins) and returned: each
-    leading bin's row is scaled from its table views (_table_rows) to the
-    half angle tau s/2 in a row of scratch, which holds two, and _phasor
-    writes exp(i tau s) through the other.  No value is written through a
-    transposed view, and no table-sized temporary exists."""
+    layout, written into out (complex, contiguous, of shape _bins) and
+    returned: each leading bin's row is scaled from its views (_table_rows)
+    to the half angle tau s/2 in a row of scratch, which holds two, and
+    _phasor writes exp(i tau s) through the other.  No phase is written
+    through a transposed view, and no table-sized temporary exists."""
     size = math.prod(out.shape[1:])
     t, d = scratch[:size], scratch[size : 2 * size]
     phases = t.reshape(out.shape[1:])
     half = 0.5 * tau
-    for row, (parts, nyquist) in zip(out, _table_rows(table, layout)):
+    for row, (parts, nyquist) in zip(out, _table_rows(table, layout, out)):
         for at, view, sign in parts:
             np.multiply(view, sign * half, out=phases[..., at])
         for at in nyquist:
@@ -502,11 +521,14 @@ def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]], symmetrized_ed
     """The stepper's one block of floats: each kernel stage's multiplier
     table (complex, of its layout's _bins), then the scratch.  Returns the
     tables as {(length, layout): (slice, _bins)}, in order of first use,
-    where the scratch and the mirrored edge slice's reading start, and the
-    block's length.  The scratch holds in turn the field a 4-D transport's
-    first sweep writes, then the reading of either sweep (a 2-D sweep's
-    reading alone), and the spectrum of every kernel layout (_bins,
-    complex), which also holds the two rows _multipliers needs."""
+    where the scratch starts, and the block's length.  With transports the
+    scratch holds a field and then the mirrored edge slice's reading: in 4-D
+    the field a transport's first sweep writes and the reading of either
+    sweep, in 2-D the field a sweep writes there or the reading of a sweep
+    that reads the field from there.  It also holds the spectrum of every
+    kernel layout (_bins, complex), which also holds the two rows
+    _multipliers needs.  A 2-D spectrum, 2*N2*(N1/2 + 1)*M*Q floats,
+    outgrows a field and its reading by at least N2*M*Q floats."""
     _, _, kernel = _layouts(stages, grid.ndim_space)
     tables, start = {}, 0
     for key in kernel:
@@ -515,11 +537,34 @@ def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]], symmetrized_ed
         tables[key], start = (slice(start, stop), bins), stop
     points = math.prod(grid.shape)
     transports = bool(_transport_lengths(stages))
-    field = points if transports and grid.ndim_space == 2 else 0
+    field = points if transports else 0
     slices = min(km.num_points for km in grid.wavenumber)
     reading = points // slices if transports and symmetrized_edge else 0
     spectra = (2 * math.prod(bins) for _, bins in tables.values())
-    return tables, start, start + field, start + max([field + reading, *spectra])
+    return tables, start, start + max([field + reading, *spectra])
+
+
+def _room(grid: PhaseSpaceGrid, stages: list[tuple[str, float]], symmetrized_edge: bool) -> int:
+    """The length of the flat buffer that a field in the first work layout
+    needs (_to_work makes one) for a stepper of these stages: in 2-D that of
+    the block's scratch (_block), with which it trades places at each
+    transport; in 4-D the field's own (0)."""
+    if grid.ndim_space == 2:
+        return 0
+    _, start, length = _block(grid, stages, symmetrized_edge)
+    return length - start
+
+
+def _head_of(work: np.ndarray, length: int) -> np.ndarray | None:
+    """The flat buffer of at least length floats whose head the C-contiguous
+    field work is, as _to_work lays it out, else None.  work lies within its
+    base, so it starts there exactly when it misses the base's tail past its
+    own size."""
+    base = work.base
+    if (isinstance(base, np.ndarray) and base.ndim == 1 and len(base) >= length
+            and work.flags.c_contiguous and not np.may_share_memory(work, base[work.size :])):
+        return base
+    return None
 
 
 class _Stepper:
@@ -539,21 +584,25 @@ class _Stepper:
     dimensions.
 
     The stepper owns one block, every kernel stage's multipliers and then
-    the scratch (_block), and in 2-D a second field buffer, the spare, kept
-    apart.
+    the scratch (_block).
     The 2-D work layout is (Nk, M, Q), so that every sweep runs along the
-    leading axis: a transport moves the field between the work array and
-    the spare, and a step, with an even number of transports, leaves it in
-    the array it came in.  A 4-D field is in L1 or L2, and advance() takes
-    it in L1: a transport sweeps the dimension its layout leads with into
-    the scratch, switches layouts back into the field's array in two passes,
-    the second into the scratch, and sweeps the other dimension back into
-    the field's array, which then holds the other layout, so the field
-    always stays in the caller's array.  The mirrored edge slice's reading
-    follows the swept field in the scratch.  A kernel substep overwrites the
-    field through the spectrum, which the scratch holds.  The stepper also
-    owns the inflow profiles, broadcast over each sweep's slabs, and each
-    kernel layout's DFT matrices.  Without stages its block is empty.
+    leading axis.  A 2-D field lies at the head of a flat buffer as long as
+    the scratch (_room; _to_work makes one), and the two buffers trade
+    places: a transport sweeps the field into the other one, with the
+    mirrored edge slice's reading in the tail of the one it reads, and a
+    kernel substep writes its spectrum into the one the field is not in and
+    runs its middle products through the spent field.  A step, with an even
+    number of transports, leaves the field in the buffer it came in.  A 4-D
+    field is in L1 or L2, and advance() takes it in L1: a transport sweeps
+    the dimension its layout leads with into the scratch, switches layouts
+    back into the field's array in two passes, the second into the scratch,
+    and sweeps the other dimension back into the field's array, which then
+    holds the other layout, so the field always stays in the caller's
+    array.  The mirrored edge slice's reading follows the swept field in the
+    scratch.  A kernel substep overwrites the field through the spectrum,
+    which the scratch holds.  The stepper also owns the inflow profiles,
+    broadcast over each sweep's slabs, and each kernel layout's DFT
+    matrices.  Without stages its block is empty.
 
     A kernel substep keeps one product form per dimension (_kernel): the
     2-D spectrum, (N2, 2*H1, M*Q) for the factors Nk = N1*N2 (_factors), H1
@@ -584,29 +633,14 @@ class _Stepper:
         # the heap's pages (a cold families2d set-up took about 470 minor
         # faults a config with the 2-D tables allocated one by one, none with
         # the block)
-        tables, start, reading, length = _block(grid, stages, symmetrized_edge)
+        tables, start, length = _block(grid, stages, symmetrized_edge)
         block = np.empty(length)
-        self.scratch, self.reading = block[start:], block[reading:]
+        self.scratch = block[start:]
+        self.room = _room(grid, stages, symmetrized_edge)
         self.mults = {key: _multipliers(table, *key, block[at].view(complex).reshape(bins),
                                         self.scratch)
                       for key, (at, bins) in tables.items()}
-        # the spare field buffer (2-D) stays apart: in the block it left the
-        # heap top trimmed after a stream2d run, and each cold set-up after
-        # it took 178 minor faults (none with it apart)
-        self.spare = None
-        if self.plans and grid.ndim_space == 1:
-            self.spare = np.empty([_split(grid)[a] for a in self.orders[0]])
-        self.spectra, self.dfts = {}, {}
-        for layout in {at for _, at in tables}:
-            self.dfts[layout] = _dft_matrices(grid, layout)
-            bins = _bins(grid, layout)
-            spectrum = self.scratch[: 2 * math.prod(bins)]
-            # 2-D: (n2, Re or Im of the H1 bins k1, node), the real products'
-            # output; 4-D: (leading k bins, the rest), the shape the DFT
-            # along the leading axis reads
-            self.spectra[layout] = (
-                spectrum.reshape(len(self.dfts[layout][0]), 2 * bins[0], -1)
-                if grid.ndim_space == 1 else spectrum.view(complex).reshape(bins[0], -1))
+        self.dfts = {layout: _dft_matrices(grid, layout) for layout in {at for _, at in tables}}
         self.profiles = (None, None)
         if inflow is not None and self.plans:
             # each layout's inflow as (slices, slab), the shape its sweeps
@@ -619,13 +653,24 @@ class _Stepper:
         """Run every stage on a C-contiguous field in the first work layout
         (_to_work gives one) and return the result.
 
-        A 2-D field ends in the caller's array after an even number of
-        transports and in the stepper's spare otherwise; the stepper keeps
-        the array it does not return as its spare.  A 4-D field, given in
-        L1, ends in end_layout in the caller's array: as that array after an
+        A 2-D field runs in its own buffer if it heads one of room floats
+        (_head_of), else in a copy at the head of a new one.  It ends in
+        that buffer, as the field given or its copy, after an even number of
+        transports, and in the scratch otherwise.  A 4-D field, given in L1,
+        ends in end_layout in the caller's array: as that array after an
         even number of transports, as a view of it in L2's shape otherwise.
         """
         field = work
+        if self.room:
+            held = _head_of(work, self.room)
+            if held is None or np.may_share_memory(held, self.scratch):
+                held = np.empty(self.room)
+                field = held[: work.size].reshape(work.shape)
+                np.copyto(field, work)
+            # (field, its buffer), then the other buffer with the field's
+            # view of it; each transport swaps the two
+            other = self.scratch[: work.size].reshape(work.shape)
+            self.slots = [(field, held), (other, self.scratch)]
         for (kind, tau), layout in zip(self.stages, self.layouts):
             if kind == "A":
                 field = self._transport(field, tau, layout)
@@ -635,19 +680,21 @@ class _Stepper:
 
     def apply(self, state: WignerState, dt: float = 0.0) -> WignerState:
         """The stages applied to a state, which is left as it is; time moves by dt."""
-        work = self.advance(_to_work(state.values, self.grid, self.orders[0]))
+        work = self.advance(_to_work(state.values, self.grid, self.orders[0], self.room))
         values = _from_work(work, self.grid, self.orders[self.end_layout])
         return WignerState(state.grid, values, state.time + dt)
 
-    def _sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int) -> None:
+    def _sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int,
+               reading: np.ndarray) -> None:
         shape = field.shape[:3] + (-1,)
-        plan.apply(field.reshape(shape), self.profiles[dim], out.reshape(shape), self.reading)
+        plan.apply(field.reshape(shape), self.profiles[dim], out.reshape(shape), reading)
 
     def _transport(self, work, tau, layout):
         plans = self.plans[tau]
         if self.grid.ndim_space == 1:
-            out, self.spare = self.spare, work
-            self._sweep(plans[0], work, out, 0)
+            (_, held), (out, _) = self.slots
+            self._sweep(plans[0], work, out, 0, held[work.size :])
+            self.slots.reverse()
             return out
         # the dimension this layout leads with into the scratch, then the
         # switch and the other dimension back into the field's array.  The
@@ -657,22 +704,26 @@ class _Stepper:
         # loop with the largest stride (on the fermi4d field 1.4 ms against
         # 3.2 ms, one core of a 2-core x86 host).
         swept = self.scratch[: work.size].reshape(work.shape)
-        self._sweep(plans[layout], work, swept, layout)
+        reading = self.scratch[work.size :]
+        self._sweep(plans[layout], work, swept, layout, reading)
         staged = work.reshape(work.shape[1:] + work.shape[:1])
         np.copyto(staged, np.moveaxis(swept, 0, -1))
         switched = swept.reshape(work.shape[::-1])
         np.copyto(switched, staged.transpose(4, 3, 2, 1, 0, 5))
         out = work.reshape(work.shape[::-1])
-        self._sweep(plans[1 - layout], switched, out, 1 - layout)
+        self._sweep(plans[1 - layout], switched, out, 1 - layout, reading)
         return out
 
     def _kernel(self, work, tau, layout):
         forward, lead, lead_inv, back = self.dfts[layout]
-        spec = self.spectra[layout]
+        mults = self.mults[tau, layout]
         if self.grid.ndim_space == 1:
-            # the field as (N2, N1, M*Q), [n2, n1] holding slice N2*n1 + n2
+            # the field as (N2, N1, M*Q), [n2, n1] holding slice N2*n1 + n2,
+            # and the real products' output (n2, Re or Im of the H1 bins k1,
+            # node) in the buffer the field is not in
             N2, N1 = len(forward), forward.shape[2]
             field = work.reshape(N1, N2, -1).transpose(1, 0, 2)
+            spec = self.slots[1][1][: 2 * mults.size].reshape(N2, 2 * len(mults), -1)
             np.matmul(forward, field, out=spec)
             # the complex DFT along n2, the multiply and the inverse cannot run
             # in place: they go through the spent field, half of the columns
@@ -680,8 +731,8 @@ class _Stepper:
             # (the larger half, 2*N2*ceil(H1/2) entries a node, fits in the
             # field's N1*N2 a node: N1 >= 4)
             columns = spec.reshape(2 * N2, -1)  # rows (n2, Re or Im)
-            cut = len(self.mults[tau, layout]) // 2 * spec.shape[2]
-            mults = self.mults[tau, layout].reshape(-1, N2)  # rows (k1, node), as the columns
+            cut = len(mults) // 2 * spec.shape[2]
+            mults = mults.reshape(-1, N2)  # rows (k1, node), as the columns
             for cols in (slice(0, cut), slice(cut, None)):
                 part = columns[:, cols]
                 through = work.reshape(-1)[: part.size].reshape(part.shape[::-1])
@@ -693,11 +744,13 @@ class _Stepper:
             return
         # the products along the trailing k axis as a stack over the leading
         # (k, m) pairs, (q*q*m, k) blocks each, which BLAS runs faster than
-        # one flat (points/k, k) product
+        # one flat (points/k, k) product, into the spectrum as (leading k
+        # bins, the rest), the shape the DFT along the leading axis reads
+        spec = self.scratch[: 2 * mults.size].view(complex).reshape(len(mults), -1)
         rows = work.reshape(work.shape[0] * work.shape[1], -1, work.shape[-1])
         bins = spec.view(float).reshape(len(rows), -1, forward.shape[1])  # (Re, Im) of each bin
         np.matmul(rows, forward, out=bins)
-        mults = self.mults[tau, layout].reshape(spec.shape)
+        mults = mults.reshape(spec.shape)
         # the leading-axis DFT, multiply and inverse cannot run in place: they
         # go through the spent field, half of the columns at a time (half a
         # spectrum is (Nk/2 + 1)/Nk of a field, Nk >= 4, so it fits)
@@ -799,6 +852,12 @@ class SimulationConfig:
     edge_transport: str = "one_sided"
 
     def __post_init__(self):
+        for name in ("x_lo", "x_hi", "k_min", "k_max", "dt", "t_final"):
+            _check_real(name, getattr(self, name))
+        if not isinstance(self.snapshot_times, tuple):
+            raise ParameterError(f"snapshot_times must be a tuple, got {self.snapshot_times!r}")
+        for t in self.snapshot_times:
+            _check_real("snapshot_times", t)
         if not self.dt > 0 or not math.isfinite(self.dt):
             raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
         if not self.t_final >= 0 or not math.isfinite(self.t_final):
@@ -908,11 +967,15 @@ def evolve(config: SimulationConfig):
     # reservoir inflow: the wavenumber profile of the initial data feeds the
     # inflow boundaries (averaged over x in 2-D; 4-D data are uniform in x)
     background = values.mean(axis=0) if config.spatial_dims == 1 else values[0, 0].copy()
-    # the field is held once, in the first work layout, and read there; a
+    # the field is held once, in the first work layout, and read there: in
+    # 2-D at the head of a buffer with the stepper's room (_room).  A
     # step-less 4-D run reads its initial data as they are (a read-only
     # Fermi-Dirac broadcast stays one), never copied
+    stages = _stage_sequence(config.scheme, config.dt) if n_steps else []
+    symmetrized = config.edge_transport == "symmetrized"
     order = None if config.spatial_dims == 2 and not n_steps else _LAYOUTS[grid.ndim_space][0]
-    work = values if order is None else _to_work(values, grid, order)
+    work = values if order is None else _to_work(values, grid, order,
+                                                 _room(grid, stages, symmetrized))
     # record(t, work) returns a sum over every entry of the field, read from
     # its k-sums (the 2-D record's unweighted row, the 4-D marginal), and in
     # 4-D the marginal, which a snapshot of that step reuses; it appends a
@@ -943,12 +1006,8 @@ def evolve(config: SimulationConfig):
     # the work layout is the field from here on, and the stepper's tables and
     # scratch are built without the natural layout alive
     del values
-    stepper = _Stepper(
-        grid, table, consts,
-        _stage_sequence(config.scheme, config.dt) if n_steps else [],
-        background if config.inflow == "background" else None,
-        config.edge_transport == "symmetrized",
-    )
+    stepper = _Stepper(grid, table, consts, stages,
+                       background if config.inflow == "background" else None, symmetrized)
     for i in range(n_steps + 1):
         if i:
             work = stepper.advance(work)

@@ -104,9 +104,15 @@ class WavenumberMesh:
 
 
 def _check_count(name: str, value) -> None:
-    """Refuse a count that is not an integer; numpy integers pass."""
-    if not isinstance(value, numbers.Integral):
+    """Refuse a count that is not an integer, a bool included; numpy integers pass."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Refuse a value that is not a real number, a bool included; numpy floats pass."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 
 def build_spatial_mesh(X_L: float, X_R: float, Q: int, M: int) -> SpatialMesh:

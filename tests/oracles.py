@@ -28,6 +28,10 @@ maps must agree with.
 before its factored matrix products: numpy's rfft along the k axis of the
 natural layout, the multiply by exp(i tau s) on the stored bins with the
 Nyquist bin at phase 0 (`multipliers_half_2d`), and irfft.
+`step_2d_natural` runs 2-D stages on the natural field layout, with no
+buffer shared between stages: each transport is one sweep-plan apply on a
+fresh work-layout copy, with its own out and scratch
+(`advect_2d_natural`), each kernel substep `kernel_2d_rfft`.
 `step_4d_natural` runs 4-D stages on the natural field layout as
 `wigsolve.dynamics` did before its alternating layouts, kept verbatim: each
 transport through three layout copies (`advect_4d_three_copies`), each
@@ -516,6 +520,28 @@ def kernel_2d_rfft(values: np.ndarray, mults: np.ndarray) -> np.ndarray:
     spec = np.fft.rfft(values, axis=1)
     spec *= mults
     return np.fft.irfft(spec, n=values.shape[1], axis=1)
+
+
+def advect_2d_natural(values, grid, plan, inflow):
+    """Sweep a natural-layout (nx, Nk) field through its (Nk, M, Q, 1) work
+    copy into a new out, the mirrored edge reading in a scratch of its own."""
+    Q, M, Nk = grid.x.num_elements, grid.x.points_per_element, grid.k.num_points
+    work = values.reshape(Q, M, Nk).transpose(2, 1, 0)[..., None].copy()
+    out = plan.apply(work, None if inflow is None else inflow[:, None], np.empty_like(work),
+                     np.empty(work[0].size))
+    return out[..., 0].transpose(2, 1, 0).reshape(values.shape)
+
+
+def step_2d_natural(values, grid, table, consts, stages, inflow=None,
+                    symmetrized_edge: bool = False) -> np.ndarray:
+    """Run (kind, tau) stages on a natural-layout 2-D field; returns a new field."""
+    for kind, tau in stages:
+        if kind == "A":
+            (plan,) = _sweep_plans(grid, consts, tau, symmetrized_edge)
+            values = advect_2d_natural(values, grid, plan, inflow)
+        else:
+            values = kernel_2d_rfft(values, multipliers_half_2d(table, tau))
+    return values
 
 
 def multipliers_half_4d_natural(table, tau: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from oracles import (
     mode_position,
     multipliers_half_2d,
     multipliers_half_4d_natural,
+    step_2d_natural,
     step_4d_natural,
 )
 import wigsolve
@@ -601,6 +602,36 @@ def test_step_conserves_interior_mass():
     assert total_mass(out) == pytest.approx(m0, rel=1e-10)
 
 
+@pytest.mark.parametrize("inflow", ["zero", "background"])
+@pytest.mark.parametrize("edge", ["one_sided", "symmetrized"])
+def test_2d_stepping_matches_the_natural_layout_reference(monkeypatch, edge, inflow):
+    # the reference runs every stage on the natural layout with no buffer
+    # shared between stages.  A random field weighs the k_min slice, which
+    # the symmetrized edge reads twice, like any other.  evolve and step run
+    # three yoshida4 steps; a lone advect ends in the stepper's scratch
+    cfg = delta_config(num_elements=4, points_per_element=7, num_modes=32, t_final=0.03,
+                       inflow=inflow, edge_transport=edge)
+    grid = cfg.build_grid()
+    table = cfg.build_table(grid)
+    values = np.random.default_rng(17).random(grid.shape)
+    background = values.mean(axis=0) if inflow == "background" else None
+    symmetrized = edge == "symmetrized"
+    monkeypatch.setattr("wigsolve.observables._initial_state",
+                        lambda *args: WignerState(grid, values))
+    snapshots, _ = evolve(cfg)
+    state = WignerState(grid, values)
+    for _ in range(3):
+        state = step(state, table, cfg.consts, cfg.dt, cfg.scheme, background, symmetrized)
+    moved = advect(WignerState(grid, values), cfg.consts, cfg.dt, background, symmetrized)
+    stepped = step_2d_natural(values, grid, table, cfg.consts,
+                              3 * _stage_sequence(cfg.scheme, cfg.dt), background, symmetrized)
+    swept = step_2d_natural(values, grid, table, cfg.consts, [("A", cfg.dt)], background,
+                            symmetrized)
+    for got, want in ((snapshots[-1].values, stepped), (state.values, stepped),
+                      (moved.values, swept)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])
 def test_warm_2d_advance_allocates_almost_nothing(edge):
     # the stepper owns the sweep product and the spectrum, and every stage
@@ -851,9 +882,12 @@ def test_config_rejects_non_finite_time_parameters(bad):
 
 @pytest.mark.parametrize("field, bad", [
     ("consts", "x"), ("num_modes", 8.0), ("n_uniform", 2.5), ("num_elements", 2.5),
-    ("potential", object()), ("potential", DeltaPotential),
+    ("potential", object()), ("potential", DeltaPotential), ("dt", "0.01"), ("x_lo", "a"),
+    ("k_min", None), ("snapshot_times", (0.5, "x")), ("snapshot_times", 0.5),
+    ("num_elements", True),
 ], ids=["consts", "num_modes", "n_uniform", "num_elements", "potential-object",
-        "potential-class"])
+        "potential-class", "dt-str", "x_lo-str", "k_min-none", "snapshot-str",
+        "snapshot-scalar", "num_elements-bool"])
 def test_config_refuses_at_construction_what_evolve_cannot_run(field, bad):
     with pytest.raises(ParameterError, match=field):
         delta_config(**{field: bad})

@@ -14,7 +14,8 @@ from wigsolve.grid import (
     build_spatial_mesh,
     build_wavenumber_mesh,
 )
-from wigsolve.kernels import PhysicalConstants
+from wigsolve.dynamics import SimulationConfig, evolve
+from wigsolve.kernels import DeltaPotential, PhysicalConstants, clear_table_cache
 from wigsolve.observables import (
     K_B,
     FermiDiracSpec,
@@ -255,6 +256,28 @@ def test_resample_stays_within_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 10e6, peak
+
+
+def test_stepped_evolve_stays_within_its_memory_bound():
+    # two yoshida4 steps on the stream2d grid, the table built cold: the field
+    # and the stepper's scratch are the two spectrum-sized buffers a step
+    # runs in, and the run peaks at about 3.23 MB (3.60 MB with a third,
+    # field-sized one)
+    import tracemalloc
+
+    cfg = SimulationConfig(
+        x_lo=-30.0, x_hi=30.0, num_elements=20, points_per_element=21, num_modes=128,
+        potential=DeltaPotential(H=1.0), initial=reference_packet(), dt=0.01, t_final=0.02,
+        consts=CONSTS, n_uniform=600,
+    )
+    clear_table_cache()
+    tracemalloc.start()
+    try:
+        evolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3e6, peak
 
 
 def test_evolve_records_without_resampling(monkeypatch):
