@@ -982,7 +982,7 @@ def evolve(config: SimulationConfig):
     # row only if that sum is finite.  A sum is finite only if every entry
     # is, and a sum of finite entries that overflows is divergence too
     if config.spatial_dims == 1:
-        quad = observables.UniformMeshQuadrature(grid, config.n_uniform)
+        quad = observables._shared_quadrature(grid, config.n_uniform)
 
         def record(t, work):
             return quad.append_row_from_work(series, t, work, consts), None

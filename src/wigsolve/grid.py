@@ -351,9 +351,11 @@ class WignerState:
 
 
 def uniform_mesh(lo: float, hi: float, n: int) -> np.ndarray:
-    """Cell-centered evaluation points lo + (i - 1/2)(hi - lo)/n, i = 1..n."""
+    """Cell-centered evaluation points lo + (i - 1/2)(hi - lo)/n, i = 1..n:
+    the uniform mesh of n = N_um cells."""
+    _check_count("N_um", n)
     if n < 1:
-        raise ParameterError(f"mesh size must be positive, got {n}")
+        raise ParameterError(f"N_um must be positive, got {n}")
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 

@@ -19,13 +19,20 @@ inverse-power C depend on |w| alone, which repeats wherever 2x +- nu~ does,
 so their tables evaluate C once per distinct |w| of both signs
 (_even_difference).  The log C diverges but its difference is
 s_nu = (H/hbar) [Cin(|w+| L_k) - Cin(|w-| L_k)], with
-Cin(u) = gamma + ln u - Ci(u) (DLMF 6.2.2).  The discrete-sum route's window
-transform vanishes on its lattice y = zeta pi/L_k but at one point per mode,
-so s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar.  Every table
-holds the real s (c = i s) on the rfft bins alone; s_0 = 0 keeps the marginal,
-and the odd kernel's s_{-nu} = -s_nu, implied, keeps the kernel substep real.
+Cin(u) = gamma + ln u - Ci(u) (DLMF 6.2.2), a difference of the same form:
+the log table, too, evaluates Cin(|w| L_k) once per distinct |w|.  The
+discrete-sum route's window transform vanishes on its lattice
+y = zeta pi/L_k but at one point per mode, so
+s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar.  Every table holds
+the real s (c = i s) on the rfft bins alone; s_0 = 0 keeps the marginal, and
+the odd kernel's s_{-nu} = -s_nu, implied, keeps the kernel substep real.
 One rule, check_route, says which potentials each route tabulates on which
 grid; both table builders and dynamics.SimulationConfig call it.
+
+The table cache here is the package's one cache of values derived from a
+grid: the kernel tables and the uniform-mesh quadratures of
+observables.UniformMeshQuadrature, filled by _cached under one byte bound
+and emptied by clear_table_cache.
 """
 
 from __future__ import annotations
@@ -242,10 +249,19 @@ def _k_cos_moment(w: np.ndarray, sin_wL: np.ndarray, sin_half: np.ndarray,
 
 def _even_difference(C, wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
     """C(|w+|) - C(|w-|) for a transform C of |w| alone, with one call of C
-    on the distinct |w| of both arrays, scattered back by the inverse index."""
-    both = np.stack([wp, wm])
-    w, inverse = np.unique(np.abs(both, out=both).ravel(), return_inverse=True)
-    vals = C(w)[inverse].reshape(both.shape)
+    on the distinct |w| of both arrays, in ascending order.  One sort finds
+    them; each value is repeated over its run of equal |w| and scattered
+    back through the sort's permutation."""
+    both = np.stack([wp, wm]).ravel()
+    np.abs(both, out=both)
+    order = np.argsort(both)
+    w = both[order]
+    first = np.empty(w.size, bool)  # where a run of equal |w| starts
+    first[0] = True
+    np.not_equal(w[1:], w[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    both[order] = np.repeat(C(w[starts]), np.diff(starts, append=w.size))
+    vals = both.reshape(2, *wp.shape)
     return vals[0] - vals[1]
 
 
@@ -296,7 +312,7 @@ def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np
         diff = _even_difference(lambda w: _gauss_cos_transform(w, spec.a, L), wp, wm)
     elif isinstance(spec, LogPotential):
         pref = spec.H / hbar
-        diff = _cin(np.abs(wp) * L) - _cin(np.abs(wm) * L)
+        diff = _even_difference(lambda w: _cin(w * L), wp, wm)
     else:  # InversePowerPotential, the last scalar family check_route admits
         pref = _inverse_power_prefactor(spec, hbar)
         beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
@@ -331,32 +347,47 @@ def _coeff_table_multidelta(
 
 # A table costs 8 B per stored bin: the bound holds about a hundred and ten
 # 45^2 x 16 x 9 multi-delta tables, or twelve hundred 2-D tables at 420 x 65.
+# A uniform-mesh quadrature at N_um = 600 on the 420 x 128 grid counts 50 kB.
 _TABLE_CACHE_BYTES = 256 * 2**20
-# (route, potential, grid, consts) -> table, least recently used first
+# (route, potential, grid, consts) -> table and ("quadrature", grid, N_um) ->
+# uniform-mesh quadrature, least recently used first
 _TABLE_CACHE: OrderedDict = OrderedDict()
 
 
 def clear_table_cache():
+    """Empty the cache of grid-derived values: kernel tables and quadratures."""
     _TABLE_CACHE.clear()
 
 
-def _cached_table(key, build) -> KernelTable:
-    """The cached table for key, or build() cached read-only as the newest.
+def _arrays(value) -> list[np.ndarray]:
+    """The arrays a cached value holds as attributes."""
+    return [a for a in vars(value).values() if isinstance(a, np.ndarray)]
 
-    Every caller shares a cached table, so its multipliers cannot be written.
-    Older tables are evicted until the cache holds _TABLE_CACHE_BYTES at
-    most, but the newest one always stays.
+
+def _nbytes(value) -> int:
+    # a view counts in full, so a value that keeps views is overcounted
+    return sum(a.nbytes for a in _arrays(value))
+
+
+def _cached(key, build):
+    """The cached value for key, or build() cached read-only as the newest.
+
+    Every caller shares a cached value (a KernelTable or a uniform-mesh
+    quadrature), so none of its arrays can be written.  Older values are
+    evicted until the cache holds _TABLE_CACHE_BYTES at most, but the newest
+    one always stays.
     """
-    table = _TABLE_CACHE.get(key)
-    if table is not None:
+    value = _TABLE_CACHE.get(key)
+    if value is not None:
         _TABLE_CACHE.move_to_end(key)
-        return table
-    table = _TABLE_CACHE[key] = build()
-    table.multipliers.flags.writeable = False
-    total = sum(t.multipliers.nbytes for t in _TABLE_CACHE.values())
+        return value
+    value = _TABLE_CACHE[key] = build()
+    for a in _arrays(value):
+        a.setflags(write=False)
+    total = sum(_nbytes(v) for v in _TABLE_CACHE.values())
     while total > _TABLE_CACHE_BYTES and len(_TABLE_CACHE) > 1:
-        total -= _TABLE_CACHE.popitem(last=False)[1].multipliers.nbytes
-    return table
+        total -= _nbytes(_TABLE_CACHE.popitem(last=False)[1])
+    return value
 
 
 def kernel_coefficients(
@@ -365,8 +396,8 @@ def kernel_coefficients(
     """Exact-route coefficient table s_nu(x) over K' = [-L_k, L_k]."""
     check_route("exact", spec, grid)
     build = _coeff_table_multidelta if isinstance(spec, MultiDeltaPotential2D) else _coeff_table_1d
-    return _cached_table(("exact", spec, grid, consts),
-                         lambda: KernelTable(build(spec, grid, consts), grid))
+    return _cached(("exact", spec, grid, consts),
+                   lambda: KernelTable(build(spec, grid, consts), grid))
 
 
 def check_route(route: str, spec: PotentialSpec, grid: PhaseSpaceGrid) -> None:
@@ -431,4 +462,4 @@ def poisson_kernel_coefficients(
         h = np.arange(grid.k.num_points // 2 + 1) * (math.pi / grid.k.length)
         s = _poisson_samples(spec, grid.x.collocation_points, h) / consts.hbar
         return KernelTable(s, grid)
-    return _cached_table(("poisson", spec, grid, consts), build)
+    return _cached(("poisson", spec, grid, consts), build)

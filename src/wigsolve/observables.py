@@ -23,6 +23,7 @@ from .errors import DomainError, ParameterError
 from .grid import (
     PhaseSpaceGrid,
     WignerState,
+    _check_count,
     _spatial_interp,
     _spatial_interp_adjoint,
     _split,
@@ -31,7 +32,7 @@ from .grid import (
     clenshaw_curtis_weights,
     uniform_mesh,
 )
-from .kernels import PhysicalConstants
+from .kernels import PhysicalConstants, _cached
 from .specfun import _gl
 
 __all__ = [
@@ -260,13 +261,17 @@ class UniformMeshQuadrature:
     field's sum and its Clenshaw-Curtis mass among them.  _row turns that
     matrix into the row's columns; the record, moments and partial_mass all
     read the field through _reduce.
+
+    An instance depends on (grid, N_um) alone.  evolve and the functions
+    below share one per (grid, N_um) from the package's cache of
+    grid-derived values (_shared_quadrature), so a shared instance is
+    read-only: none of its arrays can be written.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, n_uniform: int):
         if grid.ndim_space != 1:
             raise ParameterError("uniform-mesh observables are defined in 2-D phase space")
-        if n_uniform < 1:
-            raise ParameterError("N_um must be positive")
+        # uniform_mesh refuses an N_um that is not a positive integer
         self.grid = grid
         self.n_uniform = n_uniform
         xm, km = grid.x, grid.k
@@ -339,21 +344,29 @@ class UniformMeshQuadrature:
         return total
 
 
+def _shared_quadrature(grid: PhaseSpaceGrid, n_uniform: int) -> UniformMeshQuadrature:
+    """The quadrature of (grid, N_um), built once and shared read-only
+    through the cache of grid-derived values (kernels._cached)."""
+    _check_count("N_um", n_uniform)  # before the lookup, where 600.0 would find 600
+    return _cached(("quadrature", grid, n_uniform),
+                   lambda: UniformMeshQuadrature(grid, n_uniform))
+
+
 def resample_uniform(state: WignerState, N_um: int) -> np.ndarray:
     """Evaluate a 2-D phase-space state on the N_um x N_um cell-centered mesh."""
-    return UniformMeshQuadrature(state.grid, N_um).resample(state)
+    return _shared_quadrature(state.grid, N_um).resample(state)
 
 
 def partial_mass(state: WignerState, n_uniform: int) -> float:
     """Mass in the half-space x >= 0 (midpoint rule on the uniform mesh)."""
-    return UniformMeshQuadrature(state.grid, n_uniform).partial_mass(state)
+    return _shared_quadrature(state.grid, n_uniform).partial_mass(state)
 
 
 def uncertainty(
     state: WignerState, n_uniform: int, consts: PhysicalConstants = PhysicalConstants()
 ) -> UncertaintyResult:
     """Unnormalized moments of x and p = hbar k and their spread product."""
-    return UniformMeshQuadrature(state.grid, n_uniform).moments(state, consts)
+    return _shared_quadrature(state.grid, n_uniform).moments(state, consts)
 
 
 def error_norms(candidate: WignerState, reference: WignerState, n_uniform: int):
@@ -366,8 +379,8 @@ def error_norms(candidate: WignerState, reference: WignerState, n_uniform: int):
         or gc.k.k_max != gr.k.k_max
     ):
         raise ParameterError("states live on different physical domains")
-    qc = UniformMeshQuadrature(gc, n_uniform)
-    qr = UniformMeshQuadrature(gr, n_uniform)
+    qc = _shared_quadrature(gc, n_uniform)
+    qr = _shared_quadrature(gr, n_uniform)
     diff = qc.resample(candidate) - qr.resample(reference)
     eps2 = math.sqrt(float((diff**2).sum()) * qc.dx * qc.dk)
     eps_inf = float(np.abs(diff).max())

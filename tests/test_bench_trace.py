@@ -15,7 +15,12 @@ import pytest
 
 from wigsolve.dynamics import advect
 from wigsolve.grid import PhaseSpaceGrid, WignerState, build_spatial_mesh, build_wavenumber_mesh
-from wigsolve.kernels import InversePowerPotential, PhysicalConstants, clear_table_cache
+from wigsolve.kernels import (
+    InversePowerPotential,
+    LogPotential,
+    PhysicalConstants,
+    clear_table_cache,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -58,9 +63,9 @@ def test_sweep_flop_reads_real_sweep_calls(spans):
     ]
 
 
-def test_cold_inverse_power_table_traces_one_transform_per_distinct_w(spans):
-    # the table evaluates C once per distinct |2x +- nu~| of both signs, and
-    # the trace's point count reads that, not the table's size
+def _cold_table_points(spans, spec, transform):
+    """(point counts of the transform's spans, distinct |w|, table entries)
+    of one cold table on a grid where 2x +- nu~ repeats."""
     grid = PhaseSpaceGrid.plane(build_spatial_mesh(-6.0, 6.0, 4, 7),
                                 build_wavenumber_mesh(-np.pi, np.pi, 16))
     x = grid.x.collocation_points[:, None]
@@ -70,10 +75,24 @@ def test_cold_inverse_power_table_traces_one_transform_per_distinct_w(spans):
     tracer = spans.Tracer()
     try:
         with tracer.installed():
-            spans.kernels.kernel_coefficients(
-                InversePowerPotential(H=1.0, alpha=0.5), grid, PhysicalConstants())
+            spans.kernels.kernel_coefficients(spec, grid, PhysicalConstants())
     finally:
         clear_table_cache()
-    calls = [s for s in tracer.spans if s.name == "cos_power_integral"]
-    assert [s.info["points"] for s in calls] == [distinct]
-    assert distinct < x.size * nu.size  # the grid repeats |w|, so the count shows it
+    points = [s.info["points"] for s in tracer.spans if s.name == transform]
+    return points, distinct, x.size * nu.size
+
+
+def test_cold_inverse_power_table_traces_one_transform_per_distinct_w(spans):
+    # the table evaluates C once per distinct |2x +- nu~| of both signs, and
+    # the trace's point count reads that, not the table's size
+    points, distinct, entries = _cold_table_points(
+        spans, InversePowerPotential(H=1.0, alpha=0.5), "cos_power_integral")
+    assert points == [distinct]
+    assert distinct < entries  # the grid repeats |w|, so the count shows it
+
+
+def test_cold_log_table_traces_one_cosine_integral_per_distinct_w(spans):
+    # the log table's C is Cin(|w| L), and the trace wraps its cosine integral
+    points, distinct, entries = _cold_table_points(spans, LogPotential(H=1.0), "cosine_integral")
+    assert points == [distinct]
+    assert distinct < entries

@@ -9,10 +9,11 @@ that it settles on the right answer.  The decay is algebraic, not spectral,
 so each family pins a floor under its observed mean order, set a little
 below the order measured when the test was written (delta 1.36, log 2.02,
 inverse power 1.42 at alpha = 0.5 and 2.27 at alpha = 0.2, inverse square
-1.10).  At alpha = 0.8 the ladder does not finish: the runs at N_k = 64,
-128, 256 and the N_k = 512 reference stop at t = 3.6-3.8 with a position
-variance negative beyond round-off (only N_k = 32 finishes), so that case is
-a strict expected failure until the cause is found.
+1.10).  At alpha = 0.8 the ladder runs at Q = 40: at Q = 20 the runs at
+N_k = 64, 128, 256 and the N_k = 512 reference stop at t = 3.6-3.8 with a
+position variance negative beyond round-off, an effect of the x
+under-resolution below.  At Q = 40 every rung finishes, with L2 errors
+0.143, 0.109, 0.0776 and 0.0226 at N_k = 32 to 256 (order 0.89).
 
 The Q = 20 x grid (M = 21) is under-resolved in x: at N_k = 128 the x error
 against the same run at Q = 160 is 1.3e-1 for delta and 2.1e-2 for log
@@ -56,7 +57,6 @@ from wigsolve import (
     error_norms,
     evolve,
 )
-from wigsolve.errors import DivergenceError
 
 pytestmark = pytest.mark.acceptance
 
@@ -64,20 +64,17 @@ LADDER = (32, 64, 128, 256)
 REFERENCE_MODES = 512
 N_UNIFORM = 600
 
-# family -> (potential, floor under log2(e_32 / e_256) / 3); None: no run finishes
+# family -> (potential, floor under log2(e_32 / e_256) / 3)
 FAMILIES = {
     "delta": (DeltaPotential(H=1.0), 1.3),
     "log": (LogPotential(H=1.0), 1.9),
     "inverse_power": (InversePowerPotential(H=1.0, alpha=0.5), 1.3),
     "inverse_power_alpha0.2": (InversePowerPotential(H=1.0, alpha=0.2), 2.1),
-    "inverse_power_alpha0.8": (InversePowerPotential(H=1.0, alpha=0.8), None),
+    "inverse_power_alpha0.8": (InversePowerPotential(H=1.0, alpha=0.8), 0.7),
     "inverse_square": (InverseSquarePotential(H=1.0), 1.0),
 }
-# measured, not diagnosed: the transport instability or the x under-resolution
-DIVERGES = pytest.mark.xfail(
-    strict=True, raises=DivergenceError,
-    reason="alpha = 0.8: N_k >= 64 runs reach a negative position variance near t = 3.7",
-)
+# family -> Q of its N_k ladder where it is not 20
+LADDER_ELEMENTS = {"inverse_power_alpha0.8": 40}
 
 ELEMENT_LADDER = (20, 40, 80)
 REFERENCE_ELEMENTS = 160
@@ -100,13 +97,13 @@ def _final_state(potential, num_modes, num_elements=20, dt=0.02):
     return evolve(cfg)[0][-1]
 
 
-@pytest.mark.parametrize("family", [
-    pytest.param(f, marks=DIVERGES if FAMILIES[f][1] is None else ()) for f in FAMILIES
-])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_wavenumber_ladder_converges(family):
     potential, floor = FAMILIES[family]
-    reference = _final_state(potential, REFERENCE_MODES)
-    errors = [error_norms(_final_state(potential, n), reference, N_UNIFORM)[0] for n in LADDER]
+    Q = LADDER_ELEMENTS.get(family, 20)
+    reference = _final_state(potential, REFERENCE_MODES, num_elements=Q)
+    errors = [error_norms(_final_state(potential, n, num_elements=Q), reference, N_UNIFORM)[0]
+              for n in LADDER]
     assert all(a > b for a, b in zip(errors, errors[1:])), errors
     order = math.log2(errors[0] / errors[-1]) / math.log2(LADDER[-1] / LADDER[0])
     assert order > floor, (order, errors)

@@ -862,17 +862,22 @@ def _both_signs(grid):
     GaussianBarrier(H=1.0, a=0.5),
     InversePowerPotential(H=1.1, alpha=0.5),
     InversePowerPotential(H=0.7, alpha=0.8),
-], ids=["gaussian", "inverse_power_0.5", "inverse_power_0.8"])
+    LogPotential(H=0.9),
+], ids=["gaussian", "inverse_power_0.5", "inverse_power_0.8", "log"])
 @pytest.mark.parametrize("name", DEDUPE_GRIDS)
 def test_distinct_w_tables_equal_a_per_entry_evaluation(spec, name):
     # C depends on |w| alone, so evaluating it once per distinct |w| and
-    # scattering it back gives every entry's bits
+    # scattering it back gives every entry's bits; for the log family
+    # C(w) = Cin(|w| L)
     grid = _dedupe_grid(name)
     wp, wm = _both_signs(grid)
     L = grid.k.length
     if isinstance(spec, GaussianBarrier):
         pref = 2.0 * spec.H / (math.pi * CONSTS.hbar)
         C = lambda w: kernels._gauss_cos_transform(w, spec.a, L)
+    elif isinstance(spec, LogPotential):
+        pref = spec.H / CONSTS.hbar
+        C = lambda w: kernels._cin(np.abs(w) * L)
     else:
         pref = _inverse_power_prefactor(spec, CONSTS.hbar)
         C = lambda w: kernels.cos_power_integral(w, 1.0 - spec.alpha, L)

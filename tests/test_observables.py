@@ -304,6 +304,111 @@ def test_evolve_records_without_resampling(monkeypatch):
     assert np.isfinite(series.column("uncertainty")).all()
 
 
+def test_runs_on_one_grid_share_one_quadrature(monkeypatch):
+    # the quadrature depends on (grid, N_um) alone, so it lives in the cache
+    # of grid-derived values with the kernel tables, and clearing that cache
+    # drops it too
+    cfg = SimulationConfig(
+        x_lo=-6.0, x_hi=6.0, num_elements=4, points_per_element=9,
+        k_min=-np.pi, k_max=np.pi, num_modes=16,
+        potential=DeltaPotential(H=1.0), initial=GaussianPacketSpec(-1.0, 1.0, 1.0),
+        dt=0.05, t_final=0.1, consts=CONSTS, n_uniform=50,
+    )
+    from wigsolve import observables
+
+    built = []
+    init = observables.UniformMeshQuadrature.__init__
+
+    def spy(self, grid, n_uniform):
+        built.append((grid, n_uniform))
+        init(self, grid, n_uniform)
+
+    monkeypatch.setattr(observables.UniformMeshQuadrature, "__init__", spy)
+    clear_table_cache()
+    try:
+        first = evolve(cfg)[1]
+        second = evolve(cfg)[1]
+        assert len(built) == 1
+        clear_table_cache()
+        evolve(cfg)
+        assert len(built) == 2
+    finally:
+        clear_table_cache()
+    for name in ("total_mass", "mean_x", "uncertainty"):
+        np.testing.assert_array_equal(first.column(name), second.column(name))
+
+
+def test_a_shared_quadrature_cannot_be_written():
+    from wigsolve.observables import _shared_quadrature
+
+    grid = small_grid()
+    clear_table_cache()
+    try:
+        q = _shared_quadrature(grid, 40)
+        assert _shared_quadrature(grid, 40) is q
+        arrays = [a for a in vars(q).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 10
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+    finally:
+        clear_table_cache()
+
+
+def test_shared_quadrature_functions_match_a_fresh_quadrature():
+    grid = small_grid()
+    a = init_gaussian(grid, GaussianPacketSpec(x0=0.4, k0=0.5, sigma=0.8))
+    b = WignerState(grid, np.random.default_rng(11).random(grid.shape))
+    clear_table_cache()
+    try:
+        for _ in range(2):  # the first call builds the shared quadrature, the second reads it
+            fresh = UniformMeshQuadrature(grid, 40)
+            np.testing.assert_array_equal(resample_uniform(a, 40), fresh.resample(a))
+            assert partial_mass(a, 40) == fresh.partial_mass(a)
+            assert uncertainty(a, 40, CONSTS) == fresh.moments(a, CONSTS)
+            diff = fresh.resample(a) - fresh.resample(b)
+            want = (math.sqrt(float((diff**2).sum()) * fresh.dx * fresh.dk),
+                    float(np.abs(diff).max()))
+            assert error_norms(a, b, 40) == want
+    finally:
+        clear_table_cache()
+
+
+@pytest.mark.parametrize("n_uniform", [40.0, True, np.float64(40.0), "40"],
+                         ids=["float", "bool", "numpy-float", "str"])
+def test_uniform_mesh_functions_refuse_a_non_integral_N_um(n_uniform):
+    from wigsolve.grid import uniform_mesh
+
+    grid = small_grid()
+    state = WignerState(grid, np.ones(grid.shape))
+    calls = {
+        "UniformMeshQuadrature": lambda: UniformMeshQuadrature(grid, n_uniform),
+        "uniform_mesh": lambda: uniform_mesh(-1.0, 1.0, n_uniform),
+        "partial_mass": lambda: partial_mass(state, n_uniform),
+        "uncertainty": lambda: uncertainty(state, n_uniform, CONSTS),
+        "error_norms": lambda: error_norms(state, state, n_uniform),
+        "resample_uniform": lambda: resample_uniform(state, n_uniform),
+    }
+    clear_table_cache()
+    try:
+        partial_mass(state, 40)  # an equal integral N_um in the cache must not answer
+        for name, call in calls.items():
+            with pytest.raises(ParameterError, match="N_um must be an integer"):
+                call()
+    finally:
+        clear_table_cache()
+
+
+@pytest.mark.parametrize("n_uniform", [0, -3])
+def test_uniform_mesh_functions_refuse_a_mesh_without_cells(n_uniform):
+    grid = small_grid()
+    state = WignerState(grid, np.ones(grid.shape))
+    for call in (lambda: UniformMeshQuadrature(grid, n_uniform),
+                 lambda: partial_mass(state, n_uniform)):
+        with pytest.raises(ParameterError, match=f"N_um must be positive, got {n_uniform}"):
+            call()
+
+
 def test_constant_field_mass():
     grid = small_grid()
     state = WignerState(grid, np.full(grid.shape, 0.7))
