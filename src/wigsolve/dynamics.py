@@ -965,8 +965,11 @@ def evolve(config: SimulationConfig):
     snap_at = _snapshot_steps(config)
 
     # reservoir inflow: the wavenumber profile of the initial data feeds the
-    # inflow boundaries (averaged over x in 2-D; 4-D data are uniform in x)
-    background = values.mean(axis=0) if config.spatial_dims == 1 else values[0, 0].copy()
+    # inflow boundaries (averaged over x in 2-D; 4-D data are uniform in x);
+    # zero inflow reads none of the field
+    background = None
+    if config.inflow == "background":
+        background = values.mean(axis=0) if config.spatial_dims == 1 else values[0, 0].copy()
     # the field is held once, in the first work layout, and read there: in
     # 2-D at the head of a buffer with the stepper's room (_room).  A
     # step-less 4-D run reads its initial data as they are (a read-only
@@ -1006,8 +1009,7 @@ def evolve(config: SimulationConfig):
     # the work layout is the field from here on, and the stepper's tables and
     # scratch are built without the natural layout alive
     del values
-    stepper = _Stepper(grid, table, consts, stages,
-                       background if config.inflow == "background" else None, symmetrized)
+    stepper = _Stepper(grid, table, consts, stages, background, symmetrized)
     for i in range(n_steps + 1):
         if i:
             work = stepper.advance(work)

@@ -29,13 +29,17 @@ __all__ = [
 
 
 def _cgl_reference_nodes(M: int) -> np.ndarray:
-    """Chebyshev-Gauss-Lobatto nodes on [-1, 1], ascending, endpoints exact."""
-    j = np.arange(M)
-    nodes = -np.cos(j * np.pi / (M - 1))
+    """Chebyshev-Gauss-Lobatto nodes on [-1, 1], ascending, endpoints exact.
+
+    The odd form sin(pi (2j - n) / 2n), n = M - 1 (Trefethen's cheb.m), not
+    -cos(j pi / n): its argument is negated exactly under j -> n - j and sin
+    is odd in IEEE arithmetic, so nodes[::-1] == -nodes bit for bit, with
+    the middle node of an odd M exactly 0.
+    """
+    n = M - 1
+    nodes = np.sin(np.pi * (2 * np.arange(M) - n) / (2 * n))
     nodes[0] = -1.0
     nodes[-1] = 1.0
-    if M % 2 == 1:
-        nodes[M // 2] = 0.0
     return nodes
 
 
@@ -116,14 +120,27 @@ def _check_real(name: str, value) -> None:
 
 
 def build_spatial_mesh(X_L: float, X_R: float, Q: int, M: int) -> SpatialMesh:
+    """Q equal elements on [X_L, X_R] with M CGL nodes each.
+
+    Nodes ascend within each element, the domain ends are exact, and the
+    nodes an element shares with its neighbours equal their boundary bit for
+    bit.  On a symmetric domain, X_L = -X_R, the mesh is its own mirror
+    image bit for bit: collocation_points[::-1] == -collocation_points and
+    element_boundaries[::-1] == -element_boundaries.  The boundaries
+    (X_R q - X_L (q - Q)) / Q are then exactly antisymmetric under
+    q -> Q - q, the element midpoints and half-widths follow, and the
+    reference nodes are odd (_cgl_reference_nodes).  The kernel tables of
+    even potentials read that symmetry (kernels._odd_in_x).
+    """
     _check_count("Q", Q)
     _check_count("M", M)
     if not (np.isfinite(X_L) and np.isfinite(X_R)) or X_L >= X_R:
         raise ParameterError(f"degenerate spatial domain [{X_L}, {X_R}]")
     if Q < 1 or M < 3:
         raise ParameterError(f"need Q >= 1 and M >= 3, got Q={Q}, M={M}")
-    boundaries = X_L + (X_R - X_L) * np.arange(Q + 1) / Q
-    boundaries[-1] = X_R
+    q = np.arange(Q + 1)
+    boundaries = (X_R * q - X_L * (q - Q)) / Q
+    boundaries[0], boundaries[-1] = X_L, X_R
     ref = _cgl_reference_nodes(M)
     mid = 0.5 * (boundaries[:-1] + boundaries[1:])
     half = 0.5 * (boundaries[1:] - boundaries[:-1])

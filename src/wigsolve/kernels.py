@@ -23,7 +23,14 @@ Cin(u) = gamma + ln u - Ci(u) (DLMF 6.2.2), a difference of the same form:
 the log table, too, evaluates Cin(|w| L_k) once per distinct |w|.  The
 discrete-sum route's window transform vanishes on its lattice
 y = zeta pi/L_k but at one point per mode, so
-s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar.  Every table holds
+s_nu(x) = [V(x + nu pi/L_k) - V(x - nu pi/L_k)] / hbar.  Every 2-D family
+is even about x = 0, so its table is odd in x on both routes:
+s_nu(-x) = -s_nu(x).  On a mesh that is its own mirror image bit for bit
+(any symmetric domain, grid.build_spatial_mesh) both builders evaluate the
+rows with x >= 0 alone and fill the others with their negated mirror images
+(_odd_in_x); the sines, |w| and differences above are exactly odd or even
+in IEEE arithmetic, so those rows carry the bits a full build gives them,
+and the distinct-|w| pass sorts half the entries.  Every table holds
 the real s (c = i s) on the rfft bins alone; s_0 = 0 keeps the marginal, and
 the odd kernel's s_{-nu} = -s_nu, implied, keeps the kernel substep real.
 One rule, check_route, says which potentials each route tabulates on which
@@ -291,34 +298,60 @@ def _gauss_cos_transform(w: np.ndarray, a: float, L: float) -> np.ndarray:
     return math.sqrt(math.pi) / (2.0 * r) * out
 
 
-def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np.ndarray:
-    x, freqs, L = grid.x.collocation_points, _bin_frequencies(grid.k), grid.k.length
-    hbar = consts.hbar
-    wp = 2.0 * x[:, None] + freqs[None, :]
-    wm = 2.0 * x[:, None] - freqs[None, :]
+def _odd_in_x(x: np.ndarray, rows) -> np.ndarray:
+    """The table rows(x) (x.size, bins) of an even potential, whose table is
+    odd in x: s_nu(-x) = -s_nu(x).
 
-    if isinstance(spec, DeltaPotential):
-        pref = 2.0 * spec.H / (math.pi * hbar)
-        # nu~ L = 2 pi nu, so sin(w+- L) = sin(2 x L): one sin per x row
-        sin_row = np.sin(2.0 * x * L)[:, None]
-        diff = _sinc_L_shared(wp, sin_row, L) - _sinc_L_shared(wm, sin_row, L)
-    elif isinstance(spec, InverseSquarePotential):
-        pref = -4.0 * spec.H / hbar
-        # sin(w+- L) = sin(2 x L) and sin(w+- L/2) = (-1)^nu sin(x L): per x row
-        sin_row, sin_half = np.sin(2.0 * x * L)[:, None], np.sin(x * L)[:, None]
-        diff = _k_cos_moment(wp, sin_row, sin_half, L) - _k_cos_moment(wm, sin_row, sin_half, L)
-    elif isinstance(spec, GaussianBarrier):
-        pref = 2.0 * spec.H / (math.pi * hbar)
-        diff = _even_difference(lambda w: _gauss_cos_transform(w, spec.a, L), wp, wm)
-    elif isinstance(spec, LogPotential):
-        pref = spec.H / hbar
-        diff = _even_difference(lambda w: _cin(w * L), wp, wm)
-    else:  # InversePowerPotential, the last scalar family check_route admits
-        pref = _inverse_power_prefactor(spec, hbar)
-        beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
-        # looked up at call time, where the layer trace wraps it
-        diff = _even_difference(lambda w: cos_power_integral(w, beta, L), wp, wm)
-    return pref * diff
+    rows must evaluate each x on its own, from x alone, through operations
+    that are exactly odd or even in IEEE arithmetic (negation, abs, sin,
+    subtraction), and the potential must be even: every family but the
+    multi-delta one is.  When the mesh is its own mirror image, x[::-1] ==
+    -x exactly (a symmetric domain, grid.build_spatial_mesh), only the
+    rows with x >= 0 are evaluated, the x = 0 row among them when x.size is
+    odd, and the others are their negated mirror images: the same bits as
+    rows(x) but for the sign of a zero.  Any other mesh evaluates every row.
+    """
+    if not np.array_equal(x[::-1], -x):
+        return rows(x)
+    half = x.size // 2  # the first row with x >= 0
+    upper = rows(x[half:])
+    out = np.empty((x.size,) + upper.shape[1:])
+    out[half:] = upper
+    np.negative(upper[::-1][:half], out=out[:half])
+    return out
+
+
+def _coeff_table_1d(spec, grid: PhaseSpaceGrid, consts: PhysicalConstants) -> np.ndarray:
+    freqs, L = _bin_frequencies(grid.k), grid.k.length
+    hbar = consts.hbar
+
+    def rows(x):
+        wp = 2.0 * x[:, None] + freqs[None, :]
+        wm = 2.0 * x[:, None] - freqs[None, :]
+        if isinstance(spec, DeltaPotential):
+            pref = 2.0 * spec.H / (math.pi * hbar)
+            # nu~ L = 2 pi nu, so sin(w+- L) = sin(2 x L): one sin per x row
+            sin_row = np.sin(2.0 * x * L)[:, None]
+            diff = _sinc_L_shared(wp, sin_row, L) - _sinc_L_shared(wm, sin_row, L)
+        elif isinstance(spec, InverseSquarePotential):
+            pref = -4.0 * spec.H / hbar
+            # sin(w+- L) = sin(2 x L) and sin(w+- L/2) = (-1)^nu sin(x L): per x row
+            sin_row, sin_half = np.sin(2.0 * x * L)[:, None], np.sin(x * L)[:, None]
+            diff = (_k_cos_moment(wp, sin_row, sin_half, L)
+                    - _k_cos_moment(wm, sin_row, sin_half, L))
+        elif isinstance(spec, GaussianBarrier):
+            pref = 2.0 * spec.H / (math.pi * hbar)
+            diff = _even_difference(lambda w: _gauss_cos_transform(w, spec.a, L), wp, wm)
+        elif isinstance(spec, LogPotential):
+            pref = spec.H / hbar
+            diff = _even_difference(lambda w: _cin(w * L), wp, wm)
+        else:  # InversePowerPotential, the last scalar family check_route admits
+            pref = _inverse_power_prefactor(spec, hbar)
+            beta = 1.0 - spec.alpha  # exponent of |k| in the kernel denominator
+            # looked up at call time, where the layer trace wraps it
+            diff = _even_difference(lambda w: cos_power_integral(w, beta, L), wp, wm)
+        return pref * diff
+    return _odd_in_x(grid.x.collocation_points, rows)
 
 
 def _coeff_table_multidelta(
@@ -460,6 +493,7 @@ def poisson_kernel_coefficients(
 
     def build():
         h = np.arange(grid.k.num_points // 2 + 1) * (math.pi / grid.k.length)
-        s = _poisson_samples(spec, grid.x.collocation_points, h) / consts.hbar
+        s = _odd_in_x(grid.x.collocation_points,
+                      lambda x: _poisson_samples(spec, x, h) / consts.hbar)
         return KernelTable(s, grid)
     return _cached(("poisson", spec, grid, consts), build)

@@ -6,7 +6,10 @@ integral; `_cpi_tail` is the direct lobe-by-lobe evaluation of
 int_L^inf cos(w k) k^(-a) dk, summed by the Cohen-Villegas-Zagier
 acceleration `_cvz_alternating` over `_CPI_CVZ_TERMS` lobes, that
 `wigsolve.specfun` used before its continued fraction, kept verbatim, and
-`cos_power_integral_lobes` is the whole integral built on it.
+`cos_power_integral_lobes` is the whole integral built on it;
+`cos_power_integral_mpmath` is that integral in closed form through mpmath's
+incomplete gamma function at 40 digits, the reference for every alpha where
+the lobe sum's tail falls short.
 `_gauss_cos_transform` (Gauss-Legendre panels), `_coeff_table_multidelta` (a
 loop over the delta points) and `poisson_lattice_sum` (the dense lattice sum
 of the discrete-sum route, with its sampler `_poisson_samples`) are the
@@ -148,6 +151,22 @@ def cos_power_integral_lobes(omega, alpha: float, L: float) -> np.ndarray:
     half_line = math.gamma(1.0 - alpha) * math.sin(0.5 * math.pi * alpha) * wt ** (alpha - 1.0)
     out[~small] = half_line - _cpi_tail(wt, alpha, L, _CPI_CVZ_TERMS)
     return out
+
+
+def cos_power_integral_mpmath(omega, alpha: float, L: float) -> np.ndarray:
+    """int_0^L cos(omega k) k^(-alpha) dk = Re[(-i w)^(alpha-1) gamma(1-alpha,
+    -i w L)], w = |omega| > 0, the lower incomplete gamma function by
+    mpmath.gammainc at 40 digits, rounded to float."""
+    import mpmath  # a test extra: only the tests that call this need it
+
+    with mpmath.workdps(40):
+        a = 1 - mpmath.mpf(alpha)
+        L = mpmath.mpf(L)
+
+        def value(w):
+            z = -1j * mpmath.mpf(abs(w))
+            return float(mpmath.re(z ** -a * mpmath.gammainc(a, 0, z * L)))
+        return np.array([value(w) for w in np.ravel(omega)]).reshape(np.shape(omega))
 
 
 def _panel_estimates(f, a: float, b: float, nodes, weights) -> float:

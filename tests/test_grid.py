@@ -42,6 +42,43 @@ def test_reference_grid_20_cells():
     assert np.all(np.diff(pts, axis=1) > 0)
 
 
+def _assert_mesh_layout(mesh, X_L, X_R):
+    # ascending nodes, exact ends, shared nodes equal to their boundary bit for bit
+    b, pts = mesh.element_boundaries, mesh.points_by_element
+    assert b[0] == X_L and b[-1] == X_R
+    assert np.all(np.diff(b) > 0) and np.all(np.diff(pts, axis=1) > 0)
+    np.testing.assert_array_equal(pts[:, 0], b[:-1])
+    np.testing.assert_array_equal(pts[:, -1], b[1:])
+
+
+# odd M, odd Q*M, even Q with a node at 0 twice, and non-dyadic X
+@pytest.mark.parametrize("X, Q, M", [
+    (30.0, 20, 21), (0.7, 3, 5), (7.3, 5, 9), (7.3, 4, 6), (0.7, 7, 3), (30.0, 160, 21),
+    (1.0, 1, 4), (2.9, 11, 14),
+])
+def test_symmetric_domains_give_bitwise_mirror_meshes(X, Q, M):
+    mesh = build_spatial_mesh(-X, X, Q, M)
+    _assert_mesh_layout(mesh, -X, X)
+    x, b = mesh.collocation_points, mesh.element_boundaries
+    np.testing.assert_array_equal(x[::-1], -x)
+    np.testing.assert_array_equal(b[::-1], -b)
+    if Q * M % 2:
+        assert x[x.size // 2] == 0.0
+    # the odd sine form moves no node by more than round-off from -cos(j pi / n)
+    n = M - 1
+    ref = -np.cos(np.arange(M) * np.pi / n)
+    mid = 0.5 * (b[:-1] + b[1:])[:, None]
+    half = 0.5 * np.diff(b)[:, None]
+    np.testing.assert_allclose(mesh.points_by_element, mid + half * ref, rtol=0, atol=4e-15 * X)
+
+
+@pytest.mark.parametrize("X_L, X_R, Q, M", [
+    (-29.3, 31.7, 20, 21), (0.0, 2.0, 3, 5), (0.3, 7.7, 7, 4), (-5.0, -1.3, 9, 6),
+])
+def test_asymmetric_domains_keep_the_mesh_layout(X_L, X_R, Q, M):
+    _assert_mesh_layout(build_spatial_mesh(X_L, X_R, Q, M), X_L, X_R)
+
+
 @pytest.mark.parametrize("bad", [(-1, 1, 0, 5), (-1, 1, 4, 2), (2, 2, 4, 5), (3, -3, 4, 5)])
 def test_mesh_parameter_errors(bad):
     with pytest.raises(ParameterError):

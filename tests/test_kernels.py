@@ -838,8 +838,9 @@ def test_table_cache_evicts_least_recently_used(monkeypatch):
     clear_table_cache()
 
 
-# the families2d grid, where 2x +- nu~ repeats across elements (4 392
-# distinct |w| among 54 600 entries), and one where almost none repeat
+# the families2d grid, where 2x +- nu~ repeats across elements (4 157
+# distinct |w| among 54 600 entries), and one where almost none repeat, on
+# an asymmetric domain, so its tables take the all-rows path
 DEDUPE_GRIDS = {
     "families2d": ((-30.0, 30.0), (-np.pi, np.pi)),
     "no-repeats": ((-29.3, 31.7), (-3.0, 3.3)),
@@ -926,3 +927,72 @@ def test_inverse_square_row_sines_match_per_entry_sines():
     ref = -4.0 * spec.H / CONSTS.hbar * (moment(wp) - moment(wm))
     s = kernel_coefficients(spec, grid, CONSTS).multipliers
     assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# the seven 2-D (family, route) builds of TABLE_CASES, the Gaussian also narrow
+MIRROR_CASES = {name: case[:2] for name, case in TABLE_CASES.items() if len(case[3]) == 2}
+MIRROR_CASES["gaussian_narrow"] = (kernel_coefficients, GaussianBarrier(H=-0.8, a=0.05))
+# symmetric meshes with an even row count (a node at x = 0 twice, at a shared
+# boundary), an odd one (x = 0 once) and the families2d one
+MIRROR_GRIDS = {
+    "24-rows": lambda: plane_grid(X=0.7, Q=4, M=6, N=8),
+    "45-rows": lambda: plane_grid(X=7.3, Q=5, M=9, N=16),
+    "420-rows": lambda: _dedupe_grid("families2d"),
+}
+
+
+def _bits(a):
+    """The bits of a float array, a zero's sign aside (adding +0.0 clears it)."""
+    return (a + 0.0).view(np.int64)
+
+
+def _built_row_by_row(route, spec, grid, monkeypatch):
+    # every row evaluated on its own, with no mirror
+    monkeypatch.setattr(kernels, "_odd_in_x", lambda x, rows: np.concatenate(
+        [rows(x[i : i + 1]) for i in range(x.size)]))
+    clear_table_cache()
+    try:
+        return route(spec, grid, CONSTS).multipliers
+    finally:
+        clear_table_cache()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("route, spec", MIRROR_CASES.values(), ids=MIRROR_CASES.keys())
+@pytest.mark.parametrize("mesh", MIRROR_GRIDS)
+def test_mirror_built_tables_are_odd_and_equal_a_row_by_row_build(route, spec, mesh,
+                                                                  monkeypatch):
+    grid = MIRROR_GRIDS[mesh]()
+    clear_table_cache()
+    try:
+        s = route(spec, grid, CONSTS).multipliers
+    finally:
+        clear_table_cache()
+    np.testing.assert_array_equal(_bits(s[::-1]), _bits(-s))
+    np.testing.assert_array_equal(_bits(s), _bits(_built_row_by_row(route, spec, grid,
+                                                                    monkeypatch)))
+
+
+@pytest.mark.parametrize("name", DEDUPE_GRIDS)
+def test_only_a_mirror_mesh_skips_the_rows_below_zero(name, monkeypatch):
+    grid = _dedupe_grid(name)
+    x = grid.x.collocation_points
+    evaluated = []
+
+    def spy(spec, x, h):
+        evaluated.append(x.copy())
+        return samples(spec, x, h)
+
+    samples = kernels._poisson_samples
+    monkeypatch.setattr(kernels, "_poisson_samples", spy)
+    clear_table_cache()
+    try:
+        poisson_kernel_coefficients(LogPotential(H=1.0), grid, CONSTS)
+    finally:
+        clear_table_cache()
+    [rows] = evaluated
+    if name == "no-repeats":  # an asymmetric domain: every row, as they are
+        np.testing.assert_array_equal(rows, x)
+    else:
+        np.testing.assert_array_equal(rows, x[x.size // 2 :])
+        assert rows.min() == 0.0

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from oracles import QuadSpec, cos_power_integral_lobes, fresnel_c, oscillatory_quad
+from oracles import (
+    QuadSpec,
+    cos_power_integral_lobes,
+    cos_power_integral_mpmath,
+    fresnel_c,
+    oscillatory_quad,
+)
 from wigsolve import specfun
 from wigsolve.errors import AccuracyError, DomainError, ParameterError
 from wigsolve.specfun import cos_power_integral, cosine_integral
@@ -259,5 +265,20 @@ def test_cpi_tail_matches_direct_lobe_sum(alpha, L):
     omega = omega[omega * L > 12.0]
     np.testing.assert_allclose(
         cos_power_integral(omega, alpha, L), cos_power_integral_lobes(omega, alpha, L),
+        rtol=0, atol=1e-14,
+    )
+
+
+@pytest.mark.parametrize("L", [np.pi, 2 * np.pi])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.8])
+def test_cpi_continued_fraction_between_six_and_twelve_matches_mpmath(alpha, L):
+    # the lobe sum's 24-lobe tail is off by up to 1.4e-14 on |omega| L in
+    # (6, 12], so the closed form at 40 digits is the reference there, for
+    # every alpha, not only for alpha = 1/2 through the Fresnel identity
+    rng = np.random.default_rng(29)
+    u = np.concatenate([np.linspace(6.0, 12.0, 41)[1:], rng.uniform(6.0, 12.0, 20)])
+    omega = u / L
+    np.testing.assert_allclose(
+        cos_power_integral(omega, alpha, L), cos_power_integral_mpmath(omega, alpha, L),
         rtol=0, atol=1e-14,
     )
