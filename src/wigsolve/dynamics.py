@@ -143,7 +143,8 @@ class _SweepPlan:
     the one-sided velocity breaks the parity and quarter-turn equivariance of
     the discrete evolution.  That slice gets the symmetrized transport
     (f(x - v tau) + f(x + v tau))/2 instead: its mirrored-velocity copy
-    follows the Nk slices, with its own matrix and one more run, the last.
+    follows the Nk slices, with its own matrix and one more run, the last,
+    which writes into slice edge + 1 of the spent source.
     """
 
     def __init__(self, mesh: SpatialMesh, velocities: np.ndarray, tau: float,
@@ -175,15 +176,15 @@ class _SweepPlan:
         self.runs = [(a, b, n[a], m0[a]) for a, b in zip(cuts, cuts[1:])]
 
     def apply(self, work: np.ndarray, inflow: np.ndarray | None = None,
-              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None) -> np.ndarray:
         """The field work, (Nk, M, Q, R), shifted into out; returns out.
 
         inflow, if given, holds the (Nk, R) values read by departure points
         outside the domain; otherwise those points read 0.  out is a
-        C-contiguous buffer of work's shape that shares no memory with it;
-        with the symmetrized edge, scratch holds the mirrored slice's
-        reading, at least M*Q*R floats apart from both.  A call given none
-        allocates its own.
+        C-contiguous buffer of work's shape that shares no memory with it; a
+        call given none allocates its own.  With the symmetrized edge the
+        mirrored slice's reading overwrites slice edge + 1 of work, which
+        that slice's run has already read: work is spent.
         """
         Nk = self.num_slices
         if work.shape[0] != Nk:
@@ -198,9 +199,7 @@ class _SweepPlan:
             _shift_run(self.matrices[start:stop], work[start:stop], out[start:stop], n, m0,
                        None if inflow is None else inflow[start:stop])
         if e is not None:
-            if scratch is None:
-                scratch = np.empty(work[0].size)
-            reading = scratch[: work[0].size].reshape(work[e : e + 1].shape)
+            reading = work[e + 1 : e + 2]
             start, _, n, m0 = mirror
             _shift_run(self.matrices[start:], work[e : e + 1], reading, n, m0,
                        None if inflow is None else inflow[e : e + 1])
@@ -517,41 +516,35 @@ def _layouts(stages: list[tuple[str, float]], ndim: int) -> tuple[list[int], int
     return layouts, layout, kernel
 
 
-def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]], symmetrized_edge: bool):
+def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]):
     """The stepper's one block of floats: each kernel stage's multiplier
     table (complex, of its layout's _bins), then the scratch.  Returns the
     tables as {(length, layout): (slice, _bins)}, in order of first use,
     where the scratch starts, and the block's length.  With transports the
-    scratch holds a field and then the mirrored edge slice's reading: in 4-D
-    the field a transport's first sweep writes and the reading of either
-    sweep, in 2-D the field a sweep writes there or the reading of a sweep
-    that reads the field from there.  It also holds the spectrum of every
-    kernel layout (_bins, complex), which also holds the two rows
+    scratch holds a field: in 4-D the one a transport's first sweep writes,
+    in 2-D the one a sweep writes there.  It also holds the spectrum of
+    every kernel layout (_bins, complex), which also holds the two rows
     _multipliers needs.  A 2-D spectrum, 2*N2*(N1/2 + 1)*M*Q floats,
-    outgrows a field and its reading by at least N2*M*Q floats."""
+    outgrows a field by at least 2*N2*M*Q floats."""
     _, _, kernel = _layouts(stages, grid.ndim_space)
     tables, start = {}, 0
     for key in kernel:
         bins = _bins(grid, key[1])
         stop = start + 2 * math.prod(bins)
         tables[key], start = (slice(start, stop), bins), stop
-    points = math.prod(grid.shape)
-    transports = bool(_transport_lengths(stages))
-    field = points if transports else 0
-    slices = min(km.num_points for km in grid.wavenumber)
-    reading = points // slices if transports and symmetrized_edge else 0
+    field = math.prod(grid.shape) if _transport_lengths(stages) else 0
     spectra = (2 * math.prod(bins) for _, bins in tables.values())
-    return tables, start, start + max([field + reading, *spectra])
+    return tables, start, start + max([field, *spectra])
 
 
-def _room(grid: PhaseSpaceGrid, stages: list[tuple[str, float]], symmetrized_edge: bool) -> int:
+def _room(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> int:
     """The length of the flat buffer that a field in the first work layout
     needs (_to_work makes one) for a stepper of these stages: in 2-D that of
     the block's scratch (_block), with which it trades places at each
     transport; in 4-D the field's own (0)."""
     if grid.ndim_space == 2:
         return 0
-    _, start, length = _block(grid, stages, symmetrized_edge)
+    _, start, length = _block(grid, stages)
     return length - start
 
 
@@ -588,9 +581,8 @@ class _Stepper:
     The 2-D work layout is (Nk, M, Q), so that every sweep runs along the
     leading axis.  A 2-D field lies at the head of a flat buffer as long as
     the scratch (_room; _to_work makes one), and the two buffers trade
-    places: a transport sweeps the field into the other one, with the
-    mirrored edge slice's reading in the tail of the one it reads, and a
-    kernel substep writes its spectrum into the one the field is not in and
+    places: a transport sweeps the field into the other one, and a kernel
+    substep writes its spectrum into the one the field is not in and
     runs its middle products through the spent field.  A step, with an even
     number of transports, leaves the field in the buffer it came in.  A 4-D
     field is in L1 or L2, and advance() takes it in L1: a transport sweeps
@@ -598,8 +590,7 @@ class _Stepper:
     back into the field's array in two passes, the second into the scratch,
     and sweeps the other dimension back into the field's array, which then
     holds the other layout, so the field always stays in the caller's
-    array.  The mirrored edge slice's reading follows the swept field in the
-    scratch.  A kernel substep overwrites the field through the spectrum,
+    array.  A kernel substep overwrites the field through the spectrum,
     which the scratch holds.  The stepper also owns the inflow profiles,
     broadcast over each sweep's slabs, and each kernel layout's DFT
     matrices.  Without stages its block is empty.
@@ -633,10 +624,10 @@ class _Stepper:
         # the heap's pages (a cold families2d set-up took about 470 minor
         # faults a config with the 2-D tables allocated one by one, none with
         # the block)
-        tables, start, length = _block(grid, stages, symmetrized_edge)
+        tables, start, length = _block(grid, stages)
         block = np.empty(length)
         self.scratch = block[start:]
-        self.room = _room(grid, stages, symmetrized_edge)
+        self.room = _room(grid, stages)
         self.mults = {key: _multipliers(table, *key, block[at].view(complex).reshape(bins),
                                         self.scratch)
                       for key, (at, bins) in tables.items()}
@@ -684,16 +675,15 @@ class _Stepper:
         values = _from_work(work, self.grid, self.orders[self.end_layout])
         return WignerState(state.grid, values, state.time + dt)
 
-    def _sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int,
-               reading: np.ndarray) -> None:
+    def _sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int) -> None:
         shape = field.shape[:3] + (-1,)
-        plan.apply(field.reshape(shape), self.profiles[dim], out.reshape(shape), reading)
+        plan.apply(field.reshape(shape), self.profiles[dim], out.reshape(shape))
 
     def _transport(self, work, tau, layout):
         plans = self.plans[tau]
         if self.grid.ndim_space == 1:
-            (_, held), (out, _) = self.slots
-            self._sweep(plans[0], work, out, 0, held[work.size :])
+            out = self.slots[1][0]
+            self._sweep(plans[0], work, out, 0)
             self.slots.reverse()
             return out
         # the dimension this layout leads with into the scratch, then the
@@ -704,14 +694,13 @@ class _Stepper:
         # loop with the largest stride (on the fermi4d field 1.4 ms against
         # 3.2 ms, one core of a 2-core x86 host).
         swept = self.scratch[: work.size].reshape(work.shape)
-        reading = self.scratch[work.size :]
-        self._sweep(plans[layout], work, swept, layout, reading)
+        self._sweep(plans[layout], work, swept, layout)
         staged = work.reshape(work.shape[1:] + work.shape[:1])
         np.copyto(staged, np.moveaxis(swept, 0, -1))
         switched = swept.reshape(work.shape[::-1])
         np.copyto(switched, staged.transpose(4, 3, 2, 1, 0, 5))
         out = work.reshape(work.shape[::-1])
-        self._sweep(plans[1 - layout], switched, out, 1 - layout, reading)
+        self._sweep(plans[1 - layout], switched, out, 1 - layout)
         return out
 
     def _kernel(self, work, tau, layout):
@@ -926,16 +915,16 @@ def _snapshot_steps(config: SimulationConfig) -> dict[int, float]:
     return out
 
 
-def _working_set_4d(config: SimulationConfig, grid: PhaseSpaceGrid) -> float:
-    """Estimated peak bytes of a 4-D run: the table and what the stepper owns.
+def _working_set_4d(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> float:
+    """Estimated peak bytes of a 4-D run of these stages: the table and what
+    the stepper owns.
 
     The real kernel table over the L1 half spectrum (8 B a bin); the work
     field; and the stepper's block (_block): one complex multiplier table
     (16 B a bin of its layout's half spectrum) per distinct kernel stage
     length and layout, then the scratch.  A quarter more covers the rest.
     """
-    *_, length = _block(grid, _stage_sequence(config.scheme, config.dt),
-                        config.edge_transport == "symmetrized")
+    *_, length = _block(grid, stages)
     table = 8 * math.prod(_bins(grid, 0))  # the half spectrum in L1
     return 1.25 * (table + 8 * math.prod(grid.shape) + 8 * length)
 
@@ -950,8 +939,10 @@ def evolve(config: SimulationConfig):
     carrying the series recorded so far.
     """
     grid = config.build_grid()
+    n_steps = _step_index(config.t_final, config.dt, "t_final")
+    stages = _stage_sequence(config.scheme, config.dt) if n_steps else []
     if config.spatial_dims == 2:
-        need = _working_set_4d(config, grid)
+        need = _working_set_4d(grid, stages)
         if need > MEMORY_BUDGET_BYTES:
             raise CapacityError(
                 f"estimated working set {need/1e9:.2f} GB exceeds the memory budget"
@@ -961,7 +952,6 @@ def evolve(config: SimulationConfig):
     values = observables._initial_state(grid, config.initial, consts).values
     series = observables.ObservableSeries()
     snapshots: list = []
-    n_steps = _step_index(config.t_final, config.dt, "t_final")
     snap_at = _snapshot_steps(config)
 
     # reservoir inflow: the wavenumber profile of the initial data feeds the
@@ -974,11 +964,8 @@ def evolve(config: SimulationConfig):
     # 2-D at the head of a buffer with the stepper's room (_room).  A
     # step-less 4-D run reads its initial data as they are (a read-only
     # Fermi-Dirac broadcast stays one), never copied
-    stages = _stage_sequence(config.scheme, config.dt) if n_steps else []
-    symmetrized = config.edge_transport == "symmetrized"
     order = None if config.spatial_dims == 2 and not n_steps else _LAYOUTS[grid.ndim_space][0]
-    work = values if order is None else _to_work(values, grid, order,
-                                                 _room(grid, stages, symmetrized))
+    work = values if order is None else _to_work(values, grid, order, _room(grid, stages))
     # record(t, work) returns a sum over every entry of the field, read from
     # its k-sums (the 2-D record's unweighted row, the 4-D marginal), and in
     # 4-D the marginal, which a snapshot of that step reuses; it appends a
@@ -1009,7 +996,8 @@ def evolve(config: SimulationConfig):
     # the work layout is the field from here on, and the stepper's tables and
     # scratch are built without the natural layout alive
     del values
-    stepper = _Stepper(grid, table, consts, stages, background, symmetrized)
+    stepper = _Stepper(grid, table, consts, stages, background,
+                       config.edge_transport == "symmetrized")
     for i in range(n_steps + 1):
         if i:
             work = stepper.advance(work)

@@ -33,13 +33,17 @@ natural layout, the multiply by exp(i tau s) on the stored bins with the
 Nyquist bin at phase 0 (`multipliers_half_2d`), and irfft.
 `step_2d_natural` runs 2-D stages on the natural field layout, with no
 buffer shared between stages: each transport is one sweep-plan apply on a
-fresh work-layout copy, with its own out and scratch
+fresh work-layout copy, with its own out
 (`advect_2d_natural`), each kernel substep `kernel_2d_rfft`.
 `step_4d_natural` runs 4-D stages on the natural field layout as
 `wigsolve.dynamics` did before its alternating layouts, kept verbatim: each
 transport through three layout copies (`advect_4d_three_copies`), each
 kernel substep by scipy's rfft2 and irfft2 with multipliers from a complex
 exponential (`kernel_4d_rfft2`, `multipliers_half_4d_natural`).
+`split_step_transmission` is the physics reference of the transmitted
+fraction: a split-step Fourier Schrodinger run of the packet whose Wigner
+function `init_gaussian` gives, past a potential sampled on a fine periodic
+grid, returning the mass at x >= 0 at given times.
 """
 
 from __future__ import annotations
@@ -527,6 +531,41 @@ def wavenumber_interp_matrix(mesh: WavenumberMesh, targets) -> np.ndarray:
     return kernel
 
 
+def split_step_transmission(potential, packet, consts: PhysicalConstants, times,
+                            n: int = 2**15, x_lo: float = -100.0, x_hi: float = 100.0,
+                            dt: float = 1e-3) -> np.ndarray:
+    """Mass at x >= 0 at each of times, positive and on the lattice of dt,
+    of the Schrodinger packet psi(x) ~ exp(-(x - x0)^2/(4 sigma^2) + i k0 x),
+    whose Wigner function is init_gaussian's, past potential.value(x).
+
+    Strang splitting on n equispaced points of the periodic [x_lo, x_hi):
+    half a potential kick, the free flight exp(-i dt hbar k^2/(2m)) by FFT,
+    half a kick.  A kick is a phase, so |psi|^2 after a step needs none of
+    the outer half kicks: the loop runs one full kick between flights.  The
+    mass is the trapezoid sum on [0, x_hi) with a half weight on the x = 0
+    sample, of a packet normalized to unit discrete mass.
+    """
+    hbar, mass = consts.hbar, consts.mass
+    h = (x_hi - x_lo) / n
+    x = x_lo + h * np.arange(n)
+    psi = np.exp(-((x - packet.x0) ** 2) / (4.0 * packet.sigma**2) + 1j * packet.k0 * x)
+    psi /= math.sqrt(h * np.sum(np.abs(psi) ** 2))
+    k = 2.0 * math.pi * np.fft.fftfreq(n, h)
+    flight = np.exp(-0.5j * dt * hbar * k * k / mass)
+    kick = np.exp(-1j * dt * potential.value(x) / hbar)
+    weights = np.where(x >= 0.0, h, 0.0)
+    weights[x == 0.0] = 0.5 * h
+    steps = {round(t / dt): i for i, t in enumerate(times)}
+    out = np.empty(len(times))
+    for s in range(1, max(steps) + 1):
+        if s > 1:
+            psi *= kick
+        psi = np.fft.ifft(flight * np.fft.fft(psi))
+        if s in steps:
+            out[steps[s]] = weights @ np.abs(psi) ** 2
+    return out
+
+
 def multipliers_half_2d(table, tau: float) -> np.ndarray:
     """exp(i tau s) on the rfft bins of a (nx, Nk) field; the Nyquist bin
     stays inert."""
@@ -543,11 +582,10 @@ def kernel_2d_rfft(values: np.ndarray, mults: np.ndarray) -> np.ndarray:
 
 def advect_2d_natural(values, grid, plan, inflow):
     """Sweep a natural-layout (nx, Nk) field through its (Nk, M, Q, 1) work
-    copy into a new out, the mirrored edge reading in a scratch of its own."""
+    copy, which the sweep spends, into a new out."""
     Q, M, Nk = grid.x.num_elements, grid.x.points_per_element, grid.k.num_points
     work = values.reshape(Q, M, Nk).transpose(2, 1, 0)[..., None].copy()
-    out = plan.apply(work, None if inflow is None else inflow[:, None], np.empty_like(work),
-                     np.empty(work[0].size))
+    out = plan.apply(work, None if inflow is None else inflow[:, None], np.empty_like(work))
     return out[..., 0].transpose(2, 1, 0).reshape(values.shape)
 
 

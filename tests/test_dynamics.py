@@ -52,6 +52,7 @@ from wigsolve.kernels import (
     DeltaPotential,
     InversePowerPotential,
     KernelTable,
+    LogPotential,
     MultiDeltaPotential2D,
     PhysicalConstants,
     annulus_points,
@@ -186,6 +187,33 @@ def test_advect_refuses_symmetrized_edge_on_asymmetric_window():
         advect(state, CONSTS, 0.1, symmetrized_edge=True)
 
 
+@pytest.mark.parametrize("with_inflow", [False, True], ids=["zero", "inflow"])
+@pytest.mark.parametrize("potential", [DeltaPotential(H=1.0), LogPotential(H=1.0)],
+                         ids=["delta", "log"])
+def test_2d_step_is_parity_equivariant_only_with_the_symmetrized_edge(potential, with_inflow):
+    # the mirror image f(-x, -k) of a field, stepped with the mirrored
+    # inflow, is the mirror image of the stepped field.  On a symmetric mesh
+    # and window the nodes are their own mirror images (x reversed, k_j to
+    # k_{-j mod N_k}) but for k_min, which stands for both window ends: only
+    # the symmetrized edge transport keeps the equivariance
+    grid = PhaseSpaceGrid.plane(build_spatial_mesh(-5.0, 5.0, 4, 7),
+                                build_wavenumber_mesh(-np.pi, np.pi, 16))
+    mirror = -np.arange(16) % 16
+    rng = np.random.default_rng(11)
+    values = rng.random(grid.shape)
+    inflow = rng.random(16) if with_inflow else None
+    table = kernel_coefficients(potential, grid, CONSTS)
+    for symmetrized, bounds in ((True, (0.0, 1e-14)), (False, (0.3, 1.0))):
+        def run(f, g):
+            return step(WignerState(grid, f), table, CONSTS, 0.05, "yoshida4", g,
+                        symmetrized).values
+
+        want = run(values, inflow)[::-1, mirror]
+        got = run(values[::-1, mirror], None if inflow is None else inflow[mirror])
+        miss = np.abs(got - want).max() / np.abs(want).max()
+        assert bounds[0] <= miss <= bounds[1], (symmetrized, miss)
+
+
 # ----------------------------------------------------------------------
 # sweep plan against the two-matrix reference
 # ----------------------------------------------------------------------
@@ -303,8 +331,16 @@ def test_sweep_plan_matches_two_matrix_reference(case, R, with_inflow, edge):
     m0s = {m0 for *_, m0 in plan.runs}
     assert m0s == {"whole elements": {0}, "shared rows": {1, M - 1}}.get(case, m0s)
     want = _reference_sweep(mesh, velocities, tau, work, inflow, edge)
+    source = work.copy()
     got = plan.apply(work, inflow)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the sweep spends its source only with the edge: the mirrored reading
+    # overwrites slice edge + 1, which that slice's run has already read
+    kept = np.ones(len(work), bool)
+    if edge is not None:
+        kept[edge + 1] = False
+        assert not np.array_equal(work[edge + 1], source[edge + 1])
+    assert np.array_equal(work[kept].view(np.int64), source[kept].view(np.int64))
     if case == "whole elements":
         np.testing.assert_array_equal(got, want)  # identity matrices: a copy
 
@@ -337,16 +373,16 @@ def test_warm_sweep_allocates_a_few_kilobytes(edge):
     cfg = fd_config()
     grid = cfg.build_grid()
     work = np.random.default_rng(4).standard_normal((16, 9, 5, 720))
-    out, scratch = np.empty_like(work), np.empty(work[0].size)
+    out = np.empty_like(work)
     inflow = np.ones((16, 720))
     plans = [_sweep_plans(grid, cfg.consts, tau, edge)[0] for tau in (0.0068, -0.0018)]
     assert {m0 for plan in plans for *_, m0 in plan.runs} >= {0, 1, 8}
     for plan in plans:
-        plan.apply(work, inflow, out, scratch)
+        plan.apply(work, inflow, out)
     tracemalloc.start()
     try:
         for plan in plans:
-            plan.apply(work, inflow, out, scratch)
+            plan.apply(work, inflow, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1000,7 +1036,7 @@ def test_evolve_4d_working_set_estimate_bounds_measured_peak(Q, M, N):
     import tracemalloc
 
     cfg = fd_config(num_elements=Q, points_per_element=M, num_modes=N, t_final=0.02)
-    estimate = _working_set_4d(cfg, cfg.build_grid())
+    estimate = _working_set_4d(cfg.build_grid(), _stage_sequence(cfg.scheme, cfg.dt))
     clear_table_cache()  # a cold table build is part of the peak
     tracemalloc.start()
     try:
