@@ -18,11 +18,12 @@ order four.
 Every work layout is an axis order of the natural field split per element
 (grid._split), listed once in _LAYOUTS: one in 2-D, two in 4-D.  One pair of
 conversions (_to_work, _from_work), one stage-to-layout map (_layouts), one
-multiplier builder (_multipliers, over the spectrum shape _bins of a layout),
-one block plan (_block) and one DFT matrix builder (_dft_matrices) serve both
-dimensions.  Per dimension stay the transport's layout switch, the kernel
-substep's product form, and the record: a 2-D record is two products
-against the observables' functionals in the work layout
+multiplier builder (_multipliers, over the spectrum shape _bins of a layout,
+from one signed gather of the table, _table_rows), one block plan (_block)
+and one DFT matrix builder (_dft_matrices) serve both dimensions.  Per
+dimension stay the transport's layout switch, the kernel substep's product
+form, and the record: a 2-D record is two products against the
+observables' functionals in the work layout
 (observables.UniformMeshQuadrature), a 4-D one the spatial marginal and its
 mass (observables._marginal and _mass, read where the field lies).  Either
 also sums every entry of the field, which is evolve's finiteness check.
@@ -330,26 +331,28 @@ def _bins(grid: PhaseSpaceGrid, layout: int) -> tuple[int, ...]:
     return tuple(natural[a] for a in _LAYOUTS[2][layout])
 
 
-def _table_rows(table: KernelTable, layout: int, out: np.ndarray):
-    """Per leading bin of _bins(table.grid, layout), its row's parts as
-    (trailing index, view, sign) and the trailing indices of its Nyquist
-    bins, which get phase 0.  The table stores nu >= 0 along its last axis; a
-    bin of negative nu reads s(-nu) = -s(nu).
+def _table_rows(table: KernelTable, layout: int, out: np.ndarray) -> np.ndarray:
+    """s on every bin of out's spectrum (_bins(table.grid, layout)), written
+    into the second half of out's floats (out is complex and contiguous) in
+    out's shape, and returned.  The table stores nu >= 0 along its last
+    axis; a bin of negative nu reads s(-nu) = -s(nu).  Every Nyquist bin
+    holds 0, so its phase is 0.
 
-    In 2-D every row is first written, as s(nu) at nu = k1 + N1*k2 with
-    s(N_k - nu) negated beyond N_k/2, into the second half of the floats of
-    out (contiguous, of shape _bins), one k2 at a time, reading the table in
-    its storage order.  Row k1 of out, written after its row is read,
-    reaches only rows k1 and below there.  In 4-D a part is a strided view
-    of the table, signed -1 in an L2 row of nu2 > Nk2/2: the row Nk2 - nu2
-    at -nu1, which is bin 0, then Nk1 - 1 down to Nk1/2."""
+    In 2-D the rows are gathered one k2 at a time, as s(nu) at nu = k1 +
+    N1*k2 with s(N_k - nu) negated beyond N_k/2, reading the table in its
+    storage order.  In 4-D, L1 is one transposed copy of the table; L2
+    copies the rows of nu2 <= Nk2/2 and negates each other row nu2 from the
+    table's row Nk2 - nu2 at -nu1: bin 0, then Nk1 - 1 down to Nk1/2.  Row j
+    of out overlaps only rows j and below of the returned array, so a
+    caller that writes it after reading row j needs no table-sized
+    temporary."""
+    rows = out.view(float).reshape(-1)[out.size :].reshape(out.shape)
     split = _split(table.grid)
     if table.grid.ndim_space == 1:
         Q, M, N = split
         N1, N2 = _factors(N)
         H1 = N1 // 2 + 1
         s = table.multipliers.reshape(Q, M, -1)  # (q, m, nu)
-        rows = out.view(float).reshape(-1)[out.size :].reshape(out.shape)
         for k2 in range(N2):
             lo = N1 * k2
             stored = min(max(N // 2 + 1 - lo, 0), H1)  # the k1 with nu <= N_k/2
@@ -357,42 +360,37 @@ def _table_rows(table: KernelTable, layout: int, out: np.ndarray):
             np.copyto(into[:stored], s[..., lo : lo + stored].transpose(2, 1, 0))
             np.negative(s[..., N - lo - stored : N - lo - H1 : -1].transpose(2, 1, 0),
                         out=into[stored:])
-        nyquist = divmod(N // 2, N1)  # (k2, k1)
-        for k1, row in enumerate(rows):
-            yield ((slice(None), row, 1.0),), (nyquist[0],) if k1 == nyquist[1] else ()
-        return
+            if 0 <= N // 2 - lo < H1:
+                into[N // 2 - lo] = 0.0  # the Nyquist bin
+        return rows
     # (nu1, ..., nu2) in L1, (nu2, ..., nu1) in L2
     s = table.multipliers.reshape(split[:5] + (-1,)).transpose(_LAYOUTS[2][layout])
-    lead, *_, trail = _bins(table.grid, layout)
-    for j in range(lead):
-        if layout == 0 or j <= lead // 2:
-            parts = ((slice(None), s[j][..., :trail], 1.0),)
-        else:
-            mirrored = s[lead - j]
-            parts = ((slice(None, 1), mirrored[..., :1], -1.0),
-                     (slice(1, None), mirrored[..., : trail - 2 : -1], -1.0))
-        # the Nyquist planes: the whole row at nu = lead/2, else its last bin
-        yield parts, (slice(None),) if j == lead // 2 else (trail - 1,)
+    stored, trail = len(s), rows.shape[-1]
+    np.copyto(rows[:stored], s[..., :trail])
+    # row j >= stored (L2 only) reads the table's row len(rows) - j
+    mirrored = s[len(rows) - stored : 0 : -1]
+    np.negative(mirrored[..., :1], out=rows[stored:, ..., :1])
+    np.negative(mirrored[..., : trail - 2 : -1], out=rows[stored:, ..., 1:])
+    # the Nyquist planes: the whole middle row and every row's last bin
+    rows[len(rows) // 2] = 0.0
+    rows[..., -1] = 0.0
+    return rows
 
 
 def _multipliers(table: KernelTable, tau: float, layout: int, out: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
     """exp(i tau s_nu) on the spectrum a kernel substep multiplies in a
     layout, written into out (complex, contiguous, of shape _bins) and
-    returned: each leading bin's row is scaled from its views (_table_rows)
-    to the half angle tau s/2 in a row of scratch, which holds two, and
-    _phasor writes exp(i tau s) through the other.  No phase is written
-    through a transposed view, and no table-sized temporary exists."""
+    returned: each leading bin's row of s (_table_rows) is scaled to the
+    half angle tau s/2 in a row of scratch, which holds two, and _phasor
+    writes exp(i tau s) through the other.  No table-sized temporary
+    exists."""
     size = math.prod(out.shape[1:])
     t, d = scratch[:size], scratch[size : 2 * size]
-    phases = t.reshape(out.shape[1:])
     half = 0.5 * tau
-    for row, (parts, nyquist) in zip(out, _table_rows(table, layout, out)):
-        for at, view, sign in parts:
-            np.multiply(view, sign * half, out=phases[..., at])
-        for at in nyquist:
-            phases[..., at] = 0.0  # stays inert
-        # flat, each ufunc of _phasor sets up one loop, not one per axis
+    # flat, each ufunc sets up one loop, not one per axis
+    for row, s in zip(out, _table_rows(table, layout, out)):
+        np.multiply(s.reshape(-1), half, out=t)
         _phasor(row.reshape(-1), t, d)
     return out
 
@@ -520,12 +518,14 @@ def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]):
     """The stepper's one block of floats: each kernel stage's multiplier
     table (complex, of its layout's _bins), then the scratch.  Returns the
     tables as {(length, layout): (slice, _bins)}, in order of first use,
-    where the scratch starts, and the block's length.  With transports the
-    scratch holds a field: in 4-D the one a transport's first sweep writes,
-    in 2-D the one a sweep writes there.  It also holds the spectrum of
-    every kernel layout (_bins, complex), which also holds the two rows
-    _multipliers needs.  A 2-D spectrum, 2*N2*(N1/2 + 1)*M*Q floats,
-    outgrows a field by at least 2*N2*M*Q floats."""
+    where the scratch starts, and the block's length.  While a table is
+    built, the second half of its own slot holds s on every bin
+    (_table_rows).  With transports the scratch holds a field: in 4-D the
+    one a transport's first sweep writes, in 2-D the one a sweep writes
+    there.  It also holds the spectrum of every kernel layout (_bins,
+    complex), which also holds the two rows _multipliers needs.  A 2-D
+    spectrum, 2*N2*(N1/2 + 1)*M*Q floats, outgrows a field by at least
+    2*N2*M*Q floats."""
     _, _, kernel = _layouts(stages, grid.ndim_space)
     tables, start = {}, 0
     for key in kernel:
@@ -906,12 +906,18 @@ def _step_index(t: float, dt: float, what: str) -> int:
 
 
 def _snapshot_steps(config: SimulationConfig) -> dict[int, float]:
-    """Step index of each snapshot time, which must lie on the step lattice in [0, t_final]."""
+    """Step index of each snapshot time, which must lie on the step lattice in
+    [0, t_final]; the indices must increase strictly, so that every time
+    asked for gets its own snapshot, in the order asked for."""
     out: dict[int, float] = {}
     for t in config.snapshot_times:
         if not 0.0 <= t <= config.t_final:
             raise ParameterError(f"snapshot time {t} outside [0, t_final]")
-        out[_step_index(t, config.dt, "snapshot time")] = t
+        s = _step_index(t, config.dt, "snapshot time")
+        if out and s <= max(out):
+            raise ParameterError(f"snapshot_times must fall on strictly increasing steps;"
+                                 f" {t} follows {out[max(out)]} at dt = {config.dt}")
+        out[s] = t
     return out
 
 

@@ -43,7 +43,8 @@ exponential (`kernel_4d_rfft2`, `multipliers_half_4d_natural`).
 `split_step_transmission` is the physics reference of the transmitted
 fraction: a split-step Fourier Schrodinger run of the packet whose Wigner
 function `init_gaussian` gives, past a potential sampled on a fine periodic
-grid, returning the mass at x >= 0 at given times.
+grid, returning the mass at x >= 0 at given times.  `delta_transmission_limit`
+is the exact long-time transmitted fraction past a delta barrier.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 import scipy.fft
+import scipy.integrate
 from scipy.special import fresnel as _scipy_fresnel
 
 from wigsolve.dynamics import _sweep_plans
@@ -564,6 +566,25 @@ def split_step_transmission(potential, packet, consts: PhysicalConstants, times,
         if s in steps:
             out[steps[s]] = weights @ np.abs(psi) ** 2
     return out
+
+
+def delta_transmission_limit(H: float, packet, consts: PhysicalConstants) -> float:
+    """R(inf) = int_0^inf |phi(k)|^2 k^2/(k^2 + (m H/hbar^2)^2) dk, the mass
+    that the packet psi of split_step_transmission leaves at x >= 0 for good
+    past V = H delta(x): |phi(k)|^2 is its normalized wavenumber density, a
+    Gaussian of mean k0 and standard deviation 1/(2 sigma), and k^2/(k^2 +
+    (m H/hbar^2)^2) the plane wave's transmission probability |k/(k + i m
+    H/hbar^2)|^2.  The modes k < 0 move away from the barrier; for the
+    convergence ladders' packet at H = 1 they would add 2.9e-8."""
+    kappa = consts.mass * H / consts.hbar**2
+    spread = 0.5 / packet.sigma
+
+    def density(k):
+        return math.exp(-0.5 * ((k - packet.k0) / spread) ** 2) / (math.sqrt(2.0 * math.pi) * spread)
+
+    value, _ = scipy.integrate.quad(lambda k: density(k) * k * k / (k * k + kappa * kappa),
+                                    0.0, math.inf, epsabs=1e-13, epsrel=1e-13)
+    return value
 
 
 def multipliers_half_2d(table, tau: float) -> np.ndarray:

@@ -118,6 +118,7 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("", "potential.route = poisson\n", "discrete-sum route supports"),
     # runs that evolve would refuse fail before the echo too
     ("", "time.snapshots = 0.015\n", "snapshot time 0.015 is not on the step lattice"),
+    ("", "time.snapshots = 0.1, 0.05\n", "snapshot_times must fall on strictly increasing steps"),
     ("time.t_final = 0.1", "time.t_final = 0.12", "t_final 0.12 is not on the step lattice"),
     ("time.t_final = 0.1", "time.t_final = 0.02", "t_final 0.02 is not on the step lattice"),
     ("time.dt = 0.05\ntime.t_final = 0.1", "time.dt = 20.0\ntime.t_final = 20.0",
@@ -129,7 +130,7 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
 ], ids=["missing", "unknown", "threads", "record", "poisson-dy-0", "poisson-offset",
         "mass-ratio", "m_e", "k_B", "non-number", "inf", "nan", "snapshot", "dt-nan",
         "t_final-inf", "M-1", "N_k-odd", "kind", "scheme", "route", "inflow", "edge",
-        "poisson-delta", "snapshot-lattice", "t_final-lattice", "t_final-below-one-step",
+        "poisson-delta", "snapshot-lattice", "snapshot-order", "t_final-lattice", "t_final-below-one-step",
         "stage-length", "point-outside",
         "symmetrized-asymmetric-k", "N_um-zero"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):

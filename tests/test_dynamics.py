@@ -31,6 +31,7 @@ from wigsolve.dynamics import (
     _bins,
     _multipliers,
     _stage_sequence,
+    _table_rows,
     _sweep_plans,
     _to_work,
     _working_set_4d,
@@ -494,54 +495,95 @@ def _two_rows(grid, layout):
     return np.empty(2 * math.prod(_bins(grid, layout)[1:]))
 
 
+def _signed_bins(table, layout):
+    # s on every bin of _bins(table.grid, layout) by fancy indexing: a bin of
+    # negative nu reads -s(-nu), a Nyquist bin 0
+    s = table.multipliers
+    if table.grid.ndim_space == 1:
+        Q, M, N = _split(table.grid)
+        N1, N2 = _factors(N)
+        nu = np.arange(N)
+        full = s[:, np.minimum(nu, N - nu)]
+        full = np.where(nu > N // 2, -full, full)
+        full[:, N // 2] = 0.0
+        nu = np.arange(N1 // 2 + 1)[:, None] + N1 * np.arange(N2)  # (k1, k2)
+        return full.reshape(Q, M, N)[..., nu].transpose(2, 1, 0, 3)
+    Q1, M1, Q2, M2, Nk1, Nk2 = _split(table.grid)
+    s = s.reshape(Q1, M1, Q2, M2, Nk1, -1)
+    nu1, nu2 = np.arange(Nk1)[:, None], np.arange(Nk2)
+    mirrored = nu2 > Nk2 // 2
+    full = s[..., np.where(mirrored, -nu1 % Nk1, nu1), np.minimum(nu2, Nk2 - nu2)]
+    full = np.where(mirrored, -full, full)
+    full[..., Nk1 // 2, :] = 0.0
+    full[..., Nk2 // 2] = 0.0
+    half = full[..., : Nk2 // 2 + 1] if layout == 0 else full[..., : Nk1 // 2 + 1, :]
+    return half.transpose(_LAYOUTS[2][layout])
+
+
+@pytest.mark.parametrize("N, layout", [(4, 0), (6, 0), (38, 0), (128, 0), (None, 0), (None, 1)],
+                         ids=["N4", "N6", "N38", "N128", "L1", "L2"])
+def test_table_rows_are_s_on_every_bin_in_the_second_half_of_out(N, layout):
+    grid = uneven_tensor_grid() if N is None else grid_2d(N=N, M=5, Q=3)
+    table = _random_real_table(grid, 7)
+    out = np.empty(_bins(grid, layout), complex)
+    got = _table_rows(table, layout, out)
+    assert got.shape == out.shape and got.dtype == float
+    assert got.ctypes.data == out.ctypes.data + 8 * out.size  # the second half of out's floats
+    want = _signed_bins(table, layout)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+
 @pytest.mark.parametrize("N", [4, 6, 38, 128])
 def test_2d_multipliers_are_exp_i_tau_s_on_every_bin(N):
-    # tau s spans several turns; 4 and 6 leave N2 = 1, so every row holds
-    # one bin k2 and the last row the Nyquist bin
+    # tau s spans several turns, at either sign of tau; 4 and 6 leave N2 = 1,
+    # so every row holds one bin k2 and the last row the Nyquist bin
     grid = grid_2d(N=N, M=5, Q=3)
     table = _random_real_table(grid, N)
-    tau = 6.0
     N1, N2 = _factors(N)
     H1 = N1 // 2 + 1
     assert _bins(grid, 0) == (H1, 5, 3, N2)  # (k1, m, q, k2), bin nu = k1 + N1*k2
-    got = _multipliers(table, tau, 0, np.empty((H1, 5, 3, N2), complex), _two_rows(grid, 0))
-    half = multipliers_half_2d(table, tau)  # (nx, N/2 + 1); exp(i tau s_{-nu}) is its conjugate
-    nu = np.arange(N)
-    full = half[:, np.minimum(nu, N - nu)]
-    full[:, nu > N // 2] = full[:, nu > N // 2].conj()
-    want = full.reshape(3, 5, N2, N1)[..., :H1].transpose(3, 1, 0, 2)
-    assert np.abs(got - want).max() <= 1e-15
-    assert tau * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
-    k2, k1 = divmod(N // 2, N1)
-    np.testing.assert_array_equal(got[k1, ..., k2], 1.0)  # the Nyquist bin
+    assert 6.0 * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
+    for tau in (6.0, -6.0):
+        got = _multipliers(table, tau, 0, np.empty((H1, 5, 3, N2), complex), _two_rows(grid, 0))
+        half = multipliers_half_2d(table, tau)  # (nx, N/2 + 1); exp(i tau s_{-nu}) is its conjugate
+        nu = np.arange(N)
+        full = half[:, np.minimum(nu, N - nu)]
+        full[:, nu > N // 2] = full[:, nu > N // 2].conj()
+        want = full.reshape(3, 5, N2, N1)[..., :H1].transpose(3, 1, 0, 2)
+        assert np.abs(got - want).max() <= 1e-15
+        k2, k1 = divmod(N // 2, N1)
+        # the Nyquist bin: real part exactly 1, imaginary part a zero of either sign
+        np.testing.assert_array_equal(got[k1, ..., k2], 1.0)
 
 
 @pytest.mark.parametrize("layout", [0, 1], ids=["L1", "L2"])
 def test_4d_multipliers_are_exp_i_tau_s_on_every_bin(layout):
     grid = uneven_tensor_grid()
     table = _random_real_table(grid, 5)
-    tau = 6.0
-    got = _multipliers(table, tau, layout, np.empty(_bins(grid, layout), complex),
-                       _two_rows(grid, layout))
     Q1, M1, Q2, M2, Nk1, Nk2 = _split(grid)
-    half = multipliers_half_4d_natural(table, tau)  # (nx1, nx2, Nk1, Nk2/2 + 1)
-    if layout == 0:
-        want = half.reshape(Q1, M1, Q2, M2, Nk1, -1)
-    else:
-        # nu1 = 0..Nk1/2 and every nu2, exp(i tau s(nu1, -nu2)) the conjugate
-        # of exp(i tau s(-nu1, nu2))
-        nu1, nu2 = np.arange(Nk1 // 2 + 1)[:, None], np.arange(Nk2)
-        mirrored = nu2 > Nk2 // 2
-        want = half[:, :, np.where(mirrored, -nu1 % Nk1, nu1), np.minimum(nu2, Nk2 - nu2)]
-        want[..., mirrored] = want[..., mirrored].conj()
-        want = want.reshape(Q1, M1, Q2, M2, Nk1 // 2 + 1, Nk2)
-    want = want.transpose(_LAYOUTS[2][layout])
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-15
-    assert tau * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
-    natural = got.transpose(np.argsort(_LAYOUTS[2][layout]))
-    np.testing.assert_array_equal(natural[..., Nk1 // 2, :], 1.0)  # the Nyquist planes
-    np.testing.assert_array_equal(natural[..., Nk2 // 2], 1.0)
+    assert 6.0 * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
+    for tau in (6.0, -6.0):
+        got = _multipliers(table, tau, layout, np.empty(_bins(grid, layout), complex),
+                           _two_rows(grid, layout))
+        half = multipliers_half_4d_natural(table, tau)  # (nx1, nx2, Nk1, Nk2/2 + 1)
+        if layout == 0:
+            want = half.reshape(Q1, M1, Q2, M2, Nk1, -1)
+        else:
+            # nu1 = 0..Nk1/2 and every nu2, exp(i tau s(nu1, -nu2)) the
+            # conjugate of exp(i tau s(-nu1, nu2))
+            nu1, nu2 = np.arange(Nk1 // 2 + 1)[:, None], np.arange(Nk2)
+            mirrored = nu2 > Nk2 // 2
+            want = half[:, :, np.where(mirrored, -nu1 % Nk1, nu1), np.minimum(nu2, Nk2 - nu2)]
+            want[..., mirrored] = want[..., mirrored].conj()
+            want = want.reshape(Q1, M1, Q2, M2, Nk1 // 2 + 1, Nk2)
+        want = want.transpose(_LAYOUTS[2][layout])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+        natural = got.transpose(np.argsort(_LAYOUTS[2][layout]))
+        # the Nyquist planes: real part exactly 1, imaginary part a zero of
+        # either sign
+        np.testing.assert_array_equal(natural[..., Nk1 // 2, :], 1.0)
+        np.testing.assert_array_equal(natural[..., Nk2 // 2], 1.0)
 
 
 @pytest.mark.parametrize("N", [4, 6, 8, 32, 38, 96, 128, 512])
@@ -920,10 +962,12 @@ def test_config_rejects_non_finite_time_parameters(bad):
     ("consts", "x"), ("num_modes", 8.0), ("n_uniform", 2.5), ("num_elements", 2.5),
     ("potential", object()), ("potential", DeltaPotential), ("dt", "0.01"), ("x_lo", "a"),
     ("k_min", None), ("snapshot_times", (0.5, "x")), ("snapshot_times", 0.5),
-    ("num_elements", True),
+    ("num_elements", True), ("snapshot_times", (0.02, 0.02)), ("snapshot_times", (0.02, 0.01)),
+    ("snapshot_times", (0.02, 0.0200000000001)),
 ], ids=["consts", "num_modes", "n_uniform", "num_elements", "potential-object",
         "potential-class", "dt-str", "x_lo-str", "k_min-none", "snapshot-str",
-        "snapshot-scalar", "num_elements-bool"])
+        "snapshot-scalar", "num_elements-bool", "snapshot-repeat", "snapshot-decrease",
+        "snapshot-one-step"])
 def test_config_refuses_at_construction_what_evolve_cannot_run(field, bad):
     with pytest.raises(ParameterError, match=field):
         delta_config(**{field: bad})

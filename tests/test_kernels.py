@@ -498,6 +498,27 @@ def test_poisson_matches_exact_for_smooth_localized_barrier():
     assert np.abs(approx.multipliers - exact.multipliers).max() < 1e-6 * scale
 
 
+@pytest.mark.parametrize("L_k, a, Q, M, N", [
+    (4.0 * math.pi, 0.5, 40, 21, 128),
+    (2.0 * math.pi, 0.5, 20, 21, 128),
+    (2.0 * math.pi, 0.25, 10, 9, 64),
+    (2.0 * math.pi, 0.1, 20, 21, 128),
+], ids=["4pi-a0.5", "2pi-a0.5", "2pi-a0.25", "2pi-a0.1"])
+def test_gaussian_poisson_route_matches_the_exact_route_within_its_edge_factor(L_k, a, Q, M, N):
+    """max|exact - Poisson| / max|exact| on [-30, 30] stays below exp(-2 a^2
+    L_k^2), the kernel's Gaussian factor exp(-2 a^2 k^2) at k = L_k: about
+    2.3e-15, 3.3e-10, 1.7e-3 and 0.26 against 5e-35, 2.7e-9, 7.2e-3 and
+    0.45.  The bound is measured, not derived, and no bound is taken below
+    the round-off of the exact table (1e-14), which the L_k = 4 pi grid
+    reaches.  A narrow barrier (a L_k small) needs the exact route."""
+    grid = PhaseSpaceGrid.plane(build_spatial_mesh(-30.0, 30.0, Q, M),
+                                build_wavenumber_mesh(-L_k / 2, L_k / 2, N))
+    spec = GaussianBarrier(H=1.0, a=a)
+    exact = kernel_coefficients(spec, grid, CONSTS).multipliers
+    gap = np.abs(poisson_kernel_coefficients(spec, grid, CONSTS).multipliers - exact).max()
+    assert gap / np.abs(exact).max() < max(math.exp(-2.0 * a * a * L_k * L_k), 1e-14)
+
+
 def test_poisson_log_fails_loudly():
     # the documented breakdown for a slowly decaying singular potential
     grid = plane_grid(X=30.0, Q=10, M=11, N=128)
