@@ -17,13 +17,14 @@ order four.
 
 Every work layout is an axis order of the natural field split per element
 (grid._split), listed once in _LAYOUTS: one in 2-D, two in 4-D.  One pair of
-conversions (_to_work, _from_work), one stage-to-layout map (_layouts), one
-multiplier builder (_multipliers, over the spectrum shape _bins of a layout,
-from one signed gather of the table, _table_rows), one block plan (_block)
-and one DFT matrix builder (_dft_matrices) serve both dimensions.  Per
-dimension stay the transport's layout switch, the kernel substep's product
-form, and the record: a 2-D record is two products against the
-observables' functionals in the work layout
+conversions (_to_work, _from_work), one stage plan (_block: the layout each
+stage finds, the multiplier tables and the stepper's one block, from one
+pass over the stages), one multiplier builder (_multipliers, over the
+spectrum shape _bins of a layout, from one signed gather of the table,
+_table_rows) and one DFT matrix builder (_dft_matrices) serve both
+dimensions.  Per dimension stay the transport's layout switch, the kernel
+substep's product form, and the record: a 2-D record is two products
+against the observables' functionals in the work layout
 (observables.UniformMeshQuadrature), a 4-D one the spatial marginal and its
 mass (observables._marginal and _mass, read where the field lies).  Either
 also sums every entry of the field, which is evolve's finiteness check.
@@ -474,67 +475,56 @@ def _real_form(matrix: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _stage_sequence(scheme: str, dt: float) -> list[tuple[str, float]]:
-    """Fused A(t/2) B(t) A(t/2) chains; adjacent transports merge."""
+    """The stages of one step, A(t/2) B(t) A(t/2) per weight t = w*dt with
+    adjacent transports fused: A(w0*dt/2), then per weight w, whose successor
+    is nxt (0.0 after the last), B(w*dt) and A(w*dt/2 + nxt*dt/2)."""
     _check_named("scheme", scheme, SCHEMES)
-    seq: list[tuple[str, float]] = []
-    for w in SCHEMES[scheme]:
-        seq += [("A", 0.5 * w * dt), ("B", w * dt), ("A", 0.5 * w * dt)]
-    fused: list[tuple[str, float]] = []
-    for kind, tau in seq:
-        if fused and fused[-1][0] == kind:
-            fused[-1] = (kind, fused[-1][1] + tau)
-        else:
-            fused.append((kind, tau))
-    return fused
-
-
-def _transport_lengths(stages: list[tuple[str, float]]) -> dict[float, None]:
-    """Distinct transport stage lengths, in order of first use."""
-    return dict.fromkeys(tau for kind, tau in stages if kind == "A")
+    weights = SCHEMES[scheme]
+    stages = [("A", 0.5 * weights[0] * dt)]
+    for w, nxt in zip(weights, weights[1:] + (0.0,)):
+        stages += [("B", w * dt), ("A", 0.5 * w * dt + 0.5 * nxt * dt)]
+    return stages
 
 
 def _check_stage_lengths(stages: list[tuple[str, float]]) -> None:
-    for tau in _transport_lengths(stages):
-        if abs(tau) > MAX_STAGE_FS:
+    for kind, tau in stages:
+        if not math.isfinite(tau):
+            raise ParameterError(f"stage length {tau} fs is not finite")
+        if kind == "A" and abs(tau) > MAX_STAGE_FS:
             raise ParameterError(f"stage length {tau} fs exceeds the configured bound")
 
 
-def _layouts(stages: list[tuple[str, float]], ndim: int) -> tuple[list[int], int, dict]:
-    """The layout (an index into _LAYOUTS[ndim]) in which each stage finds a
-    field that starts in the first, the layout the last stage leaves, and
-    the distinct (length, layout) pairs of the kernel stages in order of
-    first use, one multiplier table each.  Every 4-D transport switches L1
-    and L2; 2-D has one layout.  A step of every scheme has an even number
-    of transports, so a step starts and ends in the first layout."""
-    layouts, layout = [], 0
-    for kind, _ in stages:
-        layouts.append(layout)
-        layout = (layout + (kind == "A")) % len(_LAYOUTS[ndim])
-    kernel = dict.fromkeys((tau, at) for (kind, tau), at in zip(stages, layouts) if kind == "B")
-    return layouts, layout, kernel
-
-
 def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]):
-    """The stepper's one block of floats: each kernel stage's multiplier
-    table (complex, of its layout's _bins), then the scratch.  Returns the
-    tables as {(length, layout): (slice, _bins)}, in order of first use,
-    where the scratch starts, and the block's length.  While a table is
-    built, the second half of its own slot holds s on every bin
-    (_table_rows).  With transports the scratch holds a field: in 4-D the
-    one a transport's first sweep writes, in 2-D the one a sweep writes
-    there.  It also holds the spectrum of every kernel layout (_bins,
-    complex), which also holds the two rows _multipliers needs.  A 2-D
-    spectrum, 2*N2*(N1/2 + 1)*M*Q floats, outgrows a field by at least
-    2*N2*M*Q floats."""
-    _, _, kernel = _layouts(stages, grid.ndim_space)
-    tables, start = {}, 0
-    for key in kernel:
-        bins = _bins(grid, key[1])
-        stop = start + 2 * math.prod(bins)
-        tables[key], start = (slice(start, stop), bins), stop
-    field = math.prod(grid.shape) if _transport_lengths(stages) else 0
+    """Everything that follows from a stage list, in one pass over it: the
+    layout (an index into _LAYOUTS[ndim]) in which each stage finds a field
+    that starts in the first, the layout the last stage leaves, and the
+    stepper's one block of floats, each kernel stage's multiplier table
+    (complex, of its layout's _bins), then the scratch.  Every 4-D transport
+    switches L1 and L2; 2-D has one layout.  A step of every scheme has an
+    even number of transports, so a step starts and ends in the first
+    layout.
+
+    Returns (layouts, end layout, tables, scratch start, block length), the
+    tables as {(length, layout): (slice, _bins)}, one per distinct kernel
+    stage length and layout, in order of first use.  While a table is built,
+    the second half of its own slot holds s on every bin (_table_rows).
+    With transports the scratch holds a field: in 4-D the one a transport's
+    first sweep writes, in 2-D the one a sweep writes there.  It also holds
+    the spectrum of every kernel layout (_bins, complex), which also holds
+    the two rows _multipliers needs.  A 2-D spectrum, 2*N2*(N1/2 + 1)*M*Q
+    floats, outgrows a field by at least 2*N2*M*Q floats."""
+    layouts, layout, tables, start, field = [], 0, {}, 0, 0
+    for kind, tau in stages:
+        layouts.append(layout)
+        if kind == "A":
+            layout = (layout + 1) % len(_LAYOUTS[grid.ndim_space])
+            field = math.prod(grid.shape)
+        elif (tau, layout) not in tables:
+            bins = _bins(grid, layout)
+            tables[tau, layout] = (slice(start, start + 2 * math.prod(bins)), bins)
+            start += 2 * math.prod(bins)
     spectra = (2 * math.prod(bins) for _, bins in tables.values())
-    return tables, start, start + max([field, *spectra])
+    return layouts, layout, tables, start, start + max([field, *spectra])
 
 
 def _room(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> int:
@@ -542,10 +532,8 @@ def _room(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> int:
     needs (_to_work makes one) for a stepper of these stages: in 2-D that of
     the block's scratch (_block), with which it trades places at each
     transport; in 4-D the field's own (0)."""
-    if grid.ndim_space == 2:
-        return 0
-    _, start, length = _block(grid, stages)
-    return length - start
+    *_, start, length = _block(grid, stages)
+    return 0 if grid.ndim_space == 2 else length - start
 
 
 def _head_of(work: np.ndarray, length: int) -> np.ndarray | None:
@@ -568,30 +556,30 @@ class _Stepper:
     allocates, in 2-D or in 4-D.  table may be None without kernel stages,
     consts without transport stages.
 
-    The work layouts are _LAYOUTS[ndim] (orders): stage i finds the field in
-    orders[layouts[i]], advance() leaves it in orders[end_layout], and
-    apply() converts through them.  The inflow profiles, the multiplier
-    tables, one per (stage length, layout) over that layout's spectrum
-    (_bins, _multipliers), the block plan (_block) and each kernel layout's
-    DFT matrices (_dft_matrices) are built from them alike in both
-    dimensions.
+    The work layouts are _LAYOUTS[ndim] (orders).  One pass over the stages
+    (_block) gives the layout stage i finds the field in, orders[layouts[i]],
+    the one advance() leaves it in, orders[end_layout], and the stepper's
+    one block: every kernel stage's multipliers, one table per (stage
+    length, layout) over that layout's spectrum (_bins, _multipliers), and
+    then the scratch.  apply() converts through the layouts.  The inflow
+    profiles and each kernel layout's DFT matrices (_dft_matrices) are built
+    from them alike in both dimensions.
 
-    The stepper owns one block, every kernel stage's multipliers and then
-    the scratch (_block).
     The 2-D work layout is (Nk, M, Q), so that every sweep runs along the
-    leading axis.  A 2-D field lies at the head of a flat buffer as long as
-    the scratch (_room; _to_work makes one), and the two buffers trade
-    places: a transport sweeps the field into the other one, and a kernel
-    substep writes its spectrum into the one the field is not in and
-    runs its middle products through the spent field.  A step, with an even
-    number of transports, leaves the field in the buffer it came in.  A 4-D
-    field is in L1 or L2, and advance() takes it in L1: a transport sweeps
-    the dimension its layout leads with into the scratch, switches layouts
-    back into the field's array in two passes, the second into the scratch,
-    and sweeps the other dimension back into the field's array, which then
-    holds the other layout, so the field always stays in the caller's
-    array.  A kernel substep overwrites the field through the spectrum,
-    which the scratch holds.  The stepper also owns the inflow profiles,
+    leading axis.  A 2-D field lies at the head of a flat buffer of room
+    floats, as long as the scratch, that _to_work(..., room) makes; advance()
+    takes no other.  The two flat buffers trade places: a transport sweeps
+    the field into the other one, and a kernel substep writes its spectrum
+    into the one the field is not in and runs its middle products through
+    the spent field.  A step, with an even number of transports, leaves the
+    field in the buffer it came in.  A 4-D field is in L1 or L2, and
+    advance() takes it in L1: a transport sweeps the dimension its layout
+    leads with into the scratch, switches layouts back into the field's
+    array in two passes, the second into the scratch, and sweeps the other
+    dimension back into the field's array, which then holds the other
+    layout, so the field always stays in the caller's array.  A kernel
+    substep overwrites the field through the spectrum, which the scratch
+    holds.  The stepper also owns the inflow profiles,
     broadcast over each sweep's slabs, and each kernel layout's DFT
     matrices.  Without stages its block is empty.
 
@@ -616,18 +604,17 @@ class _Stepper:
         self.grid = grid
         self.stages = stages
         self.orders = _LAYOUTS[grid.ndim_space]
-        self.layouts, self.end_layout, _ = _layouts(stages, grid.ndim_space)
         self.plans = {tau: _sweep_plans(grid, consts, tau, symmetrized_edge)
-                      for tau in _transport_lengths(stages)}
+                      for tau in dict.fromkeys(tau for kind, tau in stages if kind == "A")}
         # one block (_block).  Freed at once, it keeps malloc's trim
         # threshold above what a run frees, so the next run or set-up reuses
         # the heap's pages (a cold families2d set-up took about 470 minor
         # faults a config with the 2-D tables allocated one by one, none with
         # the block)
-        tables, start, length = _block(grid, stages)
+        self.layouts, self.end_layout, tables, start, length = _block(grid, stages)
         block = np.empty(length)
         self.scratch = block[start:]
-        self.room = _room(grid, stages)
+        self.room = len(self.scratch) if grid.ndim_space == 1 else 0
         self.mults = {key: _multipliers(table, *key, block[at].view(complex).reshape(bins),
                                         self.scratch)
                       for key, (at, bins) in tables.items()}
@@ -642,32 +629,31 @@ class _Stepper:
 
     def advance(self, work: np.ndarray) -> np.ndarray:
         """Run every stage on a C-contiguous field in the first work layout
-        (_to_work gives one) and return the result.
+        and return the result.
 
-        A 2-D field runs in its own buffer if it heads one of room floats
-        (_head_of), else in a copy at the head of a new one.  It ends in
-        that buffer, as the field given or its copy, after an even number of
-        transports, and in the scratch otherwise.  A 4-D field, given in L1,
-        ends in end_layout in the caller's array: as that array after an
-        even number of transports, as a view of it in L2's shape otherwise.
+        A 2-D field must head a flat buffer of room floats that lies outside
+        the scratch, as _to_work(..., room) makes one; any other is refused.
+        It runs in that buffer and the scratch and ends in that buffer after
+        an even number of transports, in the scratch otherwise.  A 4-D
+        field, given in L1, ends in end_layout in the caller's array.  The
+        result is work itself when it ends in the first layout in work's
+        memory, else a view of the buffer it ends in.
         """
         field = work
         if self.room:
             held = _head_of(work, self.room)
             if held is None or np.may_share_memory(held, self.scratch):
-                held = np.empty(self.room)
-                field = held[: work.size].reshape(work.shape)
-                np.copyto(field, work)
-            # (field, its buffer), then the other buffer with the field's
-            # view of it; each transport swaps the two
-            other = self.scratch[: work.size].reshape(work.shape)
-            self.slots = [(field, held), (other, self.scratch)]
+                raise ParameterError(f"a 2-D field must head a buffer of room = {self.room}"
+                                     " floats outside the stepper's scratch")
+            # the buffer the field is in, then the other one; each transport
+            # swaps the two
+            self.buffers = [held, self.scratch]
         for (kind, tau), layout in zip(self.stages, self.layouts):
             if kind == "A":
                 field = self._transport(field, tau, layout)
             else:
                 self._kernel(field, tau, layout)
-        return work if self.grid.ndim_space == 2 and self.end_layout == 0 else field
+        return work if self.end_layout == 0 and np.may_share_memory(field, work) else field
 
     def apply(self, state: WignerState, dt: float = 0.0) -> WignerState:
         """The stages applied to a state, which is left as it is; time moves by dt."""
@@ -682,9 +668,9 @@ class _Stepper:
     def _transport(self, work, tau, layout):
         plans = self.plans[tau]
         if self.grid.ndim_space == 1:
-            out = self.slots[1][0]
+            out = self.buffers[1][: work.size].reshape(work.shape)
             self._sweep(plans[0], work, out, 0)
-            self.slots.reverse()
+            self.buffers.reverse()
             return out
         # the dimension this layout leads with into the scratch, then the
         # switch and the other dimension back into the field's array.  The
@@ -712,7 +698,7 @@ class _Stepper:
             # node) in the buffer the field is not in
             N2, N1 = len(forward), forward.shape[2]
             field = work.reshape(N1, N2, -1).transpose(1, 0, 2)
-            spec = self.slots[1][1][: 2 * mults.size].reshape(N2, 2 * len(mults), -1)
+            spec = self.buffers[1][: 2 * mults.size].reshape(N2, 2 * len(mults), -1)
             np.matmul(forward, field, out=spec)
             # the complex DFT along n2, the multiply and the inverse cannot run
             # in place: they go through the spent field, half of the columns
@@ -899,6 +885,8 @@ class SimulationConfig:
 
 def _step_index(t: float, dt: float, what: str) -> int:
     """Number of steps of length dt that end at time t, which must lie on the step lattice."""
+    if not math.isfinite(t / dt):
+        raise ParameterError(f"{what} {t} is not a finite number of steps of dt = {dt}")
     s = round(t / dt)
     if abs(s * dt - t) > 1e-9 + 1e-12 * abs(t):
         raise ParameterError(f"{what} {t} is not on the step lattice of dt = {dt}")

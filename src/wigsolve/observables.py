@@ -249,9 +249,10 @@ class UniformMeshQuadrature:
     Rk periodic sinc (N_um x N_k), both applied matrix-free
     (`grid._spatial_interp`, `grid._uniform_wavenumber_interp`).  Every
     recorded observable is then a bilinear form u^T f v in the nodal values.
-    The seven reduced vectors Rx.T w and Rk.T w come from the transposed
-    maps: the x ones scatter each target's barycentric row onto its
-    element's nodes, the k ones come from two short FFTs
+    The seven reduced vectors Rx.T w and Rk.T w, which only the two factors
+    of _reduce keep, come from the transposed maps: the x ones scatter each
+    target's barycentric row onto its element's nodes, the k ones come from
+    two short FFTs
     (`grid._spatial_interp_adjoint`, `grid._uniform_wavenumber_interp_adjoint`).
 
     A row reads the field once (_reduce): the k functionals (a row of ones,
@@ -280,17 +281,16 @@ class UniformMeshQuadrature:
         self.dx = (xm.domain_hi - xm.domain_lo) / n_uniform
         self.dk = km.length / n_uniform
         ones = np.ones(n_uniform)
-        self.u_x, self.u_x_right, self.v_x, self.v_x2 = (self.dx * self.dk) * (
+        u_x, u_x_right, v_x, v_x2 = (self.dx * self.dk) * (
             _spatial_interp_adjoint(xm, x, np.column_stack([ones, x >= 0.0, x, x**2]))
         )
         kvec = _uniform_wavenumber_interp_adjoint(km, np.column_stack([ones, k, k**2]))
-        # the two factors of the reduction (_reduce): the k functionals as
-        # rows, the x functionals as columns in the work order (m, q) of the
-        # nodes
+        # the two factors of the reduction (_reduce): the k functionals (1,
+        # u_k, v_k, v_k2) as rows, the x functionals as columns in the work
+        # order (m, q) of the nodes
         self._k_rows = np.vstack([np.ones(km.num_points), kvec])
-        self.u_k, self.v_k, self.v_k2 = self._k_rows[1:]
         x_cols = np.stack([np.ones(xm.num_points), _cc_x_weights(xm) * km.length / km.num_points,
-                           self.u_x_right, self.v_x, self.v_x2, self.u_x])
+                           u_x_right, v_x, v_x2, u_x])
         self._x_cols = _node_order(x_cols, xm).T.copy()
 
     def resample(self, state: WignerState) -> np.ndarray:

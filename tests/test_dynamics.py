@@ -179,6 +179,38 @@ def test_advect_stage_bound():
         advect(state, CONSTS, 11.0)
 
 
+@pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("run", [
+    lambda s, t, tau: advect(s, CONSTS, tau),
+    lambda s, t, tau: apply_kernel(s, t, tau),
+    lambda s, t, tau: step(s, t, CONSTS, tau, "strang"),
+], ids=["advect", "apply_kernel", "step"])
+def test_substeps_refuse_a_non_finite_stage_length(run, length):
+    # a transport of NaN fs used to return a zero field, a kernel substep NaNs
+    grid = grid_2d(N=16, M=7, Q=4)
+    table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
+    with pytest.raises(ParameterError, match=r"stage length -?(nan|inf) fs is not finite"):
+        run(init_gaussian(grid, PACKET), table, length)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05, 1 / 3, -0.02])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_stage_sequence_is_the_fused_strang_chain_bit_for_bit(scheme, dt):
+    # the reference chains A(w dt/2) B(w dt) A(w dt/2) per weight w and
+    # fuses adjacent transports by adding their lengths
+    fused = []
+    for w in SCHEMES[scheme]:
+        for kind, tau in (("A", 0.5 * w * dt), ("B", w * dt), ("A", 0.5 * w * dt)):
+            if fused and fused[-1][0] == kind:
+                fused[-1] = (kind, fused[-1][1] + tau)
+            else:
+                fused.append((kind, tau))
+    got = _stage_sequence(scheme, dt)
+    assert [kind for kind, _ in got] == [kind for kind, _ in fused]
+    assert np.array_equal(np.array([tau for _, tau in got]).view(np.int64),
+                          np.array([tau for _, tau in fused]).view(np.int64))
+
+
 def test_advect_refuses_symmetrized_edge_on_asymmetric_window():
     # an asymmetric window has no unpaired k_min node to symmetrize
     grid = PhaseSpaceGrid.plane(build_spatial_mesh(-10.0, 10.0, 4, 7),
@@ -722,7 +754,7 @@ def test_warm_2d_advance_allocates_almost_nothing(edge):
     values = init_gaussian(grid, PACKET).values
     inflow = values.mean(axis=0) if edge else None
     stepper = _Stepper(grid, table, CONSTS, _stage_sequence("yoshida4", 0.01), inflow, edge)
-    work = stepper.advance(_to_work(values, grid, _LAYOUTS[1][0]))
+    work = stepper.advance(_to_work(values, grid, _LAYOUTS[1][0], stepper.room))
     tracemalloc.start()
     try:
         for _ in range(3):
@@ -731,6 +763,49 @@ def test_warm_2d_advance_allocates_almost_nothing(edge):
     finally:
         tracemalloc.stop()
     assert peak < work.nbytes / 8, peak
+
+
+def test_2d_advance_takes_only_a_field_that_heads_a_buffer_of_room_floats():
+    # with kernel stages a bare _to_work buffer, one field long, is shorter
+    # than a spectrum; a field in the scratch lies past the block's head
+    # (the tables come first) or, without kernel stages, heads the scratch
+    grid = grid_2d(N=16, M=7, Q=4)
+    table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
+    values = init_gaussian(grid, PACKET).values
+    order = _LAYOUTS[1][0]
+    strang = _Stepper(grid, table, CONSTS, _stage_sequence("strang", 0.01))
+    lone = _Stepper(grid, None, CONSTS, [("A", 0.01)])
+    bare = _to_work(values, grid, order)
+    for stepper, work in ((strang, bare), (strang, strang.scratch[: bare.size]),
+                          (lone, lone.scratch[: bare.size])):
+        with pytest.raises(ParameterError, match=f"room = {stepper.room} floats"):
+            stepper.advance(work.reshape(bare.shape))
+    # an even number of transports ends in work itself, a lone one in the
+    # scratch
+    for stepper, even in ((strang, True), (lone, False)):
+        work = _to_work(values, grid, order, stepper.room)
+        before = work.copy()
+        out = stepper.advance(work)
+        assert (out is work) == even
+        assert np.shares_memory(out, stepper.scratch) != even
+        assert not np.array_equal(out, before)
+
+
+@pytest.mark.parametrize("stages", [[("A", 0.02)], _stage_sequence("yoshida4", 0.02)],
+                         ids=["advect", "yoshida4"])
+def test_4d_advance_ends_in_the_callers_array(stages):
+    # a step ends in L1, as work itself; a lone transport in L2, as a view
+    # of work's memory in L2's shape
+    grid = uneven_tensor_grid()
+    table = kernel_coefficients(MultiDeltaPotential2D(H=1.0, points=((0.5, -1.0),)), grid,
+                                FD_CONSTS)
+    values = np.random.default_rng(5).random(grid.shape)
+    stepper = _Stepper(grid, table, FD_CONSTS, stages)
+    work = _to_work(values, grid, _LAYOUTS[2][0], stepper.room)
+    out = stepper.advance(work)
+    assert (out is work) == (len(stages) > 1)
+    assert np.shares_memory(out, work)
+    assert out.shape == (work.shape if len(stages) > 1 else work.shape[::-1])
 
 
 @pytest.mark.parametrize("planar", [False, True], ids=["stream2d", "fermi4d"])
@@ -963,11 +1038,11 @@ def test_config_rejects_non_finite_time_parameters(bad):
     ("potential", object()), ("potential", DeltaPotential), ("dt", "0.01"), ("x_lo", "a"),
     ("k_min", None), ("snapshot_times", (0.5, "x")), ("snapshot_times", 0.5),
     ("num_elements", True), ("snapshot_times", (0.02, 0.02)), ("snapshot_times", (0.02, 0.01)),
-    ("snapshot_times", (0.02, 0.0200000000001)),
+    ("snapshot_times", (0.02, 0.0200000000001)), ("dt", 1e-320),
 ], ids=["consts", "num_modes", "n_uniform", "num_elements", "potential-object",
         "potential-class", "dt-str", "x_lo-str", "k_min-none", "snapshot-str",
         "snapshot-scalar", "num_elements-bool", "snapshot-repeat", "snapshot-decrease",
-        "snapshot-one-step"])
+        "snapshot-one-step", "dt-subnormal"])
 def test_config_refuses_at_construction_what_evolve_cannot_run(field, bad):
     with pytest.raises(ParameterError, match=field):
         delta_config(**{field: bad})

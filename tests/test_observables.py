@@ -22,6 +22,7 @@ from wigsolve.observables import (
     GaussianPacketSpec,
     ObservableSeries,
     UniformMeshQuadrature,
+    _cc_x_weights,
     error_norms,
     init_fermi_dirac_4d,
     init_gaussian,
@@ -169,24 +170,25 @@ QUADRATURE_LADDER = [
 
 @pytest.mark.parametrize("Q,M,N,n_uniform", QUADRATURE_LADDER)
 def test_reduced_vectors_match_the_dense_reductions(Q, M, N, n_uniform):
+    # the two factors a record multiplies the field by: the k functionals
+    # (1, u_k, v_k, v_k2) as rows, and the x functionals (1, the
+    # Clenshaw-Curtis mass weights, u_x_right, v_x, v_x2, u_x) as columns
+    # over the nodes in the work order (m, q)
     grid = _ladder_grid(Q, M, N)
     q = UniformMeshQuadrature(grid, n_uniform)
     x, k, cell = q.x_pts, q.k_pts, q.dx * q.dk
     Rx = spatial_interp_matrix(grid.x, x)
     Rk = wavenumber_interp_matrix(grid.k, k)
-    want = {
-        "u_x": cell * (Rx.T @ np.ones(n_uniform)),
-        "u_x_right": cell * (Rx.T @ (x >= 0.0)),
-        "v_x": cell * (Rx.T @ x),
-        "v_x2": cell * (Rx.T @ x**2),
-        "u_k": Rk.T @ np.ones(n_uniform),
-        "v_k": Rk.T @ k,
-        "v_k2": Rk.T @ k**2,
-    }
-    for name, w in want.items():
-        got = getattr(q, name)
-        assert got.shape == w.shape, name
-        assert np.linalg.norm(got - w) <= 1e-13 * np.linalg.norm(w), name
+    ones = np.ones(n_uniform)
+    k_rows = np.stack([np.ones(N), Rk.T @ ones, Rk.T @ k, Rk.T @ k**2])
+    x_cols = np.stack([np.ones(Q * M), _cc_x_weights(grid.x) * grid.k.length / N,
+                       cell * (Rx.T @ (x >= 0.0)), cell * (Rx.T @ x), cell * (Rx.T @ x**2),
+                       cell * (Rx.T @ ones)])
+    x_cols = x_cols.reshape(6, Q, M).transpose(2, 1, 0).reshape(Q * M, 6)
+    for got, want in ((q._k_rows, k_rows), (q._x_cols.T, x_cols.T)):
+        assert got.shape == want.shape
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
 
 
 def _ladder_grid(Q, M, N):
@@ -347,7 +349,7 @@ def test_a_shared_quadrature_cannot_be_written():
         q = _shared_quadrature(grid, 40)
         assert _shared_quadrature(grid, 40) is q
         arrays = [a for a in vars(q).values() if isinstance(a, np.ndarray)]
-        assert len(arrays) >= 10
+        assert len(arrays) >= 4  # the two meshes and the two factors of _reduce
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
