@@ -32,9 +32,9 @@ also sums every entry of the field, which is evolve's finiteness check.
 One stepper (_Stepper) runs the stages; it builds the sweep plans and
 multiplier tables of each distinct stage length once, and every buffer the
 stages use but the field's own: no stage allocates.  A stepped 2-D field
-runs in two spectrum-sized buffers, its own (_room) and the stepper's
-scratch: a transport sweeps it from one into the other, and a kernel
-substep writes its spectrum into the one it is not in.  Both kernel
+runs in two spectrum-sized buffers, its own (room floats, from _block) and
+the stepper's scratch: a transport sweeps it from one into the other, and a
+kernel substep writes its spectrum into the one it is not in.  Both kernel
 substeps are four matrix products against the DFT matrices _dft_matrices
 builds once per layout, the multiply between the middle two; no np.fft
 call is left.  In 2-D they factor the k axis, N_k = N1*N2 (Bailey's
@@ -91,8 +91,8 @@ _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 # advection stage lengths beyond this are treated as misconfiguration
 MAX_STAGE_FS = 10.0
 
-# a 4-D run whose estimated working set (_working_set_4d) exceeds this many
-# bytes is refused before its table is built
+# a run whose estimated working set (_working_set) exceeds this many bytes
+# is refused before its table is built
 MEMORY_BUDGET_BYTES = 8e9
 
 
@@ -298,7 +298,8 @@ _LAYOUTS = {1: ((2, 1, 0),), 2: ((4, 1, 0, 2, 3, 5), (5, 3, 2, 0, 1, 4))}
 def _to_work(values: np.ndarray, grid: PhaseSpaceGrid, order: tuple[int, ...],
              length: int = 0) -> np.ndarray:
     """A natural-layout field in the work layout order, always a private copy,
-    at the head of a new flat buffer of at least length floats (_room)."""
+    at the head of a new flat buffer of at least length floats (the room
+    _block gives)."""
     split = _split(grid)
     work = np.empty(max(length, values.size))[: values.size].reshape([split[a] for a in order])
     np.copyto(work, values.reshape(split).transpose(order))
@@ -504,10 +505,14 @@ def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]):
     even number of transports, so a step starts and ends in the first
     layout.
 
-    Returns (layouts, end layout, tables, scratch start, block length), the
-    tables as {(length, layout): (slice, _bins)}, one per distinct kernel
-    stage length and layout, in order of first use.  While a table is built,
-    the second half of its own slot holds s on every bin (_table_rows).
+    Returns (layouts, end layout, tables, scratch start, block length,
+    room), the tables as {(length, layout): (slice, _bins)}, one per
+    distinct kernel stage length and layout, in order of first use.  The
+    room is the length of the flat buffer that a field in the first layout
+    heads (_to_work makes one): in 2-D the scratch's, with which it trades
+    places at each transport; in 4-D 0, as the field stays in its own
+    array.  While a table is built, the second half of its own slot holds s
+    on every bin (_table_rows).
     With transports the scratch holds a field: in 4-D the one a transport's
     first sweep writes, in 2-D the one a sweep writes there.  It also holds
     the spectrum of every kernel layout (_bins, complex), which also holds
@@ -524,16 +529,8 @@ def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]):
             tables[tau, layout] = (slice(start, start + 2 * math.prod(bins)), bins)
             start += 2 * math.prod(bins)
     spectra = (2 * math.prod(bins) for _, bins in tables.values())
-    return layouts, layout, tables, start, start + max([field, *spectra])
-
-
-def _room(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> int:
-    """The length of the flat buffer that a field in the first work layout
-    needs (_to_work makes one) for a stepper of these stages: in 2-D that of
-    the block's scratch (_block), with which it trades places at each
-    transport; in 4-D the field's own (0)."""
-    *_, start, length = _block(grid, stages)
-    return 0 if grid.ndim_space == 2 else length - start
+    length = start + max([field, *spectra])
+    return layouts, layout, tables, start, length, length - start if grid.ndim_space == 1 else 0
 
 
 def _head_of(work: np.ndarray, length: int) -> np.ndarray | None:
@@ -611,10 +608,9 @@ class _Stepper:
         # the heap's pages (a cold families2d set-up took about 470 minor
         # faults a config with the 2-D tables allocated one by one, none with
         # the block)
-        self.layouts, self.end_layout, tables, start, length = _block(grid, stages)
+        self.layouts, self.end_layout, tables, start, length, self.room = _block(grid, stages)
         block = np.empty(length)
         self.scratch = block[start:]
-        self.room = len(self.scratch) if grid.ndim_space == 1 else 0
         self.mults = {key: _multipliers(table, *key, block[at].view(complex).reshape(bins),
                                         self.scratch)
                       for key, (at, bins) in tables.items()}
@@ -800,8 +796,8 @@ class SimulationConfig:
     property, not a field.  initial is one GaussianPacketSpec (the same
     packet along every dimension) or, in 4-D, a FermiDiracSpec; both kinds
     of data use consts, as the transport and the kernel do.  Construction
-    runs every check of evolve but the machine-dependent 4-D memory budget;
-    that includes integral grid and mesh counts, a PhysicalConstants,
+    runs every check of evolve but the machine-dependent memory budget of a
+    run; that includes integral grid and mesh counts, a PhysicalConstants,
     kernels.check_route (a potential of one of the families that the route
     tabulates on the grid), and a symmetric wavenumber domain for the
     symmetrized edge.
@@ -885,8 +881,10 @@ class SimulationConfig:
 
 def _step_index(t: float, dt: float, what: str) -> int:
     """Number of steps of length dt that end at time t, which must lie on the step lattice."""
-    if not math.isfinite(t / dt):
-        raise ParameterError(f"{what} {t} is not a finite number of steps of dt = {dt}")
+    # a count of 2**53 or more is no longer exact in float64, and s*dt no
+    # longer tells a time on the lattice from one off it
+    if not t / dt < 2**53:
+        raise ParameterError(f"{what} {t} is not a finite number of steps of dt = {dt} below 2**53")
     s = round(t / dt)
     if abs(s * dt - t) > 1e-9 + 1e-12 * abs(t):
         raise ParameterError(f"{what} {t} is not on the step lattice of dt = {dt}")
@@ -909,18 +907,24 @@ def _snapshot_steps(config: SimulationConfig) -> dict[int, float]:
     return out
 
 
-def _working_set_4d(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> float:
-    """Estimated peak bytes of a 4-D run of these stages: the table and what
-    the stepper owns.
+def _working_set(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> float:
+    """Estimated peak bytes of a run of these stages, in either dimension:
+    the table and what the stepper owns.
 
-    The real kernel table over the L1 half spectrum (8 B a bin); the work
-    field; and the stepper's block (_block): one complex multiplier table
-    (16 B a bin of its layout's half spectrum) per distinct kernel stage
-    length and layout, then the scratch.  A quarter more covers the rest.
+    In floats of 8 B: the kernel table on its rfft bins (KernelTable); the
+    field, or in 2-D the flat buffer of room floats that it heads; the
+    stepper's block (_block), one complex multiplier table per distinct
+    kernel stage length and layout, then the scratch; and the sweep plans,
+    one (N_k + 1) x M x M stack of matrices per spatial dimension and
+    distinct transport length (the one more slice is the symmetrized
+    edge's).  A quarter more covers the rest.
     """
-    *_, length = _block(grid, stages)
-    table = 8 * math.prod(_bins(grid, 0))  # the half spectrum in L1
-    return 1.25 * (table + 8 * math.prod(grid.shape) + 8 * length)
+    *_, length, room = _block(grid, stages)
+    table = math.prod(grid.shape[:-1]) * (grid.shape[-1] // 2 + 1)
+    plans = len({tau for kind, tau in stages if kind == "A"}) * sum(
+        (km.num_points + 1) * mesh.points_per_element ** 2
+        for mesh, km in zip(grid.spatial, grid.wavenumber))
+    return 1.25 * 8 * (table + max(room, math.prod(grid.shape)) + length + plans)
 
 
 def evolve(config: SimulationConfig):
@@ -930,17 +934,16 @@ def evolve(config: SimulationConfig):
     uniform-mesh observable.  In 4-D a snapshot is a pair (t, spatial
     marginal) and the series holds the total mass.  A field that stops being
     finite, or whose moments the record step refuses, raises DivergenceError
-    carrying the series recorded so far.
+    carrying the series recorded so far.  A run whose estimated working set
+    (_working_set) exceeds MEMORY_BUDGET_BYTES raises CapacityError before
+    its table is built.
     """
     grid = config.build_grid()
     n_steps = _step_index(config.t_final, config.dt, "t_final")
     stages = _stage_sequence(config.scheme, config.dt) if n_steps else []
-    if config.spatial_dims == 2:
-        need = _working_set_4d(grid, stages)
-        if need > MEMORY_BUDGET_BYTES:
-            raise CapacityError(
-                f"estimated working set {need/1e9:.2f} GB exceeds the memory budget"
-            )
+    need = _working_set(grid, stages)
+    if need > MEMORY_BUDGET_BYTES:
+        raise CapacityError(f"estimated working set {need/1e9:.2f} GB exceeds the memory budget")
     table = config.build_table(grid)
     consts = config.consts
     values = observables._initial_state(grid, config.initial, consts).values
@@ -948,18 +951,18 @@ def evolve(config: SimulationConfig):
     snapshots: list = []
     snap_at = _snapshot_steps(config)
 
-    # reservoir inflow: the wavenumber profile of the initial data feeds the
-    # inflow boundaries (averaged over x in 2-D; 4-D data are uniform in x);
-    # zero inflow reads none of the field
+    # reservoir inflow: the wavenumber profile of the initial data, averaged
+    # over x, feeds the inflow boundaries; zero inflow and a step-less run
+    # read none of the field
     background = None
-    if config.inflow == "background":
-        background = values.mean(axis=0) if config.spatial_dims == 1 else values[0, 0].copy()
+    if config.inflow == "background" and n_steps:
+        background = values.mean(axis=tuple(range(grid.ndim_space)))
     # the field is held once, in the first work layout, and read there: in
-    # 2-D at the head of a buffer with the stepper's room (_room).  A
+    # 2-D at the head of a buffer of the stepper's room (_block).  A
     # step-less 4-D run reads its initial data as they are (a read-only
     # Fermi-Dirac broadcast stays one), never copied
     order = None if config.spatial_dims == 2 and not n_steps else _LAYOUTS[grid.ndim_space][0]
-    work = values if order is None else _to_work(values, grid, order, _room(grid, stages))
+    work = values if order is None else _to_work(values, grid, order, _block(grid, stages)[-1])
     # record(t, work) returns a sum over every entry of the field, read from
     # its k-sums (the 2-D record's unweighted row, the 4-D marginal), and in
     # 4-D the marginal, which a snapshot of that step reuses; it appends a

@@ -108,6 +108,8 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("time.dt = 0.05", "time.dt = nan", "'time.dt': not a finite number"),
     ("time.t_final = 0.1", "time.t_final = inf", "'time.t_final': not a finite number"),
     ("time.dt = 0.05", "time.dt = 1e-320", "t_final 0.1 is not a finite number of steps"),
+    ("time.dt = 0.05", "time.dt = 1e-300",
+     "t_final 0.1 is not a finite number of steps of dt = 1e-300 below 2**53"),
     ("grid.M = 7", "grid.M = 1", "need Q >= 1 and M >= 3"),  # grids fail before the echo
     ("grid.N_k = 16", "grid.N_k = 15", "N_k must be even"),
     ("kind = delta", "kind = cubic", "'potential.kind': unknown kind 'cubic'"),
@@ -130,8 +132,8 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("observables.N_um = 50", "observables.N_um = 0", "N_um must be positive, got 0"),
 ], ids=["missing", "unknown", "threads", "record", "poisson-dy-0", "poisson-offset",
         "mass-ratio", "m_e", "k_B", "non-number", "inf", "nan", "snapshot", "dt-nan",
-        "t_final-inf", "dt-subnormal", "M-1", "N_k-odd", "kind", "scheme", "route", "inflow",
-        "edge", "poisson-delta", "snapshot-lattice", "snapshot-order", "t_final-lattice",
+        "t_final-inf", "dt-subnormal", "dt-1e-300", "M-1", "N_k-odd", "kind", "scheme", "route",
+        "inflow", "edge", "poisson-delta", "snapshot-lattice", "snapshot-order", "t_final-lattice",
         "t_final-below-one-step", "stage-length", "point-outside",
         "symmetrized-asymmetric-k", "N_um-zero"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):

@@ -34,7 +34,7 @@ from wigsolve.dynamics import (
     _table_rows,
     _sweep_plans,
     _to_work,
-    _working_set_4d,
+    _working_set,
     advect,
     apply_kernel,
     evolve,
@@ -1038,11 +1038,12 @@ def test_config_rejects_non_finite_time_parameters(bad):
     ("potential", object()), ("potential", DeltaPotential), ("dt", "0.01"), ("x_lo", "a"),
     ("k_min", None), ("snapshot_times", (0.5, "x")), ("snapshot_times", 0.5),
     ("num_elements", True), ("snapshot_times", (0.02, 0.02)), ("snapshot_times", (0.02, 0.01)),
-    ("snapshot_times", (0.02, 0.0200000000001)), ("dt", 1e-320),
+    ("snapshot_times", (0.02, 0.0200000000001)), ("dt", 1e-320), ("dt", 1e-300),
+    ("dt", 1e-16),
 ], ids=["consts", "num_modes", "n_uniform", "num_elements", "potential-object",
         "potential-class", "dt-str", "x_lo-str", "k_min-none", "snapshot-str",
         "snapshot-scalar", "num_elements-bool", "snapshot-repeat", "snapshot-decrease",
-        "snapshot-one-step", "dt-subnormal"])
+        "snapshot-one-step", "dt-subnormal", "dt-1e-300", "dt-1e-16"])
 def test_config_refuses_at_construction_what_evolve_cannot_run(field, bad):
     with pytest.raises(ParameterError, match=field):
         delta_config(**{field: bad})
@@ -1130,13 +1131,49 @@ def test_evolve_4d_memory_guard(monkeypatch):
         evolve_4d(fd_config())
 
 
+def test_evolve_refuses_an_over_budget_2d_run_before_its_table():
+    import tracemalloc
+
+    from wigsolve import kernels
+    from wigsolve.errors import CapacityError
+
+    # the table alone, 140 000 nodes x 8 193 rfft bins, would take 9.2 GB
+    cfg = delta_config(num_elements=20000, points_per_element=7, num_modes=16384)
+    clear_table_cache()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds the memory budget"):
+            evolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not kernels._TABLE_CACHE
+    assert peak < 1e8, peak
+
+
+def test_evolve_4d_background_inflow_is_the_x_mean_of_the_initial_data():
+    # a packet is not uniform in x: its largest corner value, 3e-14, is far
+    # from the x-mean's, 3e-3, which evolve feeds the inflow boundaries
+    cfg = fd_config(initial=GaussianPacketSpec(x0=-2.0, k0=1.0, sigma=1.5), t_final=0.01)
+    snaps, _ = evolve(cfg)
+    grid = cfg.build_grid()
+    table = kernel_coefficients(cfg.potential, grid, cfg.consts)
+    state = init_gaussian(grid, cfg.initial)
+    inflow = state.values.mean(axis=(0, 1))
+    assert np.abs(inflow - state.values[0, 0]).max() > 1e-3 * np.abs(inflow).max()
+    state = step(state, table, cfg.consts, cfg.dt, cfg.scheme, inflow, True)
+    L1 = _LAYOUTS[2][0]
+    np.testing.assert_array_equal(snaps[-1][1],
+                                  _marginal(_to_work(state.values, grid, L1), grid, L1))
+
+
 def test_evolve_4d_stage_caches_match_per_stage_builds():
     cfg = fd_config(t_final=0.03)
     snaps, series = evolve_4d(cfg)
     grid = cfg.build_grid()
     table = kernel_coefficients(cfg.potential, grid, cfg.consts)
     state = init_fermi_dirac_4d(grid, cfg.initial, cfg.consts)
-    inflow = state.values[0, 0].copy()
+    inflow = state.values.mean(axis=(0, 1))
     for _ in range(3):
         state = step(state, table, cfg.consts, cfg.dt, cfg.scheme, inflow, True)
     # evolve reads its L1 field in place: exact against the same reduction of
@@ -1150,16 +1187,22 @@ def test_evolve_4d_stage_caches_match_per_stage_builds():
     assert series.total_mass[-1] == pytest.approx(total_mass(state), rel=1e-14)
 
 
-@pytest.mark.parametrize("Q, M, N", [(3, 5, 8), (5, 9, 16)])
-def test_evolve_4d_working_set_estimate_bounds_measured_peak(Q, M, N):
+# 4-D grids, and 2-D ones: the stream2d grid, and a small grid on which
+# what the estimate leaves out (the uniform-mesh quadrature's build,
+# interpreter objects) is still small against the stepper
+@pytest.mark.parametrize("dims, Q, M, N", [(2, 3, 5, 8), (2, 5, 9, 16), (1, 20, 21, 128),
+                                           (1, 12, 11, 48)],
+                         ids=["3-5-8", "5-9-16", "2d-20-21-128", "2d-12-11-48"])
+def test_evolve_4d_working_set_estimate_bounds_measured_peak(dims, Q, M, N):
     import tracemalloc
 
-    cfg = fd_config(num_elements=Q, points_per_element=M, num_modes=N, t_final=0.02)
-    estimate = _working_set_4d(cfg.build_grid(), _stage_sequence(cfg.scheme, cfg.dt))
+    sizes = dict(num_elements=Q, points_per_element=M, num_modes=N, t_final=0.02)
+    cfg = fd_config(**sizes) if dims == 2 else delta_config(**sizes)
+    estimate = _working_set(cfg.build_grid(), _stage_sequence(cfg.scheme, cfg.dt))
     clear_table_cache()  # a cold table build is part of the peak
     tracemalloc.start()
     try:
-        evolve_4d(cfg)
+        evolve(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,8 +13,11 @@ For the delta barrier H delta(x), H = 1, the reference is exact: the
 long-time R(inf) = 0.673635 (oracles.delta_transmission_limit).
 
 Split-step converges slowly on a singular potential, which is the paper's
-point: log and inverse power have no cheap R oracle of this kind.  Energy
-conservation is the reference-free check planned for them.
+point: log and inverse power have no cheap R oracle of this kind, and no
+test here covers them.  Their oracle is to be energy conservation: with a
+time-independent potential the Wigner equation conserves
+E = <(hbar k)^2>/2m + <V> exactly, so the drift E(t) - E(0) measures model
+and discretisation error with no reference run.
 """
 
 import math
