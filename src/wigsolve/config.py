@@ -1,9 +1,10 @@
 """Flat key = value run configuration files.
 
 Lines hold dotted keys ("grid.N_k = 512"), '#' starts a comment, blank lines
-are skipped.  Each key is declared once, in _KEYS, as a SimulationConfig field
-and a value type; build_simulation_config and config_echo both walk that one
-table.  The potential, the initial data and the physical constants are spec
+are skipped; a key given on two lines is refused, naming both.  Each key is
+declared once, in _KEYS, as a SimulationConfig field and a value type;
+build_simulation_config and config_echo both walk that one table.  The
+potential, the initial data and the physical constants are spec
 dataclasses, read and written field by field under their prefix
 ("potential.H", "init.sigma", "consts.hbar"); "<prefix>kind" picks the class.
 The mass and hbar are read once, under "consts.": the transport, the kernel
@@ -79,15 +80,20 @@ _KEYS = {
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """{key: value text} of a config file; a key given twice is refused."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParameterError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in line_of:
+            raise ParameterError(f"line {lineno}: config key {key!r} repeats line {line_of[key]}")
+        line_of[key] = lineno
+        out[key] = value
     return out
 
 

@@ -24,27 +24,33 @@ spectrum shape _bins of a layout, from one signed gather of the table,
 _table_rows) and one DFT matrix builder (_dft_matrices) serve both
 dimensions.  Per dimension stay the transport's layout switch, the kernel
 substep's product form, and the record: a 2-D record is two products
-against the observables' functionals in the work layout
-(observables.UniformMeshQuadrature), a 4-D one the spatial marginal and its
-mass (observables._marginal and _mass, read where the field lies).  Either
-also sums every entry of the field, which is evolve's finiteness check.
+against the observables' functionals (observables.UniformMeshQuadrature), a
+4-D one the spatial marginal and its mass (observables._marginal and _mass).
+Either reads the field where it lies, in the work layout or, in a step-less
+run, the initial data in their natural layout, and also sums every entry of
+the field, which is evolve's finiteness check.
 
-One stepper (_Stepper) runs the stages; it builds the sweep plans and
-multiplier tables of each distinct stage length once, and every buffer the
-stages use but the field's own: no stage allocates.  A stepped 2-D field
-runs in two spectrum-sized buffers, its own (room floats, from _block) and
-the stepper's scratch: a transport sweeps it from one into the other, and a
-kernel substep writes its spectrum into the one it is not in.  Both kernel
-substeps are four matrix products against the DFT matrices _dft_matrices
-builds once per layout, the multiply between the middle two; no np.fft
-call is left.  In 2-D they factor the k axis, N_k = N1*N2 (Bailey's
-four-step FFT); in 4-D they run along the layout's trailing k axis (rfft)
-and its leading one (complex).  At these sizes (N_k = 16 to 128) BLAS runs
-the transforms faster than pocketfft, which transforms one lane at a time.
-A 4-D field switches layouts once per transport and always stays in the
-caller's array.  evolve drives a run in either dimension with one stepper,
-dropped before the final record and snapshot; advect, apply_kernel and step
-build a stepper for a single call and leave their input state as it is.
+One stepper (_Stepper) runs the stages.  It takes the sweep plans of each
+distinct transport length and the DFT matrices of each kernel layout from
+the package's cache of grid-derived values (kernels._cached), so runs that
+share a grid, constants, stage lengths and edge share them, read-only.  It
+builds for itself only what depends on its table or its field: the
+multiplier tables of each distinct kernel stage length, the inflow
+profiles, and every buffer the stages use but the field's own: no stage
+allocates.  A stepped 2-D field runs in two spectrum-sized buffers, its own
+(room floats, from _block) and the stepper's scratch: a transport sweeps it
+from one into the other, and a kernel substep writes its spectrum into the
+one it is not in.  Both kernel substeps are four matrix products against
+the DFT matrices of their layout (_dft_matrices), the multiply between the
+middle two; no np.fft call is left.  In 2-D they factor the k axis, N_k =
+N1*N2 (Bailey's four-step FFT); in 4-D they run along the layout's trailing
+k axis (rfft) and its leading one (complex).  At these sizes (N_k = 16 to
+128) BLAS runs the transforms faster than pocketfft, which transforms one
+lane at a time.  A 4-D field switches layouts once per transport and always
+stays in the caller's array.  evolve drives a run in either dimension with
+one stepper, dropped before the final record and snapshot; advect,
+apply_kernel and step build a stepper for a single call and leave their
+input state as it is.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from .kernels import (
     KernelTable,
     MultiDeltaPotential2D,
     PhysicalConstants,
+    _cached,
     check_route,
     kernel_coefficients,
     poisson_kernel_coefficients,
@@ -277,14 +284,18 @@ def _edge_slice(km: WavenumberMesh) -> int:
 
 def _sweep_plans(grid: PhaseSpaceGrid, consts: PhysicalConstants, tau: float,
                  symmetrized_edge: bool = False) -> tuple[_SweepPlan, ...]:
-    """One sweep plan per spatial dimension for the stage length tau; two
-    dimensions with equal meshes share one plan."""
-    dims = tuple(zip(grid.spatial, grid.wavenumber))
-    plans: dict[tuple[SpatialMesh, WavenumberMesh], _SweepPlan] = {}
-    for mesh, km in dict.fromkeys(dims):
-        v = consts.hbar * km.collocation_k / consts.mass
-        plans[mesh, km] = _SweepPlan(mesh, v, tau, _edge_slice(km) if symmetrized_edge else None)
-    return tuple(plans[dim] for dim in dims)
+    """One sweep plan per spatial dimension for the stage length tau.
+
+    Each comes from the package's cache of grid-derived values
+    (kernels._cached), keyed by what fixes its matrices: the spatial and
+    wavenumber meshes, the constants (v = hbar k/m reads both), tau and the
+    edge slice.  Runs that share those share the plan, read-only, and so do
+    two dimensions with equal meshes."""
+    def plan(mesh: SpatialMesh, km: WavenumberMesh) -> _SweepPlan:
+        edge = _edge_slice(km) if symmetrized_edge else None
+        return _cached(("sweep plan", mesh, km, consts, tau, edge), lambda: _SweepPlan(
+            mesh, consts.hbar * km.collocation_k / consts.mass, tau, edge))
+    return tuple(plan(mesh, km) for mesh, km in zip(grid.spatial, grid.wavenumber))
 
 
 # The work layouts, as axis orders of the natural field split per element
@@ -548,10 +559,16 @@ def _head_of(work: np.ndarray, length: int) -> np.ndarray | None:
 class _Stepper:
     """A fixed sequence of stages: transports ("A") and kernel substeps ("B").
 
-    Every distinct stage length's sweep plans or half-spectrum multipliers
-    are built once, here, and so is every buffer the stages use: no stage
-    allocates, in 2-D or in 4-D.  table may be None without kernel stages,
-    consts without transport stages.
+    Each distinct transport length's sweep plans (_sweep_plans) and each
+    kernel layout's DFT matrices (_dft_matrices) come from the package's
+    cache of grid-derived values (kernels._cached), keyed by what fixes them,
+    so the steppers of runs on one grid with equal constants, stage lengths
+    and edge share them, read-only; clear_table_cache drops them.  What
+    depends on the table or the field is built here, once per stepper: each
+    distinct kernel stage length's half-spectrum multipliers, the inflow
+    profiles and every buffer the stages use, so no stage allocates, in 2-D
+    or in 4-D.  table may be None without kernel stages, consts without
+    transport stages.
 
     The work layouts are _LAYOUTS[ndim] (orders).  One pass over the stages
     (_block) gives the layout stage i finds the field in, orders[layouts[i]],
@@ -559,8 +576,8 @@ class _Stepper:
     one block: every kernel stage's multipliers, one table per (stage
     length, layout) over that layout's spectrum (_bins, _multipliers), and
     then the scratch.  apply() converts through the layouts.  The inflow
-    profiles and each kernel layout's DFT matrices (_dft_matrices) are built
-    from them alike in both dimensions.
+    profiles and the DFT matrices are read per layout alike in both
+    dimensions.
 
     The 2-D work layout is (Nk, M, Q), so that every sweep runs along the
     leading axis.  A 2-D field lies at the head of a flat buffer of room
@@ -576,9 +593,8 @@ class _Stepper:
     dimension back into the field's array, which then holds the other
     layout, so the field always stays in the caller's array.  A kernel
     substep overwrites the field through the spectrum, which the scratch
-    holds.  The stepper also owns the inflow profiles,
-    broadcast over each sweep's slabs, and each kernel layout's DFT
-    matrices.  Without stages its block is empty.
+    holds.  The stepper also owns the inflow profiles, broadcast over each
+    sweep's slabs.  Without stages its block is empty.
 
     A kernel substep keeps one product form per dimension (_kernel): the
     2-D spectrum, (N2, 2*H1, M*Q) for the factors Nk = N1*N2 (_factors), H1
@@ -614,7 +630,9 @@ class _Stepper:
         self.mults = {key: _multipliers(table, *key, block[at].view(complex).reshape(bins),
                                         self.scratch)
                       for key, (at, bins) in tables.items()}
-        self.dfts = {layout: _dft_matrices(grid, layout) for layout in {at for _, at in tables}}
+        self.dfts = {layout: _cached(("dft matrices", grid, layout),
+                                     lambda: _dft_matrices(grid, layout))
+                     for layout in {at for _, at in tables}}
         self.profiles = (None, None)
         if inflow is not None and self.plans:
             # each layout's inflow as (slices, slab), the shape its sweeps
@@ -959,9 +977,10 @@ def evolve(config: SimulationConfig):
         background = values.mean(axis=tuple(range(grid.ndim_space)))
     # the field is held once, in the first work layout, and read there: in
     # 2-D at the head of a buffer of the stepper's room (_block).  A
-    # step-less 4-D run reads its initial data as they are (a read-only
-    # Fermi-Dirac broadcast stays one), never copied
-    order = None if config.spatial_dims == 2 and not n_steps else _LAYOUTS[grid.ndim_space][0]
+    # step-less run, in either dimension, records and snapshots its initial
+    # data as they are (a read-only Fermi-Dirac broadcast stays one), never
+    # copied
+    order = _LAYOUTS[grid.ndim_space][0] if n_steps else None
     work = values if order is None else _to_work(values, grid, order, _block(grid, stages)[-1])
     # record(t, work) returns a sum over every entry of the field, read from
     # its k-sums (the 2-D record's unweighted row, the 4-D marginal), and in
@@ -975,7 +994,7 @@ def evolve(config: SimulationConfig):
             return quad.append_row_from_work(series, t, work, consts), None
 
         def snapshot(t, work, marginal):
-            return WignerState(grid, _from_work(work, grid, order), t)
+            return WignerState(grid, work if order is None else _from_work(work, grid, order), t)
     else:
         weights = tuple(observables._cc_x_weights(mesh) for mesh in grid.spatial)
 

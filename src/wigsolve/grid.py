@@ -172,17 +172,20 @@ def build_wavenumber_mesh(k_min: float, k_max: float, N_k: int) -> WavenumberMes
 
 
 def _barycentric_rows(diff: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Second-form barycentric rows from target-minus-node differences (..., M).
+    """Second-form barycentric rows from target-minus-node differences (..., M),
+    written into diff, which is returned: the caller passes a fresh array.
 
     weights are the (M,) barycentric weights of the nodes; a target that hits
-    a node exactly gets that node's unit row.
+    a node exactly gets that node's unit row.  Besides diff, only the (...,
+    M) mask of exact hits is allocated.
     """
     exact = diff == 0.0
-    ratios = weights / np.where(exact, 1.0, diff)
-    rows = ratios / ratios.sum(axis=-1, keepdims=True)
+    np.copyto(diff, 1.0, where=exact)
+    np.divide(weights, diff, out=diff)
+    diff /= diff.sum(axis=-1, keepdims=True)
     hit = exact.any(axis=-1)
-    rows[hit] = exact[hit]
-    return rows
+    diff[hit] = exact[hit]
+    return diff
 
 
 def _interp_rows(mesh: SpatialMesh, targets) -> tuple[np.ndarray, np.ndarray]:

@@ -37,9 +37,12 @@ One rule, check_route, says which potentials each route tabulates on which
 grid; both table builders and dynamics.SimulationConfig call it.
 
 The table cache here is the package's one cache of values derived from a
-grid: the kernel tables and the uniform-mesh quadratures of
-observables.UniformMeshQuadrature, filled by _cached under one byte bound
-and emptied by clear_table_cache.
+grid: the kernel tables, the uniform-mesh quadratures of
+observables.UniformMeshQuadrature, and the transport's sweep plans and the
+kernel substep's DFT matrices (dynamics._sweep_plans, dynamics._Stepper),
+filled by _cached under one byte bound and emptied by clear_table_cache.
+A run takes each value that an earlier run left under the same key, and
+every cached array is read-only.
 """
 
 from __future__ import annotations
@@ -380,21 +383,26 @@ def _coeff_table_multidelta(
 
 # A table costs 8 B per stored bin: the bound holds about a hundred and ten
 # 45^2 x 16 x 9 multi-delta tables, or twelve hundred 2-D tables at 420 x 65.
-# A uniform-mesh quadrature at N_um = 600 on the 420 x 128 grid counts 50 kB.
+# A uniform-mesh quadrature at N_um = 600 on the 420 x 128 grid counts 50 kB,
+# a sweep plan there 0.45 MB and a kernel layout's DFT matrices 41 kB.
 _TABLE_CACHE_BYTES = 256 * 2**20
-# (route, potential, grid, consts) -> table and ("quadrature", grid, N_um) ->
-# uniform-mesh quadrature, least recently used first
+# (route, potential, grid, consts) -> table, ("quadrature", grid, N_um) ->
+# uniform-mesh quadrature, ("sweep plan", mesh, wavenumber mesh, consts, tau,
+# edge) -> sweep plan and ("dft matrices", grid, layout) -> the tuple of a
+# kernel layout's matrices, least recently used first
 _TABLE_CACHE: OrderedDict = OrderedDict()
 
 
 def clear_table_cache():
-    """Empty the cache of grid-derived values: kernel tables and quadratures."""
+    """Empty the cache of grid-derived values: kernel tables, uniform-mesh
+    quadratures, sweep plans and DFT matrices."""
     _TABLE_CACHE.clear()
 
 
 def _arrays(value) -> list[np.ndarray]:
-    """The arrays a cached value holds as attributes."""
-    return [a for a in vars(value).values() if isinstance(a, np.ndarray)]
+    """The arrays a cached value holds: the items of a tuple, else its attributes."""
+    items = value if isinstance(value, tuple) else vars(value).values()
+    return [a for a in items if isinstance(a, np.ndarray)]
 
 
 def _nbytes(value) -> int:
@@ -405,10 +413,10 @@ def _nbytes(value) -> int:
 def _cached(key, build):
     """The cached value for key, or build() cached read-only as the newest.
 
-    Every caller shares a cached value (a KernelTable or a uniform-mesh
-    quadrature), so none of its arrays can be written.  Older values are
-    evicted until the cache holds _TABLE_CACHE_BYTES at most, but the newest
-    one always stays.
+    Every caller shares a cached value (a KernelTable, a uniform-mesh
+    quadrature, a sweep plan or a tuple of DFT matrices), so none of its
+    arrays can be written.  Older values are evicted until the cache holds
+    _TABLE_CACHE_BYTES at most, but the newest one always stays.
     """
     value = _TABLE_CACHE.get(key)
     if value is not None:

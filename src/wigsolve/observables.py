@@ -298,13 +298,22 @@ class UniformMeshQuadrature:
         fx = _spatial_interp(self.grid.x, self.x_pts, state.values)
         return _uniform_wavenumber_interp(self.grid.k, fx, self.n_uniform)
 
-    def _reduce(self, work: np.ndarray) -> np.ndarray:
-        """The reduced field of a field in the stepper's (Nk, M, Q) work
-        layout, by the two products: entry [a, b] is the k functional a (1,
-        u_k, v_k, v_k2) and the x functional b (1, the Clenshaw-Curtis mass
+    def _reduce(self, field: np.ndarray) -> np.ndarray:
+        """The reduced field: entry [a, b] is the k functional a (1, u_k,
+        v_k, v_k2) and the x functional b (1, the Clenshaw-Curtis mass
         weights, u_x_right, v_x, v_x2, u_x) applied to the field, a (4, 6)
-        matrix.  [0, 0] is the sum of the field's entries."""
-        return self._k_rows @ work.reshape(len(work), -1) @ self._x_cols
+        matrix.  [0, 0] is the sum of the field's entries.
+
+        A field in the stepper's (Nk, M, Q) work layout is reduced by the
+        two products.  The natural (Q*M, Nk) field is read in place, through
+        its transpose: the k product gives (4, Q*M) with the nodes in (q, m)
+        order, a copy of that puts them in the work order (m, q), and the x
+        product is the work layout's own.  Neither makes a field-sized copy."""
+        if field.ndim == 3:
+            return self._k_rows @ field.reshape(len(field), -1) @ self._x_cols
+        Q, M = self.grid.x.num_elements, self.grid.x.points_per_element
+        by_node = (self._k_rows @ field.T).reshape(-1, Q, M).transpose(0, 2, 1)
+        return by_node.reshape(len(by_node), -1) @ self._x_cols
 
     def _row(self, reduced: np.ndarray, consts: PhysicalConstants) -> dict:
         """Every ObservableSeries column but t from a reduced field (_reduce)."""
@@ -325,17 +334,18 @@ class UniformMeshQuadrature:
                 "uncertainty": math.sqrt(var_x) * math.sqrt(var_p)}
 
     def partial_mass(self, state: WignerState) -> float:
-        return float(self._reduce(state.values.reshape(_split(self.grid)).T)[1, 2])
+        return float(self._reduce(state.values)[1, 2])
 
     def moments(self, state: WignerState, consts: PhysicalConstants) -> UncertaintyResult:
-        row = self._row(self._reduce(state.values.reshape(_split(self.grid)).T), consts)
+        row = self._row(self._reduce(state.values), consts)
         return UncertaintyResult(row["mean_x"], row["mean_p"], row["var_x"], row["var_p"],
                                  row["uncertainty"])
 
     def append_row_from_work(self, series, t, work, consts) -> float:
         """Record one row from a field in the stepper's (Nk, M, Q) work layout
-        and return the sum of its entries; a field whose sum is not finite (a
-        NaN, an infinity or an overflow) records no row."""
+        or in the natural layout (_reduce), and return the sum of its
+        entries; a field whose sum is not finite (a NaN, an infinity or an
+        overflow) records no row."""
         with np.errstate(over="ignore", invalid="ignore"):
             reduced = self._reduce(work)
         total = float(reduced[0, 0])

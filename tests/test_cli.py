@@ -130,12 +130,13 @@ def test_run_reports_a_bad_config(tmp_path, capsys):
     ("", "grid.k_min = -3.0\ngrid.k_max = 3.5\nadvect.edge = symmetrized\n",
      "edge_transport = 'symmetrized' needs a symmetric wavenumber domain"),
     ("observables.N_um = 50", "observables.N_um = 0", "N_um must be positive, got 0"),
+    ("", "grid.N_k = 32\n", "line 15: config key 'grid.N_k' repeats line 6"),
 ], ids=["missing", "unknown", "threads", "record", "poisson-dy-0", "poisson-offset",
         "mass-ratio", "m_e", "k_B", "non-number", "inf", "nan", "snapshot", "dt-nan",
         "t_final-inf", "dt-subnormal", "dt-1e-300", "M-1", "N_k-odd", "kind", "scheme", "route",
         "inflow", "edge", "poisson-delta", "snapshot-lattice", "snapshot-order", "t_final-lattice",
         "t_final-below-one-step", "stage-length", "point-outside",
-        "symmetrized-asymmetric-k", "N_um-zero"])
+        "symmetrized-asymmetric-k", "N_um-zero", "repeated-key"])
 def test_run_reports_each_config_error_in_one_line(old, new, message, tmp_path, capsys):
     from wigsolve.cli import main
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,100 @@ def test_equal_dimensions_share_one_sweep_plan(edge):
     plan1, plan2 = _sweep_plans(uneven_tensor_grid(), CONSTS, 0.1, edge)
     assert plan1 is not plan2
     assert (len(plan1.matrices), len(plan2.matrices)) == ((9, 17) if edge else (8, 16))
+
+
+def count_shared_builds(monkeypatch):
+    """Counters of sweep plan and DFT matrix builds, spied on from here on."""
+    from wigsolve import dynamics
+
+    built = {"plans": 0, "dfts": 0}
+    init, dfts = _SweepPlan.__init__, dynamics._dft_matrices
+
+    def plan_spy(self, *args, **kwargs):
+        built["plans"] += 1
+        init(self, *args, **kwargs)
+
+    def dft_spy(*args):
+        built["dfts"] += 1
+        return dfts(*args)
+
+    monkeypatch.setattr(_SweepPlan, "__init__", plan_spy)
+    monkeypatch.setattr(dynamics, "_dft_matrices", dft_spy)
+    return built
+
+
+def test_runs_on_one_grid_share_each_sweep_plan_and_dft_set(monkeypatch):
+    # two families on one grid, dt and scheme: yoshida4 has two distinct
+    # transport lengths and one kernel layout in 2-D, so the first run builds
+    # two plans and one DFT set and the second builds none; a run after the
+    # cache is cleared builds them again
+    built = count_shared_builds(monkeypatch)
+    clear_table_cache()
+    try:
+        evolve(delta_config(t_final=0.02))
+        assert built == {"plans": 2, "dfts": 1}
+        evolve(delta_config(t_final=0.02, potential=LogPotential(H=0.5)))
+        assert built == {"plans": 2, "dfts": 1}
+        clear_table_cache()
+        evolve(delta_config(t_final=0.02, potential=LogPotential(H=0.5)))
+        assert built == {"plans": 4, "dfts": 2}
+    finally:
+        clear_table_cache()
+
+
+def test_a_sweep_plan_is_shared_only_by_equal_consts_stage_length_and_edge(monkeypatch):
+    built = count_shared_builds(monkeypatch)
+    grid = grid_2d(N=16, M=7, Q=4)
+    clear_table_cache()
+    try:
+        (plan,) = _sweep_plans(grid, CONSTS, 0.1)
+        assert _sweep_plans(grid, PhysicalConstants(hbar=1.0, mass=1.0), 0.1) == (plan,)
+        others = [_sweep_plans(grid, PhysicalConstants(hbar=2.0, mass=1.0), 0.1)[0],
+                  _sweep_plans(grid, PhysicalConstants(hbar=1.0, mass=2.0), 0.1)[0],
+                  _sweep_plans(grid, CONSTS, 0.2)[0], _sweep_plans(grid, CONSTS, 0.1, True)[0]]
+        assert built["plans"] == 5
+        assert len({id(p) for p in [plan, *others]}) == 5
+        assert others[-1].edge == 0 and plan.edge is None
+    finally:
+        clear_table_cache()
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["2d", "4d"])
+def test_cached_plans_and_dft_matrices_are_read_only(planar):
+    cfg = fd_config() if planar else delta_config(num_modes=16, points_per_element=7)
+    grid = cfg.build_grid()
+    clear_table_cache()
+    try:
+        stepper = _Stepper(grid, cfg.build_table(grid), cfg.consts,
+                           _stage_sequence(cfg.scheme, cfg.dt))
+        arrays = [plan.matrices for plans in stepper.plans.values() for plan in plans]
+        arrays += [a for dfts in stepper.dfts.values() for a in dfts]
+        assert len(arrays) == (4 + 8 if planar else 2 + 4)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+    finally:
+        clear_table_cache()
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["2d", "4d"])
+def test_a_warm_run_gives_the_bits_of_a_cold_run(planar):
+    # the second run reads the first's cached table, plans, DFT matrices and
+    # quadrature
+    cfg = fd_config(t_final=0.03) if planar else delta_config(t_final=0.05, inflow="background",
+                                                                edge_transport="symmetrized")
+    clear_table_cache()
+    try:
+        cold, warm = evolve(cfg), evolve(cfg)
+    finally:
+        clear_table_cache()
+    (snap,), series = cold
+    (warm_snap,), warm_series = warm
+    field = (lambda s: s[1]) if planar else (lambda s: s.values)
+    arrays = [(field(warm_snap), field(snap))]
+    arrays += [(warm_series.column(f.name), series.column(f.name)) for f in fields(series)]
+    for got, want in arrays:
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -906,6 +1001,45 @@ def test_evolve_zero_time():
     np.testing.assert_allclose(snaps[0].values, expect.values, atol=0)
 
 
+def stream2d_config(**kw):
+    """The stream2d benchmark's grid, N_um and packet, with a delta."""
+    return delta_config(num_modes=128, n_uniform=600, **kw)
+
+
+def test_warm_stepless_2d_evolve_copies_no_field():
+    # without steps evolve records the natural initial data in place: the
+    # peak is the field itself and the record's (4, Q*M) products, where a
+    # work-layout copy would take a second field
+    import tracemalloc
+
+    cfg = stream2d_config(t_final=0.0)
+    evolve(cfg)  # the table and the quadrature are cached from here on
+    tracemalloc.start()
+    try:
+        evolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = 8 * math.prod(cfg.build_grid().shape)
+    assert peak < 1.5 * field, peak / field
+
+
+def test_stepless_2d_row_is_the_first_row_of_a_stepped_run():
+    _, stepless = evolve(stream2d_config(t_final=0.0))
+    _, stepped = evolve(stream2d_config(t_final=0.01))
+    for f in fields(stepless):
+        (got,) = getattr(stepless, f.name)
+        assert got == pytest.approx(getattr(stepped, f.name)[0], rel=1e-14, abs=0), f.name
+
+
+def test_stepless_2d_snapshot_is_the_initial_data():
+    cfg = stream2d_config(t_final=0.0)
+    (snap,), _ = evolve(cfg)
+    want = init_gaussian(cfg.build_grid(), cfg.initial).values
+    assert snap.time == 0.0
+    np.testing.assert_array_equal(snap.values.view(np.int64), want.view(np.int64))
+
+
 def test_evolve_deterministic_and_snapshots():
     cfg = delta_config(t_final=0.1, snapshot_times=(0.05, 0.1))
     s1, r1 = evolve(cfg)
@@ -1187,12 +1321,15 @@ def test_evolve_4d_stage_caches_match_per_stage_builds():
     assert series.total_mass[-1] == pytest.approx(total_mass(state), rel=1e-14)
 
 
-# 4-D grids, and 2-D ones: the stream2d grid, and a small grid on which
-# what the estimate leaves out (the uniform-mesh quadrature's build,
-# interpreter objects) is still small against the stepper
+# 4-D grids, and 2-D ones: the stream2d grid, a small grid on which what
+# the estimate leaves out (the uniform-mesh quadrature's build, interpreter
+# objects) is still small against the stepper, and two grids with a large M,
+# on which a sweep plan's build, barycentric rows written in place, peaks
+# near the matrices it keeps
 @pytest.mark.parametrize("dims, Q, M, N", [(2, 3, 5, 8), (2, 5, 9, 16), (1, 20, 21, 128),
-                                           (1, 12, 11, 48)],
-                         ids=["3-5-8", "5-9-16", "2d-20-21-128", "2d-12-11-48"])
+                                           (1, 12, 11, 48), (1, 4, 21, 32), (1, 3, 33, 64)],
+                         ids=["3-5-8", "5-9-16", "2d-20-21-128", "2d-12-11-48", "2d-4-21-32",
+                              "2d-3-33-64"])
 def test_evolve_4d_working_set_estimate_bounds_measured_peak(dims, Q, M, N):
     import tracemalloc
 

@@ -357,6 +357,26 @@ def test_a_shared_quadrature_cannot_be_written():
         clear_table_cache()
 
 
+def test_natural_field_reduces_in_place_as_its_work_layout_copy():
+    # partial_mass and the moments read the natural (Q*M, N_k) field through
+    # its transpose; on the stream2d grid they equal the reduction of a
+    # private (N_k, M, Q) work-layout copy, which they used to make, to 1e-14
+    from wigsolve.grid import _split
+
+    grid = reference_grid(128, 21)
+    state = init_gaussian(grid, reference_packet())
+    quad = UniformMeshQuadrature(grid, 600)
+    work = np.ascontiguousarray(state.values.reshape(_split(grid)).T)
+    want = quad._row(quad._reduce(work), CONSTS)
+    assert partial_mass(state, 600) == pytest.approx(want["partial_mass"], rel=1e-14, abs=0)
+    u = uncertainty(state, 600, CONSTS)
+    for name, got in (("mean_x", u.mean_x), ("mean_p", u.mean_p), ("var_x", u.var_x),
+                      ("var_p", u.var_p), ("uncertainty", u.product)):
+        assert got == pytest.approx(want[name], rel=1e-14, abs=0), name
+    np.testing.assert_allclose(quad._reduce(state.values), quad._reduce(work), rtol=1e-14,
+                               atol=1e-14 * np.abs(quad._reduce(work)).max())
+
+
 def test_shared_quadrature_functions_match_a_fresh_quadrature():
     grid = small_grid()
     a = init_gaussian(grid, GaussianPacketSpec(x0=0.4, k0=0.5, sigma=0.8))
