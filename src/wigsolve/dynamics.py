@@ -51,6 +51,17 @@ stays in the caller's array.  evolve drives a run in either dimension with
 one stepper, dropped before the final record and snapshot; advect,
 apply_kernel and step build a stepper for a single call and leave their
 input state as it is.
+
+Each stage keeps a memo: the numpy calls it makes, in order, as (function,
+operands), every in-place write an explicit out= call and every operand a
+view bound when the memo is recorded.  The stepper records its memos on
+the first step of a field's buffer (2-D) or array (4-D), drops them when
+handed a field elsewhere, and replays them on every other step, so a warm
+step builds no view, does no index arithmetic and swaps no buffer.  A
+sweep's calls are its own memo, which _SweepPlan.apply fills on the first
+step and replays on the later ones; every sweep still enters through it.
+A symmetrized sweep spends its source, and its memo writes the mirrored
+reading into slice edge + 1 only after the run that reads that slice.
 """
 
 from __future__ import annotations
@@ -185,7 +196,7 @@ class _SweepPlan:
         self.runs = [(a, b, n[a], m0[a]) for a, b in zip(cuts, cuts[1:])]
 
     def apply(self, work: np.ndarray, inflow: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, calls: list | None = None) -> np.ndarray:
         """The field work, (Nk, M, Q, R), shifted into out; returns out.
 
         inflow, if given, holds the (Nk, R) values read by departure points
@@ -194,35 +205,55 @@ class _SweepPlan:
         call given none allocates its own.  With the symmetrized edge the
         mirrored slice's reading overwrites slice edge + 1 of work, which
         that slice's run has already read: work is spent.
+
+        A sweep is a sequence of numpy calls, (function, operands), every
+        in-place write an explicit out= call, every operand a view of work,
+        inflow, out or the plan's matrices; the calls run in order, so the
+        mirrored reading still follows the run that spends slice edge + 1.
+        calls, if given, is the caller's memo of them, bound to these
+        arrays: an empty list is filled and then run; a filled one is only
+        run, with no view built and no index arithmetic, and must be given
+        the arrays it was filled with, out among them.  Without a memo each
+        call runs as it is made.
         """
         Nk = self.num_slices
         if work.shape[0] != Nk:
             raise ParameterError(f"sweep plan holds {Nk} slices, field has {work.shape[0]}")
         if out is None:
             out = np.empty_like(work)
+        if calls is None:
+            calls = self._calls(work, inflow, out)
+        elif not calls:
+            calls += self._calls(work, inflow, out)
+        for fn, args in calls:
+            fn(*args)
+        return out
+
+    def _calls(self, work: np.ndarray, inflow: np.ndarray | None, out: np.ndarray):
+        """Yield apply's calls on these arrays, in order."""
         runs = self.runs
         e = self.edge
         if e is not None:
             *runs, mirror = runs
         for start, stop, n, m0 in runs:
-            _shift_run(self.matrices[start:stop], work[start:stop], out[start:stop], n, m0,
-                       None if inflow is None else inflow[start:stop])
+            yield from _shift_run(self.matrices[start:stop], work[start:stop], out[start:stop],
+                                  n, m0, None if inflow is None else inflow[start:stop])
         if e is not None:
             reading = work[e + 1 : e + 2]
             start, _, n, m0 = mirror
-            _shift_run(self.matrices[start:], work[e : e + 1], reading, n, m0,
-                       None if inflow is None else inflow[e : e + 1])
-            out[e] += reading[0]
-            out[e] *= 0.5
-        return out
+            yield from _shift_run(self.matrices[start:], work[e : e + 1], reading, n, m0,
+                                  None if inflow is None else inflow[e : e + 1])
+            yield np.add, (out[e], reading[0], out[e])
+            yield np.multiply, (out[e], 0.5, out[e])
 
 
 def _shift_run(matrices: np.ndarray, work: np.ndarray, out: np.ndarray, n: int, m0: int,
-               inflow: np.ndarray | None) -> None:
-    """Write K slices of work, (K, M, Q, R), that share (n, m0) into out: row
-    m of target element q is matrices[:, m] times source element q - n for m
-    >= m0, q - n - 1 below, or the (K, R) inflow (0 without) where that
-    element lies outside [0, Q).
+               inflow: np.ndarray | None):
+    """Yield, as (function, operands), the numpy calls that write K slices
+    of work, (K, M, Q, R), that share (n, m0) into out: row m of target
+    element q is matrices[:, m] times source element q - n for m >= m0,
+    q - n - 1 below, or the (K, R) inflow (0 without) where that element
+    lies outside [0, Q).
 
     With m0 = 0 the shift is a whole number of elements and every matrix
     the identity (_barycentric_rows gives unit rows on exact node hits): the
@@ -239,11 +270,11 @@ def _shift_run(matrices: np.ndarray, work: np.ndarray, out: np.ndarray, n: int, 
         # no memory, so the copy makes no temporary
         lo, hi = min(max(n, 0), Q), min(max(Q + n, 0), Q)
         if lo < hi:
-            np.copyto(out[:, :, lo:hi], work[:, :, lo - n : hi - n])
+            yield np.copyto, (out[:, :, lo:hi], work[:, :, lo - n : hi - n])
         if lo > 0:
-            out[:, :, :lo] = fill
+            yield np.copyto, (out[:, :, :lo], fill)
         if hi < Q:
-            out[:, :, hi:] = fill
+            yield np.copyto, (out[:, :, hi:], fill)
         return
     source, target = work.reshape(K, M, Q * R), out.reshape(K, M, Q * R)
     # a group that is only the shared row writes it for its end element
@@ -255,20 +286,20 @@ def _shift_run(matrices: np.ndarray, work: np.ndarray, out: np.ndarray, n: int, 
         # targets [lo, hi) of [first, end) read sources [lo - shift, hi - shift)
         lo, hi = min(max(shift, first), end), min(max(Q + shift, first), end)
         if lo < hi:
-            np.matmul(matrices[:, rows], source[:, :, (lo - shift) * R : (hi - shift) * R],
-                      out=target[:, rows, lo * R : hi * R])
+            yield np.matmul, (matrices[:, rows], source[:, :, (lo - shift) * R : (hi - shift) * R],
+                              target[:, rows, lo * R : hi * R])
         if lo > first:
-            out[:, rows, first:lo] = fill
+            yield np.copyto, (out[:, rows, first:lo], fill)
         if hi < end:
-            out[:, rows, hi:end] = fill
+            yield np.copyto, (out[:, rows, hi:end], fill)
     # the shared row, from the group that wrote it.  numpy first copies the
     # whole source when its extent overlaps the target's; one slice at a
     # time the two rows' extents are disjoint, and at R = 1 the whole source
     # is only K*Q floats
     lower, upper = target[:, 0, R:], target[:, M - 1, :-R]
     into, read = (upper, lower) if upper_shared else (lower, upper)
-    for a, b in zip(into, read) if R > 1 else ((into, read),):
-        np.copyto(a, b)
+    for pair in zip(into, read) if R > 1 else ((into, read),):
+        yield np.copyto, pair
 
 
 def _edge_slice(km: WavenumberMesh) -> int:
@@ -449,10 +480,8 @@ def _dft_matrices(grid: PhaseSpaceGrid, layout: int) -> tuple[np.ndarray, ...]:
     the twiddle.  The 2-D matrices act on (Re, Im) parts as real ones: the
     real products' output holds the H bins' Re and Im parts as two blocks.
     """
-    N = tuple(km.num_points for km in grid.wavenumber)
+    n_real, n_complex, stride = _dft_axes(grid, layout)
     twiddled = grid.ndim_space == 1
-    n_real, n_complex = _factors(N[0]) if twiddled else N[::-1] if layout == 0 else N
-    stride = n_complex if twiddled else 1
     n = n_real * stride
     samples = stride * np.arange(n_real)[:, None] + np.arange(stride)[:, None, None]
     phase = samples * np.arange(n_real // 2 + 1) % n
@@ -472,6 +501,24 @@ def _dft_matrices(grid: PhaseSpaceGrid, layout: int) -> tuple[np.ndarray, ...]:
                 planar * np.tile(weights, 2))
     return (roots[0].view(float), lead, lead_inv,
             np.ascontiguousarray((roots[0] * weights).view(float).T))
+
+
+def _dft_axes(grid: PhaseSpaceGrid, layout: int) -> tuple[int, int, int]:
+    """(n_real, n_complex, S) of a kernel substep in a layout (_dft_matrices)."""
+    N = tuple(km.num_points for km in grid.wavenumber)
+    if grid.ndim_space == 1:
+        n_real, n_complex = _factors(N[0])
+        return n_real, n_complex, n_complex
+    return (*(N[::-1] if layout == 0 else N), 1)
+
+
+def _dft_floats(grid: PhaseSpaceGrid, layout: int) -> int:
+    """Floats at the peak of _dft_matrices(grid, layout): five arrays of
+    roots' size, S x n_real x H complex entries (in 2-D roots, its planar
+    copy, forward, back and the product that makes back), and 16
+    n_complex^2 for lead, lead_inv, their real forms and temporaries."""
+    n_real, n_complex, stride = _dft_axes(grid, layout)
+    return 10 * stride * n_real * (n_real // 2 + 1) + 16 * n_complex ** 2
 
 
 def _real_form(matrix: np.ndarray) -> np.ndarray:
@@ -601,6 +648,21 @@ class _Stepper:
     = N1/2 + 1, holds the (Re, Im) parts of its H1 bins as two blocks of
     rows; the 4-D half spectrum holds (Re, Im) column pairs that a complex
     view reads as the rfft.
+
+    memos[i] is stage i's memo, the (function, operands) calls it makes, in
+    order, each operand a view bound when the memo is recorded: of the
+    field's buffer or array (held), the scratch, the multiplier tables, the
+    inflow profiles, the plans' matrices and the DFT matrices.  A
+    transport's memo holds each sweep as one call of _sweep with the
+    sweep's own memo, which _SweepPlan.apply fills on the first step; a 4-D
+    transport's also holds the two copies of its layout switch.  A sweep
+    with the symmetrized edge spends its source, and its memo keeps the
+    mirrored reading after the run that reads slice edge + 1.  advance()
+    records the memos (_record) on its first call and again, dropping the
+    old ones, whenever the field comes in another buffer (2-D) or another
+    array (4-D); every other call replays them.  A step-less run records
+    none.  The memos hold no reference to the stepper, so dropping it
+    frees its block at once.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
@@ -640,6 +702,9 @@ class _Stepper:
             natural = np.broadcast_to(inflow, _split(grid))
             lanes = [natural.transpose(order)[:, 0, 0] for order in self.orders]
             self.profiles = tuple(lane.reshape(len(lane), -1) for lane in lanes)
+        # the stage memos, none until advance() records them (held: the
+        # buffer or array they are bound to)
+        self.held = self.memos = self.end = None
 
     def advance(self, work: np.ndarray) -> np.ndarray:
         """Run every stage on a C-contiguous field in the first work layout
@@ -652,22 +717,27 @@ class _Stepper:
         field, given in L1, ends in end_layout in the caller's array.  The
         result is work itself when it ends in the first layout in work's
         memory, else a view of the buffer it ends in.
+
+        Both checks run on every call.  The stage memos (memos) are recorded
+        on the first call and on every call that hands in a field in another
+        buffer (2-D) or another array (4-D), which drops the old ones; every
+        other call replays them, in their recorded order, on the views they
+        bound, so a symmetrized sweep still reads slice edge + 1 of its
+        source before it writes the mirrored reading there.
         """
-        field = work
+        held = work
         if self.room:
             held = _head_of(work, self.room)
             if held is None or np.may_share_memory(held, self.scratch):
                 raise ParameterError(f"a 2-D field must head a buffer of room = {self.room}"
                                      " floats outside the stepper's scratch")
-            # the buffer the field is in, then the other one; each transport
-            # swaps the two
-            self.buffers = [held, self.scratch]
-        for (kind, tau), layout in zip(self.stages, self.layouts):
-            if kind == "A":
-                field = self._transport(field, tau, layout)
-            else:
-                self._kernel(field, tau, layout)
-        return work if self.end_layout == 0 and np.may_share_memory(field, work) else field
+        if held is not self.held:
+            self.memos, self.end = self._record(work, held)
+            self.held = held
+        for memo in self.memos:
+            for fn, args in memo:
+                fn(*args)
+        return work if self.end is None else self.end
 
     def apply(self, state: WignerState, dt: float = 0.0) -> WignerState:
         """The stages applied to a state, which is left as it is; time moves by dt."""
@@ -675,16 +745,37 @@ class _Stepper:
         values = _from_work(work, self.grid, self.orders[self.end_layout])
         return WignerState(state.grid, values, state.time + dt)
 
-    def _sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int) -> None:
-        shape = field.shape[:3] + (-1,)
-        plan.apply(field.reshape(shape), self.profiles[dim], out.reshape(shape))
+    def _record(self, work: np.ndarray, held: np.ndarray) -> tuple[list, np.ndarray | None]:
+        """Each stage's memo for a field at work's place in held, and the
+        view the last stage leaves it in (None where that is work)."""
+        # the flat buffer the field is in, then the one it is not in: a 2-D
+        # transport sweeps the field from the one into the other and swaps
+        # them; a 4-D field stays in work, and the scratch is the other
+        buffers = [held, self.scratch]
+        field, memos = work, []
+        for (kind, tau), layout in zip(self.stages, self.layouts):
+            memo = []
+            if kind == "A":
+                field = self._transport(field, tau, layout, buffers[1], memo)
+                if self.room:
+                    buffers.reverse()
+            else:
+                self._kernel(field, tau, layout, buffers[1], memo)
+            memos.append(memo)
+        ends_in_work = self.end_layout == 0 and np.may_share_memory(field, work)
+        return memos, None if ends_in_work else field
 
-    def _transport(self, work, tau, layout):
+    def _add_sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int,
+                   memo: list) -> None:
+        shape = field.shape[:3] + (-1,)
+        memo.append((_sweep, (plan, field.reshape(shape), self.profiles[dim], out.reshape(shape),
+                              [])))
+
+    def _transport(self, work, tau, layout, spare, memo):
         plans = self.plans[tau]
         if self.grid.ndim_space == 1:
-            out = self.buffers[1][: work.size].reshape(work.shape)
-            self._sweep(plans[0], work, out, 0)
-            self.buffers.reverse()
+            out = spare[: work.size].reshape(work.shape)
+            self._add_sweep(plans[0], work, out, 0, memo)
             return out
         # the dimension this layout leads with into the scratch, then the
         # switch and the other dimension back into the field's array.  The
@@ -693,17 +784,17 @@ class _Stepper:
         # contiguous inner run, where a one-pass reversal reads its inner
         # loop with the largest stride (on the fermi4d field 1.4 ms against
         # 3.2 ms, one core of a 2-core x86 host).
-        swept = self.scratch[: work.size].reshape(work.shape)
-        self._sweep(plans[layout], work, swept, layout)
+        swept = spare[: work.size].reshape(work.shape)
+        self._add_sweep(plans[layout], work, swept, layout, memo)
         staged = work.reshape(work.shape[1:] + work.shape[:1])
-        np.copyto(staged, np.moveaxis(swept, 0, -1))
         switched = swept.reshape(work.shape[::-1])
-        np.copyto(switched, staged.transpose(4, 3, 2, 1, 0, 5))
+        memo += [(np.copyto, (staged, np.moveaxis(swept, 0, -1))),
+                 (np.copyto, (switched, staged.transpose(4, 3, 2, 1, 0, 5)))]
         out = work.reshape(work.shape[::-1])
-        self._sweep(plans[1 - layout], switched, out, 1 - layout)
+        self._add_sweep(plans[1 - layout], switched, out, 1 - layout, memo)
         return out
 
-    def _kernel(self, work, tau, layout):
+    def _kernel(self, work, tau, layout, spare, memo):
         forward, lead, lead_inv, back = self.dfts[layout]
         mults = self.mults[tau, layout]
         if self.grid.ndim_space == 1:
@@ -712,8 +803,8 @@ class _Stepper:
             # node) in the buffer the field is not in
             N2, N1 = len(forward), forward.shape[2]
             field = work.reshape(N1, N2, -1).transpose(1, 0, 2)
-            spec = self.buffers[1][: 2 * mults.size].reshape(N2, 2 * len(mults), -1)
-            np.matmul(forward, field, out=spec)
+            spec = spare[: 2 * mults.size].reshape(N2, 2 * len(mults), -1)
+            memo.append((np.matmul, (forward, field, spec)))
             # the complex DFT along n2, the multiply and the inverse cannot run
             # in place: they go through the spent field, half of the columns
             # (k1, node) at a time, each half's bins as (Re, Im) pairs along k2
@@ -725,20 +816,20 @@ class _Stepper:
             for cols in (slice(0, cut), slice(cut, None)):
                 part = columns[:, cols]
                 through = work.reshape(-1)[: part.size].reshape(part.shape[::-1])
-                np.matmul(part.T, lead, out=through)
                 bins = through.view(complex)
-                bins *= mults[cols]
-                np.matmul(lead_inv, through.T, out=part)
-            np.matmul(back, spec, out=field)
+                memo += [(np.matmul, (part.T, lead, through)),
+                         (np.multiply, (bins, mults[cols], bins)),
+                         (np.matmul, (lead_inv, through.T, part))]
+            memo.append((np.matmul, (back, spec, field)))
             return
         # the products along the trailing k axis as a stack over the leading
         # (k, m) pairs, (q*q*m, k) blocks each, which BLAS runs faster than
         # one flat (points/k, k) product, into the spectrum as (leading k
         # bins, the rest), the shape the DFT along the leading axis reads
-        spec = self.scratch[: 2 * mults.size].view(complex).reshape(len(mults), -1)
+        spec = spare[: 2 * mults.size].view(complex).reshape(len(mults), -1)
         rows = work.reshape(work.shape[0] * work.shape[1], -1, work.shape[-1])
         bins = spec.view(float).reshape(len(rows), -1, forward.shape[1])  # (Re, Im) of each bin
-        np.matmul(rows, forward, out=bins)
+        memo.append((np.matmul, (rows, forward, bins)))
         mults = mults.reshape(spec.shape)
         # the leading-axis DFT, multiply and inverse cannot run in place: they
         # go through the spent field, half of the columns at a time (half a
@@ -747,10 +838,17 @@ class _Stepper:
         for cols in (slice(0, cut), slice(cut, None)):
             part = spec[:, cols]
             through = work.reshape(-1)[: 2 * part.size].view(complex).reshape(part.shape)
-            np.matmul(lead, part, out=through)
-            through *= mults[:, cols]
-            np.matmul(lead_inv, through, out=part)
-        np.matmul(bins, back, out=rows)
+            memo += [(np.matmul, (lead, part, through)),
+                     (np.multiply, (through, mults[:, cols], through)),
+                     (np.matmul, (lead_inv, through, part))]
+        memo.append((np.matmul, (bins, back, rows)))
+
+
+def _sweep(plan: _SweepPlan, work: np.ndarray, inflow: np.ndarray | None, out: np.ndarray,
+           calls: list) -> None:
+    """A stage memo's sweep: plan.apply, looked up at each call, so that a
+    wrapper put on the class (as a layer trace does) sees every sweep."""
+    plan.apply(work, inflow, out, calls)
 
 
 # The benchmark's layer trace still names the class _Stepper2D and the
@@ -932,17 +1030,24 @@ def _working_set(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> float
     In floats of 8 B: the kernel table on its rfft bins (KernelTable); the
     field, or in 2-D the flat buffer of room floats that it heads; the
     stepper's block (_block), one complex multiplier table per distinct
-    kernel stage length and layout, then the scratch; and the sweep plans,
-    one (N_k + 1) x M x M stack of matrices per spatial dimension and
-    distinct transport length (the one more slice is the symmetrized
-    edge's).  A quarter more covers the rest.
+    kernel stage length and layout, then the scratch; the sweep plans, one
+    (N_k + 1) x M x M stack of matrices per spatial dimension and distinct
+    transport length (the one more slice is the symmetrized edge's); each
+    kernel layout's DFT matrices at their build's peak (_dft_floats); and
+    the stage memos (_Stepper.advance)
+    at 40 floats a call: a few runs' calls a sweep, 16 counted, and in 4-D,
+    where a slab is wider than one float, one shared-row copy a slice, and
+    8 calls a kernel substep.  A quarter more covers the rest.
     """
-    *_, length, room = _block(grid, stages)
+    _, _, tables, _, length, room = _block(grid, stages)
     table = math.prod(grid.shape[:-1]) * (grid.shape[-1] // 2 + 1)
     plans = len({tau for kind, tau in stages if kind == "A"}) * sum(
         (km.num_points + 1) * mesh.points_per_element ** 2
         for mesh, km in zip(grid.spatial, grid.wavenumber))
-    return 1.25 * 8 * (table + max(room, math.prod(grid.shape)) + length + plans)
+    dfts = sum(_dft_floats(grid, layout) for layout in {at for _, at in tables})
+    sweep = sum(16 + (km.num_points + 1) * (grid.ndim_space > 1) for km in grid.wavenumber)
+    memos = 40 * sum(sweep if kind == "A" else 8 for kind, _ in stages)
+    return 1.25 * 8 * (table + max(room, math.prod(grid.shape)) + length + plans + dfts + memos)
 
 
 def evolve(config: SimulationConfig):

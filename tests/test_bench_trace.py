@@ -13,14 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wigsolve.dynamics import advect
+from wigsolve.dynamics import SimulationConfig, advect, evolve
 from wigsolve.grid import PhaseSpaceGrid, WignerState, build_spatial_mesh, build_wavenumber_mesh
 from wigsolve.kernels import (
+    DeltaPotential,
     InversePowerPotential,
     LogPotential,
+    MultiDeltaPotential2D,
     PhysicalConstants,
     clear_table_cache,
 )
+from wigsolve.observables import GaussianPacketSpec
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -96,3 +99,44 @@ def test_cold_log_table_traces_one_cosine_integral_per_distinct_w(spans):
     points, distinct, entries = _cold_table_points(spans, LogPotential(H=1.0), "cosine_integral")
     assert points == [distinct]
     assert distinct < entries
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["2d", "4d"])
+def test_every_stepped_sweep_enters_through_apply_with_its_field(spans, planar):
+    # the trace counts sweeps at _SweepPlan.apply and reads the field,
+    # (Nk, M, Q, R), as its first argument after the plan.  Three yoshida4
+    # steps, the last two replayed from the stage memos, sweep four times a
+    # step in 2-D and eight in 4-D, where the sweeps alternate between the
+    # x1 and the x2 slices, equal here
+    packet = GaussianPacketSpec(x0=-1.0, k0=1.0, sigma=1.5)
+    common = dict(x_lo=-6.0, x_hi=6.0, num_elements=3, points_per_element=5, num_modes=8,
+                  initial=packet, dt=0.01, t_final=0.03, consts=PhysicalConstants(),
+                  inflow="background", edge_transport="symmetrized")
+    if planar:
+        cfg = SimulationConfig(potential=MultiDeltaPotential2D(H=1.0, points=((0.5, 0.5),)),
+                               **common)
+        fields, per_step = [(8, 5, 3, 15 * 8)] * 8, 8
+    else:
+        cfg = SimulationConfig(potential=DeltaPotential(H=1.0), **common)
+        fields, per_step = [(8, 5, 3, 1)] * 4, 4
+    seen = []
+
+    def info(args, kwargs, result, before, after):
+        seen.append(args[1].shape)
+        return spans._sweep_flop(args, kwargs, result, before, after)
+
+    entries = tuple(spans.Entry(e.module, e.attr, info) if e.attr == "_SweepPlan.apply" else e
+                    for e in spans.ENTRY_POINTS)
+    tracer = spans.Tracer(entries)
+    clear_table_cache()
+    try:
+        with tracer.installed():
+            evolve(cfg)
+    finally:
+        clear_table_cache()
+    assert seen == 3 * fields
+    metrics = spans.layer_metrics(tracer.spans, tracer.self_times(), 1, tracer.missing)
+    assert metrics["dynamics.transport_apply_calls"] == 3 * per_step
+    assert metrics["dynamics.transport_gflop"] * 1e9 == pytest.approx(
+        3 * sum(4 * M * M * Q * R * (Nk + 1) for Nk, M, Q, R in fields), rel=1e-12)
+    assert metrics["dynamics.steps"] == 3  # one advance a step
