@@ -37,30 +37,31 @@ share a grid, constants, stage lengths and edge share them, read-only.  It
 builds for itself only what depends on its table or its field: the
 multiplier tables of each distinct kernel stage length, the inflow
 profiles, and every buffer the stages use but the field's own: no stage
-allocates.  A stepped 2-D field runs in two spectrum-sized buffers, its own
-(room floats, from _block) and the stepper's scratch: a transport sweeps it
-from one into the other, and a kernel substep writes its spectrum into the
-one it is not in.  Both kernel substeps are four matrix products against
-the DFT matrices of their layout (_dft_matrices), the multiply between the
-middle two; no np.fft call is left.  In 2-D they factor the k axis, N_k =
-N1*N2 (Bailey's four-step FFT); in 4-D they run along the layout's trailing
-k axis (rfft) and its leading one (complex).  At these sizes (N_k = 16 to
-128) BLAS runs the transforms faster than pocketfft, which transforms one
-lane at a time.  A 4-D field switches layouts once per transport and always
-stays in the caller's array.  evolve drives a run in either dimension with
-one stepper, dropped before the final record and snapshot; advect,
-apply_kernel and step build a stepper for a single call and leave their
-input state as it is.
+allocates.  A stepped field, in either dimension, heads a flat buffer of
+the stepper's room floats (_block; _to_work makes one) and runs in that
+buffer and the stepper's scratch.  A 2-D transport sweeps the field from
+the one into the other, and a kernel substep writes its spectrum into the
+one it is not in; a 4-D field has room 0, as it switches layouts once per
+transport and always stays in its own buffer.  Both kernel substeps are
+four matrix products against the DFT matrices of their layout
+(_dft_matrices), the multiply between the middle two; no np.fft call is
+left.  In 2-D they factor the k axis, N_k = N1*N2 (Bailey's four-step
+FFT); in 4-D they run along the layout's trailing k axis (rfft) and its
+leading one (complex).  At these sizes (N_k = 16 to 128) BLAS runs the
+transforms faster than pocketfft, which transforms one lane at a time.
+evolve drives a run in either dimension with one stepper, dropped before
+the final record and snapshot; advect, apply_kernel and step build a
+stepper for a single call and leave their input state as it is.
 
-Each stage keeps a memo: the numpy calls it makes, in order, as (function,
-operands), every in-place write an explicit out= call and every operand a
-view bound when the memo is recorded.  The stepper records its memos on
-the first step of a field's buffer (2-D) or array (4-D), drops them when
-handed a field elsewhere, and replays them on every other step, so a warm
+The stepper keeps one memo: the numpy calls its stages make, in order, as
+one list of (function, operands), every in-place write an explicit out=
+call and every operand a view bound when the memo is recorded.  It records
+the memo on the first step of a field's buffer, drops it when handed a
+field in another buffer, and replays it on every other step, so a warm
 step builds no view, does no index arithmetic and swaps no buffer.  A
 sweep's calls are its own memo, which _SweepPlan.apply fills on the first
-step and replays on the later ones; every sweep still enters through it.
-A symmetrized sweep spends its source, and its memo writes the mirrored
+step and replays on the later ones; every sweep enters through it.  A
+symmetrized sweep spends its source, and its memo writes the mirrored
 reading into slice edge + 1 only after the run that reads that slice.
 """
 
@@ -195,35 +196,30 @@ class _SweepPlan:
                      or s == self.num_slices), len(n)]
         self.runs = [(a, b, n[a], m0[a]) for a, b in zip(cuts, cuts[1:])]
 
-    def apply(self, work: np.ndarray, inflow: np.ndarray | None = None,
-              out: np.ndarray | None = None, calls: list | None = None) -> np.ndarray:
+    def apply(self, work: np.ndarray, inflow: np.ndarray | None, out: np.ndarray,
+              calls: list) -> np.ndarray:
         """The field work, (Nk, M, Q, R), shifted into out; returns out.
 
-        inflow, if given, holds the (Nk, R) values read by departure points
-        outside the domain; otherwise those points read 0.  out is a
-        C-contiguous buffer of work's shape that shares no memory with it; a
-        call given none allocates its own.  With the symmetrized edge the
-        mirrored slice's reading overwrites slice edge + 1 of work, which
-        that slice's run has already read: work is spent.
+        inflow, if not None, holds the (Nk, R) values read by departure
+        points outside the domain; otherwise those points read 0.  out is a
+        C-contiguous buffer of work's shape that shares no memory with it.
+        With the symmetrized edge the mirrored slice's reading overwrites
+        slice edge + 1 of work, which that slice's run has already read:
+        work is spent.
 
         A sweep is a sequence of numpy calls, (function, operands), every
         in-place write an explicit out= call, every operand a view of work,
         inflow, out or the plan's matrices; the calls run in order, so the
         mirrored reading still follows the run that spends slice edge + 1.
-        calls, if given, is the caller's memo of them, bound to these
-        arrays: an empty list is filled and then run; a filled one is only
-        run, with no view built and no index arithmetic, and must be given
-        the arrays it was filled with, out among them.  Without a memo each
-        call runs as it is made.
+        calls is the caller's memo of them, bound to these arrays: an empty
+        list is filled and then run; a filled one is only run, with no view
+        built and no index arithmetic, and must be given the arrays it was
+        filled with, out among them.
         """
         Nk = self.num_slices
         if work.shape[0] != Nk:
             raise ParameterError(f"sweep plan holds {Nk} slices, field has {work.shape[0]}")
-        if out is None:
-            out = np.empty_like(work)
-        if calls is None:
-            calls = self._calls(work, inflow, out)
-        elif not calls:
+        if not calls:
             calls += self._calls(work, inflow, out)
         for fn, args in calls:
             fn(*args)
@@ -375,22 +371,18 @@ def _bins(grid: PhaseSpaceGrid, layout: int) -> tuple[int, ...]:
     return tuple(natural[a] for a in _LAYOUTS[2][layout])
 
 
-def _table_rows(table: KernelTable, layout: int, out: np.ndarray) -> np.ndarray:
-    """s on every bin of out's spectrum (_bins(table.grid, layout)), written
-    into the second half of out's floats (out is complex and contiguous) in
-    out's shape, and returned.  The table stores nu >= 0 along its last
-    axis; a bin of negative nu reads s(-nu) = -s(nu).  Every Nyquist bin
-    holds 0, so its phase is 0.
+def _table_rows(table: KernelTable, layout: int, rows: np.ndarray) -> np.ndarray:
+    """s on every bin of the spectrum a kernel substep multiplies in a layout
+    (_bins(table.grid, layout)), written into rows, a float array of that
+    shape, and returned.  The table stores nu >= 0 along its last axis; a bin
+    of negative nu reads s(-nu) = -s(nu).  Every Nyquist bin holds 0, so its
+    phase is 0.
 
     In 2-D the rows are gathered one k2 at a time, as s(nu) at nu = k1 +
     N1*k2 with s(N_k - nu) negated beyond N_k/2, reading the table in its
     storage order.  In 4-D, L1 is one transposed copy of the table; L2
     copies the rows of nu2 <= Nk2/2 and negates each other row nu2 from the
-    table's row Nk2 - nu2 at -nu1: bin 0, then Nk1 - 1 down to Nk1/2.  Row j
-    of out overlaps only rows j and below of the returned array, so a
-    caller that writes it after reading row j needs no table-sized
-    temporary."""
-    rows = out.view(float).reshape(-1)[out.size :].reshape(out.shape)
+    table's row Nk2 - nu2 at -nu1: bin 0, then Nk1 - 1 down to Nk1/2."""
     split = _split(table.grid)
     if table.grid.ndim_space == 1:
         Q, M, N = split
@@ -425,15 +417,18 @@ def _multipliers(table: KernelTable, tau: float, layout: int, out: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
     """exp(i tau s_nu) on the spectrum a kernel substep multiplies in a
     layout, written into out (complex, contiguous, of shape _bins) and
-    returned: each leading bin's row of s (_table_rows) is scaled to the
-    half angle tau s/2 in a row of scratch, which holds two, and _phasor
-    writes exp(i tau s) through the other.  No table-sized temporary
-    exists."""
-    size = math.prod(out.shape[1:])
-    t, d = scratch[:size], scratch[size : 2 * size]
+    returned.  s on every bin (_table_rows) goes to the head of scratch,
+    and two work rows of one leading bin's size right after it: each
+    leading bin's row of s is scaled to the half angle tau s/2 in the
+    first, and _phasor writes exp(i tau s) through the second.  scratch
+    holds prod(bins) + 2*prod(bins[1:]) floats or more, which a spectrum's
+    2*prod(bins) is, as bins[0] >= 2.  No table-sized temporary exists."""
+    n, size = out.size, math.prod(out.shape[1:])
+    rows = _table_rows(table, layout, scratch[:n].reshape(out.shape))
+    t, d = scratch[n : n + size], scratch[n + size : n + 2 * size]
     half = 0.5 * tau
     # flat, each ufunc sets up one loop, not one per axis
-    for row, s in zip(out, _table_rows(table, layout, out)):
+    for row, s in zip(out, rows):
         np.multiply(s.reshape(-1), half, out=t)
         _phasor(row.reshape(-1), t, d)
     return out
@@ -496,9 +491,14 @@ def _dft_matrices(grid: PhaseSpaceGrid, layout: int) -> tuple[np.ndarray, ...]:
     lead = np.exp(-2j * np.pi * (np.outer(a, a) % n_complex) / n_complex)
     lead_inv = lead.conj() / n_complex
     if twiddled:
-        planar = np.concatenate([roots.real, roots.imag], axis=2)
-        return (planar.transpose(0, 2, 1).copy(), _real_form(lead), _real_form(lead_inv).T,
-                planar * np.tile(weights, 2))
+        # the (Re, Im) row blocks of forward and column blocks of back,
+        # written from roots' parts with no planar copy
+        S, _, H = roots.shape
+        forward, back = np.empty((S, 2 * H, n_real)), np.empty((S, n_real, 2 * H))
+        for i, part in enumerate((roots.real, roots.imag)):
+            np.copyto(forward[:, i * H : (i + 1) * H], part.transpose(0, 2, 1))
+            np.multiply(part, weights, out=back[..., i * H : (i + 1) * H])
+        return forward, _real_form(lead), _real_form(lead_inv).T, back
     return (roots[0].view(float), lead, lead_inv,
             np.ascontiguousarray((roots[0] * weights).view(float).T))
 
@@ -513,12 +513,12 @@ def _dft_axes(grid: PhaseSpaceGrid, layout: int) -> tuple[int, int, int]:
 
 
 def _dft_floats(grid: PhaseSpaceGrid, layout: int) -> int:
-    """Floats at the peak of _dft_matrices(grid, layout): five arrays of
-    roots' size, S x n_real x H complex entries (in 2-D roots, its planar
-    copy, forward, back and the product that makes back), and 16
-    n_complex^2 for lead, lead_inv, their real forms and temporaries."""
+    """Floats at the peak of _dft_matrices(grid, layout): four arrays of
+    roots' size, S x n_real x H complex entries (in 2-D roots, forward, back
+    and the temporaries of roots' build), and 16 n_complex^2 for lead,
+    lead_inv, their real forms and temporaries."""
     n_real, n_complex, stride = _dft_axes(grid, layout)
-    return 10 * stride * n_real * (n_real // 2 + 1) + 16 * n_complex ** 2
+    return 8 * stride * n_real * (n_real // 2 + 1) + 16 * n_complex ** 2
 
 
 def _real_form(matrix: np.ndarray) -> np.ndarray:
@@ -569,12 +569,12 @@ def _block(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]):
     room is the length of the flat buffer that a field in the first layout
     heads (_to_work makes one): in 2-D the scratch's, with which it trades
     places at each transport; in 4-D 0, as the field stays in its own
-    array.  While a table is built, the second half of its own slot holds s
-    on every bin (_table_rows).
+    buffer.
     With transports the scratch holds a field: in 4-D the one a transport's
     first sweep writes, in 2-D the one a sweep writes there.  It also holds
-    the spectrum of every kernel layout (_bins, complex), which also holds
-    the two rows _multipliers needs.  A 2-D spectrum, 2*N2*(N1/2 + 1)*M*Q
+    the spectrum of every kernel layout (_bins, complex), and so, while a
+    table is built, s on every bin at its head and the two work rows
+    _multipliers takes right after it.  A 2-D spectrum, 2*N2*(N1/2 + 1)*M*Q
     floats, outgrows a field by at least 2*N2*M*Q floats."""
     layouts, layout, tables, start, field = [], 0, {}, 0, 0
     for kind, tau in stages:
@@ -619,26 +619,27 @@ class _Stepper:
 
     The work layouts are _LAYOUTS[ndim] (orders).  One pass over the stages
     (_block) gives the layout stage i finds the field in, orders[layouts[i]],
-    the one advance() leaves it in, orders[end_layout], and the stepper's
-    one block: every kernel stage's multipliers, one table per (stage
-    length, layout) over that layout's spectrum (_bins, _multipliers), and
-    then the scratch.  apply() converts through the layouts.  The inflow
-    profiles and the DFT matrices are read per layout alike in both
-    dimensions.
+    the one advance() leaves it in, orders[end_layout], the room of the
+    field's buffer, and the stepper's one block: every kernel stage's
+    multipliers, one table per (stage length, layout) over that layout's
+    spectrum (_bins, _multipliers), and then the scratch.  apply() converts
+    through the layouts.  The inflow profiles and the DFT matrices are read
+    per layout alike in both dimensions.
 
-    The 2-D work layout is (Nk, M, Q), so that every sweep runs along the
-    leading axis.  A 2-D field lies at the head of a flat buffer of room
-    floats, as long as the scratch, that _to_work(..., room) makes; advance()
-    takes no other.  The two flat buffers trade places: a transport sweeps
-    the field into the other one, and a kernel substep writes its spectrum
-    into the one the field is not in and runs its middle products through
-    the spent field.  A step, with an even number of transports, leaves the
-    field in the buffer it came in.  A 4-D field is in L1 or L2, and
-    advance() takes it in L1: a transport sweeps the dimension its layout
-    leads with into the scratch, switches layouts back into the field's
-    array in two passes, the second into the scratch, and sweeps the other
-    dimension back into the field's array, which then holds the other
-    layout, so the field always stays in the caller's array.  A kernel
+    A field lies at the head of a flat buffer of room floats, as
+    _to_work(..., room) makes one; advance() takes no other.  Its buffer and
+    the scratch are the stepper's two buffers, and a transport that leaves
+    the field in the other one swaps them.  The 2-D work layout is (Nk, M,
+    Q), so that every sweep runs along the leading axis: a transport sweeps
+    the field into the other buffer, and a kernel substep writes its
+    spectrum into the one the field is not in and runs its middle products
+    through the spent field.  A step, with an even number of transports,
+    leaves the field in the buffer it came in.  A 4-D field, room 0, is in
+    L1 or L2, and advance() takes it in L1: a transport sweeps the dimension
+    its layout leads with into the scratch, switches layouts back into the
+    field's buffer in two passes, the second into the scratch, and sweeps
+    the other dimension back into the field's buffer, which then holds the
+    other layout, so the field always stays in its own buffer.  A kernel
     substep overwrites the field through the spectrum, which the scratch
     holds.  The stepper also owns the inflow profiles, broadcast over each
     sweep's slabs.  Without stages its block is empty.
@@ -649,20 +650,19 @@ class _Stepper:
     rows; the 4-D half spectrum holds (Re, Im) column pairs that a complex
     view reads as the rfft.
 
-    memos[i] is stage i's memo, the (function, operands) calls it makes, in
-    order, each operand a view bound when the memo is recorded: of the
-    field's buffer or array (held), the scratch, the multiplier tables, the
-    inflow profiles, the plans' matrices and the DFT matrices.  A
-    transport's memo holds each sweep as one call of _sweep with the
-    sweep's own memo, which _SweepPlan.apply fills on the first step; a 4-D
-    transport's also holds the two copies of its layout switch.  A sweep
-    with the symmetrized edge spends its source, and its memo keeps the
-    mirrored reading after the run that reads slice edge + 1.  advance()
-    records the memos (_record) on its first call and again, dropping the
-    old ones, whenever the field comes in another buffer (2-D) or another
-    array (4-D); every other call replays them.  A step-less run records
-    none.  The memos hold no reference to the stepper, so dropping it
-    frees its block at once.
+    memo is the one list of (function, operands) calls every stage makes,
+    in order, each operand a view bound when the memo is recorded: of the
+    field's buffer (held), the scratch, the multiplier tables, the inflow
+    profiles, the plans' matrices and the DFT matrices.  A transport adds
+    each sweep as one call of _sweep with the sweep's own memo, which
+    _SweepPlan.apply fills on the first step; a 4-D transport also adds the
+    two copies of its layout switch.  A sweep with the symmetrized edge
+    spends its source, and its memo keeps the mirrored reading after the
+    run that reads slice edge + 1.  advance() records the memo (_record) on
+    its first call and again, dropping the old one, whenever the field
+    comes in another buffer; every other call replays it.  A step-less run
+    records none.  The memo holds no reference to the stepper, so dropping
+    it frees its block at once.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, table: KernelTable | None,
@@ -702,41 +702,38 @@ class _Stepper:
             natural = np.broadcast_to(inflow, _split(grid))
             lanes = [natural.transpose(order)[:, 0, 0] for order in self.orders]
             self.profiles = tuple(lane.reshape(len(lane), -1) for lane in lanes)
-        # the stage memos, none until advance() records them (held: the
-        # buffer or array they are bound to)
-        self.held = self.memos = self.end = None
+        # the memo, none until advance() records it (held: the buffer it is
+        # bound to)
+        self.held = self.memo = self.end = None
 
     def advance(self, work: np.ndarray) -> np.ndarray:
         """Run every stage on a C-contiguous field in the first work layout
         and return the result.
 
-        A 2-D field must head a flat buffer of room floats that lies outside
+        The field must head a flat buffer of room floats that lies outside
         the scratch, as _to_work(..., room) makes one; any other is refused.
-        It runs in that buffer and the scratch and ends in that buffer after
-        an even number of transports, in the scratch otherwise.  A 4-D
-        field, given in L1, ends in end_layout in the caller's array.  The
+        A 2-D field runs in that buffer and the scratch and ends in that
+        buffer after an even number of transports, in the scratch otherwise.
+        A 4-D field, given in L1, ends in end_layout in its own buffer.  The
         result is work itself when it ends in the first layout in work's
         memory, else a view of the buffer it ends in.
 
-        Both checks run on every call.  The stage memos (memos) are recorded
-        on the first call and on every call that hands in a field in another
-        buffer (2-D) or another array (4-D), which drops the old ones; every
-        other call replays them, in their recorded order, on the views they
-        bound, so a symmetrized sweep still reads slice edge + 1 of its
-        source before it writes the mirrored reading there.
+        Both checks run on every call.  The memo is recorded on the first
+        call and on every call that hands in a field in another buffer,
+        which drops the old one; every other call replays it, in its
+        recorded order, on the views it bound, so a symmetrized sweep still
+        reads slice edge + 1 of its source before it writes the mirrored
+        reading there.
         """
-        held = work
-        if self.room:
-            held = _head_of(work, self.room)
-            if held is None or np.may_share_memory(held, self.scratch):
-                raise ParameterError(f"a 2-D field must head a buffer of room = {self.room}"
-                                     " floats outside the stepper's scratch")
+        held = _head_of(work, self.room)
+        if held is None or np.may_share_memory(held, self.scratch):
+            raise ParameterError(f"a field must head a buffer of room = {self.room}"
+                                 " floats outside the stepper's scratch")
         if held is not self.held:
-            self.memos, self.end = self._record(work, held)
+            self.memo, self.end = self._record(work, held)
             self.held = held
-        for memo in self.memos:
-            for fn, args in memo:
-                fn(*args)
+        for fn, args in self.memo:
+            fn(*args)
         return work if self.end is None else self.end
 
     def apply(self, state: WignerState, dt: float = 0.0) -> WignerState:
@@ -746,24 +743,19 @@ class _Stepper:
         return WignerState(state.grid, values, state.time + dt)
 
     def _record(self, work: np.ndarray, held: np.ndarray) -> tuple[list, np.ndarray | None]:
-        """Each stage's memo for a field at work's place in held, and the
-        view the last stage leaves it in (None where that is work)."""
-        # the flat buffer the field is in, then the one it is not in: a 2-D
-        # transport sweeps the field from the one into the other and swaps
-        # them; a 4-D field stays in work, and the scratch is the other
+        """The memo for a field at work's place in held, and the view the
+        last stage leaves it in (None where that is work)."""
+        # the flat buffer the field is in, then the one it is not in; a
+        # stage that leaves the field in the other one swaps them
         buffers = [held, self.scratch]
-        field, memos = work, []
+        field, memo = work, []
         for (kind, tau), layout in zip(self.stages, self.layouts):
-            memo = []
-            if kind == "A":
-                field = self._transport(field, tau, layout, buffers[1], memo)
-                if self.room:
-                    buffers.reverse()
-            else:
-                self._kernel(field, tau, layout, buffers[1], memo)
-            memos.append(memo)
+            stage = self._transport if kind == "A" else self._kernel
+            field = stage(field, tau, layout, buffers[1], memo)
+            if np.may_share_memory(field, buffers[1]):
+                buffers.reverse()
         ends_in_work = self.end_layout == 0 and np.may_share_memory(field, work)
-        return memos, None if ends_in_work else field
+        return memo, None if ends_in_work else field
 
     def _add_sweep(self, plan: _SweepPlan, field: np.ndarray, out: np.ndarray, dim: int,
                    memo: list) -> None:
@@ -778,7 +770,7 @@ class _Stepper:
             self._add_sweep(plans[0], work, out, 0, memo)
             return out
         # the dimension this layout leads with into the scratch, then the
-        # switch and the other dimension back into the field's array.  The
+        # switch and the other dimension back into the field's buffer.  The
         # switch reverses all six axes in two passes: the leading axis goes
         # last, then the other five are reversed.  Each pass keeps a
         # contiguous inner run, where a one-pass reversal reads its inner
@@ -821,7 +813,7 @@ class _Stepper:
                          (np.multiply, (bins, mults[cols], bins)),
                          (np.matmul, (lead_inv, through.T, part))]
             memo.append((np.matmul, (back, spec, field)))
-            return
+            return work
         # the products along the trailing k axis as a stack over the leading
         # (k, m) pairs, (q*q*m, k) blocks each, which BLAS runs faster than
         # one flat (points/k, k) product, into the spectrum as (leading k
@@ -842,12 +834,14 @@ class _Stepper:
                      (np.multiply, (through, mults[:, cols], through)),
                      (np.matmul, (lead_inv, through, part))]
         memo.append((np.matmul, (bins, back, rows)))
+        return work
 
 
 def _sweep(plan: _SweepPlan, work: np.ndarray, inflow: np.ndarray | None, out: np.ndarray,
            calls: list) -> None:
-    """A stage memo's sweep: plan.apply, looked up at each call, so that a
-    wrapper put on the class (as a layer trace does) sees every sweep."""
+    """A sweep in the stepper's memo: plan.apply, looked up at each call, so
+    that a wrapper put on the class (as a layer trace does) sees every
+    sweep."""
     plan.apply(work, inflow, out, calls)
 
 
@@ -1028,16 +1022,16 @@ def _working_set(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> float
     the table and what the stepper owns.
 
     In floats of 8 B: the kernel table on its rfft bins (KernelTable); the
-    field, or in 2-D the flat buffer of room floats that it heads; the
+    flat buffer the field heads, room floats or the field alone; the
     stepper's block (_block), one complex multiplier table per distinct
     kernel stage length and layout, then the scratch; the sweep plans, one
     (N_k + 1) x M x M stack of matrices per spatial dimension and distinct
     transport length (the one more slice is the symmetrized edge's); each
     kernel layout's DFT matrices at their build's peak (_dft_floats); and
-    the stage memos (_Stepper.advance)
-    at 40 floats a call: a few runs' calls a sweep, 16 counted, and in 4-D,
-    where a slab is wider than one float, one shared-row copy a slice, and
-    8 calls a kernel substep.  A quarter more covers the rest.
+    the stepper's memo (_Stepper.advance), its one call list, at 40 floats
+    a call: a few runs' calls a sweep, 16 counted, and in 4-D, where a slab
+    is wider than one float, one shared-row copy a slice, and 8 calls a
+    kernel substep.  A quarter more covers the rest.
     """
     _, _, tables, _, length, room = _block(grid, stages)
     table = math.prod(grid.shape[:-1]) * (grid.shape[-1] // 2 + 1)
@@ -1046,8 +1040,8 @@ def _working_set(grid: PhaseSpaceGrid, stages: list[tuple[str, float]]) -> float
         for mesh, km in zip(grid.spatial, grid.wavenumber))
     dfts = sum(_dft_floats(grid, layout) for layout in {at for _, at in tables})
     sweep = sum(16 + (km.num_points + 1) * (grid.ndim_space > 1) for km in grid.wavenumber)
-    memos = 40 * sum(sweep if kind == "A" else 8 for kind, _ in stages)
-    return 1.25 * 8 * (table + max(room, math.prod(grid.shape)) + length + plans + dfts + memos)
+    memo = 40 * sum(sweep if kind == "A" else 8 for kind, _ in stages)
+    return 1.25 * 8 * (table + max(room, math.prod(grid.shape)) + length + plans + dfts + memo)
 
 
 def evolve(config: SimulationConfig):
@@ -1080,8 +1074,8 @@ def evolve(config: SimulationConfig):
     background = None
     if config.inflow == "background" and n_steps:
         background = values.mean(axis=tuple(range(grid.ndim_space)))
-    # the field is held once, in the first work layout, and read there: in
-    # 2-D at the head of a buffer of the stepper's room (_block).  A
+    # the field is held once, in the first work layout, and read there, at
+    # the head of a flat buffer of the stepper's room (_block).  A
     # step-less run, in either dimension, records and snapshots its initial
     # data as they are (a read-only Fermi-Dirac broadcast stays one), never
     # copied

@@ -606,7 +606,8 @@ def advect_2d_natural(values, grid, plan, inflow):
     copy, which the sweep spends, into a new out."""
     Q, M, Nk = grid.x.num_elements, grid.x.points_per_element, grid.k.num_points
     work = values.reshape(Q, M, Nk).transpose(2, 1, 0)[..., None].copy()
-    out = plan.apply(work, None if inflow is None else inflow[:, None], np.empty_like(work))
+    out = plan.apply(work, None if inflow is None else inflow[:, None], np.empty_like(work),
+                     [])
     return out[..., 0].transpose(2, 1, 0).reshape(values.shape)
 
 
@@ -653,11 +654,11 @@ def advect_4d_three_copies(values, grid, plans, inflow):
         prof2 = np.broadcast_to(inflow.T[:, None, :], (Nk2, nx1, Nk1)).reshape(Nk2, nx1 * Nk1)
     work = values.reshape(Q1, M1, Q2, M2, Nk1, Nk2).transpose(4, 1, 0, 2, 3, 5).copy()
     work = work.reshape(Nk1, M1, Q1, nx2 * Nk2)
-    work = plans[0].apply(work, prof1)
+    work = plans[0].apply(work, prof1, np.empty_like(work), [])
     # (k1, m1, q1, q2, m2, k2) -> (k2, m2, q2, q1, m1, k1)
     work = work.reshape(Nk1, M1, Q1, Q2, M2, Nk2).transpose(5, 4, 3, 2, 1, 0).copy()
     work = work.reshape(Nk2, M2, Q2, nx1 * Nk1)
-    work = plans[1].apply(work, prof2)
+    work = plans[1].apply(work, prof2, np.empty_like(work), [])
     work = work.reshape(Nk2, M2, Q2, Q1, M1, Nk1).transpose(3, 4, 2, 1, 5, 0)
     return work.reshape(nx1, nx2, Nk1, Nk2)
 

@@ -105,9 +105,9 @@ def test_cold_log_table_traces_one_cosine_integral_per_distinct_w(spans):
 def test_every_stepped_sweep_enters_through_apply_with_its_field(spans, planar):
     # the trace counts sweeps at _SweepPlan.apply and reads the field,
     # (Nk, M, Q, R), as its first argument after the plan.  Three yoshida4
-    # steps, the last two replayed from the stage memos, sweep four times a
-    # step in 2-D and eight in 4-D, where the sweeps alternate between the
-    # x1 and the x2 slices, equal here
+    # steps, the last two replayed from the stepper's memo, sweep four
+    # times a step in 2-D and eight in 4-D, where the sweeps alternate
+    # between the x1 and the x2 slices, equal here
     packet = GaussianPacketSpec(x0=-1.0, k0=1.0, sigma=1.5)
     common = dict(x_lo=-6.0, x_hi=6.0, num_elements=3, points_per_element=5, num_modes=8,
                   initial=packet, dt=0.01, t_final=0.03, consts=PhysicalConstants(),

@@ -368,7 +368,7 @@ def test_sweep_plan_matches_two_matrix_reference(case, R, with_inflow, edge):
     assert m0s == {"whole elements": {0}, "shared rows": {1, M - 1}}.get(case, m0s)
     want = _reference_sweep(mesh, velocities, tau, work, inflow, edge)
     source = work.copy()
-    got = plan.apply(work, inflow)
+    got = plan.apply(work, inflow, np.empty_like(work), [])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # the sweep spends its source only with the edge: the mirrored reading
     # overwrites slice edge + 1, which that slice's run has already read
@@ -413,22 +413,25 @@ def test_warm_sweep_allocates_a_few_kilobytes(edge):
     inflow = np.ones((16, 720))
     plans = [_sweep_plans(grid, cfg.consts, tau, edge)[0] for tau in (0.0068, -0.0018)]
     assert {m0 for plan in plans for *_, m0 in plan.runs} >= {0, 1, 8}
-    for plan in plans:
-        plan.apply(work, inflow, out)
+    memos = [[] for _ in plans]
+    for plan, calls in zip(plans, memos):
+        plan.apply(work, inflow, out, calls)
+    recorded = [list(map(id, calls)) for calls in memos]
     tracemalloc.start()
     try:
-        for plan in plans:
-            plan.apply(work, inflow, out)
+        for plan, calls in zip(plans, memos):
+            plan.apply(work, inflow, out, calls)  # replayed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4096, peak
+    assert all(recorded) and [list(map(id, calls)) for calls in memos] == recorded
 
 
 def test_sweep_plan_rejects_slice_count_mismatch():
     plan = _SweepPlan(build_spatial_mesh(-1.0, 1.0, 2, 5), np.ones(4), 0.1)
     with pytest.raises(ParameterError):
-        plan.apply(np.zeros((3, 5, 2, 1)))
+        plan.apply(np.zeros((3, 5, 2, 1)), None, np.empty((3, 5, 2, 1)), [])
 
 
 @pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])
@@ -617,9 +620,15 @@ def test_kernel_with_any_real_table_and_zero_c0_keeps_the_marginal(seed, tau, pl
     np.testing.assert_allclose(marginal(out), marginal(state), rtol=0, atol=1e-13)
 
 
-def _two_rows(grid, layout):
-    # the least scratch a multiplier build takes
-    return np.empty(2 * math.prod(_bins(grid, layout)[1:]))
+def _least_scratch(grid, layout):
+    # the least scratch a multiplier build takes: s on every bin, then two
+    # rows of one leading bin.  A yoshida4 stepper's scratch, which holds
+    # the spectrum of each of its kernel layouts, is at least that long
+    bins = _bins(grid, layout)
+    least = math.prod(bins) + 2 * math.prod(bins[1:])
+    _, _, tables, start, length, _ = dynamics._block(grid, _stage_sequence("yoshida4", 0.01))
+    assert layout in {at for _, at in tables} and length - start >= least
+    return np.empty(least)
 
 
 def _signed_bins(table, layout):
@@ -651,13 +660,16 @@ def _signed_bins(table, layout):
                          ids=["N4", "N6", "N38", "N128", "L1", "L2"])
 def test_table_rows_are_s_on_every_bin_in_the_second_half_of_out(N, layout):
     grid = uneven_tensor_grid() if N is None else grid_2d(N=N, M=5, Q=3)
+    # s lands in the float array it is given, bit for bit: here the second
+    # half of a complex out's floats, and the head of a stepper's scratch
     table = _random_real_table(grid, 7)
-    out = np.empty(_bins(grid, layout), complex)
-    got = _table_rows(table, layout, out)
-    assert got.shape == out.shape and got.dtype == float
-    assert got.ctypes.data == out.ctypes.data + 8 * out.size  # the second half of out's floats
     want = _signed_bins(table, layout)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+    out = np.empty(_bins(grid, layout), complex)
+    scratch = _least_scratch(grid, layout)
+    for rows in (out.view(float).reshape(-1)[out.size :].reshape(out.shape),
+                 scratch[: out.size].reshape(out.shape)):
+        assert _table_rows(table, layout, rows) is rows
+        np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("N", [4, 6, 38, 128])
@@ -671,7 +683,8 @@ def test_2d_multipliers_are_exp_i_tau_s_on_every_bin(N):
     assert _bins(grid, 0) == (H1, 5, 3, N2)  # (k1, m, q, k2), bin nu = k1 + N1*k2
     assert 6.0 * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
     for tau in (6.0, -6.0):
-        got = _multipliers(table, tau, 0, np.empty((H1, 5, 3, N2), complex), _two_rows(grid, 0))
+        got = _multipliers(table, tau, 0, np.empty((H1, 5, 3, N2), complex),
+                           _least_scratch(grid, 0))
         half = multipliers_half_2d(table, tau)  # (nx, N/2 + 1); exp(i tau s_{-nu}) is its conjugate
         nu = np.arange(N)
         full = half[:, np.minimum(nu, N - nu)]
@@ -691,7 +704,7 @@ def test_4d_multipliers_are_exp_i_tau_s_on_every_bin(layout):
     assert 6.0 * np.abs(table.multipliers).max() > 4 * np.pi  # several turns
     for tau in (6.0, -6.0):
         got = _multipliers(table, tau, layout, np.empty(_bins(grid, layout), complex),
-                           _two_rows(grid, layout))
+                           _least_scratch(grid, layout))
         half = multipliers_half_4d_natural(table, tau)  # (nx1, nx2, Nk1, Nk2/2 + 1)
         if layout == 0:
             want = half.reshape(Q1, M1, Q2, M2, Nk1, -1)
@@ -840,7 +853,7 @@ def test_2d_stepping_matches_the_natural_layout_reference(monkeypatch, edge, inf
 @pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])
 def test_warm_2d_advance_allocates_almost_nothing(edge, no_collector):
     # the stepper owns the sweep product and the spectrum, every stage
-    # overwrites the work field, and a warm step replays its stage memos,
+    # overwrites the work field, and a warm step replays its memo,
     # building no view: on the stream2d grid the tracemalloc peak of three
     # warm steps is one run's shared-row source, which numpy copies as the
     # row's extent overlaps its target's (about 10 kB, 64 slices of 19
@@ -861,7 +874,7 @@ def test_warm_2d_advance_allocates_almost_nothing(edge, no_collector):
     finally:
         tracemalloc.stop()
     assert peak < 12288, peak  # building the views as well took about 11.5 kB
-    # with no cycle through the memos, dropping the stepper frees its block
+    # with no cycle through the memo, dropping the stepper frees its block
     assert_memos_hold_no(stepper)
     gone = weakref.ref(stepper)
     del stepper
@@ -882,23 +895,24 @@ def no_collector():
 
 
 def assert_memos_hold_no(stepper):
-    """The stage memos hold no reference to their stepper, neither it nor a
-    bound method of it."""
+    """The stepper's memo, its one call list, and each sweep's own memo in
+    it hold no reference to the stepper, neither it nor a bound method of
+    it."""
     import types
 
-    assert stepper.memos
-    for memo in stepper.memos:
-        for fn, args in memo:
-            calls = [(fn, args), *(args[-1] if fn is dynamics._sweep else ())]
-            for item in (x for f, a in calls for x in (f, *a)):
-                assert item is not stepper
-                assert not (isinstance(item, types.MethodType) and item.__self__ is stepper)
+    assert stepper.memo
+    for fn, args in stepper.memo:
+        calls = [(fn, args), *(args[-1] if fn is dynamics._sweep else ())]
+        for item in (x for f, a in calls for x in (f, *a)):
+            assert item is not stepper
+            assert not (isinstance(item, types.MethodType) and item.__self__ is stepper)
 
 
 def test_2d_advance_takes_only_a_field_that_heads_a_buffer_of_room_floats():
     # with kernel stages a bare _to_work buffer, one field long, is shorter
     # than a spectrum; a field in the scratch lies past the block's head
-    # (the tables come first) or, without kernel stages, heads the scratch
+    # (the tables come first) or, without kernel stages, heads the scratch.
+    # A 4-D field, room 0, is held to the same rule
     grid = grid_2d(N=16, M=7, Q=4)
     table = kernel_coefficients(DeltaPotential(H=1.0), grid, CONSTS)
     values = init_gaussian(grid, PACKET).values
@@ -919,6 +933,18 @@ def test_2d_advance_takes_only_a_field_that_heads_a_buffer_of_room_floats():
         assert (out is work) == even
         assert np.shares_memory(out, stepper.scratch) != even
         assert not np.array_equal(out, before)
+    # in 4-D a field in the scratch and one a float into a _to_work buffer,
+    # which heads no flat buffer, are refused; one at a buffer's head is not
+    args, values = memo_case(True)
+    grid, order = args[0], _LAYOUTS[2][0]
+    for stepper in (_Stepper(*args), _Stepper(grid, None, FD_CONSTS, [("A", 0.02)])):
+        assert stepper.room == 0
+        head = _to_work(values, grid, order)
+        shifted = _to_work(values, grid, order, head.size + 1).base[1 : head.size + 1]
+        for work in (stepper.scratch[: head.size], shifted):
+            with pytest.raises(ParameterError, match="room = 0 floats"):
+                stepper.advance(work.reshape(head.shape))
+        assert np.shares_memory(stepper.advance(head), head)
 
 
 @pytest.mark.parametrize("stages", [[("A", 0.02)], _stage_sequence("yoshida4", 0.02)],
@@ -963,9 +989,9 @@ def bits(a):
 @pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])
 @pytest.mark.parametrize("planar", [False, True], ids=["2d", "4d"])
 def test_a_replaying_stepper_gives_the_bits_of_fresh_steppers(planar, edge, inflow, scheme):
-    # one stepper records its stage memos on its first step and replays
-    # them on the next three; the reference steps the same field with a new
-    # stepper each step, which records and runs its memos once
+    # one stepper records its memo on its first step and replays it on
+    # the next three; the reference steps the same field with a new
+    # stepper each step, which records and runs its memo once
     args, values = memo_case(planar, edge, inflow, scheme)
     order = _LAYOUTS[args[0].ndim_space][0]
     stepper = _Stepper(*args)
@@ -976,25 +1002,33 @@ def test_a_replaying_stepper_gives_the_bits_of_fresh_steppers(planar, edge, infl
         assert _Stepper(*args).advance(fresh) is fresh
         np.testing.assert_array_equal(bits(work), bits(fresh))
         if i == 0:
-            memos = stepper.memos
-    assert stepper.memos is memos  # recorded once, replayed three times
+            memo = stepper.memo
+    assert stepper.memo is memo  # recorded once, replayed three times
     assert not np.array_equal(work, _to_work(values, args[0], order))
 
 
 @pytest.mark.parametrize("planar", [False, True], ids=["2d", "4d"])
 def test_a_field_in_another_buffer_drops_the_memos_and_leaves_the_first_alone(planar):
-    # a stepper's memos are bound to the buffer (2-D) or array (4-D) its
-    # field was in; a field handed in elsewhere is recorded anew and stepped
-    # as a fresh stepper steps it, and the first field's memory is not
-    # written.  Back in the first buffer, the memos are recorded once more
+    # a stepper's memo is bound to the buffer its field heads, in 2-D and
+    # 4-D alike: a new view of that buffer replays it; a field handed in
+    # elsewhere is recorded anew and stepped as a fresh stepper steps it,
+    # and the first field's memory is not written.  Back in the first
+    # buffer, the memo is recorded once more
     args, values = memo_case(planar, True, True)
     grid = args[0]
     order = _LAYOUTS[grid.ndim_space][0]
     stepper = _Stepper(*args)
     first = _to_work(values, grid, order, stepper.room)
+    reference = _to_work(values, grid, order, stepper.room)
+    stepper.advance(first)
+    memo = stepper.memo
+    again = first.reshape(first.shape)
+    assert again is not first and again.base is first.base
+    assert stepper.advance(again) is again
+    assert stepper.memo is memo  # replayed, not recorded anew
     for _ in range(2):
-        stepper.advance(first)
-    memos = stepper.memos
+        _Stepper(*args).advance(reference)
+    np.testing.assert_array_equal(bits(first), bits(reference))
     kept = np.empty(max(stepper.room, first.size))[: first.size].reshape(first.shape)
     np.copyto(kept, first)
     other = np.random.default_rng(12).random(grid.shape)
@@ -1004,7 +1038,7 @@ def test_a_field_in_another_buffer_drops_the_memos_and_leaves_the_first_alone(pl
         assert stepper.advance(second) is second
         _Stepper(*args).advance(fresh)
         np.testing.assert_array_equal(bits(second), bits(fresh))
-    assert stepper.memos is not memos
+    assert stepper.memo is not memo
     np.testing.assert_array_equal(bits(first), bits(kept))
     stepper.advance(first)
     _Stepper(*args).advance(kept)
@@ -1463,7 +1497,7 @@ def test_evolve_4d_working_set_estimate_bounds_measured_peak(dims, Q, M, N):
 ], ids=["2d-6-9-64", "stream2d", "fermi4d"])
 def test_working_set_estimate_covers_the_dft_matrices_and_stage_memos(make, sizes):
     # a cold run's tracemalloc peak holds each kernel layout's DFT matrices
-    # and their build's temporaries, and in 4-D the stage memos; on the
+    # and their build's temporaries, and in 4-D the stepper's memo; on the
     # small 2-D grid the estimate without the DFT matrices was 0.95 of it.
     # The DFT term, with the estimate's quarter more, covers each layout's
     # build on its own too
@@ -1639,7 +1673,7 @@ def test_evolve_gives_the_same_bits_on_one_and_two_blas_threads(tmp_path, dims):
 @pytest.mark.parametrize("edge", [False, True], ids=["one-sided", "symmetrized"])
 def test_warm_4d_advance_allocates_almost_nothing(edge, no_collector):
     # the stepper owns the scratch block and the inflow profiles, and a warm
-    # step replays its stage memos, building no view: on the fermi4d grid
+    # step replays its memo, building no view: on the fermi4d grid
     # with background inflow three warm steps allocate next to nothing
     import tracemalloc
 
@@ -1659,7 +1693,7 @@ def test_warm_4d_advance_allocates_almost_nothing(edge, no_collector):
     finally:
         tracemalloc.stop()
     assert peak < 2048, peak  # about 1.2 kB; building the views as well, about 3.8 kB
-    # with no cycle through the memos, dropping the stepper frees its block,
+    # with no cycle through the memo, dropping the stepper frees its block,
     # 14 MB of a fermi4d run's 20.8 MB peak, before evolve's final record
     assert_memos_hold_no(stepper)
     gone = weakref.ref(stepper)
